@@ -57,17 +57,26 @@ int main() {
   std::printf("--------------------------------------------------------------"
               "----------------------------------------------------\n");
 
-  // Persistent caches are on by default: the suite shares a trace cache
-  // and side-condition store in the standard cache directory
-  // (ISLARIS_CACHE_DIR override), so re-running the bench demonstrates a
-  // warm start — the reuse section below shows how much was served.
+  // The table is a cold run, as in the paper: the suite shares a
+  // persistent trace cache and side-condition store in a fresh scratch
+  // directory, removed at exit, so re-runs never print warm times or grow
+  // a shared cache directory.  The reuse section below shows how much the
+  // in-run dedup and stores served.
   namespace ifr = islaris::frontend;
   namespace ica = islaris::cache;
+  std::string TableDir =
+      (std::filesystem::temp_directory_path() /
+       ("islaris-fig12-bench-" + std::to_string(uint64_t(::getpid()))))
+          .string();
+  std::error_code EC;
+  std::filesystem::remove_all(TableDir, EC);
   ica::TraceCacheConfig TCfg;
   TCfg.Persist = true;
+  TCfg.Dir = TableDir;
   ica::TraceCache PersistCache(TCfg);
   ica::SideCondConfig PCfg;
   PCfg.Persist = true;
+  PCfg.Dir = TableDir + "/sidecond";
   ica::SideCondStore PersistSide(PCfg);
   ifr::SuiteOptions MainOpts;
   MainOpts.Cache = &PersistCache;
@@ -130,7 +139,6 @@ int main() {
       (std::filesystem::temp_directory_path() /
        ("islaris-sidecond-bench-" + std::to_string(uint64_t(::getpid()))))
           .string();
-  std::error_code EC;
   std::filesystem::remove_all(SideDir, EC);
   ica::SideCondConfig SCfg;
   SCfg.Persist = true;
@@ -233,8 +241,8 @@ int main() {
               (unsigned long long)RepStmts, (unsigned long long)SnapStmts,
               SnapStmts ? double(RepStmts) / double(SnapStmts) : 0.0,
               (unsigned long long)Skipped);
-  std::printf("  trace-generation wall time ... %.2f s -> %.2f s "
-              "(informational)\n", RepWall, SnapWall);
+  std::printf("  suite wall time (generation + proof) ... %.2f s -> "
+              "%.2f s (informational)\n", RepWall, SnapWall);
   std::printf("  rows bit-identical across engines ............. %s\n",
               EnginesAgree ? "yes" : "NO");
   std::printf("  snapshot executes strictly fewer statements ... %s\n",
@@ -297,5 +305,6 @@ int main() {
               Sum.Passed, Sum.ProofFailures, Sum.InfraErrors);
   if (Exit == 0 && !AllOk)
     Exit = 1; // a bench-specific criterion (cache reuse, identity) failed
+  std::filesystem::remove_all(TableDir, EC);
   return Exit;
 }

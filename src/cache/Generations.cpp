@@ -2,7 +2,7 @@
 
 #include "cache/Generations.h"
 
-
+#include "cache/EntryFiles.h"
 
 #include <algorithm>
 #include <atomic>
@@ -197,23 +197,20 @@ islaris::cache::gcGenerations(const GenerationGcOptions &O) {
       Fingerprint K;
       if (!Fingerprint::fromHex(KeyHex, K))
         continue;
-      // The manifest records bare keys; resolve against both store
-      // extensions and both placements (sharded, legacy flat).
-      const std::string Shard = KeyHex.substr(0, 2) + "/";
-      for (const char *Ext : {".itc", ".scc"}) {
-        for (const std::string &Rel : {Shard + KeyHex + Ext, KeyHex + Ext}) {
-          fs::path P = fs::path(O.Dir) / Rel;
-          uint64_t Size = fs::file_size(P, EC);
-          if (EC) {
-            EC.clear();
-            continue;
-          }
-          ++R.EntriesRemoved;
-          R.BytesReclaimed += Size;
-          if (!O.DryRun && !fs::remove(P, EC) && EC)
-            Note(support::ErrorCode::IoError,
-                 "could not remove retired entry: " + P.string());
+      // The manifest records bare keys; resolve against both stores'
+      // extensions.
+      for (std::string_view Ext : {TraceEntryExt, SideCondEntryExt}) {
+        std::string P = EntryFiles::entryPath(O.Dir, K, Ext);
+        uint64_t Size = fs::file_size(P, EC);
+        if (EC) {
+          EC.clear();
+          continue;
         }
+        ++R.EntriesRemoved;
+        R.BytesReclaimed += Size;
+        if (!O.DryRun && !fs::remove(P, EC) && EC)
+          Note(support::ErrorCode::IoError,
+               "could not remove retired entry: " + P);
       }
     }
     In.close();

@@ -84,8 +84,7 @@ struct GenerationGcReport {
 
 /// Retires every generation of \p O.Dir outside the newest
 /// O.KeepGenerations: deletes the entries each retired fingerprint's
-/// manifest enumerates (sharded and legacy-flat placements, both store
-/// extensions), removes the manifest, and rewrites the registry without the
+/// manifest enumerates (either store's extension), removes the manifest, and rewrites the registry without the
 /// retired rows.  Safe on a live store — entries are immutable and
 /// recomputable, so the worst interleaving costs a re-execution.
 GenerationGcReport gcGenerations(const GenerationGcOptions &O);

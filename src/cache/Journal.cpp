@@ -2,7 +2,7 @@
 
 #include "cache/Journal.h"
 
-#include "cache/TraceCache.h" // fnv1a64, fsync policy shared with the stores
+#include "cache/EntryFiles.h" // fnv1a64, fsync policy shared with the stores
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -23,11 +23,6 @@ using namespace islaris::cache;
 namespace fs = std::filesystem;
 
 static constexpr std::string_view JournalMagic = "(islaris-journal 1 ";
-
-static bool fsyncEnabled() {
-  const char *E = std::getenv("ISLARIS_NO_FSYNC");
-  return !E || !*E;
-}
 
 RunJournal::RunJournal(std::string Path) : FilePath(std::move(Path)) {}
 

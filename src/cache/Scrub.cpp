@@ -2,13 +2,11 @@
 
 #include "cache/Scrub.h"
 
-#include "cache/Fingerprint.h"
-#include "cache/TraceCache.h" // envelope helpers, atomicWriteFile, quarantine
+#include "cache/EntryFiles.h"
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace islaris;
 using namespace islaris::cache;
@@ -18,26 +16,19 @@ namespace fs = std::filesystem;
 namespace {
 
 struct LiveEntry {
-  fs::path Path;
+  std::string Path;
   uint64_t Size = 0;
   fs::file_time_type MTime;
 };
 
-bool isHex(const std::string &S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
+void note(std::vector<support::Diag> &Diags, support::ErrorCode Code,
+          const std::string &Msg,
+          support::Severity Sev = support::Severity::Error) {
+  if (Diags.size() < 64)
+    Diags.push_back(support::Diag(Code, "scrub", Msg, Sev));
 }
 
-void note(ScrubReport &R, support::ErrorCode Code, const std::string &Msg) {
-  if (R.Diags.size() < 64)
-    R.Diags.push_back(support::Diag::error(Code, "scrub", Msg));
-}
-
-uint64_t sizeOf(const fs::path &P) {
+uint64_t sizeOf(const std::string &P) {
   std::error_code EC;
   uint64_t S = fs::file_size(P, EC);
   return EC ? 0 : S;
@@ -47,127 +38,46 @@ uint64_t sizeOf(const fs::path &P) {
 
 ScrubReport islaris::cache::scrubStore(const ScrubOptions &O) {
   ScrubReport R;
-  fs::path Root(O.Dir);
-  std::error_code EC;
-  if (!fs::is_directory(Root, EC))
-    return R; // nothing to scrub
-
-  std::vector<LiveEntry> Live;
-  std::vector<fs::path> Files;
-  try {
-    fs::recursive_directory_iterator It(
-        Root, fs::directory_options::skip_permission_denied);
-    for (auto End = fs::end(It); It != End; ++It) {
-      if (It->is_directory()) {
-        // Only shard fan-out directories ("00".."ff") belong to this
-        // store's layout.  Anything else — the quarantine area (corpses
-        // kept on purpose), a sibling store nested under the same root
-        // (sidecond/ under the trace root) — is not ours: descending
-        // would "migrate" a foreign store's entries into our shards.
-        std::string D = It->path().filename().string();
-        if (!(D.size() == 2 && isHex(D)))
-          It.disable_recursion_pending();
-        continue;
-      }
-      if (It->is_regular_file())
-        Files.push_back(It->path());
-    }
-  } catch (const fs::filesystem_error &E) {
-    note(R, support::ErrorCode::IoError,
-         std::string("store walk failed: ") + E.what());
+  std::vector<StoreFile> Files;
+  std::string Err;
+  if (!scanStore(O.Dir, Files, Err)) {
+    note(R.Diags, support::ErrorCode::IoError, "store walk failed: " + Err);
     return R;
   }
 
-  for (const fs::path &P : Files) {
+  std::vector<LiveEntry> Live;
+  std::error_code EC;
+  for (const StoreFile &F : Files) {
     ++R.FilesScanned;
-    std::string Name = P.filename().string();
-
-    // Stale writer temp: a crash between create and rename leaves
-    // "<entry>.tmp.<pid>.<counter>" behind; it is never read, only reaped.
-    if (Name.find(".tmp.") != std::string::npos) {
-      uint64_t S = sizeOf(P);
+    if (F.K == StoreFile::Temp) {
+      uint64_t S = sizeOf(F.Path);
       if (!O.DryRun)
-        fs::remove(P, EC);
+        fs::remove(F.Path, EC);
       ++R.TempsRemoved;
       R.BytesReclaimed += S;
       continue;
     }
+    if (F.K != StoreFile::Entry)
+      continue; // run journals, operator notes: left alone
 
-    // Entry files are "<32-hex-fingerprint>.itc|.scc"; anything else in the
-    // tree (run journals, operator notes) is left alone.
-    std::string Ext = P.extension().string();
-    std::string Stem = P.stem().string();
-    if ((Ext != ".itc" && Ext != ".scc") || Stem.size() != 32 ||
-        !isHex(Stem))
+    std::string Why;
+    support::ErrorCode Code = verifyEntryFile(F, Why);
+    if (Code == support::ErrorCode::IoError) {
+      note(R.Diags, Code, "unreadable entry file: " + F.Path);
       continue;
-
-    std::string Text;
-    {
-      std::ifstream In(P, std::ios::binary);
-      if (!In) {
-        note(R, support::ErrorCode::IoError,
-             "unreadable entry file: " + P.string());
-        continue;
-      }
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      Text = Buf.str();
     }
-
-    std::string Payload;
-    EnvelopeResult V = unwrapDurableEntry(Text, Payload);
-    // Whatever the envelope says, the payload must carry the fingerprint
-    // the filename promises — a renamed or cross-linked entry would
-    // otherwise verify cleanly and then serve the wrong key.
-    bool KeyOk = (V == EnvelopeResult::Ok || V == EnvelopeResult::Legacy) &&
-                 Payload.find(Stem) != std::string::npos;
-    if (!KeyOk) {
-      support::ErrorCode Code =
-          (V == EnvelopeResult::Ok || V == EnvelopeResult::Legacy)
-              ? support::ErrorCode::CorruptCacheEntry
-              : envelopeErrorCode(V);
-      uint64_t S = sizeOf(P);
+    if (Code != support::ErrorCode::Ok) {
+      // Corrupt, misnamed or misplaced: no reader will ever be served by it.
+      uint64_t S = sizeOf(F.Path);
       if (!O.DryRun)
-        quarantineFile(Root.string(), P.string());
+        quarantineFile(O.Dir, F.Path);
       ++R.Quarantined;
       R.BytesReclaimed += S;
-      note(R, Code, "quarantined corrupt entry: " + P.string());
+      note(R.Diags, Code, "quarantined " + Why + " entry: " + F.Path);
       continue;
     }
-
-    fs::path ShardPath = Root / Stem.substr(0, 2) / (Stem + Ext);
-    bool Misplaced = fs::weakly_canonical(P, EC) !=
-                     fs::weakly_canonical(ShardPath, EC);
-    if (V == EnvelopeResult::Ok && !Misplaced) {
-      Live.push_back({P, sizeOf(P), fs::last_write_time(P, EC)});
-      ++R.OkEntries;
-      continue;
-    }
-
-    // Legacy in format (headerless payload), placement (flat at the store
-    // root), or both: republish as an enveloped entry in its shard.  The
-    // sharded twin wins if one already exists — entries are immutable, so
-    // content is interchangeable.
-    ++R.LegacyMigrated;
-    if (O.DryRun) {
-      Live.push_back({P, sizeOf(P), fs::last_write_time(P, EC)});
-      continue;
-    }
-    bool Published = fs::exists(ShardPath, EC);
-    if (!Published) {
-      fs::create_directories(ShardPath.parent_path(), EC);
-      Published = atomicWriteFile(ShardPath.string(), wrapDurableEntry(Payload));
-    }
-    if (!Published) {
-      note(R, support::ErrorCode::IoError,
-           "could not migrate legacy entry: " + P.string());
-      Live.push_back({P, sizeOf(P), fs::last_write_time(P, EC)});
-      continue;
-    }
-    if (Misplaced)
-      fs::remove(P, EC);
-    Live.push_back(
-        {ShardPath, sizeOf(ShardPath), fs::last_write_time(ShardPath, EC)});
+    Live.push_back({F.Path, sizeOf(F.Path), fs::last_write_time(F.Path, EC)});
+    ++R.OkEntries;
   }
 
   for (const LiveEntry &E : Live)
@@ -219,9 +129,8 @@ void islaris::cache::clearCleanShutdownMarker(const std::string &Dir) {
 QuickScrubReport islaris::cache::scrubOnOpen(const std::string &Dir,
                                              size_t MaxSpotChecks) {
   QuickScrubReport R;
-  fs::path Root(Dir);
   std::error_code EC;
-  if (!fs::is_directory(Root, EC))
+  if (!fs::is_directory(Dir, EC))
     return R;
   if (hasCleanShutdownMarker(Dir)) {
     // The previous owner drained cleanly; consume the marker (this store is
@@ -232,61 +141,29 @@ QuickScrubReport islaris::cache::scrubOnOpen(const std::string &Dir,
   }
   R.Ran = true;
 
-  auto Note = [&R](support::ErrorCode Code, const std::string &Msg) {
-    if (R.Diags.size() < 64)
-      R.Diags.push_back(support::Diag(Code, "scrub", Msg,
-                                      support::Severity::Warning));
-  };
-
-  try {
-    fs::recursive_directory_iterator It(
-        Root, fs::directory_options::skip_permission_denied);
-    for (auto End = fs::end(It); It != End; ++It) {
-      if (It->is_directory()) {
-        std::string D = It->path().filename().string();
-        if (!(D.size() == 2 && isHex(D)))
-          It.disable_recursion_pending(); // quarantine/, nested stores
-        continue;
-      }
-      if (!It->is_regular_file())
-        continue;
-      const fs::path &P = It->path();
-      std::string Name = P.filename().string();
-      if (Name.find(".tmp.") != std::string::npos) {
-        // A crashed writer's temp: never read, only reaped.
-        fs::remove(P, EC);
-        ++R.TempsRemoved;
-        continue;
-      }
-      std::string Ext = P.extension().string();
-      std::string Stem = P.stem().string();
-      if ((Ext != ".itc" && Ext != ".scc") || Stem.size() != 32 ||
-          !isHex(Stem))
-        continue;
-      if (R.EntriesChecked >= MaxSpotChecks)
-        continue; // keep reaping temps, stop opening entries
-      ++R.EntriesChecked;
-      std::string Text;
-      {
-        std::ifstream In(P, std::ios::binary);
-        if (!In)
-          continue;
-        std::ostringstream Buf;
-        Buf << In.rdbuf();
-        Text = Buf.str();
-      }
-      std::string Payload;
-      EnvelopeResult V = unwrapDurableEntry(Text, Payload);
-      if (V == EnvelopeResult::Ok || V == EnvelopeResult::Legacy)
-        continue;
-      quarantineFile(Root.string(), P.string());
-      ++R.Quarantined;
-      Note(envelopeErrorCode(V),
-           "scrub-on-open quarantined corrupt entry: " + P.string());
+  std::vector<StoreFile> Files;
+  std::string Err;
+  if (!scanStore(Dir, Files, Err))
+    note(R.Diags, support::ErrorCode::IoError,
+         "scrub-on-open walk failed: " + Err, support::Severity::Warning);
+  for (const StoreFile &F : Files) {
+    if (F.K == StoreFile::Temp) {
+      fs::remove(F.Path, EC); // a crashed writer's temp: never read
+      ++R.TempsRemoved;
+      continue;
     }
-  } catch (const fs::filesystem_error &E) {
-    Note(support::ErrorCode::IoError,
-         std::string("scrub-on-open walk failed: ") + E.what());
+    if (F.K != StoreFile::Entry || R.EntriesChecked >= MaxSpotChecks)
+      continue; // keep reaping temps, stop opening entries
+    ++R.EntriesChecked;
+    std::string Why;
+    support::ErrorCode Code = verifyEntryFile(F, Why);
+    if (Code == support::ErrorCode::Ok || Code == support::ErrorCode::IoError)
+      continue;
+    quarantineFile(Dir, F.Path);
+    ++R.Quarantined;
+    note(R.Diags, Code,
+         "scrub-on-open quarantined " + Why + " entry: " + F.Path,
+         support::Severity::Warning);
   }
   return R;
 }

@@ -6,14 +6,13 @@
 ///
 /// \file
 /// The offline maintenance pass over a persistent store directory
-/// (TraceCache or SideCondStore — both share the entry envelope and the
-/// sharded layout, so one scrubber serves both).  A scrub:
+/// (TraceCache or SideCondStore — both keep their entries through
+/// cache::EntryFiles, so one scrubber serves both).  A scrub:
 ///
 ///   - reaps stale ".tmp." files left by crashed writers,
-///   - verifies every entry's durability envelope, quarantining files whose
-///     checksum, version, or embedded key does not hold,
-///   - migrates legacy files — headerless payloads and flat-layout
-///     placement — into checksummed entries in their proper shard,
+///   - verifies every entry the way a reader would (cache/EntryFiles),
+///     quarantining files whose envelope, embedded key, or placement does
+///     not hold — an entry outside its shard is never opened by a reader,
 ///   - enforces an optional size budget by evicting least-recently-touched
 ///     entries (LRU by mtime; readers re-derive evicted results, so
 ///     eviction is always safe).
@@ -49,10 +48,8 @@ struct ScrubOptions {
 
 struct ScrubReport {
   uint64_t FilesScanned = 0;   ///< Regular files visited (excl. quarantine/).
-  uint64_t OkEntries = 0;      ///< Entries whose envelope verified.
-  uint64_t LegacyMigrated = 0; ///< Headerless and/or flat-layout entries
-                               ///< rewritten as enveloped sharded files.
-  uint64_t Quarantined = 0;    ///< Corrupt files moved to quarantine/.
+  uint64_t OkEntries = 0;      ///< Entries that verified in place.
+  uint64_t Quarantined = 0;    ///< Failed entries moved to quarantine/.
   uint64_t TempsRemoved = 0;   ///< Stale writer temp files reaped.
   uint64_t Evicted = 0;        ///< Entries evicted by the size budget.
   uint64_t BytesReclaimed = 0; ///< Bytes freed by reaping + eviction.
@@ -101,7 +98,7 @@ struct QuickScrubReport {
 
 /// The scrub-on-open pass: consumes the clean-shutdown marker if present
 /// (skipping the scrub), otherwise reaps every stale ".tmp." file and
-/// verifies the envelopes of up to \p MaxSpotChecks entries, quarantining
+/// verifies up to \p MaxSpotChecks entries as scrubStore does, quarantining
 /// failures.  Bounded by design — this runs on the open path.
 QuickScrubReport scrubOnOpen(const std::string &Dir,
                              size_t MaxSpotChecks = 32);

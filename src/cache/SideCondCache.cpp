@@ -3,35 +3,21 @@
 #include "cache/SideCondCache.h"
 
 #include "cache/Generations.h" // per-model entry manifests
-#include "cache/Scrub.h"       // scrub-on-open protocol
-#include "cache/TraceCache.h"  // resolveCacheDir, atomicWriteFile
+#include "cache/TraceCache.h"  // resolveCacheDir
 #include "itl/Parser.h"
-#include "support/FaultInjector.h"
 #include "support/Parse.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#include <unistd.h>
 
 using namespace islaris;
 using namespace islaris::cache;
 
-namespace fs = std::filesystem;
-
-SideCondStore::SideCondStore(SideCondConfig C) : Cfg(std::move(C)) {
-  Directory = Cfg.Dir.empty() ? resolveCacheDir() + "/sidecond" : Cfg.Dir;
-  if (Cfg.Persist && Cfg.ScrubOnOpen) {
-    // See TraceCache: missing clean-shutdown marker means the previous
-    // owner died mid-flight — reap temps and spot-check envelopes now.
-    QuickScrubReport R = scrubOnOpen(Directory);
-    St.CorruptRemoved += R.Quarantined;
-    St.Quarantined += R.Quarantined;
-    for (support::Diag &D : R.Diags)
-      if (Diags.size() < 64)
-        Diags.push_back(std::move(D));
-  }
+SideCondStore::SideCondStore(SideCondConfig C)
+    : Cfg(std::move(C)),
+      Files(Cfg.Dir.empty() ? resolveCacheDir() + "/sidecond" : Cfg.Dir,
+            SideCondEntryExt) {
+  if (Cfg.Persist && Cfg.ScrubOnOpen)
+    Files.scrubIfUnclean();
 }
 
 Fingerprint SideCondStore::key(const std::string &Closure) const {
@@ -56,12 +42,6 @@ std::string SideCondStore::serializeEntry(const Fingerprint &K,
     OS << " (|" << Name << "| " << Width << " " << Bits.toString() << ")";
   OS << "))\n";
   return OS.str();
-}
-
-static std::string stripBars(const std::string &S) {
-  if (S.size() >= 2 && S.front() == '|' && S.back() == '|')
-    return S.substr(1, S.size() - 2);
-  return S;
 }
 
 bool SideCondStore::parseEntry(const std::string &Text, const Fingerprint &K,
@@ -120,147 +100,9 @@ bool SideCondStore::parseEntry(const std::string &Text, const Fingerprint &K,
       Err = "model value width mismatch";
       return false;
     }
-    Out.Model.emplace_back(stripBars(V.List[0].Atom), Width,
+    Out.Model.emplace_back(itl::stripBars(V.List[0].Atom), Width,
                            std::move(Bits));
   }
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Disk persistence.
-//===----------------------------------------------------------------------===//
-
-std::string SideCondStore::entryPath(const Fingerprint &K) const {
-  // Same 256-way fan-out as the trace cache: shard on the leading
-  // fingerprint byte so warm suite stores stay navigable.
-  std::string Hex = K.toHex();
-  return Directory + "/" + Hex.substr(0, 2) + "/" + Hex + ".scc";
-}
-
-std::string SideCondStore::legacyEntryPath(const Fingerprint &K) const {
-  return Directory + "/" + K.toHex() + ".scc";
-}
-
-void SideCondStore::discardCorrupt(const std::string &Path,
-                                   support::ErrorCode Code,
-                                   const std::string &Why) {
-  // Miss + displace the corpse (into dir()/quarantine/) so a future
-  // first-writer-wins writeToDisk can repair this key.
-  bool Freed = quarantineFile(Directory, Path);
-  std::lock_guard<std::mutex> L(Mu);
-  if (Freed) {
-    ++St.CorruptRemoved;
-    ++St.Quarantined;
-  }
-  if (Diags.size() < 64)
-    Diags.push_back(
-        support::Diag::error(Code, "cache", Why + ": " + Path));
-}
-
-void SideCondStore::noteWriteFailure(const std::string &Path) {
-  // Every failed publish counts (degraded-mode detector input); the Diag
-  // below stays one-time and unwritable-directory-only — see
-  // TraceCache::noteWriteFailure.
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    ++St.WriteFailures;
-    if (WarnedUnwritable)
-      return;
-  }
-  std::string Parent = fs::path(Path).parent_path().string();
-  if (::access(Parent.c_str(), W_OK) == 0)
-    return;
-  std::lock_guard<std::mutex> L(Mu);
-  if (WarnedUnwritable)
-    return;
-  WarnedUnwritable = true;
-  if (Diags.size() < 64)
-    Diags.push_back(support::Diag::error(
-        support::ErrorCode::IoError, "cache",
-        "side-condition store directory is not writable, running uncached: " +
-            Directory));
-}
-
-std::vector<support::Diag> SideCondStore::drainDiags() {
-  std::lock_guard<std::mutex> L(Mu);
-  std::vector<support::Diag> Out;
-  Out.swap(Diags);
-  return Out;
-}
-
-std::optional<smt::SolverCache::CachedResult>
-SideCondStore::loadFromDisk(const Fingerprint &K) {
-  if (diskDisabled())
-    return std::nullopt; // degraded mode: leave the failing device alone
-  if (support::FaultInjector::fire(support::FaultSite::CacheRead))
-    return std::nullopt; // injected read failure: degrade to a miss
-  std::string Path = entryPath(K);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    // Transparent read-through of pre-sharding stores (flat layout).
-    Path = legacyEntryPath(K);
-    In.open(Path, std::ios::binary);
-    if (!In)
-      return std::nullopt;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  // Envelope first: integrity failures are attributed precisely before any
-  // bytes reach the parser (see TraceCache::loadFromDisk).
-  std::string Payload;
-  EnvelopeResult E = unwrapDurableEntry(Buf.str(), Payload);
-  switch (E) {
-  case EnvelopeResult::Ok:
-  case EnvelopeResult::Legacy:
-    break;
-  case EnvelopeResult::Empty:
-    discardCorrupt(Path, envelopeErrorCode(E), "zero-length entry file");
-    return std::nullopt;
-  case EnvelopeResult::BadVersion:
-    discardCorrupt(Path, envelopeErrorCode(E),
-                   "entry written by an unknown format version");
-    return std::nullopt;
-  case EnvelopeResult::Corrupt:
-    discardCorrupt(Path, envelopeErrorCode(E),
-                   "entry checksum did not verify (torn or corrupt)");
-    return std::nullopt;
-  }
-  CachedResult R;
-  std::string Err;
-  if (!parseEntry(Payload, K, R, Err)) {
-    discardCorrupt(Path, support::ErrorCode::CorruptCacheEntry, Err);
-    return std::nullopt;
-  }
-  return R;
-}
-
-bool SideCondStore::writeToDisk(const Fingerprint &K,
-                                const CachedResult &R) {
-  if (diskDisabled())
-    return false; // degraded mode: serve from memory, stop hammering disk
-  std::error_code EC;
-  std::string Path = entryPath(K);
-  fs::create_directories(fs::path(Path).parent_path(), EC);
-  if (EC) {
-    noteWriteFailure(Path);
-    return false;
-  }
-  // Entries are immutable: first writer wins on the sharded path.
-  if (fs::exists(Path, EC))
-    return false;
-  std::string Legacy = legacyEntryPath(K);
-  bool HadLegacy = fs::exists(Legacy, EC);
-  if (!atomicWriteFile(Path, wrapDurableEntry(serializeEntry(K, R)))) {
-    noteWriteFailure(Path);
-    return false;
-  }
-  // A publish upgrades any legacy headerless flat-layout twin in place.
-  if (HadLegacy) {
-    std::error_code EC2;
-    fs::remove(Legacy, EC2);
-  }
-  std::lock_guard<std::mutex> L(Mu);
-  ++St.DiskWrites;
   return true;
 }
 
@@ -279,14 +121,17 @@ SideCondStore::lookup(const std::string &Closure) {
       return It->second;
     }
   }
-  if (Cfg.Persist) {
-    if (auto R = loadFromDisk(K)) {
+  std::string Payload, Err;
+  CachedResult R;
+  if (Cfg.Persist && Files.read(K, Payload)) {
+    if (parseEntry(Payload, K, R, Err)) {
       std::lock_guard<std::mutex> L(Mu);
       ++St.DiskHits;
       if (Map.size() < Cfg.MaxEntries)
-        Map.emplace(K, *R); // promote into memory
+        Map.emplace(K, R); // promote into memory
       return R;
     }
+    Files.discard(K, Err);
   }
   std::lock_guard<std::mutex> L(Mu);
   ++St.Misses;
@@ -307,15 +152,15 @@ void SideCondStore::store(const std::string &Closure,
       New = true; // over the memory bound; disk still gets the entry
     }
   }
-  if (New && Cfg.Persist && writeToDisk(K, R)) {
+  if (New && Cfg.Persist && Files.publish(K, serializeEntry(K, R))) {
     // Generation bookkeeping: attribute the entry to the model it was
     // discharged against — the SaltedSolverCache prefix when the store is
     // shared across models, the config salt otherwise.
     Fingerprint Salt;
     if (extractClosureSalt(Closure, Salt))
-      recordEntryGeneration(Directory, Salt, K);
+      recordEntryGeneration(dir(), Salt, K);
     else if (Cfg.ModelSalt.Hi || Cfg.ModelSalt.Lo)
-      recordEntryGeneration(Directory, Cfg.ModelSalt, K);
+      recordEntryGeneration(dir(), Cfg.ModelSalt, K);
   }
 }
 
@@ -344,7 +189,9 @@ size_t SideCondStore::size() const {
 
 SideCondStats SideCondStore::stats() const {
   std::lock_guard<std::mutex> L(Mu);
-  return St;
+  SideCondStats S = St;
+  Files.fillStats(S); // lock order: the store's, then the files'
+  return S;
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,23 +20,22 @@
 ///
 /// Entries record the Sat/Unsat verdict and, for Sat, a full model of the
 /// closure's variables by (name, width, value), so a hit restores
-/// modelValue() behavior identical to a cold solve.  Disk layout follows
-/// the trace cache: one file per entry under a directory (default
-/// resolveCacheDir() + "/sidecond"), sharded into 256 fan-out
-/// subdirectories on the leading fingerprint byte (legacy flat stores are
-/// still read), written atomically, first writer wins, corrupt entries
-/// degrade to misses.
+/// modelValue() behavior identical to a cold solve.  Entry files go through
+/// cache::EntryFiles like the trace cache's: one file per entry under a
+/// directory (default resolveCacheDir() + "/sidecond"), sharded, enveloped,
+/// written atomically, first writer wins, corrupt entries degrade to
+/// quarantined misses.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISLARIS_CACHE_SIDECONDCACHE_H
 #define ISLARIS_CACHE_SIDECONDCACHE_H
 
+#include "cache/EntryFiles.h"
 #include "cache/Fingerprint.h"
 #include "smt/Solver.h"
 #include "support/Diag.h"
 
-#include <atomic>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -101,19 +100,15 @@ public:
   size_t size() const;
   SideCondStats stats() const;
   const SideCondConfig &config() const { return Cfg; }
-  const std::string &dir() const { return Directory; }
+  const std::string &dir() const { return Files.dir(); }
 
   /// Degraded-mode switch; same contract as TraceCache::setDiskDisabled
   /// (memory keeps serving, disk is left alone until re-enabled).
-  void setDiskDisabled(bool Off) {
-    DiskDisabled.store(Off, std::memory_order_relaxed);
-  }
-  bool diskDisabled() const {
-    return DiskDisabled.load(std::memory_order_relaxed);
-  }
+  void setDiskDisabled(bool Off) { Files.setDisabled(Off); }
+  bool diskDisabled() const { return Files.disabled(); }
   /// Returns and clears disk-I/O diagnostics (bounded to 64 between
   /// drains); same contract as TraceCache::drainDiags.
-  std::vector<support::Diag> drainDiags();
+  std::vector<support::Diag> drainDiags() { return Files.drainDiags(); }
 
   /// The fingerprint \p Closure is stored under (closure + salt).
   Fingerprint key(const std::string &Closure) const;
@@ -128,24 +123,10 @@ public:
                          CachedResult &Out, std::string &Err);
 
 private:
-  /// Sharded path of \p K: dir/<first hex byte>/<hex>.scc.
-  std::string entryPath(const Fingerprint &K) const;
-  /// Pre-sharding flat path (dir/<hex>.scc), still honored on read.
-  std::string legacyEntryPath(const Fingerprint &K) const;
-  std::optional<CachedResult> loadFromDisk(const Fingerprint &K);
-  /// Returns true when this call published a new entry file.
-  bool writeToDisk(const Fingerprint &K, const CachedResult &R);
-  void discardCorrupt(const std::string &Path, support::ErrorCode Code,
-                      const std::string &Why);
-  void noteWriteFailure(const std::string &Path);
-
   SideCondConfig Cfg;
-  std::string Directory;
+  EntryFiles Files;
 
   mutable std::mutex Mu;
-  std::atomic<bool> DiskDisabled{false};
-  bool WarnedUnwritable = false;
-  std::vector<support::Diag> Diags;
   std::unordered_map<Fingerprint, CachedResult, FingerprintHash> Map;
   SideCondStats St;
 };

@@ -2,28 +2,15 @@
 
 #include "cache/TraceCache.h"
 
-#include "cache/Scrub.h"
 #include "itl/Parser.h"
 #include "smt/TermBuilder.h"
-#include "support/FaultInjector.h"
 #include "support/Parse.h"
 
-#include <atomic>
-#include <cerrno>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <sstream>
-#include <string_view>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace islaris;
 using namespace islaris::cache;
-
-namespace fs = std::filesystem;
 
 std::string islaris::cache::resolveCacheDir() {
   if (const char *Env = std::getenv("ISLARIS_CACHE_DIR"))
@@ -32,212 +19,11 @@ std::string islaris::cache::resolveCacheDir() {
   return "build/.trace-cache";
 }
 
-/// ISLARIS_NO_FSYNC=1 (any non-empty value) skips the durability syncs —
-/// tests and throwaway caches don't need crash safety and fsync dominates
-/// their wall time on some filesystems.  Read per call: it is two libc
-/// lookups, and tests toggle the variable at runtime.
-static bool fsyncEnabled() {
-  const char *E = std::getenv("ISLARIS_NO_FSYNC");
-  return !E || !*E;
-}
-
-/// fsync on the *directory* makes the rename itself durable (POSIX persists
-/// a renamed dirent only once the containing directory is synced).
-static void fsyncDir(const fs::path &Dir) {
-  int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (Fd >= 0) {
-    ::fsync(Fd);
-    ::close(Fd);
-  }
-}
-
-bool islaris::cache::atomicWriteFile(const std::string &Path,
-                                     const std::string &Content) {
-  using support::FaultInjector;
-  using support::FaultSite;
-  if (FaultInjector::fire(FaultSite::DiskFull))
-    return false; // injected ENOSPC: the device stays full until disarmed
-  if (FaultInjector::fire(FaultSite::CacheWrite))
-    return false; // injected: entry file could not be created/written
-  // Injected torn write: only a prefix reaches disk, and the truncated file
-  // IS published — the one failure mode rename cannot mask, standing in for
-  // a crash mid-write on a filesystem that reorders data and rename.
-  bool Torn = FaultInjector::fire(FaultSite::CacheTornWrite);
-  std::string_view Payload(Content);
-  if (Torn)
-    Payload = Payload.substr(0, Payload.size() / 2);
-  static std::atomic<uint64_t> Counter{0};
-  std::string Tmp = Path + ".tmp." + std::to_string(uint64_t(::getpid())) +
-                    "." +
-                    std::to_string(
-                        Counter.fetch_add(1, std::memory_order_relaxed));
-  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0)
-    return false;
-  bool WriteOk = true;
-  size_t Off = 0;
-  while (Off < Payload.size()) {
-    ssize_t N = ::write(Fd, Payload.data() + Off, Payload.size() - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      WriteOk = false;
-      break;
-    }
-    Off += size_t(N);
-  }
-  // Sync the temp file's *data* before the rename publishes it, so a crash
-  // right after the rename cannot expose a file whose blocks never hit the
-  // platter (the failure mode the old comment here only described).
-  if (WriteOk && fsyncEnabled() && ::fsync(Fd) != 0)
-    WriteOk = false;
-  if (::close(Fd) != 0)
-    WriteOk = false;
-  if (!WriteOk) {
-    std::error_code EC;
-    fs::remove(Tmp, EC);
-    return false;
-  }
-  // Crash-storm probe #1: die with the temp durable but not yet visible.  A
-  // resumed run must see a clean miss (plus a stale .tmp for scrub to reap).
-  if (FaultInjector::fire(FaultSite::CrashPublish))
-    std::_Exit(42);
-  if (FaultInjector::fire(FaultSite::CacheRename)) {
-    std::error_code EC2;
-    fs::remove(Tmp, EC2);
-    return false; // injected: publish rename failed, temp cleaned up
-  }
-  std::error_code EC;
-  fs::rename(Tmp, Path, EC);
-  if (EC) {
-    std::error_code EC2;
-    fs::remove(Tmp, EC2);
-    return false;
-  }
-  // Crash-storm probe #2: die after the rename but before the directory
-  // sync — the published entry may or may not survive; either state must be
-  // recoverable.
-  if (FaultInjector::fire(FaultSite::CrashPublish))
-    std::_Exit(42);
-  if (fsyncEnabled())
-    fsyncDir(fs::path(Path).parent_path());
-  return !Torn;
-}
-
-//===----------------------------------------------------------------------===//
-// Durability envelope.
-//===----------------------------------------------------------------------===//
-
-uint64_t islaris::cache::fnv1a64(std::string_view Data) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-static constexpr std::string_view EnvelopeMagic = "(islaris-entry ";
-
-std::string islaris::cache::wrapDurableEntry(const std::string &Payload) {
-  std::ostringstream OS;
-  OS << EnvelopeMagic << DurableFormatVersion << " " << std::hex
-     << std::setfill('0') << std::setw(16) << fnv1a64(Payload) << std::dec
-     << " " << Payload.size() << ")\n"
-     << Payload;
-  return OS.str();
-}
-
-static bool isDigits(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (C < '0' || C > '9')
-      return false;
-  return true;
-}
-
-EnvelopeResult islaris::cache::unwrapDurableEntry(const std::string &File,
-                                                  std::string &Payload) {
-  if (File.empty())
-    return EnvelopeResult::Empty;
-  if (File.compare(0, EnvelopeMagic.size(), EnvelopeMagic) != 0) {
-    Payload = File;
-    return EnvelopeResult::Legacy;
-  }
-  size_t NL = File.find('\n');
-  if (NL == std::string::npos)
-    return EnvelopeResult::Corrupt; // header torn mid-line
-  // "<version> <fnv64-hex> <size>)" between the magic and the newline.
-  std::string_view Header(File.data() + EnvelopeMagic.size(),
-                          NL - EnvelopeMagic.size());
-  size_t Sp1 = Header.find(' ');
-  if (Sp1 == std::string_view::npos)
-    return EnvelopeResult::Corrupt;
-  size_t Sp2 = Header.find(' ', Sp1 + 1);
-  if (Sp2 == std::string_view::npos || Header.empty() ||
-      Header.back() != ')')
-    return EnvelopeResult::Corrupt;
-  std::string_view Ver = Header.substr(0, Sp1);
-  std::string_view Sum = Header.substr(Sp1 + 1, Sp2 - Sp1 - 1);
-  std::string_view Size = Header.substr(Sp2 + 1, Header.size() - Sp2 - 2);
-  if (!isDigits(Ver))
-    return EnvelopeResult::Corrupt;
-  if (Ver != std::to_string(DurableFormatVersion))
-    return EnvelopeResult::BadVersion; // don't guess at future layouts
-  if (Sum.size() != 16 || !isDigits(Size))
-    return EnvelopeResult::Corrupt;
-  uint64_t WantSum = std::strtoull(std::string(Sum).c_str(), nullptr, 16);
-  uint64_t WantSize = std::strtoull(std::string(Size).c_str(), nullptr, 10);
-  std::string_view Body(File.data() + NL + 1, File.size() - NL - 1);
-  if (Body.size() != WantSize || fnv1a64(Body) != WantSum)
-    return EnvelopeResult::Corrupt; // truncated or bit-flipped payload
-  Payload.assign(Body);
-  return EnvelopeResult::Ok;
-}
-
-support::ErrorCode islaris::cache::envelopeErrorCode(EnvelopeResult R) {
-  switch (R) {
-  case EnvelopeResult::BadVersion:
-    return support::ErrorCode::CacheVersionMismatch;
-  case EnvelopeResult::Corrupt:
-    return support::ErrorCode::ChecksumMismatch;
-  case EnvelopeResult::Ok:
-  case EnvelopeResult::Legacy:
-  case EnvelopeResult::Empty:
-    break;
-  }
-  return support::ErrorCode::CorruptCacheEntry;
-}
-
-bool islaris::cache::quarantineFile(const std::string &Dir,
-                                    const std::string &Path) {
-  std::error_code EC;
-  fs::path Dest = fs::path(Dir) / "quarantine" / fs::path(Path).filename();
-  fs::create_directories(Dest.parent_path(), EC);
-  if (!EC) {
-    // rename overwrites an existing corpse of the same name: keeping the
-    // latest is enough for post-mortem, and it cannot accumulate unboundedly.
-    fs::rename(Path, Dest, EC);
-    if (!EC)
-      return true;
-  }
-  fs::remove(Path, EC);
-  return !fs::exists(Path, EC);
-}
-
-TraceCache::TraceCache(TraceCacheConfig C) : Cfg(std::move(C)) {
-  Directory = Cfg.Dir.empty() ? resolveCacheDir() : Cfg.Dir;
-  if (Cfg.Persist && Cfg.ScrubOnOpen) {
-    // Unclean-shutdown detection: no marker means the previous owner died
-    // mid-flight — reap its temps and spot-check envelopes before the
-    // first lookup can trip over a torn file.
-    QuickScrubReport R = scrubOnOpen(Directory);
-    St.CorruptRemoved += R.Quarantined;
-    St.Quarantined += R.Quarantined;
-    for (support::Diag &D : R.Diags)
-      noteDiag(std::move(D));
-  }
+TraceCache::TraceCache(TraceCacheConfig C)
+    : Cfg(std::move(C)),
+      Files(Cfg.Dir.empty() ? resolveCacheDir() : Cfg.Dir, TraceEntryExt) {
+  if (Cfg.Persist && Cfg.ScrubOnOpen)
+    Files.scrubIfUnclean();
 }
 
 //===----------------------------------------------------------------------===//
@@ -293,12 +79,6 @@ std::string TraceCache::serializeEntry(const Fingerprint &K,
   return OS.str();
 }
 
-static std::string stripBars(const std::string &S) {
-  if (S.size() >= 2 && S.front() == '|' && S.back() == '|')
-    return S.substr(1, S.size() - 2);
-  return S;
-}
-
 bool TraceCache::parseEntry(const std::string &Text, const Fingerprint &K,
                             CacheEntry &Out, std::string &Err) {
   itl::SExprParser P(Text);
@@ -339,7 +119,7 @@ bool TraceCache::parseEntry(const std::string &Text, const Fingerprint &K,
       Err = "bad opcode-var width '" + V.List[1].Atom + "'";
       return false;
     }
-    Out.OpcodeVars.emplace_back(stripBars(V.List[0].Atom), Width);
+    Out.OpcodeVars.emplace_back(itl::stripBars(V.List[0].Atom), Width);
   }
   if (L[4].isAtom() || L[4].List.size() != 5 ||
       L[4].List[0].Atom != "stats") {
@@ -372,7 +152,7 @@ bool TraceCache::parseEntry(const std::string &Text, const Fingerprint &K,
   }
   // Structural torn-write check: the trace text must be one balanced
   // S-expression.  A write cut short mid-entry (crash, full disk) leaves
-  // dangling parens; catching it here lets loadFromDisk treat the file as
+  // dangling parens; catching it here lets lookup() treat the file as
   // corrupt (miss + self-repair) instead of handing decode() garbage.
   long Depth = 0;
   bool InBars = false;
@@ -392,154 +172,6 @@ bool TraceCache::parseEntry(const std::string &Text, const Fingerprint &K,
 }
 
 //===----------------------------------------------------------------------===//
-// Disk persistence.
-//===----------------------------------------------------------------------===//
-
-std::string TraceCache::entryPath(const Fingerprint &K) const {
-  // 256-way fan-out on the leading fingerprint byte keeps suite-scale
-  // stores (tens of thousands of entries) from piling into one directory.
-  std::string Hex = K.toHex();
-  return Directory + "/" + Hex.substr(0, 2) + "/" + Hex + ".itc";
-}
-
-std::string TraceCache::legacyEntryPath(const Fingerprint &K) const {
-  return Directory + "/" + K.toHex() + ".itc";
-}
-
-void TraceCache::discardCorrupt(const std::string &Path,
-                                support::ErrorCode Code,
-                                const std::string &Why) {
-  // Treat as a miss AND displace the file: writeToDisk is first-writer-wins,
-  // so leaving the corpse in place would shadow every future rewrite of
-  // this key.  The corpse moves to dir()/quarantine/ for post-mortem.
-  bool Freed = quarantineFile(Directory, Path);
-  std::lock_guard<std::mutex> L(Mu);
-  if (Freed) {
-    ++St.CorruptRemoved;
-    ++St.Quarantined;
-  }
-  if (Diags.size() < 64)
-    Diags.push_back(
-        support::Diag::error(Code, "cache", Why + ": " + Path));
-}
-
-void TraceCache::noteDiag(support::Diag D) {
-  std::lock_guard<std::mutex> L(Mu);
-  if (Diags.size() < 64)
-    Diags.push_back(std::move(D));
-}
-
-void TraceCache::noteWriteFailure(const std::string &Path) {
-  // Every failed publish counts, whatever the cause — islarisd's degraded-
-  // mode detector watches this counter, not the one-time Diag below, which
-  // only fires when the directory really is unwritable/uncreatable (a
-  // FaultInjector-failed publish into a healthy directory is a different,
-  // already-attributed event).
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    ++St.WriteFailures;
-    if (WarnedUnwritable)
-      return;
-  }
-  std::string Parent = fs::path(Path).parent_path().string();
-  if (::access(Parent.c_str(), W_OK) == 0)
-    return;
-  std::lock_guard<std::mutex> L(Mu);
-  if (WarnedUnwritable)
-    return;
-  WarnedUnwritable = true;
-  if (Diags.size() < 64)
-    Diags.push_back(support::Diag::error(
-        support::ErrorCode::IoError, "cache",
-        "cache directory is not writable, running uncached: " + Directory));
-}
-
-std::vector<support::Diag> TraceCache::drainDiags() {
-  std::lock_guard<std::mutex> L(Mu);
-  std::vector<support::Diag> Out;
-  Out.swap(Diags);
-  return Out;
-}
-
-std::optional<CacheEntry> TraceCache::loadFromDisk(const Fingerprint &K) {
-  if (diskDisabled())
-    return std::nullopt; // degraded mode: leave the failing device alone
-  if (support::FaultInjector::fire(support::FaultSite::CacheRead))
-    return std::nullopt; // injected read failure: degrade to a miss
-  std::string Path = entryPath(K);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    // Transparent read-through of stores written before sharding: their
-    // entries sit flat at the directory root.
-    Path = legacyEntryPath(K);
-    In.open(Path, std::ios::binary);
-    if (!In)
-      return std::nullopt;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  // Verify the durability envelope *before* parsing: a checksum or version
-  // mismatch is attributed precisely instead of surfacing as whatever parse
-  // error the garbage happens to trigger.
-  std::string Payload;
-  EnvelopeResult R = unwrapDurableEntry(Buf.str(), Payload);
-  switch (R) {
-  case EnvelopeResult::Ok:
-  case EnvelopeResult::Legacy:
-    break;
-  case EnvelopeResult::Empty:
-    discardCorrupt(Path, envelopeErrorCode(R), "zero-length entry file");
-    return std::nullopt;
-  case EnvelopeResult::BadVersion:
-    discardCorrupt(Path, envelopeErrorCode(R),
-                   "entry written by an unknown format version");
-    return std::nullopt;
-  case EnvelopeResult::Corrupt:
-    discardCorrupt(Path, envelopeErrorCode(R),
-                   "entry checksum did not verify (torn or corrupt)");
-    return std::nullopt;
-  }
-  CacheEntry E;
-  std::string Err;
-  if (!parseEntry(Payload, K, E, Err)) {
-    discardCorrupt(Path, support::ErrorCode::CorruptCacheEntry, Err);
-    return std::nullopt;
-  }
-  return E;
-}
-
-void TraceCache::writeToDisk(const Fingerprint &K, const CacheEntry &E) {
-  if (diskDisabled())
-    return; // degraded mode: serve from memory, stop hammering the disk
-  std::error_code EC;
-  std::string Path = entryPath(K);
-  fs::create_directories(fs::path(Path).parent_path(), EC);
-  if (EC) {
-    noteWriteFailure(Path);
-    return;
-  }
-  // Entries are immutable: first writer wins on the sharded path.
-  if (fs::exists(Path, EC))
-    return;
-  std::string Legacy = legacyEntryPath(K);
-  bool HadLegacy = fs::exists(Legacy, EC);
-  // Write-to-temp + rename keeps concurrent writers from exposing partial
-  // files; racing writers produce identical content anyway.
-  if (!atomicWriteFile(Path, wrapDurableEntry(serializeEntry(K, E)))) {
-    noteWriteFailure(Path);
-    return;
-  }
-  // A publish upgrades any legacy headerless flat-layout twin in place: the
-  // new enveloped sharded entry now serves all readers.
-  if (HadLegacy) {
-    std::error_code EC2;
-    fs::remove(Legacy, EC2);
-  }
-  std::lock_guard<std::mutex> L(Mu);
-  ++St.DiskWrites;
-}
-
-//===----------------------------------------------------------------------===//
 // In-memory LRU map.
 //===----------------------------------------------------------------------===//
 
@@ -553,21 +185,17 @@ std::optional<CacheEntry> TraceCache::lookup(const Fingerprint &K) {
       return It->second.Entry;
     }
   }
-  if (Cfg.Persist) {
-    if (auto E = loadFromDisk(K)) {
+  std::string Payload, Err;
+  CacheEntry E;
+  if (Cfg.Persist && Files.read(K, Payload)) {
+    if (parseEntry(Payload, K, E, Err)) {
       std::lock_guard<std::mutex> L(Mu);
       ++St.DiskHits;
-      if (!Map.count(K)) { // promote into memory
-        Lru.push_front(K);
-        Map.emplace(K, Slot{*E, Lru.begin()});
-        while (Map.size() > Cfg.MaxEntries) {
-          Map.erase(Lru.back());
-          Lru.pop_back();
-          ++St.Evictions;
-        }
-      }
+      if (!Map.count(K))
+        addLocked(K, E); // promote into memory
       return E;
     }
+    Files.discard(K, Err);
   }
   std::lock_guard<std::mutex> L(Mu);
   ++St.Misses;
@@ -583,19 +211,23 @@ void TraceCache::insert(const Fingerprint &K, CacheEntry E) {
       // Entries are immutable by content-addressing; refresh recency only.
       Lru.splice(Lru.begin(), Lru, It->second.LruIt);
     } else {
-      Lru.push_front(K);
-      Map.emplace(K, Slot{E, Lru.begin()});
+      addLocked(K, E);
       ++St.Insertions;
       Fresh = true;
-      while (Map.size() > Cfg.MaxEntries) {
-        Map.erase(Lru.back());
-        Lru.pop_back();
-        ++St.Evictions;
-      }
     }
   }
   if (Fresh && Cfg.Persist)
-    writeToDisk(K, E);
+    Files.publish(K, serializeEntry(K, E));
+}
+
+void TraceCache::addLocked(const Fingerprint &K, const CacheEntry &E) {
+  Lru.push_front(K);
+  Map.emplace(K, Slot{E, Lru.begin()});
+  while (Map.size() > Cfg.MaxEntries) {
+    Map.erase(Lru.back());
+    Lru.pop_back();
+    ++St.Evictions;
+  }
 }
 
 void TraceCache::clearMemory() {
@@ -611,7 +243,9 @@ size_t TraceCache::size() const {
 
 CacheStats TraceCache::stats() const {
   std::lock_guard<std::mutex> L(Mu);
-  return St;
+  CacheStats S = St;
+  Files.fillStats(S); // lock order: the store's, then the files'
+  return S;
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,27 +17,23 @@
 ///
 /// The in-memory map is LRU-bounded and fully thread-safe; optional
 /// persistence writes one file per entry under a cache directory
-/// (ISLARIS_CACHE_DIR env override, default build/.trace-cache).  Entries
-/// are sharded into 256 fan-out subdirectories keyed on the leading
-/// fingerprint byte (dir/ab/ab...cd.itc) so large suite caches never pile
-/// tens of thousands of files into one directory; stores written by older
-/// versions with the flat layout (dir/ab...cd.itc) are still read
-/// transparently.
+/// (ISLARIS_CACHE_DIR env override, default build/.trace-cache) through
+/// cache::EntryFiles, which owns the sharded layout, the checksummed
+/// envelope, quarantine and first-writer-wins publication.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISLARIS_CACHE_TRACECACHE_H
 #define ISLARIS_CACHE_TRACECACHE_H
 
+#include "cache/EntryFiles.h"
 #include "cache/Fingerprint.h"
 #include "itl/Trace.h"
 #include "support/Diag.h"
 
-#include <atomic>
 #include <list>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,7 +63,7 @@ struct CacheStats {
   uint64_t Insertions = 0; ///< insert() calls that stored a new entry.
   uint64_t Evictions = 0;  ///< Entries dropped by the LRU bound.
   uint64_t DiskWrites = 0; ///< Entry files written.
-  /// Corrupt on-disk entries displaced on read (self-repair: writeToDisk is
+  /// Corrupt on-disk entries displaced on read (self-repair: publishing is
   /// first-writer-wins, so a torn entry left in place would never heal).
   uint64_t CorruptRemoved = 0;
   /// Corrupt entries preserved under dir()/quarantine/ for post-mortem
@@ -100,67 +96,6 @@ struct TraceCacheConfig {
 /// directory, which for the tier-1 flow is the repository root).
 std::string resolveCacheDir();
 
-/// Atomically publishes \p Content at \p Path via write-to-temp + rename.
-/// The temp suffix combines the pid with a process-wide monotonic counter,
-/// so concurrent writers — in this process or another one sharing the cache
-/// directory — never collide on the temp name; on any failure the temp file
-/// is removed rather than left orphaned.  The temp file is fsync'd before
-/// the rename and the parent directory after it, so a crash after
-/// atomicWriteFile returns cannot lose or tear the published file; set
-/// ISLARIS_NO_FSYNC=1 to skip both syncs (tests, throwaway caches).
-/// Returns false if \p Path could not be published (the caller treats that
-/// as "no entry written").
-bool atomicWriteFile(const std::string &Path, const std::string &Content);
-
-//===----------------------------------------------------------------------===//
-// Durability envelope (shared by TraceCache, SideCondStore and the run
-// journal).  Store files are payload bytes wrapped in a one-line header
-//
-//   (islaris-entry <version> <fnv64-hex> <payload-size>)\n<payload>
-//
-// so readers verify integrity *before* handing bytes to a parser.  The
-// model-fingerprint salt rides inside the payload: both stores embed the
-// full content-addressed key (which hashes the model) in their payload
-// header and verify it against the probe key on read.
-//===----------------------------------------------------------------------===//
-
-/// Current on-disk entry format version.  Version 1 is the pre-envelope
-/// headerless format, still read transparently.
-inline constexpr unsigned DurableFormatVersion = 2;
-
-/// 64-bit FNV-1a over \p Data (the envelope checksum).
-uint64_t fnv1a64(std::string_view Data);
-
-/// Outcome of validating a store file's durability envelope.
-enum class EnvelopeResult {
-  Ok,         ///< checksum verified; payload extracted.
-  Legacy,     ///< headerless pre-envelope file; payload is the whole file.
-  BadVersion, ///< header present but written by an unknown format version.
-  Corrupt,    ///< truncated header/payload or checksum mismatch.
-  Empty,      ///< zero-length file (e.g. crash between create and write).
-};
-
-/// Wraps \p Payload in the versioned, checksummed envelope.
-std::string wrapDurableEntry(const std::string &Payload);
-
-/// Validates \p File's envelope; on Ok/Legacy, \p Payload receives the
-/// entry payload.  Never throws; any malformed input maps to a non-Ok
-/// result.
-EnvelopeResult unwrapDurableEntry(const std::string &File,
-                                  std::string &Payload);
-
-/// Maps a non-Ok/Legacy envelope verdict onto the Diag error code suite
-/// aggregation reports (Empty/Corrupt-structure -> CorruptCacheEntry or
-/// ChecksumMismatch, BadVersion -> CacheVersionMismatch).
-support::ErrorCode envelopeErrorCode(EnvelopeResult R);
-
-/// Moves the corrupt file at \p Path into \p Dir/quarantine/ (creating the
-/// subdirectory as needed), freeing the path so first-writer-wins publishing
-/// can heal the entry while preserving the corpse for post-mortem.  Falls
-/// back to deleting the file when the move fails.  Returns true if the path
-/// was freed either way.
-bool quarantineFile(const std::string &Dir, const std::string &Path);
-
 /// Thread-safe content-addressed trace store.  Shared by all BatchDriver
 /// workers behind an internal mutex; disk I/O happens outside the lock.
 class TraceCache {
@@ -186,11 +121,11 @@ public:
   /// Returns and clears the diagnostics accumulated by disk I/O (corrupt
   /// entries, unwritable cache directory).  Bounded: at most 64 are kept
   /// between drains so a corrupt store cannot balloon memory.
-  std::vector<support::Diag> drainDiags();
+  std::vector<support::Diag> drainDiags() { return Files.drainDiags(); }
   const TraceCacheConfig &config() const { return Cfg; }
   /// The directory persistent entries live in (valid even when persistence
   /// is off, for diagnostics).
-  const std::string &dir() const { return Directory; }
+  const std::string &dir() const { return Files.dir(); }
 
   /// Degraded-mode switch: while disabled, lookup() never touches disk and
   /// insert() never publishes, but the in-memory LRU keeps working — the
@@ -198,12 +133,8 @@ public:
   /// stop hammering the disk" rather than one error per request.  Counters
   /// and existing on-disk entries are untouched; re-enabling resumes normal
   /// persistence (first-writer-wins fills any holes).
-  void setDiskDisabled(bool Off) {
-    DiskDisabled.store(Off, std::memory_order_relaxed);
-  }
-  bool diskDisabled() const {
-    return DiskDisabled.load(std::memory_order_relaxed);
-  }
+  void setDiskDisabled(bool Off) { Files.setDisabled(Off); }
+  bool diskDisabled() const { return Files.disabled(); }
 
   //===------------------------------------------------------------------===//
   // Serialization (also used directly by tests and the batch driver).
@@ -231,27 +162,14 @@ public:
                          CacheEntry &Out, std::string &Err);
 
 private:
-  /// Sharded path of \p K: dir/<first hex byte>/<hex>.itc.
-  std::string entryPath(const Fingerprint &K) const;
-  /// Pre-sharding flat path (dir/<hex>.itc), still honored on read.
-  std::string legacyEntryPath(const Fingerprint &K) const;
-  std::optional<CacheEntry> loadFromDisk(const Fingerprint &K);
-  void writeToDisk(const Fingerprint &K, const CacheEntry &E);
-  /// Quarantines the corrupt file at \p Path and records a bounded Diag.
-  void discardCorrupt(const std::string &Path, support::ErrorCode Code,
-                      const std::string &Why);
-  void noteDiag(support::Diag D);
-  /// One-time unwritable-cache-directory Diag (satellite of the durability
-  /// work: never silently run uncached).
-  void noteWriteFailure(const std::string &Path);
+  /// Adds \p K (absent) as most recently used, evicting past the bound;
+  /// requires Mu.
+  void addLocked(const Fingerprint &K, const CacheEntry &E);
 
   TraceCacheConfig Cfg;
-  std::string Directory;
+  EntryFiles Files;
 
   mutable std::mutex Mu;
-  std::atomic<bool> DiskDisabled{false};
-  bool WarnedUnwritable = false;
-  std::vector<support::Diag> Diags;
   struct Slot {
     CacheEntry Entry;
     std::list<Fingerprint>::iterator LruIt;

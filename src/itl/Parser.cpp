@@ -109,7 +109,7 @@ std::optional<std::vector<SExpr>> SExprParser::parseAll() {
 // Trace building.
 //===----------------------------------------------------------------------===//
 
-static std::string stripBars(const std::string &S) {
+std::string islaris::itl::stripBars(const std::string &S) {
   if (S.size() >= 2 && S.front() == '|' && S.back() == '|')
     return S.substr(1, S.size() - 2);
   return S;

@@ -33,6 +33,9 @@ struct SExpr {
   std::string toString() const;
 };
 
+/// \p S without its |quoting bars|, if it has them.
+std::string stripBars(const std::string &S);
+
 /// Tokenizes and parses S-expressions.  Returns nullopt and sets the error
 /// string on malformed input.
 class SExprParser {

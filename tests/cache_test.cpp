@@ -21,6 +21,7 @@
 #include "frontend/CaseStudies.h"
 #include "frontend/Verifier.h"
 #include "models/Models.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -408,10 +409,11 @@ TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
   EXPECT_EQ(V3.genStats().Executed, 2u);
 }
 
-// Satellite regression: entries are sharded into 256 fan-out
-// subdirectories keyed on the leading fingerprint byte, and a store laid
-// out flat by an older version is still read transparently.
-TEST(TraceCacheTest, ShardedLayoutAndLegacyReadThrough) {
+// Entries are sharded into 256 fan-out subdirectories keyed on the leading
+// fingerprint byte.  Readers open the sharded path only: an entry placed
+// flat at the store root (the pre-sharding layout) is a miss, and lookup
+// leaves the file alone.
+TEST(TraceCacheTest, ShardedLayoutAndFlatPlacementIsAMiss) {
   TempDir Tmp;
   TraceCacheConfig Cfg;
   Cfg.Persist = true;
@@ -437,38 +439,40 @@ TEST(TraceCacheTest, ShardedLayoutAndLegacyReadThrough) {
 
   // Every entry file sits one level deep, in a subdirectory named by the
   // first two hex characters of its own fingerprint.
-  unsigned Files = 0;
+  std::vector<std::filesystem::path> Entries;
   for (const auto &F :
        std::filesystem::recursive_directory_iterator(Tmp.Path)) {
     if (!F.is_regular_file() || IsBookkeeping(F.path()))
       continue;
-    ++Files;
+    Entries.push_back(F.path());
     std::string Name = F.path().filename().string();
     std::string Shard = F.path().parent_path().filename().string();
     EXPECT_EQ(Shard.size(), 2u);
     EXPECT_EQ(Name.substr(0, 2), Shard);
   }
-  EXPECT_EQ(Files, 2u);
+  EXPECT_EQ(Entries.size(), 2u);
 
-  // Flatten the store into the legacy layout; a fresh instance must still
-  // serve every entry from disk.
-  std::vector<std::filesystem::path> Entries;
-  for (const auto &F :
-       std::filesystem::recursive_directory_iterator(Tmp.Path))
-    if (F.is_regular_file() && !IsBookkeeping(F.path()))
-      Entries.push_back(F.path());
-  for (const auto &P : Entries)
-    std::filesystem::rename(P, Tmp.Path / P.filename());
+  // Flatten the store: a fresh instance misses, re-executes, republishes
+  // into the shards, and never touches the flat files.
+  std::vector<std::filesystem::path> Flat;
+  for (const auto &P : Entries) {
+    Flat.push_back(Tmp.Path / P.filename());
+    std::filesystem::rename(P, Flat.back());
+  }
   TraceCache C2(Cfg);
   Verifier V2(frontend::aarch64());
   V2.setTraceCache(&C2);
   setupVerifier(V2);
   ASSERT_TRUE(V2.generateTraces(Err)) << Err;
-  EXPECT_EQ(V2.genStats().Executed, 0u);
-  EXPECT_EQ(C2.stats().DiskHits, 2u);
-  // First-writer-wins extends across layouts: the legacy files already
-  // hold these entries, so nothing is rewritten into the shards.
-  EXPECT_EQ(C2.stats().DiskWrites, 0u);
+  EXPECT_EQ(V2.genStats().Executed, 2u);
+  EXPECT_EQ(C2.stats().DiskHits, 0u);
+  EXPECT_EQ(C2.stats().Quarantined, 0u);
+  EXPECT_EQ(C2.stats().DiskWrites, 2u);
+  EXPECT_TRUE(C2.drainDiags().empty());
+  for (const auto &P : Flat)
+    EXPECT_TRUE(std::filesystem::exists(P)) << P;
+  for (const auto &P : Entries)
+    EXPECT_TRUE(std::filesystem::exists(P)) << P;
 }
 
 TEST(TraceCacheTest, CacheDirResolution) {
@@ -608,51 +612,52 @@ TEST(SideCondTest, PersistsAcrossStoreInstances) {
   EXPECT_EQ(Store3.stats().Misses, 1u);
 }
 
-// Satellite regression: side-condition entries use the same 256-way
-// sharded layout as the trace cache and read legacy flat stores through.
-TEST(SideCondTest, ShardedLayoutAndLegacyReadThrough) {
+// Side-condition entries use the same 256-way sharded layout as the trace
+// cache, and a flat-placed entry is likewise a miss that lookup leaves
+// alone.
+TEST(SideCondTest, ShardedLayoutAndFlatPlacementIsAMiss) {
   TempDir Tmp;
   SideCondConfig Cfg;
   Cfg.Persist = true;
   Cfg.Dir = Tmp.Path.string();
 
-  {
-    SideCondStore Store(Cfg);
+  auto Check = [](SideCondStore &Store) {
     smt::TermBuilder TB;
     smt::Solver S(TB);
     S.setCache(&Store);
     const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
     S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
                            TB.constBV(16, 10)));
-    ASSERT_EQ(S.check(), smt::Result::Sat);
+    EXPECT_EQ(S.check(), smt::Result::Sat);
+    return S.stats().NumSatCalls;
+  };
+  {
+    SideCondStore Store(Cfg);
+    EXPECT_EQ(Check(Store), 1u);
     EXPECT_EQ(Store.stats().DiskWrites, 1u);
   }
 
   // The entry landed in a two-hex-character shard subdirectory matching
-  // its own fingerprint prefix; then flatten it to the legacy layout and
-  // check a fresh store still answers from disk.
+  // its own fingerprint prefix; flatten it to the store root.
   std::vector<std::filesystem::path> Entries;
   for (const auto &F :
        std::filesystem::recursive_directory_iterator(Tmp.Path))
     if (F.is_regular_file())
       Entries.push_back(F.path());
-  for (const auto &P : Entries) {
-    std::string Name = P.filename().string();
-    std::string Shard = P.parent_path().filename().string();
-    EXPECT_EQ(Shard.size(), 2u);
-    EXPECT_EQ(Name.substr(0, 2), Shard);
-    std::filesystem::rename(P, Tmp.Path / Name);
-  }
+  ASSERT_EQ(Entries.size(), 1u);
+  std::string Name = Entries[0].filename().string();
+  std::string Shard = Entries[0].parent_path().filename().string();
+  EXPECT_EQ(Shard.size(), 2u);
+  EXPECT_EQ(Name.substr(0, 2), Shard);
+  std::filesystem::path Flat = Tmp.Path / Name;
+  std::filesystem::rename(Entries[0], Flat);
+
   SideCondStore Store2(Cfg);
-  smt::TermBuilder TB;
-  smt::Solver S(TB);
-  S.setCache(&Store2);
-  const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
-  S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
-                         TB.constBV(16, 10)));
-  ASSERT_EQ(S.check(), smt::Result::Sat);
-  EXPECT_EQ(S.stats().NumSatCalls, 0u);
-  EXPECT_EQ(Store2.stats().DiskHits, 1u);
+  EXPECT_EQ(Check(Store2), 1u); // solved again: the flat file is not read
+  EXPECT_EQ(Store2.stats().DiskHits, 0u);
+  EXPECT_EQ(Store2.stats().Quarantined, 0u);
+  EXPECT_TRUE(std::filesystem::exists(Flat));
+  EXPECT_TRUE(std::filesystem::exists(Entries[0])); // republished
 }
 
 // Satellite regression: concurrent writers racing on the SAME keys from
@@ -804,9 +809,11 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
   EXPECT_EQ(unwrapDurableEntry(File, Out), EnvelopeResult::Ok);
   EXPECT_EQ(Out, Payload);
 
-  // Headerless pre-envelope files pass through as Legacy, byte-identical.
-  EXPECT_EQ(unwrapDurableEntry(Payload, Out), EnvelopeResult::Legacy);
-  EXPECT_EQ(Out, Payload);
+  // A headerless file (the pre-envelope format) is corrupt: it is never
+  // handed to a parser without a checksum.
+  Out.clear();
+  EXPECT_EQ(unwrapDurableEntry(Payload, Out), EnvelopeResult::Corrupt);
+  EXPECT_TRUE(Out.empty());
   EXPECT_EQ(unwrapDurableEntry("", Out), EnvelopeResult::Empty);
 
   // Every corruption shape is detected before any parser sees the bytes.
@@ -835,9 +842,11 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corruption matrix: every corruption class, against both stores, must be
-// detected, attributed with the right Diag code, and quarantined — never a
-// crash, never a wrong hit.
+// The disk contract, checked once over both stores: every corruption class
+// is a miss, attributed with the right Diag code and quarantined (never a
+// crash, never a wrong hit); publication is first-writer-wins; the
+// degraded-mode switch keeps the disk untouched; a full device counts a
+// write failure without claiming the directory is unwritable.
 //===----------------------------------------------------------------------===//
 
 struct CorruptionCase {
@@ -851,6 +860,7 @@ constexpr CorruptionCase CorruptionMatrix[] = {
     {"bit-flipped byte", 1, support::ErrorCode::ChecksumMismatch},
     {"wrong version header", 2, support::ErrorCode::CacheVersionMismatch},
     {"zero-length file", 3, support::ErrorCode::CorruptCacheEntry},
+    {"headerless payload", 4, support::ErrorCode::ChecksumMismatch},
 };
 
 void corruptFile(const std::filesystem::path &P, unsigned Kind) {
@@ -873,38 +883,103 @@ void corruptFile(const std::filesystem::path &P, unsigned Kind) {
   case 3:
     writeFileRaw(P, "");
     break;
+  case 4: {
+    std::string Payload;
+    ASSERT_EQ(unwrapDurableEntry(T, Payload), EnvelopeResult::Ok);
+    writeFileRaw(P, Payload); // what a pre-envelope version wrote
+    break;
+  }
   }
 }
 
-TEST(CorruptionMatrixTest, TraceStoreDetectsAttributesAndQuarantines) {
-  for (const CorruptionCase &TC : CorruptionMatrix) {
-    TempDir Tmp;
+/// Drives a TraceCache through one fixed key; Value picks one of two
+/// distinguishable entries.
+struct TraceStoreOps {
+  using Store = TraceCache;
+  static constexpr const char *Name = "TraceCache";
+  static Fingerprint key(unsigned N = 0) {
+    return Fingerprinter().str("contract-key").u64(N).digest();
+  }
+  static std::unique_ptr<TraceCache> open(const std::filesystem::path &Dir) {
     TraceCacheConfig Cfg;
     Cfg.Persist = true;
-    Cfg.Dir = Tmp.Path.string();
-    Fingerprint K = Fingerprinter().str("matrix-key").digest();
+    Cfg.Dir = Dir.string();
+    return std::make_unique<TraceCache>(Cfg);
+  }
+  static void put(TraceCache &S, const Fingerprint &K, unsigned Value) {
     CacheEntry E;
-    E.TraceText = "(trace)";
+    E.TraceText = Value ? "(trace (cycle))" : "(trace)";
     E.Stats.Paths = 1;
-    {
-      TraceCache C(Cfg);
-      C.insert(K, E);
-    }
+    S.insert(K, E);
+  }
+  /// The value served for \p K, or -1 on a miss.
+  static int get(TraceCache &S, const Fingerprint &K) {
+    auto Hit = S.lookup(K);
+    return Hit ? int(Hit->TraceText != "(trace)") : -1;
+  }
+};
+
+/// The same operations on a SideCondStore: the closure stands in for the
+/// key, the verdict for the value.
+struct SideCondStoreOps {
+  using Store = SideCondStore;
+  static constexpr const char *Name = "SideCondStore";
+  static std::string key(unsigned N = 0) {
+    return "goal-closure-" + std::to_string(N);
+  }
+  static std::unique_ptr<SideCondStore>
+  open(const std::filesystem::path &Dir) {
+    SideCondConfig Cfg;
+    Cfg.Persist = true;
+    Cfg.Dir = Dir.string();
+    return std::make_unique<SideCondStore>(Cfg);
+  }
+  static void put(SideCondStore &S, const std::string &K, unsigned Value) {
+    smt::SolverCache::CachedResult R;
+    R.Sat = Value != 0;
+    if (R.Sat)
+      R.Model.emplace_back("x", 8u, BitVec(8, 42));
+    S.store(K, R);
+  }
+  static int get(SideCondStore &S, const std::string &K) {
+    auto Hit = S.lookup(K);
+    return Hit ? int(Hit->Sat) : -1;
+  }
+};
+
+template <typename Ops> class DiskContractTest : public ::testing::Test {};
+
+struct StoreOpsNames {
+  template <typename Ops> static std::string GetName(int) {
+    return Ops::Name;
+  }
+};
+
+using StoreOpsTypes = ::testing::Types<TraceStoreOps, SideCondStoreOps>;
+TYPED_TEST_SUITE(DiskContractTest, StoreOpsTypes, StoreOpsNames);
+
+TYPED_TEST(DiskContractTest, CorruptFilesAreQuarantinedMisses) {
+  using Ops = TypeParam;
+  for (const CorruptionCase &TC : CorruptionMatrix) {
+    TempDir Tmp;
+    auto K = Ops::key();
+    Ops::put(*Ops::open(Tmp.Path), K, 1);
     auto Files = entryFiles(Tmp.Path);
     ASSERT_EQ(Files.size(), 1u) << TC.What;
     corruptFile(Files[0], TC.Kind);
 
-    TraceCache C2(Cfg);
-    EXPECT_FALSE(C2.lookup(K).has_value()) << TC.What; // miss, never garbage
-    CacheStats St = C2.stats();
+    auto S2 = Ops::open(Tmp.Path);
+    EXPECT_EQ(Ops::get(*S2, K), -1) << TC.What; // miss, never garbage
+    auto St = S2->stats();
     EXPECT_EQ(St.Misses, 1u) << TC.What;
+    EXPECT_EQ(St.DiskHits, 0u) << TC.What;
     EXPECT_EQ(St.CorruptRemoved, 1u) << TC.What;
     EXPECT_EQ(St.Quarantined, 1u) << TC.What;
-    auto Ds = C2.drainDiags();
+    auto Ds = S2->drainDiags();
     ASSERT_EQ(Ds.size(), 1u) << TC.What;
     EXPECT_EQ(Ds[0].Code, TC.Expect) << TC.What;
     EXPECT_TRUE(support::isInfrastructureError(Ds[0].Code)) << TC.What;
-    EXPECT_TRUE(C2.drainDiags().empty()) << TC.What; // drain clears
+    EXPECT_TRUE(S2->drainDiags().empty()) << TC.What; // drain clears
 
     // The corpse moved under quarantine/ and the entry path is free, so the
     // next publish self-repairs the store.
@@ -912,54 +987,82 @@ TEST(CorruptionMatrixTest, TraceStoreDetectsAttributesAndQuarantines) {
     EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
                                         Files[0].filename()))
         << TC.What;
-    C2.insert(K, E);
-    TraceCache C3(Cfg);
-    auto Hit = C3.lookup(K);
-    ASSERT_TRUE(Hit.has_value()) << TC.What;
-    EXPECT_EQ(Hit->TraceText, E.TraceText) << TC.What;
+    Ops::put(*S2, K, 1);
+    EXPECT_EQ(Ops::get(*Ops::open(Tmp.Path), K), 1) << TC.What;
   }
 }
 
-TEST(CorruptionMatrixTest, SideCondStoreDetectsAttributesAndQuarantines) {
-  for (const CorruptionCase &TC : CorruptionMatrix) {
-    TempDir Tmp;
-    SideCondConfig Cfg;
-    Cfg.Persist = true;
-    Cfg.Dir = Tmp.Path.string();
-    smt::SolverCache::CachedResult R;
-    R.Sat = true;
-    R.Model.emplace_back("x", 8u, BitVec(8, 42));
-    {
-      SideCondStore S(Cfg);
-      S.store("goal-closure", R);
-    }
-    auto Files = entryFiles(Tmp.Path);
-    ASSERT_EQ(Files.size(), 1u) << TC.What;
-    corruptFile(Files[0], TC.Kind);
+TYPED_TEST(DiskContractTest, FirstWriterWins) {
+  using Ops = TypeParam;
+  TempDir Tmp;
+  auto K = Ops::key();
+  auto S1 = Ops::open(Tmp.Path);
+  Ops::put(*S1, K, 1);
+  EXPECT_EQ(S1->stats().DiskWrites, 1u);
+  auto Files = entryFiles(Tmp.Path);
+  ASSERT_EQ(Files.size(), 1u);
+  std::string Bytes = readFileRaw(Files[0]);
 
-    SideCondStore S2(Cfg);
-    EXPECT_FALSE(S2.lookup("goal-closure").has_value()) << TC.What;
-    SideCondStats St = S2.stats();
-    EXPECT_EQ(St.Misses, 1u) << TC.What;
-    EXPECT_EQ(St.CorruptRemoved, 1u) << TC.What;
-    EXPECT_EQ(St.Quarantined, 1u) << TC.What;
-    auto Ds = S2.drainDiags();
-    ASSERT_EQ(Ds.size(), 1u) << TC.What;
-    EXPECT_EQ(Ds[0].Code, TC.Expect) << TC.What;
-    EXPECT_FALSE(std::filesystem::exists(Files[0])) << TC.What;
-    EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
-                                        Files[0].filename()))
-        << TC.What;
+  // A second writer with an empty memory publishes a different value under
+  // the same key: the file already there wins, byte for byte.
+  auto S2 = Ops::open(Tmp.Path);
+  Ops::put(*S2, K, 0);
+  EXPECT_EQ(S2->stats().DiskWrites, 0u);
+  EXPECT_EQ(S2->stats().WriteFailures, 0u);
+  EXPECT_EQ(readFileRaw(Files[0]), Bytes);
+  EXPECT_EQ(Ops::get(*Ops::open(Tmp.Path), K), 1);
+}
 
-    // Self-repair: republish, and a fresh instance serves the real verdict.
-    S2.store("goal-closure", R);
-    SideCondStore S3(Cfg);
-    auto Hit = S3.lookup("goal-closure");
-    ASSERT_TRUE(Hit.has_value()) << TC.What;
-    EXPECT_TRUE(Hit->Sat) << TC.What;
-    ASSERT_EQ(Hit->Model.size(), 1u) << TC.What;
-    EXPECT_EQ(std::get<2>(Hit->Model[0]).toUInt64(), 42u) << TC.What;
-  }
+TYPED_TEST(DiskContractTest, DiskDisabledReadsAndWritesNothing) {
+  using Ops = TypeParam;
+  TempDir Tmp;
+  auto K = Ops::key();
+  Ops::put(*Ops::open(Tmp.Path), K, 1);
+  ASSERT_EQ(entryFiles(Tmp.Path).size(), 1u);
+
+  auto S = Ops::open(Tmp.Path);
+  S->setDiskDisabled(true);
+  EXPECT_TRUE(S->diskDisabled());
+  EXPECT_EQ(Ops::get(*S, K), -1); // the entry on disk is not read
+  auto Other = Ops::key(1);
+  Ops::put(*S, Other, 1); // ... and nothing is published
+  EXPECT_EQ(entryFiles(Tmp.Path).size(), 1u);
+  EXPECT_EQ(Ops::get(*S, Other), 1); // memory keeps serving
+  auto St = S->stats();
+  EXPECT_EQ(St.DiskHits, 0u);
+  EXPECT_EQ(St.DiskWrites, 0u);
+  EXPECT_EQ(St.WriteFailures, 0u);
+
+  // Re-enabled: reads and publishes resume.
+  S->setDiskDisabled(false);
+  EXPECT_EQ(Ops::get(*S, K), 1);
+  EXPECT_EQ(S->stats().DiskHits, 1u);
+  auto Third = Ops::key(2);
+  Ops::put(*S, Third, 0);
+  EXPECT_EQ(S->stats().DiskWrites, 1u);
+  EXPECT_EQ(entryFiles(Tmp.Path).size(), 2u);
+  EXPECT_TRUE(S->drainDiags().empty());
+}
+
+TYPED_TEST(DiskContractTest, DiskFullCountsAWriteFailureWithoutDiag) {
+  using Ops = TypeParam;
+  TempDir Tmp;
+  auto S = Ops::open(Tmp.Path);
+  support::FaultInjector FI;
+  FI.failFirst(support::FaultSite::DiskFull, 1);
+  support::FaultInjector *Saved = support::FaultInjector::active();
+  support::FaultInjector::setActive(&FI);
+  Ops::put(*S, Ops::key(), 1);
+  support::FaultInjector::setActive(Saved);
+
+  auto St = S->stats();
+  EXPECT_EQ(St.WriteFailures, 1u);
+  EXPECT_EQ(St.DiskWrites, 0u);
+  EXPECT_TRUE(entryFiles(Tmp.Path).empty());
+  // The directory is writable: a full device is not reported as one that
+  // is not, so the one-time unwritable-directory Diag stays silent.
+  EXPECT_TRUE(S->drainDiags().empty());
+  EXPECT_EQ(Ops::get(*S, Ops::key()), 1); // still served from memory
 }
 
 // Hostile numbers behind a VALID checksum: the envelope only protects
@@ -1203,55 +1306,59 @@ TEST(RunJournalTest, UnopenablePathFailsCleanly) {
 // Scrub and compaction.
 //===----------------------------------------------------------------------===//
 
-TEST(ScrubTest, MigratesLegacyFormatAndPlacementIntoShards) {
+TEST(ScrubTest, QuarantinesMisplacedEntries) {
   TempDir Tmp;
   TraceCacheConfig Cfg;
   Cfg.Persist = true;
   Cfg.Dir = Tmp.Path.string();
-  Fingerprint K = Fingerprinter().str("legacy-entry").digest();
+  Fingerprint Flat = Fingerprinter().str("flat-entry").digest();
+  Fingerprint Stray = Fingerprinter().str("stray-entry").digest();
+  Fingerprint Live = Fingerprinter().str("live-entry").digest();
   CacheEntry E;
   E.TraceText = "(trace)";
   {
     TraceCache C(Cfg);
-    C.insert(K, E);
+    C.insert(Flat, E);
+    C.insert(Stray, E);
+    C.insert(Live, E);
   }
-  auto Files = entryFiles(Tmp.Path);
-  ASSERT_EQ(Files.size(), 1u);
-  std::string Hex = K.toHex();
-
-  // Regress the entry to what an old version would have left: headerless
-  // payload, flat at the store root.
-  std::string Payload;
-  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
-            EnvelopeResult::Ok);
-  std::filesystem::remove(Files[0]);
-  std::filesystem::path Flat = Tmp.Path / (Hex + ".itc");
-  writeFileRaw(Flat, Payload);
+  // Two correctly enveloped entries outside their shards: one flat at the
+  // store root (the pre-sharding layout), one in another key's shard.
+  // Readers only ever open the sharded path, so neither can serve a read.
+  auto Sharded = [&](const Fingerprint &K) {
+    std::string Hex = K.toHex();
+    return Tmp.Path / Hex.substr(0, 2) / (Hex + ".itc");
+  };
+  std::filesystem::path FlatPath = Tmp.Path / (Flat.toHex() + ".itc");
+  std::filesystem::rename(Sharded(Flat), FlatPath);
+  std::string WrongShard = Stray.toHex().substr(0, 2) == "00" ? "01" : "00";
+  std::filesystem::path StrayPath =
+      Tmp.Path / WrongShard / (Stray.toHex() + ".itc");
+  std::filesystem::create_directories(StrayPath.parent_path());
+  std::filesystem::rename(Sharded(Stray), StrayPath);
 
   ScrubOptions O;
   O.Dir = Tmp.Path.string();
   ScrubReport Rep = scrubStore(O);
-  EXPECT_EQ(Rep.LegacyMigrated, 1u);
-  EXPECT_EQ(Rep.Quarantined, 0u);
-  EXPECT_TRUE(Rep.clean());
-
-  // Migrated into its shard, enveloped, payload byte-identical; flat copy
-  // retired.
-  EXPECT_FALSE(std::filesystem::exists(Flat));
-  std::filesystem::path Shard = Tmp.Path / Hex.substr(0, 2) / (Hex + ".itc");
-  ASSERT_TRUE(std::filesystem::exists(Shard));
-  std::string Out;
-  EXPECT_EQ(unwrapDurableEntry(readFileRaw(Shard), Out), EnvelopeResult::Ok);
-  EXPECT_EQ(Out, Payload);
-
-  TraceCache C2(Cfg);
-  auto Hit = C2.lookup(K);
-  ASSERT_TRUE(Hit.has_value());
-  EXPECT_EQ(Hit->TraceText, E.TraceText);
+  EXPECT_EQ(Rep.Quarantined, 2u);
+  EXPECT_EQ(Rep.OkEntries, 1u);
+  EXPECT_FALSE(Rep.clean());
+  ASSERT_EQ(Rep.Diags.size(), 2u);
+  for (const support::Diag &D : Rep.Diags) {
+    EXPECT_EQ(D.Code, support::ErrorCode::CorruptCacheEntry);
+    EXPECT_NE(D.Message.find("misplaced"), std::string::npos) << D.Message;
+  }
+  EXPECT_FALSE(std::filesystem::exists(FlatPath));
+  EXPECT_FALSE(std::filesystem::exists(StrayPath));
+  EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
+                                      FlatPath.filename()));
+  EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
+                                      StrayPath.filename()));
+  EXPECT_TRUE(std::filesystem::exists(Sharded(Live)));
 
   // A second pass is a fixpoint.
   ScrubReport Rep2 = scrubStore(O);
-  EXPECT_EQ(Rep2.LegacyMigrated, 0u);
+  EXPECT_EQ(Rep2.Quarantined, 0u);
   EXPECT_EQ(Rep2.OkEntries, 1u);
   EXPECT_TRUE(Rep2.clean());
 }
@@ -1358,18 +1465,18 @@ TEST(ScrubTest, DryRunReportsWithoutMutating) {
   std::filesystem::path Stale = BadPath;
   Stale += ".tmp.999.1";
   writeFileRaw(Stale, "stale");
-  // A legacy flat headerless entry to (not) migrate.
-  Fingerprint Leg = Fingerprinter().str("dry-legacy").digest();
-  std::filesystem::path Flat = Tmp.Path / (Leg.toHex() + ".itc");
-  writeFileRaw(Flat, TraceCache::serializeEntry(Leg, E));
+  // A well-formed entry placed flat at the root, outside its shard.
+  Fingerprint Misplaced = Fingerprinter().str("dry-misplaced").digest();
+  std::filesystem::path Flat = Tmp.Path / (Misplaced.toHex() + ".itc");
+  writeFileRaw(Flat,
+               wrapDurableEntry(TraceCache::serializeEntry(Misplaced, E)));
 
   ScrubOptions Dry;
   Dry.Dir = Tmp.Path.string();
   Dry.DryRun = true;
   ScrubReport Rep = scrubStore(Dry);
   EXPECT_EQ(Rep.TempsRemoved, 1u);
-  EXPECT_EQ(Rep.Quarantined, 1u);
-  EXPECT_EQ(Rep.LegacyMigrated, 1u);
+  EXPECT_EQ(Rep.Quarantined, 2u); // the corrupt one and the misplaced one
   EXPECT_EQ(Rep.OkEntries, 1u);
   // ...but nothing moved: same corrupt bytes, same temp, same flat file.
   EXPECT_TRUE(std::filesystem::exists(BadPath));
@@ -1381,18 +1488,19 @@ TEST(ScrubTest, DryRunReportsWithoutMutating) {
   Dry.DryRun = false;
   ScrubReport Wet = scrubStore(Dry);
   EXPECT_EQ(Wet.TempsRemoved, 1u);
-  EXPECT_EQ(Wet.Quarantined, 1u);
-  EXPECT_EQ(Wet.LegacyMigrated, 1u);
+  EXPECT_EQ(Wet.Quarantined, 2u);
+  EXPECT_EQ(Wet.OkEntries, 1u);
+  EXPECT_FALSE(std::filesystem::exists(BadPath));
   EXPECT_FALSE(std::filesystem::exists(Stale));
   EXPECT_FALSE(std::filesystem::exists(Flat));
   EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine"));
 }
 
-TEST(ScrubTest, NestedSiblingStoreIsNotOursToMigrate) {
+TEST(ScrubTest, NestedSiblingStoreIsNotOursToQuarantine) {
   // cachectl scrubs the trace store at the root with the side-condition
   // store nested at <root>/sidecond.  The trace-store pass must not
-  // descend into it: its entries would look "misplaced" relative to the
-  // trace root and a wet scrub would relocate them — wiping the store.
+  // descend into it: its entries would look misplaced relative to the
+  // trace root and a wet scrub would quarantine them — wiping the store.
   TempDir Tmp;
   TraceCacheConfig Cfg;
   Cfg.Persist = true;
@@ -1416,7 +1524,7 @@ TEST(ScrubTest, NestedSiblingStoreIsNotOursToMigrate) {
   ScrubReport Rep = scrubStore(SO);
   EXPECT_EQ(Rep.FilesScanned, 1u); // the trace entry only
   EXPECT_EQ(Rep.OkEntries, 1u);
-  EXPECT_EQ(Rep.LegacyMigrated, 0u);
+  EXPECT_EQ(Rep.Quarantined, 0u);
   EXPECT_TRUE(Rep.clean());
   EXPECT_TRUE(std::filesystem::exists(Nested)); // untouched, in place
 

@@ -241,14 +241,13 @@ TEST(CrashStormTest, KilledRunsResumeToBitIdenticalResults) {
   }
 
   // 4. The stores survived the storm coherent: every published entry
-  // verifies (crashes can strand temp files, but never publish torn data or
-  // leave the layout in a legacy state).
+  // verifies in its shard (crashes can strand temp files, but never publish
+  // torn data or misplace an entry).
   for (const char *Sub : {"/traces", "/sidecond"}) {
     cache::ScrubOptions SO;
     SO.Dir = StormDir + Sub;
     cache::ScrubReport Rep = cache::scrubStore(SO);
     EXPECT_EQ(Rep.Quarantined, 0u) << Sub;
-    EXPECT_EQ(Rep.LegacyMigrated, 0u) << Sub;
     EXPECT_GT(Rep.OkEntries, 0u) << Sub;
   }
 }

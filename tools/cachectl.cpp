@@ -7,9 +7,9 @@
 //
 // `scrub` works over both stores under DIR (default resolveCacheDir(): the
 // trace store at the root, the side-condition store under DIR/sidecond):
-// verifies every entry checksum, quarantines corruption, reaps stale temp
-// files, migrates legacy entries into enveloped sharded form, and (with
-// --max-bytes) evicts least-recently-used entries until the store fits.
+// verifies every entry checksum, quarantines corrupt and misplaced
+// entries, reaps stale temp files, and (with --max-bytes) evicts
+// least-recently-used entries until the store fits.
 //
 // `gc` retires store generations: every model fingerprint outside the N
 // most recently touched (default 2) has its manifest's entries deleted —
@@ -33,12 +33,11 @@
 using namespace islaris;
 
 static void printReport(const char *Label, const cache::ScrubReport &R) {
-  std::printf("%s: scanned %llu files: %llu ok, %llu migrated, "
-              "%llu quarantined, %llu temps reaped, %llu evicted "
+  std::printf("%s: scanned %llu files: %llu ok, %llu quarantined, "
+              "%llu temps reaped, %llu evicted "
               "(%llu bytes reclaimed, %llu in use)\n",
               Label, (unsigned long long)R.FilesScanned,
               (unsigned long long)R.OkEntries,
-              (unsigned long long)R.LegacyMigrated,
               (unsigned long long)R.Quarantined,
               (unsigned long long)R.TempsRemoved,
               (unsigned long long)R.Evicted,
