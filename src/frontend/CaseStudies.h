@@ -30,7 +30,9 @@
 #include "support/Diag.h"
 #include "support/Guard.h"
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace islaris::cache {
@@ -118,6 +120,21 @@ CaseResult runRbit();
 CaseResult runBinSearchArm(unsigned N = 4);
 /// The RISC-V binary search.
 CaseResult runBinSearchRv(unsigned N = 4);
+
+/// One Fig. 12 study: its islarisd id, its table row name (what the runner
+/// stamps into CaseResult::Name, so a study that dies before returning is
+/// still attributable), and the runner with its default parameters.
+struct StudyEntry {
+  const char *Id;
+  const char *Row;
+  CaseResult (*Run)();
+};
+
+/// The nine studies in the paper's row order: the one table both the suite
+/// runner and islarisd read.
+std::span<const StudyEntry> caseStudies();
+/// The study islarisd calls \p Id, or nullptr.
+const StudyEntry *findCaseStudy(std::string_view Id);
 
 /// How to run the suite: worker threads across case studies (the studies
 /// are fully independent — each owns a private Verifier/TermBuilder) and an

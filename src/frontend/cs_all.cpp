@@ -113,28 +113,37 @@ bool islaris::frontend::decodeCaseResult(const std::string &Text,
   return true;
 }
 
+// Defaulted-parameter runners need the wrapping thunks.
+static const StudyEntry Studies[] = {
+    {"memcpy-arm", "memcpy", [] { return runMemcpyArm(); }},
+    {"memcpy-rv", "memcpy", [] { return runMemcpyRv(); }},
+    {"hvc", "hvc", [] { return runHvc(); }},
+    {"pkvm", "pkvm handler", [] { return runPkvm(); }},
+    {"unaligned", "unaligned", [] { return runUnaligned(); }},
+    {"uart", "uart putc", [] { return runUart(); }},
+    {"rbit", "inline asm", [] { return runRbit(); }},
+    {"binsearch-arm", "binary search", [] { return runBinSearchArm(); }},
+    {"binsearch-rv", "binary search", [] { return runBinSearchRv(); }},
+};
+
+std::span<const StudyEntry> islaris::frontend::caseStudies() {
+  return Studies;
+}
+
+const StudyEntry *islaris::frontend::findCaseStudy(std::string_view Id) {
+  for (const StudyEntry &S : Studies)
+    if (Id == S.Id)
+      return &S;
+  return nullptr;
+}
+
 std::vector<CaseResult> islaris::frontend::runAllCaseStudies() {
   return runAllCaseStudies(SuiteOptions());
 }
 
 std::vector<CaseResult>
 islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
-  using Runner = CaseResult (*)();
-  // Thunks in the paper's row order; defaulted-parameter runners need the
-  // wrapping.  Names mirror what each runner stamps into CaseResult::Name,
-  // so a study that dies before returning is still attributable.
-  static const Runner Runners[] = {
-      [] { return runMemcpyArm(); },    [] { return runMemcpyRv(); },
-      [] { return runHvc(); },          [] { return runPkvm(); },
-      [] { return runUnaligned(); },    [] { return runUart(); },
-      [] { return runRbit(); },         [] { return runBinSearchArm(); },
-      [] { return runBinSearchRv(); },
-  };
-  static const char *Names[] = {
-      "memcpy",    "memcpy",    "hvc",  "pkvm handler", "unaligned",
-      "uart putc", "inline asm", "binary search", "binary search",
-  };
-  constexpr size_t N = sizeof(Runners) / sizeof(Runners[0]);
+  constexpr size_t N = std::size(Studies);
 
   // Install the shared cache as the ambient cache for the whole run so the
   // per-study Verifiers pick it up without signature churn.  Set before the
@@ -174,7 +183,7 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
     cache::Fingerprinter FP;
     FP.str("islaris-suite-job");
     FP.u64(uint64_t(I));
-    FP.str(Names[I]);
+    FP.str(Studies[I].Row);
     FP.u64(uint64_t(O.Engine));
     auto Bits = [](double D) {
       uint64_t U;
@@ -212,16 +221,16 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
         // an escaped exception becomes that row's infrastructure error and
         // the pool keeps draining.
         try {
-          Results[I] = Runners[I]();
+          Results[I] = Studies[I].Run();
         } catch (const std::exception &E) {
-          Results[I].Name = Names[I];
+          Results[I].Name = Studies[I].Row;
           Results[I].Ok = false;
           Results[I].D = Diag::error(
               ErrorCode::JobException, "suite",
               std::string("exception escaped case study: ") + E.what());
           Results[I].Error = Results[I].D.Message;
         } catch (...) {
-          Results[I].Name = Names[I];
+          Results[I].Name = Studies[I].Row;
           Results[I].Ok = false;
           Results[I].D = Diag::error(ErrorCode::JobException, "suite",
                                      "non-standard exception escaped "

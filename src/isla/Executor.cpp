@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -39,10 +40,12 @@ struct Decision {
 
 } // namespace
 
-/// Per-run mutable state.
+/// Per-path mutable state.  Replay starts every path from a fresh copy of
+/// the run's base state; the frame machine keeps one and checkpoints it at
+/// forks.
 struct Executor::RunState {
-  const Assumptions *A = nullptr;
   const ExecOptions *Opts = nullptr;
+  ExecStats *Stats = nullptr; ///< The run's counters, shared by its paths.
 
   std::vector<Event> Events;
   std::unordered_map<Reg, const Term *, RegHash> RegCache;
@@ -50,7 +53,7 @@ struct Executor::RunState {
   std::unordered_map<Reg, bool, RegHash> Written;
   std::vector<const Term *> PathCond;
 
-  std::vector<Decision> *Decisions = nullptr;
+  std::vector<Decision> *Decisions = nullptr; ///< Replay's decision prefix.
   size_t DecisionCursor = 0;
   std::vector<const Term *> *VarPool = nullptr;
   size_t VarCursor = 0;
@@ -61,10 +64,6 @@ struct Executor::RunState {
   unsigned Depth = 0;
   std::string Error;
   support::ErrorCode Code = support::ErrorCode::Ok;
-  unsigned PrunedBranches = 0;
-  unsigned SolverQueries = 0;
-  uint64_t Stmts = 0; ///< Statements dispatched (ExecStats::StmtsExecuted).
-
   // Resource guards for the enclosing run() (shared across its paths).
   const std::atomic<bool> *CancelFlag = nullptr;
   std::chrono::steady_clock::time_point Deadline =
@@ -107,6 +106,7 @@ struct Executor::RunState {
     return false;
   }
 };
+
 
 // Ambient default engine (see defaultExecEngine in the header).  Same
 // discipline as cache::ambientTraceCache: installed before a suite run
@@ -286,91 +286,96 @@ void Executor::writeRegister(const Reg &R, const Term *V, RunState &RS) {
   RS.Written[R] = true;
 }
 
-bool Executor::decideBranch(const Term *Cond, RunState &RS) {
-  const Term *S = RW.simplify(Cond);
-  if (S->kind() == smt::Kind::ConstBool)
-    return S->constBool();
+//===----------------------------------------------------------------------===//
+// Step rules shared by the recursive walker (Replay) and the frame machine
+// (Snapshot, Merge).  They take already-evaluated operands; naming the
+// result stays with the caller.
+//===----------------------------------------------------------------------===//
 
-  // Replaying a recorded decision?
-  if (RS.DecisionCursor < RS.Decisions->size()) {
-    Decision &D = (*RS.Decisions)[RS.DecisionCursor++];
-    if (!D.Both)
-      return D.Taken; // pruned at discovery; no events, condition implied
-    const Term *Named = nameValue(S, RS);
-    const Term *Branch = D.Taken ? Named : TB.notTerm(Named);
-    RS.Events.push_back(Event::assertE(Branch));
-    RS.PathCond.push_back(D.Taken ? S : TB.notTerm(S));
-    return D.Taken;
+static const Term *applyUnary(smt::TermBuilder &TB, UnOp Op, const Term *V) {
+  switch (Op) {
+  case UnOp::BoolNot:
+    return TB.notTerm(V);
+  case UnOp::BvNot:
+    return TB.bvNot(V);
+  case UnOp::BvNeg:
+    return TB.bvNeg(V);
   }
-
-  // Fresh decision: ask the solver which sides are reachable under the
-  // current path condition (this is Isla's branch pruning).  An Unknown on
-  // either side means we cannot *soundly* prune or fork — treating it as
-  // Sat would fork on a possibly-infeasible side, treating it as Unsat
-  // would prune a possibly-feasible one — so the run fails with an
-  // attributed solver-budget diagnostic instead.
-  std::vector<const Term *> Base = RS.PathCond;
-  Base.push_back(S);
-  RS.SolverQueries += 2;
-  smt::Result TrueRes = Solver.check(Base);
-  Base.back() = TB.notTerm(S);
-  smt::Result FalseRes = Solver.check(Base);
-  if (TrueRes == smt::Result::Unknown || FalseRes == smt::Result::Unknown) {
-    RS.failGuard(RS.CancelFlag &&
-                         RS.CancelFlag->load(std::memory_order_relaxed)
-                     ? support::ErrorCode::Cancelled
-                     : support::ErrorCode::SolverBudgetExceeded,
-                 "solver gave up deciding a branch condition");
-    return false;
-  }
-  bool TrueSat = TrueRes == smt::Result::Sat;
-  bool FalseSat = FalseRes == smt::Result::Sat;
-  if (!TrueSat && !FalseSat) {
-    // The path condition itself became unsatisfiable — an executor
-    // invariant violation (decisions are only recorded on feasible sides).
-    RS.failGuard(support::ErrorCode::Internal,
-                 "internal: path condition became unsatisfiable");
-    return false;
-  }
-
-  if (TrueSat != FalseSat) {
-    ++RS.PrunedBranches;
-    RS.Decisions->push_back({TrueSat, false, false});
-    ++RS.DecisionCursor;
-    return TrueSat;
-  }
-  // Both feasible: fork.  Name the condition (shared prefix), assert the
-  // chosen side (head of the divergent suffix, as in Fig. 6).
-  RS.Decisions->push_back({true, true, false});
-  ++RS.DecisionCursor;
-  const Term *Named = nameValue(S, RS);
-  RS.Events.push_back(Event::assertE(Named));
-  RS.PathCond.push_back(S);
-  return true;
+  return nullptr;
 }
 
-//===----------------------------------------------------------------------===//
-// Expression evaluation.
-//===----------------------------------------------------------------------===//
+static const Term *applyBinary(smt::TermBuilder &TB, BinOp Op, const Term *L,
+                               const Term *R) {
+  switch (Op) {
+  case BinOp::BoolAnd:
+    return TB.andTerm(L, R);
+  case BinOp::BoolOr:
+    return TB.orTerm(L, R);
+  case BinOp::Eq:
+    return TB.eqTerm(L, R);
+  case BinOp::Ne:
+    return TB.notTerm(TB.eqTerm(L, R));
+  case BinOp::Add:
+    return TB.bvAdd(L, R);
+  case BinOp::Sub:
+    return TB.bvSub(L, R);
+  case BinOp::Mul:
+    return TB.bvMul(L, R);
+  case BinOp::UDiv:
+    return TB.bvUDiv(L, R);
+  case BinOp::URem:
+    return TB.bvURem(L, R);
+  case BinOp::BvAnd:
+    return TB.bvAnd(L, R);
+  case BinOp::BvOr:
+    return TB.bvOr(L, R);
+  case BinOp::BvXor:
+    return TB.bvXor(L, R);
+  case BinOp::Shl:
+    return TB.bvShl(L, TB.zextTo(L->width(), R));
+  case BinOp::LShr:
+    return TB.bvLShr(L, TB.zextTo(L->width(), R));
+  case BinOp::AShr:
+    return TB.bvAShr(L, TB.zextTo(L->width(), R));
+  case BinOp::ULt:
+    return TB.bvUlt(L, R);
+  case BinOp::ULe:
+    return TB.bvUle(L, R);
+  case BinOp::SLt:
+    return TB.bvSlt(L, R);
+  case BinOp::SLe:
+    return TB.bvSle(L, R);
+  case BinOp::Concat:
+    return TB.concat(L, R);
+  }
+  return nullptr;
+}
 
-const Term *Executor::evalCall(const Expr &E, RunState &RS) {
+/// Operands a call evaluates, in order: a builtin's width or size literal
+/// is resolved into the Expr, not evaluated.
+static size_t callOperands(const Expr &E) {
+  switch (E.BuiltinKind) {
+  case Builtin::None:
+    return E.Args.size();
+  case Builtin::WriteMem:
+    return 2; // address, data
+  default:
+    return 1;
+  }
+}
+
+const Term *Executor::applyBuiltin(const Expr &E,
+                                   const std::vector<const Term *> &Args,
+                                   RunState &RS) {
+  const Term *V = Args[0];
   switch (E.BuiltinKind) {
   case Builtin::ZeroExtend:
+    return TB.zeroExtend(E.ExtWidth - V->width(), V);
   case Builtin::SignExtend:
-  case Builtin::Truncate: {
-    const Term *V = evalExpr(*E.Args[0], RS);
-    if (!V)
-      return nullptr;
-    if (E.BuiltinKind == Builtin::Truncate)
-      return TB.extract(E.ExtWidth - 1, 0, V);
-    unsigned Extra = E.ExtWidth - V->width();
-    return E.BuiltinKind == Builtin::ZeroExtend ? TB.zeroExtend(Extra, V)
-                                                : TB.signExtend(Extra, V);
-  }
+    return TB.signExtend(E.ExtWidth - V->width(), V);
+  case Builtin::Truncate:
+    return TB.extract(E.ExtWidth - 1, 0, V);
   case Builtin::ReverseBits: {
-    const Term *V = evalExpr(*E.Args[0], RS);
-    if (!V)
-      return nullptr;
     if (V->kind() == smt::Kind::ConstBV)
       return TB.constBV(V->constBV().reverseBits());
     // Structural expansion: the result is bit 0 of the input (as the new
@@ -381,34 +386,125 @@ const Term *Executor::evalCall(const Expr &E, RunState &RS) {
     return R;
   }
   case Builtin::ReadMem: {
-    const Term *A = evalExpr(*E.Args[0], RS);
-    if (!A)
-      return nullptr;
-    const Term *V = pooledVar(Sort::bitvec(E.MemBytes * 8), RS);
-    RS.Events.push_back(Event::declareConst(V));
-    RS.Events.push_back(Event::readMem(V, A, E.MemBytes));
-    return V;
+    const Term *D = pooledVar(Sort::bitvec(E.MemBytes * 8), RS);
+    RS.Events.push_back(Event::declareConst(D));
+    RS.Events.push_back(Event::readMem(D, V, E.MemBytes));
+    return D;
   }
-  case Builtin::WriteMem: {
-    const Term *A = evalExpr(*E.Args[0], RS);
-    const Term *D = evalExpr(*E.Args[1], RS);
-    if (!A || !D)
-      return nullptr;
+  case Builtin::WriteMem:
     RS.Events.push_back(
-        Event::writeMem(A, nameValue(D, RS), E.MemBytes));
+        Event::writeMem(V, nameValue(Args[1], RS), E.MemBytes));
     return TB.constBV(1, 0); // unit placeholder
-  }
   case Builtin::None:
     break;
   }
+  return nullptr;
+}
+
+enum class Executor::Sides : uint8_t { Failed, Then, Else, Both };
+
+Executor::Sides Executor::feasibleSides(const Term *S, RunState &RS) {
+  // Ask the solver which sides are reachable under the current path
+  // condition (this is Isla's branch pruning).  An Unknown on either side
+  // means we cannot *soundly* prune or fork — treating it as Sat would fork
+  // on a possibly-infeasible side, treating it as Unsat would prune a
+  // possibly-feasible one — so the run fails with an attributed
+  // solver-budget diagnostic instead.
+  std::vector<const Term *> Base = RS.PathCond;
+  Base.push_back(S);
+  RS.Stats->SolverQueries += 2;
+  smt::Result TrueRes = Solver.check(Base);
+  Base.back() = TB.notTerm(S);
+  smt::Result FalseRes = Solver.check(Base);
+  if (TrueRes == smt::Result::Unknown || FalseRes == smt::Result::Unknown) {
+    RS.failGuard(RS.CancelFlag &&
+                         RS.CancelFlag->load(std::memory_order_relaxed)
+                     ? support::ErrorCode::Cancelled
+                     : support::ErrorCode::SolverBudgetExceeded,
+                 "solver gave up deciding a branch condition");
+    return Sides::Failed;
+  }
+  bool TrueSat = TrueRes == smt::Result::Sat;
+  bool FalseSat = FalseRes == smt::Result::Sat;
+  if (!TrueSat && !FalseSat) {
+    // The path condition itself became unsatisfiable — an executor
+    // invariant violation (paths only ever enter feasible sides).
+    RS.failGuard(support::ErrorCode::Internal,
+                 "internal: path condition became unsatisfiable");
+    return Sides::Failed;
+  }
+  if (TrueSat && FalseSat)
+    return Sides::Both;
+  ++RS.Stats->PrunedBranches;
+  return TrueSat ? Sides::Then : Sides::Else;
+}
+
+void Executor::takeSide(const Term *Cond, const Term *Named, bool Then,
+                        RunState &RS) {
+  RS.Events.push_back(Event::assertE(Then ? Named : TB.notTerm(Named)));
+  RS.PathCond.push_back(Then ? Cond : TB.notTerm(Cond));
+}
+
+void Executor::dischargeAssert(const Stmt &S, const Term *C, RunState &RS) {
+  const Term *CS = RW.simplify(C);
+  if (CS->kind() == smt::Kind::ConstBool) {
+    if (!CS->constBool())
+      RS.fail(S.Line, "model assertion failed: " + S.Message);
+    return;
+  }
+  std::vector<const Term *> Query = RS.PathCond;
+  Query.push_back(TB.notTerm(CS));
+  ++RS.Stats->SolverQueries;
+  smt::Result QR = Solver.check(Query);
+  if (QR == smt::Result::Unknown)
+    RS.failGuard(support::ErrorCode::SolverBudgetExceeded,
+                 "solver gave up on model assertion: " + S.Message);
+  else if (QR == smt::Result::Sat)
+    RS.fail(S.Line, "model assertion not provable: " + S.Message);
+}
+
+//===----------------------------------------------------------------------===//
+// The recursive walker (Replay): re-executes the whole model once per path,
+// following the recorded decision prefix.
+//===----------------------------------------------------------------------===//
+
+bool Executor::decideBranch(const Term *Cond, RunState &RS) {
+  const Term *S = RW.simplify(Cond);
+  if (S->kind() == smt::Kind::ConstBool)
+    return S->constBool();
+
+  // Replaying a recorded decision?  One pruned at discovery emits no
+  // events (the path condition implies it).
+  if (RS.DecisionCursor < RS.Decisions->size()) {
+    const Decision &D = (*RS.Decisions)[RS.DecisionCursor++];
+    if (D.Both)
+      takeSide(S, nameValue(S, RS), D.Taken, RS);
+    return D.Taken;
+  }
+
+  // Fresh decision.  Both feasible: fork, naming the condition (shared
+  // prefix) and asserting the then side (head of the divergent suffix, as
+  // in Fig. 6).
+  Sides Sd = feasibleSides(S, RS);
+  if (Sd == Sides::Failed)
+    return false;
+  RS.Decisions->push_back({Sd != Sides::Else, Sd == Sides::Both, false});
+  ++RS.DecisionCursor;
+  if (Sd == Sides::Both)
+    takeSide(S, nameValue(S, RS), true, RS);
+  return Sd != Sides::Else;
+}
+
+const Term *Executor::evalCall(const Expr &E, RunState &RS) {
   std::vector<const Term *> Args;
-  Args.reserve(E.Args.size());
-  for (const sail::ExprPtr &A : E.Args) {
-    const Term *V = evalExpr(*A, RS);
+  for (size_t I = 0, N = callOperands(E); I < N; ++I) {
+    const Term *V = evalExpr(*E.Args[I], RS);
     if (!V)
       return nullptr;
     Args.push_back(V);
   }
+  if (E.BuiltinKind != Builtin::None)
+    return applyBuiltin(E, Args, RS);
   return callFunction(*E.Callee, std::move(Args), RS);
 }
 
@@ -436,22 +532,12 @@ const Term *Executor::evalExpr(const Expr &E, RunState &RS) {
   case ExprKind::RegRead:
     return readRegister(Reg(E.Name, E.Field), E.Ty.Width, RS);
   case ExprKind::Call:
-    return evalCall(E, RS);
+    return evalCall(E, RS); // builtins return raw, even in the baseline
   case ExprKind::Unary: {
     const Term *V = evalExpr(*E.Args[0], RS);
     if (!V)
       return nullptr;
-    switch (E.UOp) {
-    case UnOp::BoolNot:
-      Result = TB.notTerm(V);
-      break;
-    case UnOp::BvNot:
-      Result = TB.bvNot(V);
-      break;
-    case UnOp::BvNeg:
-      Result = TB.bvNeg(V);
-      break;
-    }
+    Result = applyUnary(TB, E.UOp, V);
     break;
   }
   case ExprKind::Binary: {
@@ -459,68 +545,7 @@ const Term *Executor::evalExpr(const Expr &E, RunState &RS) {
     const Term *R = evalExpr(*E.Args[1], RS);
     if (!L || !R)
       return nullptr;
-    switch (E.BOp) {
-    case BinOp::BoolAnd:
-      Result = TB.andTerm(L, R);
-      break;
-    case BinOp::BoolOr:
-      Result = TB.orTerm(L, R);
-      break;
-    case BinOp::Eq:
-      Result = TB.eqTerm(L, R);
-      break;
-    case BinOp::Ne:
-      Result = TB.notTerm(TB.eqTerm(L, R));
-      break;
-    case BinOp::Add:
-      Result = TB.bvAdd(L, R);
-      break;
-    case BinOp::Sub:
-      Result = TB.bvSub(L, R);
-      break;
-    case BinOp::Mul:
-      Result = TB.bvMul(L, R);
-      break;
-    case BinOp::UDiv:
-      Result = TB.bvUDiv(L, R);
-      break;
-    case BinOp::URem:
-      Result = TB.bvURem(L, R);
-      break;
-    case BinOp::BvAnd:
-      Result = TB.bvAnd(L, R);
-      break;
-    case BinOp::BvOr:
-      Result = TB.bvOr(L, R);
-      break;
-    case BinOp::BvXor:
-      Result = TB.bvXor(L, R);
-      break;
-    case BinOp::Shl:
-      Result = TB.bvShl(L, TB.zextTo(L->width(), R));
-      break;
-    case BinOp::LShr:
-      Result = TB.bvLShr(L, TB.zextTo(L->width(), R));
-      break;
-    case BinOp::AShr:
-      Result = TB.bvAShr(L, TB.zextTo(L->width(), R));
-      break;
-    case BinOp::ULt:
-      Result = TB.bvUlt(L, R);
-      break;
-    case BinOp::ULe:
-      Result = TB.bvUle(L, R);
-      break;
-    case BinOp::SLt:
-      Result = TB.bvSlt(L, R);
-      break;
-    case BinOp::SLe:
-      Result = TB.bvSle(L, R);
-      break;
-    case BinOp::Concat:
-      Result = TB.concat(L, R);
-      break;
-    }
+    Result = applyBinary(TB, E.BOp, L, R);
     break;
   }
   case ExprKind::IfExpr: {
@@ -570,7 +595,7 @@ void Executor::execBlock(const std::vector<sail::StmtPtr> &Body, RunState &RS,
 }
 
 void Executor::execStmt(const Stmt &S, RunState &RS, bool &Returned) {
-  ++RS.Stmts;
+  ++RS.Stats->StmtsExecuted;
   if (RS.guardTripped())
     return;
   switch (S.Kind) {
@@ -618,23 +643,8 @@ void Executor::execStmt(const Stmt &S, RunState &RS, bool &Returned) {
     return;
   case StmtKind::Assert: {
     const Term *C = evalExpr(*S.Value, RS);
-    if (!C)
-      return;
-    const Term *CS = RW.simplify(C);
-    if (CS->kind() == smt::Kind::ConstBool) {
-      if (!CS->constBool())
-        RS.fail(S.Line, "model assertion failed: " + S.Message);
-      return;
-    }
-    std::vector<const Term *> Query = RS.PathCond;
-    Query.push_back(TB.notTerm(CS));
-    ++RS.SolverQueries;
-    smt::Result QR = Solver.check(Query);
-    if (QR == smt::Result::Unknown)
-      RS.failGuard(support::ErrorCode::SolverBudgetExceeded,
-                   "solver gave up on model assertion: " + S.Message);
-    else if (QR == smt::Result::Sat)
-      RS.fail(S.Line, "model assertion not provable: " + S.Message);
+    if (C)
+      dischargeAssert(S, C, RS);
     return;
   }
   }
@@ -670,9 +680,788 @@ const Term *Executor::callFunction(const sail::FunctionDecl &F,
 }
 
 //===----------------------------------------------------------------------===//
-// Path enumeration and trace merging.
+// The frame machine (Snapshot, Merge).
+//
+// The recursive walker above cannot resume a flipped branch without
+// re-running the model, so Snapshot and Merge run a defunctionalized
+// frame-stack machine: control is an explicit stack of copyable frames
+// (statements AND expressions — forks can occur inside expression-position
+// calls), values an explicit operand stack.  A both-feasible branch deep
+// inside nested calls is then checkpointable by value-copying the two
+// stacks plus the mutable RunState maps; restoring a checkpoint and
+// appending the flipped assertion continues the run as if the shared prefix
+// had been re-executed — except it wasn't, which is the whole point.
+//
+// Every fork's checkpoint becomes a work item.  Snapshot queues it at once
+// (the worklist, sorted by event length, pops in the LIFO order of a DFS);
+// Merge first parks it until the fork's join and queues it only when the
+// arms cannot be merged.
+//
+// Determinism invariants (what makes Snapshot bit-identical to Replay):
+//  * events and path conditions are append-only, so a checkpoint stores
+//    only their lengths and restore truncates;
+//  * pooled variable naming is position-stable: restoring VarCursor makes
+//    the flipped path draw exactly the variables the replay engine would
+//    re-draw while re-executing the prefix;
+//  * the branch condition is named (define-const, shared prefix) BEFORE the
+//    checkpoint and asserted AFTER it, mirroring decideBranch's order, so
+//    the merged tree diverges exactly at the Assert events (Fig. 6).
 //===----------------------------------------------------------------------===//
 
+struct Executor::Machine {
+  enum class FK : uint8_t {
+    Stmt,         ///< Dispatch one statement.
+    BlockStep,    ///< Run the next statement of a block body.
+    AssignLocal,  ///< Store popped value into S->LocalIdx.
+    WriteReg,     ///< writeRegister(popped value).
+    IfCond,       ///< Decide a popped branch condition (the fork point).
+    Drop,         ///< Discard a popped value (ExprStmt).
+    ReturnValue,  ///< Store popped value in the return slot, unwind.
+    AssertCond,   ///< Discharge a popped assert condition.
+    Expr,         ///< Dispatch one expression.
+    ApplyUnary,   ///< Combine 1 popped operand.
+    ApplyBinary,  ///< Combine 2 popped operands.
+    IfExprCond,   ///< Branch-free ite: decide const vs. symbolic.
+    IteJoin,      ///< Combine popped then/else into an ite term.
+    ApplySlice,   ///< Extract from a popped operand.
+    CallArgsDone, ///< Apply a builtin or enter the callee.
+    CallExit,     ///< Restore caller locals, push the return value.
+  };
+
+  /// One continuation frame.  Everything is an immutable AST pointer, an
+  /// index, or a hash-consed term, so frames (and thus checkpoints) are plain
+  /// value copies.
+  struct Frame {
+    FK K;
+    const Stmt *S = nullptr;
+    const Expr *E = nullptr;
+    const std::vector<sail::StmtPtr> *Body = nullptr;
+    size_t Idx = 0;
+    const Term *T = nullptr; ///< IteJoin: the simplified condition.
+    // CallExit bookkeeping.
+    const sail::FunctionDecl *F = nullptr;
+    std::vector<const Term *> Saved; ///< Caller's locals.
+    bool Returned = false;
+    // Pure-helper memo bookkeeping (CallExit frames of candidates only).
+    bool MemoCand = false;
+    size_t EventsAtEntry = 0;
+    unsigned QueriesAtEntry = 0;
+    std::vector<const Term *> MemoArgs;
+  };
+
+  /// Everything a path needs to continue from a point of another path as
+  /// if it had executed the prefix up to it.  save() and restore() are the
+  /// only places that build or unpack one, so a new piece of machine state
+  /// is checkpointed in one place.
+  struct Checkpoint {
+    std::vector<Frame> Control;
+    std::vector<const Term *> Values;
+    std::vector<const Term *> Locals;
+    std::unordered_map<Reg, const Term *, RegHash> RegCache;
+    std::unordered_map<Reg, bool, RegHash> ReadEmitted;
+    std::unordered_map<Reg, bool, RegHash> Written;
+    size_t EventsLen = 0;
+    size_t PathCondLen = 0;
+    size_t VarCursor = 0;
+    unsigned Depth = 0;
+    uint64_t PathStmts = 0; ///< Logical path length at the checkpoint.
+  };
+
+  /// A both-feasible fork, checkpointed between naming its condition and
+  /// asserting the then side.
+  struct Fork {
+    Checkpoint At;
+    const Stmt *IfStmt = nullptr;
+    const Term *Cond = nullptr;  ///< Simplified condition (path-cond form).
+    const Term *Named = nullptr; ///< Named condition (event form).
+    size_t JoinDepth = 0;        ///< Control depth of the fork's join.
+    /// Merge only: the then arm's state at its join, captured before the
+    /// else arm runs, and the then arm's events from the fork to its join.
+    std::optional<Checkpoint> Then;
+    std::vector<Event> ThenSeg;
+  };
+
+  Executor &X;
+  RunState RS;
+  ExecStats &Stats;
+  const bool Merging;
+  std::vector<Frame> Control;
+  std::vector<const Term *> Values;
+  std::vector<Fork> Pending; ///< Merge: forks awaiting their join.
+  std::vector<Fork> Work;    ///< Unexplored resumptions, by At.EventsLen.
+  /// Per-run summaries of statically-pure helpers, keyed on the hash-consed
+  /// argument terms.  Exact-pointer lookups only, so the (nondeterministic)
+  /// map ordering never leaks into the trace.
+  std::map<std::pair<const sail::FunctionDecl *, std::vector<const Term *>>,
+           const Term *>
+      Memo;
+  uint64_t PathStmts = 0; ///< Logical statements of the current path.
+
+  Machine(Executor &X, const RunState &Base)
+      : X(X), RS(Base), Stats(*Base.Stats),
+        Merging(Base.Opts->Engine == ExecEngine::Merge) {}
+
+  void push(FK K, const Stmt *S = nullptr, const Expr *E = nullptr) {
+    Frame Fr;
+    Fr.K = K;
+    Fr.S = S;
+    Fr.E = E;
+    Control.push_back(std::move(Fr));
+  }
+  void pushExpr(const Expr &E) { push(FK::Expr, nullptr, &E); }
+  /// Pushes \p K for \p S, then the statement's value expression.
+  void pushValue(FK K, const Stmt &S) {
+    push(K, &S);
+    pushExpr(*S.Value);
+  }
+  /// Pushes \p K for \p E, then its first \p N operands (reversed push =
+  /// in-order dispatch).
+  void pushOperands(FK K, const Expr &E, size_t N) {
+    push(K, nullptr, &E);
+    for (size_t I = N; I-- > 0;)
+      pushExpr(*E.Args[I]);
+  }
+  void pushBlock(const std::vector<sail::StmtPtr> &Body) {
+    Frame Fr;
+    Fr.K = FK::BlockStep;
+    Fr.Body = &Body;
+    Control.push_back(std::move(Fr));
+  }
+  const Term *popValue() {
+    const Term *V = Values.back();
+    Values.pop_back();
+    return V;
+  }
+  /// Tail of the recursive evalExpr for compound results: name every
+  /// intermediate in the unsimplified baseline.
+  void finish(const Term *V) {
+    if (!RS.Opts->SinksOnly)
+      V = X.nameValue(V, RS);
+    Values.push_back(V);
+  }
+
+  /// Return-statement unwinding: pop frames down to (and keeping) the
+  /// innermost CallExit, which then sees Returned = true.
+  void unwindReturn() {
+    for (size_t I = Control.size(); I-- > 0;) {
+      if (Control[I].K == FK::CallExit) {
+        Control[I].Returned = true;
+        Control.resize(I + 1);
+        return;
+      }
+    }
+    Control.clear();
+  }
+
+  void enterFunction(const sail::FunctionDecl &F,
+                     std::vector<const Term *> Args) {
+    if (++RS.Depth > 128) {
+      RS.fail(F.Line, "call depth limit exceeded in " + F.Name);
+      --RS.Depth;
+      return;
+    }
+    bool Cand = F.IsPure;
+    if (Cand) {
+      auto It = Memo.find({&F, Args});
+      if (It != Memo.end()) {
+        ++Stats.HelperMemoHits;
+        --RS.Depth;
+        Values.push_back(It->second);
+        return;
+      }
+    }
+    Frame CE;
+    CE.K = FK::CallExit;
+    CE.F = &F;
+    CE.Saved = std::move(RS.Locals);
+    CE.MemoCand = Cand;
+    CE.EventsAtEntry = RS.Events.size();
+    CE.QueriesAtEntry = Stats.SolverQueries;
+    if (Cand)
+      CE.MemoArgs = Args;
+    RS.Locals.assign(F.NumLocals + 1, nullptr); // +1: return slot at back()
+    for (size_t I = 0; I < Args.size(); ++I)
+      RS.Locals[I] = Args[I];
+    RS.Locals.back() = X.TB.constBV(1, 0); // unit default
+    Control.push_back(std::move(CE));
+    push(FK::Stmt, F.Body.get());
+  }
+
+  Checkpoint save() const {
+    return {Control,          Values,
+            RS.Locals,        RS.RegCache,
+            RS.ReadEmitted,   RS.Written,
+            RS.Events.size(), RS.PathCond.size(),
+            RS.VarCursor,     RS.Depth,
+            PathStmts};
+  }
+
+  /// Continues from \p C: the prefix it stands for is NOT re-executed,
+  /// which is the engine's entire reason to exist.
+  void restore(Checkpoint C) {
+    Stats.StmtsSkippedBySnapshot += C.PathStmts;
+    RS.Events.resize(C.EventsLen);
+    RS.PathCond.resize(C.PathCondLen);
+    Control = std::move(C.Control);
+    Values = std::move(C.Values);
+    RS.Locals = std::move(C.Locals);
+    RS.RegCache = std::move(C.RegCache);
+    RS.ReadEmitted = std::move(C.ReadEmitted);
+    RS.Written = std::move(C.Written);
+    RS.VarCursor = C.VarCursor;
+    RS.Depth = C.Depth;
+    PathStmts = C.PathStmts;
+  }
+
+  /// Mirrors decideBranch's replay of a flipped fork: assert the negated
+  /// named condition and take the else side.
+  void enterElse(const Fork &F) {
+    X.takeSide(F.Cond, F.Named, false, RS);
+    pushBlock(F.IfStmt->Else);
+  }
+
+  /// Decides a symbolic branch condition: the solver prunes one-sided
+  /// branches exactly as decideBranch does; a both-feasible branch becomes
+  /// a Fork instead of a recorded Decision.
+  void decide(const Stmt &S) {
+    const Term *CS = X.RW.simplify(popValue());
+    if (CS->kind() == smt::Kind::ConstBool) {
+      pushBlock(CS->constBool() ? S.Body : S.Else);
+      return;
+    }
+    Sides Sd = X.feasibleSides(CS, RS);
+    if (Sd == Sides::Failed)
+      return;
+    if (Sd != Sides::Both) {
+      pushBlock(Sd == Sides::Then ? S.Body : S.Else);
+      return;
+    }
+    // Both feasible: name the condition (shared prefix), checkpoint, then
+    // assert the chosen side (head of the divergent suffix, Fig. 6).  The
+    // fork's join is the control depth it returns to after the then block.
+    const Term *Named = X.nameValue(CS, RS);
+    Fork F{save(), &S, CS, Named, Control.size(), std::nullopt, {}};
+    if (Merging)
+      Pending.push_back(std::move(F));
+    else
+      pushWork(std::move(F));
+    X.takeSide(CS, Named, true, RS);
+    pushBlock(S.Body);
+  }
+
+  /// Sorted insert keyed on the fork checkpoint's event length: the
+  /// worklist pops from the back, and a resumption must never outlive a
+  /// shallower one whose restore would truncate its shared prefix.  Forks
+  /// queued as they are taken arrive in increasing order, so for Snapshot
+  /// this is a push_back and the pops are exactly LIFO.
+  void pushWork(Fork F) {
+    size_t Key = F.At.EventsLen;
+    size_t I = Work.size();
+    while (I > 0 && Work[I - 1].At.EventsLen > Key)
+      --I;
+    Work.insert(Work.begin() + ptrdiff_t(I), std::move(F));
+  }
+
+  /// Starts the next path from the deepest work item.
+  void resumeWork() {
+    Fork F = std::move(Work.back());
+    Work.pop_back();
+    if (!F.Then) {
+      restore(std::move(F.At));
+      enterElse(F);
+      return;
+    }
+    // Mid-path continuation: the then arm ran to its join before the merge
+    // was abandoned, so restart it exactly there (its fork assert is the
+    // head of ThenSeg).
+    RS.Events.resize(F.At.EventsLen);
+    RS.Events.insert(RS.Events.end(), F.ThenSeg.begin(), F.ThenSeg.end());
+    RS.PathCond.resize(F.At.PathCondLen);
+    RS.PathCond.push_back(F.Cond);
+    restore(std::move(*F.Then));
+  }
+
+  /// Runs the current path to its end, resolving join points after every
+  /// step (Pending stays empty unless merging).
+  void run() {
+    while (!Control.empty() && !RS.failed()) {
+      step();
+      checkJoin();
+    }
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Path merging at post-dominator joins (ExecEngine::Merge).
+  //
+  // The fork's post-dominator needs no CFG analysis: mini-Sail is
+  // structured, so both arms of an if rejoin exactly when the control stack
+  // shrinks back to its depth at decide() time.  Every both-feasible fork
+  // waits on the Pending stack (nested forks have strictly increasing join
+  // depths) and the stack depth is checked after every step.
+  // At the then-join the engine captures the arm's effects and flips to the
+  // else arm WITHOUT restoring the variable cursor — both arms' values must
+  // coexist in one linear trace — and at the else-join the two run states
+  // collapse into one: divergent registers and locals become
+  // ite(cond, then, else), the two fork asserts and per-arm write-reg
+  // events are dropped, and the path condition reverts to the shared
+  // prefix's.  The merged trace is semantically equivalent to the
+  // enumerated pair but not bit-identical, which is why Merge is salted
+  // into the trace-cache key and validated through the equivalence checker.
+  //
+  // Any arm with effects an ite cannot express — memory traffic, a nested
+  // fork that itself fell back (its Assert poisons the segment), control
+  // stacks that do not re-converge (a return unwinding past the join), or
+  // an ite value past MergeTermBudget — demotes the fork to plain
+  // enumeration: the fork goes on the Work list (Mode A: its else side;
+  // Mode B: the parked then continuation) and the current path simply
+  // continues.
+  //===--------------------------------------------------------------------===//
+  /// True iff events [From..end) are the fork's own assert followed only by
+  /// register-level effects.  Memory traffic cannot be collapsed into an
+  /// ite, and a second Assert is a nested fork that fell back to
+  /// enumeration — merging across it would lose its path split, so the
+  /// poisoning cascades outward by construction.
+  bool segMergeable(size_t From) const {
+    if (From >= RS.Events.size() || RS.Events[From].K != EventKind::Assert)
+      return false;
+    for (size_t I = From + 1; I < RS.Events.size(); ++I) {
+      switch (RS.Events[I].K) {
+      case EventKind::DeclareConst:
+      case EventKind::DefineConst:
+      case EventKind::ReadReg:
+      case EventKind::WriteReg:
+        continue;
+      default:
+        return false;
+      }
+    }
+    return true;
+  }
+
+  static bool frameEq(const Frame &A, const Frame &B) {
+    return A.K == B.K && A.S == B.S && A.E == B.E && A.Body == B.Body &&
+           A.Idx == B.Idx && A.T == B.T && A.F == B.F &&
+           A.Saved == B.Saved && A.Returned == B.Returned &&
+           A.MemoCand == B.MemoCand &&
+           A.EventsAtEntry == B.EventsAtEntry &&
+           A.QueriesAtEntry == B.QueriesAtEntry &&
+           A.MemoArgs == B.MemoArgs;
+  }
+
+  /// Distinct-node count of a term DAG, stopping early past \p Cap.
+  static size_t dagSizeCapped(const Term *T,
+                              std::unordered_set<const Term *> &Seen,
+                              size_t Cap) {
+    if (Seen.size() > Cap || !Seen.insert(T).second)
+      return Seen.size();
+    for (const Term *Op : T->operands()) {
+      dagSizeCapped(Op, Seen, Cap);
+      if (Seen.size() > Cap)
+        break;
+    }
+    return Seen.size();
+  }
+  /// At the then-join of a mergeable then arm: record the arm's final state
+  /// and re-run the else arm from the fork checkpoint (a copy: it must
+  /// survive for a possible Mode-B fallback at the else-join).  The
+  /// variable cursor is deliberately NOT restored — the else arm draws
+  /// fresh pooled variables so both arms' definitions coexist in the one
+  /// merged event sequence.
+  void captureThenAndFlip(Fork &F) {
+    F.ThenSeg.assign(RS.Events.begin() + ptrdiff_t(F.At.EventsLen),
+                     RS.Events.end());
+    F.Then = save();
+    size_t Cursor = RS.VarCursor;
+    restore(F.At);
+    RS.VarCursor = Cursor;
+    enterElse(F);
+  }
+  /// At the else-join: collapse the two arms into the current run state if
+  /// every divergence is expressible as an ite within budget.  Performs no
+  /// mutation until every check has passed.
+  bool tryMerge(Fork &F) {
+    const Checkpoint &Then = *F.Then;
+    size_t From = F.At.EventsLen;
+    if (!segMergeable(From))
+      return false;
+    // The arms must reconverge on identical control state: same frames
+    // (the only in-place mutation visible exactly at the join is a
+    // CallExit's Returned flag, when one arm returned and the other fell
+    // through — not mergeable), same operand stack, same call depth.
+    if (RS.Depth != Then.Depth ||
+        Control.size() != Then.Control.size() ||
+        Values.size() != Then.Values.size() ||
+        RS.Locals.size() != Then.Locals.size())
+      return false;
+    for (size_t I = 0; I < Control.size(); ++I)
+      if (!frameEq(Control[I], Then.Control[I]))
+        return false;
+    for (size_t I = 0; I < Values.size(); ++I)
+      if (Values[I] != Then.Values[I])
+        return false;
+    // A local initialized in one arm only has no value to ite against.
+    for (size_t I = 0; I < RS.Locals.size(); ++I)
+      if ((Then.Locals[I] == nullptr) != (RS.Locals[I] == nullptr))
+        return false;
+
+    // Registers written by either arm, then-arm order first.  The side
+    // that wrote always has a cache entry; the other side falls back to
+    // the fork-time value (inherited cache entry) or a fresh read.
+    std::vector<Reg> WriteOrder;
+    auto addWrites = [&](const std::vector<Event> &Evs, size_t Lo) {
+      for (size_t I = Lo; I < Evs.size(); ++I) {
+        if (Evs[I].K != EventKind::WriteReg)
+          continue;
+        bool SeenReg = false;
+        for (const Reg &R : WriteOrder)
+          if (R == Evs[I].R) {
+            SeenReg = true;
+            break;
+          }
+        if (!SeenReg)
+          WriteOrder.push_back(Evs[I].R);
+      }
+    };
+    addWrites(F.ThenSeg, 0);
+    addWrites(RS.Events, From);
+
+    // Arms that disagree on the program counter stay enumerated: an ite
+    // jump target is opaque to consumers that walk the trace as a CFG
+    // (the proof engine resolves each instruction's successor address), so
+    // control-flow forks demote while data forks keep merging.
+    if (!RS.Opts->MergePcName.empty()) {
+      for (const Reg &R : WriteOrder) {
+        if (R.Base != RS.Opts->MergePcName)
+          continue;
+        auto TI = Then.RegCache.find(R);
+        auto EI = RS.RegCache.find(R);
+        if (TI == Then.RegCache.end() || EI == RS.RegCache.end() ||
+            TI->second != EI->second)
+          return false;
+      }
+    }
+
+    // Budget: every candidate ite's operand DAG must stay under
+    // MergeTermBudget, or pathological branch nests would compound ites
+    // into an exponential term graph.
+    const Term *Named = F.Named;
+    size_t Cap = RS.Opts->MergeTermBudget;
+    auto overBudget = [&](const Term *A, const Term *B) {
+      if (A == B)
+        return false;
+      std::unordered_set<const Term *> DagSeen;
+      dagSizeCapped(Named, DagSeen, Cap);
+      if (A)
+        dagSizeCapped(A, DagSeen, Cap);
+      if (B)
+        dagSizeCapped(B, DagSeen, Cap);
+      return DagSeen.size() > Cap;
+    };
+    for (const Reg &R : WriteOrder) {
+      auto TI = Then.RegCache.find(R);
+      auto EI = RS.RegCache.find(R);
+      if (overBudget(TI == Then.RegCache.end() ? nullptr : TI->second,
+                     EI == RS.RegCache.end() ? nullptr : EI->second))
+        return false;
+    }
+    for (size_t I = 0; I < RS.Locals.size(); ++I)
+      if (overBudget(Then.Locals[I], RS.Locals[I]))
+        return false;
+
+    // ---- Commit.  Capture the else side before rebuilding. ----
+    std::vector<Event> ElseSeg(RS.Events.begin() + ptrdiff_t(From),
+                               RS.Events.end());
+    auto ElseRegCache = std::move(RS.RegCache);
+
+    // Events: shared prefix, then both arms' effects with the fork asserts
+    // and write-reg markers dropped.  Reads inside a segment always bind
+    // pre-fork values (a write populates the register cache, suppressing
+    // later read events), so hoisting the writes past them into the merged
+    // section preserves every binding.
+    RS.Events.resize(F.At.EventsLen);
+    auto appendKept = [&](const std::vector<Event> &Evs) {
+      for (size_t I = 1; I < Evs.size(); ++I) // [0] is the fork assert
+        if (Evs[I].K != EventKind::WriteReg)
+          RS.Events.push_back(Evs[I]);
+    };
+    appendKept(F.ThenSeg);
+    appendKept(ElseSeg);
+
+    // Maps: fork-time state plus the segments' first-occurrence reads (when
+    // both arms read the same unseen register, the then-arm variable wins;
+    // the else-arm twin stays declared and the ITL read-event semantics
+    // equates the two).
+    RS.RegCache = std::move(F.At.RegCache);
+    RS.ReadEmitted = std::move(F.At.ReadEmitted);
+    RS.Written = std::move(F.At.Written);
+    for (size_t I = F.At.EventsLen; I < RS.Events.size(); ++I) {
+      const Event &E = RS.Events[I];
+      if (E.K == EventKind::ReadReg && !RS.RegCache.count(E.R)) {
+        RS.RegCache[E.R] = E.Val;
+        RS.ReadEmitted[E.R] = true;
+      }
+    }
+    RS.PathCond.resize(F.At.PathCondLen);
+
+    // Locals: divergent slots collapse to ite(cond, then, else).
+    for (size_t I = 0; I < RS.Locals.size(); ++I) {
+      const Term *TV = Then.Locals[I];
+      if (TV != RS.Locals[I]) {
+        RS.Locals[I] = X.TB.iteTerm(Named, TV, RS.Locals[I]);
+        ++Stats.IteTermsIntroduced;
+      }
+    }
+
+    // Registers: one merged write per register either arm wrote.
+    for (const Reg &R : WriteOrder) {
+      auto TI = Then.RegCache.find(R);
+      auto EI = ElseRegCache.find(R);
+      const Term *TV = TI == Then.RegCache.end() ? nullptr : TI->second;
+      const Term *EV = EI == ElseRegCache.end() ? nullptr : EI->second;
+      unsigned W = (TV ? TV : EV)->width();
+      auto freshRead = [&]() {
+        // The arm never observed R, so its side of the ite is R's pre-fork
+        // value: sound to read here because the per-arm writes were
+        // dropped above and the merged write is not emitted yet.
+        const Term *V = X.pooledVar(Sort::bitvec(W), RS);
+        RS.Events.push_back(Event::declareConst(V));
+        RS.Events.push_back(Event::readReg(R, V));
+        return V;
+      };
+      if (!TV)
+        TV = freshRead();
+      if (!EV)
+        EV = freshRead();
+      const Term *V = TV;
+      if (TV != EV) {
+        V = X.TB.iteTerm(Named, TV, EV);
+        ++Stats.IteTermsIntroduced;
+      }
+      X.writeRegister(R, V, RS);
+    }
+    return true;
+  }
+
+  /// After every step: resolve any pending forks whose join depth the
+  /// control stack has reached (or unwound past).
+  void checkJoin() {
+    while (!Pending.empty() && !RS.failed()) {
+      Fork &F = Pending.back();
+      if (Control.size() > F.JoinDepth)
+        return; // still inside an arm
+      if (Control.size() == F.JoinDepth) {
+        if (!F.Then && segMergeable(F.At.EventsLen)) {
+          captureThenAndFlip(F);
+          return; // now exploring the else arm
+        }
+        if (F.Then && tryMerge(F)) {
+          ++Stats.PathsMerged;
+          Pending.pop_back();
+          continue;
+        }
+      }
+      // Fall back: a return unwound past the join (the arms never
+      // reconverge, and the unwind may have jumped outer joins too, hence
+      // the loop), the then arm is unmergeable (rejected before paying for
+      // the else capture), or the merge was rejected.  The current path
+      // keeps running; the fork becomes ordinary enumerated work.
+      ++Stats.MergeFallbacks;
+      pushWork(std::move(F));
+      Pending.pop_back();
+    }
+  }
+
+  void execStmtFrame(const Stmt &S) {
+    ++Stats.StmtsExecuted;
+    ++PathStmts;
+    if (RS.guardTripped())
+      return;
+    switch (S.Kind) {
+    case StmtKind::Block:
+      pushBlock(S.Body);
+      return;
+    case StmtKind::Let:
+    case StmtKind::Assign:
+      pushValue(FK::AssignLocal, S);
+      return;
+    case StmtKind::RegWrite:
+      pushValue(FK::WriteReg, S);
+      return;
+    case StmtKind::If:
+      pushValue(FK::IfCond, S);
+      return;
+    case StmtKind::ExprStmt:
+      pushValue(FK::Drop, S);
+      return;
+    case StmtKind::Return:
+      if (S.Value)
+        pushValue(FK::ReturnValue, S);
+      else
+        unwindReturn();
+      return;
+    case StmtKind::Throw:
+      RS.fail(S.Line, "reachable model exception: " + S.Message);
+      return;
+    case StmtKind::Assert:
+      pushValue(FK::AssertCond, S);
+      return;
+    }
+    RS.fail(S.Line, "internal: unhandled statement");
+  }
+
+  void evalExprFrame(const Expr &E) {
+    switch (E.Kind) {
+    case ExprKind::BitsLit:
+      Values.push_back(X.TB.constBV(E.BitsVal));
+      return;
+    case ExprKind::BoolLit:
+      Values.push_back(X.TB.constBool(E.BoolVal));
+      return;
+    case ExprKind::IntLit:
+      RS.fail(E.Line, "internal: unresolved decimal literal");
+      return;
+    case ExprKind::VarRef: {
+      const Term *V = RS.Locals[size_t(E.LocalIdx)];
+      if (!V) {
+        RS.fail(E.Line, "internal: read of uninitialized local",
+                support::ErrorCode::Internal);
+        return;
+      }
+      Values.push_back(V);
+      return;
+    }
+    case ExprKind::RegRead:
+      Values.push_back(
+          X.readRegister(Reg(E.Name, E.Field), E.Ty.Width, RS));
+      return;
+    case ExprKind::Call:
+      pushOperands(FK::CallArgsDone, E, callOperands(E));
+      return;
+    case ExprKind::Unary:
+      pushOperands(FK::ApplyUnary, E, 1);
+      return;
+    case ExprKind::Binary:
+      pushOperands(FK::ApplyBinary, E, 2);
+      return;
+    case ExprKind::IfExpr:
+      pushOperands(FK::IfExprCond, E, 1);
+      return;
+    case ExprKind::Slice:
+      pushOperands(FK::ApplySlice, E, 1);
+      return;
+    }
+    RS.fail(E.Line, "internal: unhandled expression");
+  }
+
+  void step() {
+    Frame Fr = std::move(Control.back());
+    Control.pop_back();
+    switch (Fr.K) {
+    case FK::Stmt:
+      execStmtFrame(*Fr.S);
+      return;
+    case FK::BlockStep: {
+      if (Fr.Idx >= Fr.Body->size())
+        return;
+      const Stmt *Child = (*Fr.Body)[Fr.Idx].get();
+      ++Fr.Idx;
+      Control.push_back(std::move(Fr));
+      push(FK::Stmt, Child);
+      return;
+    }
+    case FK::AssignLocal:
+      RS.Locals[size_t(Fr.S->LocalIdx)] = popValue();
+      return;
+    case FK::WriteReg:
+      X.writeRegister(Reg(Fr.S->Name, Fr.S->Field), popValue(), RS);
+      return;
+    case FK::IfCond:
+      decide(*Fr.S);
+      return;
+    case FK::Drop:
+      popValue();
+      return;
+    case FK::ReturnValue:
+      RS.Locals.back() = popValue();
+      unwindReturn();
+      return;
+    case FK::AssertCond:
+      X.dischargeAssert(*Fr.S, popValue(), RS);
+      return;
+    case FK::Expr:
+      evalExprFrame(*Fr.E);
+      return;
+    case FK::ApplyUnary:
+      finish(applyUnary(X.TB, Fr.E->UOp, popValue()));
+      return;
+    case FK::ApplyBinary: {
+      const Term *R = popValue();
+      const Term *L = popValue();
+      finish(applyBinary(X.TB, Fr.E->BOp, L, R));
+      return;
+    }
+    case FK::IfExprCond: {
+      const Term *CS = X.RW.simplify(popValue());
+      if (CS->kind() == smt::Kind::ConstBool) {
+        // Tail position in the recursive engine: the chosen arm's own
+        // dispatch decides naming, no extra finish() here.
+        pushExpr(*Fr.E->Args[CS->constBool() ? 1 : 2]);
+        return;
+      }
+      push(FK::IteJoin, nullptr, Fr.E);
+      Control.back().T = CS;
+      pushExpr(*Fr.E->Args[2]); // else, dispatched second
+      pushExpr(*Fr.E->Args[1]); // then, dispatched first
+      return;
+    }
+    case FK::IteJoin: {
+      const Term *El = popValue();
+      const Term *Th = popValue();
+      finish(X.TB.iteTerm(Fr.T, Th, El));
+      return;
+    }
+    case FK::ApplySlice:
+      finish(X.TB.extract(Fr.E->SliceHi, Fr.E->SliceLo, popValue()));
+      return;
+    case FK::CallArgsDone: {
+      size_t N = callOperands(*Fr.E);
+      std::vector<const Term *> Args(Values.end() - ptrdiff_t(N),
+                                     Values.end());
+      Values.resize(Values.size() - N);
+      // Builtins return raw (early-return in the recursive engine: no
+      // naming even in the unsimplified baseline).
+      if (Fr.E->BuiltinKind != Builtin::None)
+        Values.push_back(X.applyBuiltin(*Fr.E, Args, RS));
+      else
+        enterFunction(*Fr.E->Callee, std::move(Args));
+      return;
+    }
+    case FK::CallExit: {
+      const Term *Ret = RS.Locals.back();
+      RS.Locals = std::move(Fr.Saved);
+      --RS.Depth;
+      if (!Fr.Returned && !Fr.F->RetTy.isUnit()) {
+        RS.fail(Fr.F->Line,
+                "function " + Fr.F->Name + " fell off the end");
+        return;
+      }
+      // A candidate's summary is stored only if the call was dynamically
+      // effect-free on this path: no events (covers forks, register and
+      // memory traffic, and baseline-mode naming) and no solver queries
+      // (covers prunes and asserts, whose feasibility is path-dependent).
+      if (Fr.MemoCand && RS.Events.size() == Fr.EventsAtEntry &&
+          Stats.SolverQueries == Fr.QueriesAtEntry && Ret)
+        Memo.emplace(std::make_pair(Fr.F, std::move(Fr.MemoArgs)), Ret);
+      Values.push_back(Ret);
+      return;
+    }
+    }
+  }
+};
+
+//===----------------------------------------------------------------------===//
+// The driver: one path loop for all three engines, then the trace merge.
+//===----------------------------------------------------------------------===//
 static bool eventEquals(const Event &A, const Event &B) {
   return A.K == B.K && A.R == B.R && A.Val == B.Val && A.Addr == B.Addr &&
          A.NBytes == B.NBytes && A.Var == B.Var && A.Expr == B.Expr;
@@ -753,6 +1542,7 @@ installGuards(smt::Solver &Solver, const ExecOptions &Opts) {
 const Term *Executor::emitPreamble(const OpcodeSpec &Op, const Assumptions &A,
                                    RunState &RS,
                                    std::vector<const Term *> &OpVars) {
+  OpVars.clear();
   // Assumption preamble: concrete assumed values first (Fig. 3 lines 2-3),
   // then constrained registers as declare/read/assume triples.
   for (const auto &[R, V] : A.Concrete) {
@@ -801,1138 +1591,21 @@ const Term *Executor::emitPreamble(const OpcodeSpec &Op, const Assumptions &A,
   return Opcode;
 }
 
-ExecResult Executor::runReplay(const OpcodeSpec &Op, const Assumptions &A,
-                               const ExecOptions &Opts) {
-  ExecResult Res;
-  auto failRun = [&Res](support::ErrorCode C,
-                        const std::string &Msg) -> ExecResult & {
-    Res.Ok = false;
-    Res.Error = Msg;
-    Res.D = support::Diag::error(C, "executor", Msg);
-    return Res;
-  };
-
-  auto Deadline = installGuards(Solver, Opts);
-
-  std::vector<Decision> Decisions;
-  std::vector<const Term *> VarPool;
-  std::vector<std::vector<Event>> PathEvents;
-  ExecStats Stats;
-  uint64_t MemoHitsBefore = Solver.stats().NumMemoHits;
-  uint64_t StoreHitsBefore = Solver.stats().NumStoreHits;
-  uint64_t CapHitsBefore =
-      RW.fixpointCapHits() + Solver.stats().FixpointCapHits;
-
-  const sail::FunctionDecl *Decode = M.findFunction("decode");
-  if (!Decode || Decode->Params.size() != 1 ||
-      Decode->Params[0].Ty != sail::Type::bits(32)) {
-    return failRun(support::ErrorCode::ModelError,
-                   "model has no decode(bits(32)) entry point");
-  }
-
-  while (true) {
-    if (PathEvents.size() >= Opts.MaxPaths) {
-      return failRun(support::ErrorCode::PathBudgetExceeded,
-                     "path budget exceeded (model blow-up?)");
-    }
-    if (Opts.Cancel.cancelled())
-      return failRun(support::ErrorCode::Cancelled,
-                     "trace generation cancelled");
-    if (Deadline != std::chrono::steady_clock::time_point::max() &&
-        std::chrono::steady_clock::now() >= Deadline)
-      return failRun(support::ErrorCode::DeadlineExceeded,
-                     "trace generation deadline exceeded");
-    RunState RS;
-    RS.A = &A;
-    RS.Opts = &Opts;
-    RS.Decisions = &Decisions;
-    RS.VarPool = &VarPool;
-    RS.CancelFlag = Opts.Cancel.raw();
-    RS.Deadline = Deadline;
-
-    std::vector<const Term *> OpVars;
-    const Term *Opcode = emitPreamble(Op, A, RS, OpVars);
-    if (RS.failed())
-      return failRun(RS.Code, RS.Error);
-
-    callFunction(*Decode, {Opcode}, RS);
-    if (RS.failed())
-      return failRun(RS.Code == support::ErrorCode::Ok
-                         ? support::ErrorCode::ModelError
-                         : RS.Code,
-                     RS.Error);
-    Stats.PrunedBranches += RS.PrunedBranches;
-    Stats.SolverQueries += RS.SolverQueries;
-    Stats.StmtsExecuted += RS.Stmts;
-    if (PathEvents.empty())
-      Res.OpcodeVars = OpVars;
-    PathEvents.push_back(std::move(RS.Events));
-
-    // Backtrack to the most recent unflipped genuine fork.
-    while (!Decisions.empty() &&
-           (!Decisions.back().Both || Decisions.back().Flipped))
-      Decisions.pop_back();
-    if (Decisions.empty())
-      break;
-    Decisions.back().Taken = !Decisions.back().Taken;
-    Decisions.back().Flipped = true;
-  }
-
-  std::vector<size_t> All(PathEvents.size());
-  for (size_t K = 0; K < All.size(); ++K)
-    All[K] = K;
-  std::string MergeErr;
-  Res.Trace = mergePaths(PathEvents, std::move(All), 0, MergeErr);
-  if (!MergeErr.empty())
-    return failRun(support::ErrorCode::Internal, MergeErr);
-  Stats.Paths = unsigned(PathEvents.size());
-  Stats.Events = Res.Trace.countEvents();
-  Stats.SolverMemoHits =
-      unsigned(Solver.stats().NumMemoHits - MemoHitsBefore);
-  Stats.SolverStoreHits =
-      unsigned(Solver.stats().NumStoreHits - StoreHitsBefore);
-  Stats.FixpointCapHits = RW.fixpointCapHits() +
-                          Solver.stats().FixpointCapHits - CapHitsBefore;
-  Res.Stats = Stats;
-  Res.Ok = true;
-  return Res;
+/// Replay's backtrack: flips the most recent unflipped genuine fork of the
+/// decision prefix; false once every fork has been explored both ways.
+static bool flipLastFork(std::vector<Decision> &Decisions) {
+  while (!Decisions.empty() &&
+         (!Decisions.back().Both || Decisions.back().Flipped))
+    Decisions.pop_back();
+  if (Decisions.empty())
+    return false;
+  Decisions.back().Taken = !Decisions.back().Taken;
+  Decisions.back().Flipped = true;
+  return true;
 }
 
-//===----------------------------------------------------------------------===//
-// The snapshot-forking engine.
-//
-// The recursive interpreter above cannot resume a flipped branch without
-// re-running the model, so the snapshot engine is a defunctionalized
-// frame-stack machine: control is an explicit stack of copyable frames
-// (statements AND expressions — forks can occur inside expression-position
-// calls), values an explicit operand stack.  A both-feasible branch deep
-// inside nested calls is then checkpointable by value-copying the two
-// stacks plus the mutable RunState maps; restoring a checkpoint and
-// appending the flipped assertion continues the run as if the shared prefix
-// had been re-executed — except it wasn't, which is the whole point.
-//
-// Determinism invariants (what makes the output bit-identical to replay):
-//  * events and path conditions are append-only, so a checkpoint stores
-//    only their lengths and restore truncates;
-//  * pooled variable naming is position-stable: restoring VarCursor makes
-//    the flipped path draw exactly the variables the replay engine would
-//    re-draw while re-executing the prefix;
-//  * the branch condition is named (define-const, shared prefix) BEFORE the
-//    checkpoint and asserted AFTER it, mirroring decideBranch's order, so
-//    the merged tree diverges exactly at the Assert events (Fig. 6).
-//===----------------------------------------------------------------------===//
-
-struct Executor::Machine {
-  enum class FK : uint8_t {
-    Stmt,        ///< Dispatch one statement.
-    BlockStep,   ///< Run the next statement of a block body.
-    AssignLocal, ///< Store popped value into S->LocalIdx.
-    WriteReg,    ///< writeRegister(popped value).
-    IfCond,      ///< Decide a popped branch condition (the fork point).
-    Drop,        ///< Discard a popped value (ExprStmt).
-    ReturnValue, ///< Store popped value in the return slot, unwind.
-    AssertCond,  ///< Discharge a popped assert condition.
-    Expr,        ///< Dispatch one expression.
-    ApplyUnary,  ///< Combine 1 popped operand.
-    ApplyBinary, ///< Combine 2 popped operands.
-    IfExprCond,  ///< Branch-free ite: decide const vs. symbolic.
-    IteJoin,     ///< Combine popped then/else into an ite term.
-    ApplySlice,  ///< Extract from a popped operand.
-    ApplyExt,    ///< zero/sign-extend or truncate a popped operand.
-    ApplyRev,    ///< reverse_bits of a popped operand.
-    ReadMemFin,  ///< Emit read-mem events for a popped address.
-    WriteMemFin, ///< Emit a write-mem event for popped address + data.
-    CallArgsDone, ///< All arguments evaluated: enter the callee.
-    CallExit,    ///< Restore caller locals, push the return value.
-  };
-
-  /// One continuation frame.  Everything is an immutable AST pointer, an
-  /// index, or a hash-consed term, so frames (and thus snapshots) are plain
-  /// value copies.
-  struct Frame {
-    FK K;
-    const Stmt *S = nullptr;
-    const Expr *E = nullptr;
-    const std::vector<sail::StmtPtr> *Body = nullptr;
-    size_t Idx = 0;
-    const Term *T = nullptr; ///< IteJoin: the simplified condition.
-    // CallExit bookkeeping.
-    const sail::FunctionDecl *F = nullptr;
-    std::vector<const Term *> Saved; ///< Caller's locals.
-    bool Returned = false;
-    // Pure-helper memo bookkeeping (CallExit frames of candidates only).
-    bool MemoCand = false;
-    size_t EventsAtEntry = 0;
-    unsigned QueriesAtEntry = 0;
-    std::vector<const Term *> MemoArgs;
-  };
-
-  /// A checkpoint at a both-feasible branch: everything a flipped path
-  /// needs to continue as if it had re-executed the shared prefix.
-  struct Snapshot {
-    std::vector<Frame> Control;
-    std::vector<const Term *> Values;
-    std::vector<const Term *> Locals;
-    std::unordered_map<Reg, const Term *, RegHash> RegCache;
-    std::unordered_map<Reg, bool, RegHash> ReadEmitted;
-    std::unordered_map<Reg, bool, RegHash> Written;
-    size_t EventsLen = 0;
-    size_t PathCondLen = 0;
-    size_t VarCursor = 0;
-    unsigned Depth = 0;
-    uint64_t PathStmts = 0; ///< Logical path length at the fork point.
-    const Stmt *IfStmt = nullptr;
-    const Term *Cond = nullptr;  ///< Simplified condition (path-cond form).
-    const Term *Named = nullptr; ///< Named condition (event form).
-  };
-
-  Executor &X;
-  RunState RS;
-  ExecStats *Stats = nullptr;
-  std::vector<Frame> Control;
-  std::vector<const Term *> Values;
-  std::vector<Snapshot> Snaps; ///< DFS worklist of unexplored flips.
-  /// Per-run summaries of statically-pure helpers, keyed on the hash-consed
-  /// argument terms.  Exact-pointer lookups only, so the (nondeterministic)
-  /// map ordering never leaks into the trace.
-  std::map<std::pair<const sail::FunctionDecl *, std::vector<const Term *>>,
-           const Term *>
-      Memo;
-  uint64_t PathStmts = 0; ///< Logical statements of the current path.
-
-  explicit Machine(Executor &X) : X(X) {}
-
-  void push(FK K, const Stmt *S = nullptr, const Expr *E = nullptr) {
-    Frame Fr;
-    Fr.K = K;
-    Fr.S = S;
-    Fr.E = E;
-    Control.push_back(std::move(Fr));
-  }
-  void pushExpr(const Expr &E) { push(FK::Expr, nullptr, &E); }
-  void pushBlock(const std::vector<sail::StmtPtr> &Body) {
-    Frame Fr;
-    Fr.K = FK::BlockStep;
-    Fr.Body = &Body;
-    Control.push_back(std::move(Fr));
-  }
-  const Term *popValue() {
-    const Term *V = Values.back();
-    Values.pop_back();
-    return V;
-  }
-  /// Tail of the recursive evalExpr for compound results: name every
-  /// intermediate in the unsimplified baseline.
-  void finish(const Term *V) {
-    if (!RS.Opts->SinksOnly)
-      V = X.nameValue(V, RS);
-    Values.push_back(V);
-  }
-
-  /// Return-statement unwinding: pop frames down to (and keeping) the
-  /// innermost CallExit, which then sees Returned = true.
-  void unwindReturn() {
-    for (size_t I = Control.size(); I-- > 0;) {
-      if (Control[I].K == FK::CallExit) {
-        Control[I].Returned = true;
-        Control.resize(I + 1);
-        return;
-      }
-    }
-    Control.clear();
-  }
-
-  void enterFunction(const sail::FunctionDecl &F,
-                     std::vector<const Term *> Args) {
-    if (++RS.Depth > 128) {
-      RS.fail(F.Line, "call depth limit exceeded in " + F.Name);
-      --RS.Depth;
-      return;
-    }
-    bool Cand = F.IsPure;
-    if (Cand) {
-      auto It = Memo.find({&F, Args});
-      if (It != Memo.end()) {
-        ++Stats->HelperMemoHits;
-        --RS.Depth;
-        Values.push_back(It->second);
-        return;
-      }
-    }
-    Frame CE;
-    CE.K = FK::CallExit;
-    CE.F = &F;
-    CE.Saved = std::move(RS.Locals);
-    CE.MemoCand = Cand;
-    CE.EventsAtEntry = RS.Events.size();
-    CE.QueriesAtEntry = RS.SolverQueries;
-    if (Cand)
-      CE.MemoArgs = Args;
-    RS.Locals.assign(F.NumLocals + 1, nullptr); // +1: return slot at back()
-    for (size_t I = 0; I < Args.size(); ++I)
-      RS.Locals[I] = Args[I];
-    RS.Locals.back() = X.TB.constBV(1, 0); // unit default
-    Control.push_back(std::move(CE));
-    push(FK::Stmt, F.Body.get());
-  }
-
-  void takeSnapshot(const Stmt &S, const Term *Cond, const Term *Named) {
-    Snapshot Sn;
-    Sn.Control = Control;
-    Sn.Values = Values;
-    Sn.Locals = RS.Locals;
-    Sn.RegCache = RS.RegCache;
-    Sn.ReadEmitted = RS.ReadEmitted;
-    Sn.Written = RS.Written;
-    Sn.EventsLen = RS.Events.size();
-    Sn.PathCondLen = RS.PathCond.size();
-    Sn.VarCursor = RS.VarCursor;
-    Sn.Depth = RS.Depth;
-    Sn.PathStmts = PathStmts;
-    Sn.IfStmt = &S;
-    Sn.Cond = Cond;
-    Sn.Named = Named;
-    Snaps.push_back(std::move(Sn));
-  }
-
-  /// Restores the most recent checkpoint and enters the flipped (else)
-  /// side: the shared prefix is NOT re-executed, which is the engine's
-  /// entire reason to exist.
-  void resume() {
-    Snapshot Sn = std::move(Snaps.back());
-    Snaps.pop_back();
-    Stats->StmtsSkippedBySnapshot += Sn.PathStmts;
-    RS.Events.resize(Sn.EventsLen);
-    RS.PathCond.resize(Sn.PathCondLen);
-    RS.RegCache = std::move(Sn.RegCache);
-    RS.ReadEmitted = std::move(Sn.ReadEmitted);
-    RS.Written = std::move(Sn.Written);
-    RS.Locals = std::move(Sn.Locals);
-    RS.VarCursor = Sn.VarCursor;
-    RS.Depth = Sn.Depth;
-    Control = std::move(Sn.Control);
-    Values = std::move(Sn.Values);
-    PathStmts = Sn.PathStmts;
-    // Mirror decideBranch's replay of a flipped Both decision: assert the
-    // negated named condition and take the else side.
-    RS.Events.push_back(Event::assertE(X.TB.notTerm(Sn.Named)));
-    RS.PathCond.push_back(X.TB.notTerm(Sn.Cond));
-    pushBlock(Sn.IfStmt->Else);
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Path merging at post-dominator joins (ExecEngine::Merge).
-  //
-  // The fork's post-dominator needs no CFG analysis: mini-Sail is
-  // structured, so both arms of an if rejoin exactly when the control stack
-  // shrinks back to its depth at decide() time.  runMerge records every
-  // both-feasible fork on the Pending stack (nested forks have strictly
-  // increasing join depths) and checks the stack depth after every step.
-  // At the then-join the engine captures the arm's effects and flips to the
-  // else arm WITHOUT restoring the variable cursor — both arms' values must
-  // coexist in one linear trace — and at the else-join the two run states
-  // collapse into one: divergent registers and locals become
-  // ite(cond, then, else), the two fork asserts and per-arm write-reg
-  // events are dropped, and the path condition reverts to the shared
-  // prefix's.  The merged trace is semantically equivalent to the
-  // enumerated pair but not bit-identical, which is why Merge is salted
-  // into the trace-cache key and validated through the equivalence checker.
-  //
-  // Any arm with effects an ite cannot express — memory traffic, a nested
-  // fork that itself fell back (its Assert poisons the segment), control
-  // stacks that do not re-converge (a return unwinding past the join), or
-  // an ite value past MergeTermBudget — demotes the fork to plain
-  // enumeration: the unexplored side is queued on the Work list and the
-  // current path simply continues.  Work is kept sorted by snapshot event
-  // length (deepest resumed first) so the append-only-prefix invariant of
-  // the snapshot discipline survives out-of-order fallbacks.
-  //===--------------------------------------------------------------------===//
-
-  /// A both-feasible fork awaiting its join.  Until the then-join only
-  /// Snap/JoinDepth are set; captureThenAndFlip fills the Then* fields and
-  /// re-runs the else arm from the snapshot.
-  struct PendingMerge {
-    Snapshot Snap;
-    size_t JoinDepth = 0;
-    bool InElse = false;
-    std::vector<Event> ThenSeg; ///< Events from the fork to the then-join.
-    std::vector<Frame> ThenControl;
-    std::vector<const Term *> ThenValues;
-    std::vector<const Term *> ThenLocals;
-    std::unordered_map<Reg, const Term *, RegHash> ThenRegCache;
-    std::unordered_map<Reg, bool, RegHash> ThenReadEmitted;
-    std::unordered_map<Reg, bool, RegHash> ThenWritten;
-    size_t ThenVarCursor = 0;
-    unsigned ThenDepth = 0;
-    uint64_t ThenPathStmts = 0;
-  };
-
-  /// A queued resumption after a fallback.  !Continuation: the fork's else
-  /// side, resumed exactly like the plain snapshot engine.  Continuation:
-  /// the then-join state of a fork whose merge failed at the else-join —
-  /// the then path, already executed up to its join, resumes from there.
-  struct ResumePoint {
-    bool Continuation = false;
-    PendingMerge PM;
-  };
-
-  std::vector<PendingMerge> Pending; ///< Open forks, innermost last.
-  std::vector<ResumePoint> Work;     ///< Sorted ascending by Snap.EventsLen.
-
-  /// Sorted insert keyed on the fork snapshot's event length: the worklist
-  /// pops from the back, and a resumption must never outlive a shallower
-  /// one whose restore would truncate its shared prefix.
-  void pushWork(ResumePoint RP) {
-    size_t Key = RP.PM.Snap.EventsLen;
-    size_t I = Work.size();
-    while (I > 0 && Work[I - 1].PM.Snap.EventsLen > Key)
-      --I;
-    Work.insert(Work.begin() + ptrdiff_t(I), std::move(RP));
-  }
-
-  void resumeWork() {
-    ResumePoint RP = std::move(Work.back());
-    Work.pop_back();
-    PendingMerge &PM = RP.PM;
-    Snapshot &Sn = PM.Snap;
-    if (!RP.Continuation) {
-      // Plain flipped-else resume (the Machine::resume body, minus the
-      // Snaps-stack pop).
-      Stats->StmtsSkippedBySnapshot += Sn.PathStmts;
-      RS.Events.resize(Sn.EventsLen);
-      RS.PathCond.resize(Sn.PathCondLen);
-      RS.RegCache = std::move(Sn.RegCache);
-      RS.ReadEmitted = std::move(Sn.ReadEmitted);
-      RS.Written = std::move(Sn.Written);
-      RS.Locals = std::move(Sn.Locals);
-      RS.VarCursor = Sn.VarCursor;
-      RS.Depth = Sn.Depth;
-      Control = std::move(Sn.Control);
-      Values = std::move(Sn.Values);
-      PathStmts = Sn.PathStmts;
-      RS.Events.push_back(Event::assertE(X.TB.notTerm(Sn.Named)));
-      RS.PathCond.push_back(X.TB.notTerm(Sn.Cond));
-      pushBlock(Sn.IfStmt->Else);
-      return;
-    }
-    // Mid-path continuation: the then arm ran to its join before the merge
-    // was abandoned, so restart it exactly there (its fork assert is the
-    // head of ThenSeg).
-    Stats->StmtsSkippedBySnapshot += PM.ThenPathStmts;
-    RS.Events.resize(Sn.EventsLen);
-    RS.Events.insert(RS.Events.end(), PM.ThenSeg.begin(), PM.ThenSeg.end());
-    RS.PathCond.resize(Sn.PathCondLen);
-    RS.PathCond.push_back(Sn.Cond);
-    RS.RegCache = std::move(PM.ThenRegCache);
-    RS.ReadEmitted = std::move(PM.ThenReadEmitted);
-    RS.Written = std::move(PM.ThenWritten);
-    RS.Locals = std::move(PM.ThenLocals);
-    RS.VarCursor = PM.ThenVarCursor;
-    RS.Depth = PM.ThenDepth;
-    Control = std::move(PM.ThenControl);
-    Values = std::move(PM.ThenValues);
-    PathStmts = PM.ThenPathStmts;
-  }
-
-  /// True iff events [From..end) are the fork's own assert followed only by
-  /// register-level effects.  Memory traffic cannot be collapsed into an
-  /// ite, and a second Assert is a nested fork that fell back to
-  /// enumeration — merging across it would lose its path split, so the
-  /// poisoning cascades outward by construction.
-  bool segMergeable(size_t From) const {
-    if (From >= RS.Events.size() || RS.Events[From].K != EventKind::Assert)
-      return false;
-    for (size_t I = From + 1; I < RS.Events.size(); ++I) {
-      switch (RS.Events[I].K) {
-      case EventKind::DeclareConst:
-      case EventKind::DefineConst:
-      case EventKind::ReadReg:
-      case EventKind::WriteReg:
-        continue;
-      default:
-        return false;
-      }
-    }
-    return true;
-  }
-
-  static bool frameEq(const Frame &A, const Frame &B) {
-    return A.K == B.K && A.S == B.S && A.E == B.E && A.Body == B.Body &&
-           A.Idx == B.Idx && A.T == B.T && A.F == B.F &&
-           A.Saved == B.Saved && A.Returned == B.Returned &&
-           A.MemoCand == B.MemoCand &&
-           A.EventsAtEntry == B.EventsAtEntry &&
-           A.QueriesAtEntry == B.QueriesAtEntry &&
-           A.MemoArgs == B.MemoArgs;
-  }
-
-  /// Distinct-node count of a term DAG, stopping early past \p Cap.
-  static size_t dagSizeCapped(const Term *T,
-                              std::unordered_set<const Term *> &Seen,
-                              size_t Cap) {
-    if (Seen.size() > Cap || !Seen.insert(T).second)
-      return Seen.size();
-    for (const Term *Op : T->operands()) {
-      dagSizeCapped(Op, Seen, Cap);
-      if (Seen.size() > Cap)
-        break;
-    }
-    return Seen.size();
-  }
-
-  /// At the then-join of a mergeable then arm: record the arm's final state
-  /// and re-run the else arm from the fork snapshot.  The variable cursor is
-  /// deliberately NOT restored — the else arm draws fresh pooled variables
-  /// so both arms' definitions coexist in the one merged event sequence.
-  void captureThenAndFlip(PendingMerge &PM) {
-    Snapshot &Sn = PM.Snap;
-    PM.ThenSeg.assign(RS.Events.begin() + ptrdiff_t(Sn.EventsLen),
-                      RS.Events.end());
-    PM.ThenControl = Control;
-    PM.ThenValues = Values;
-    PM.ThenLocals = RS.Locals;
-    PM.ThenRegCache = RS.RegCache;
-    PM.ThenReadEmitted = RS.ReadEmitted;
-    PM.ThenWritten = RS.Written;
-    PM.ThenVarCursor = RS.VarCursor;
-    PM.ThenDepth = RS.Depth;
-    PM.ThenPathStmts = PathStmts;
-    PM.InElse = true;
-    // Copies, not moves: the snapshot must survive for a possible Mode-B
-    // fallback (tryMerge failure) at the else-join.
-    Stats->StmtsSkippedBySnapshot += Sn.PathStmts;
-    RS.Events.resize(Sn.EventsLen);
-    RS.PathCond.resize(Sn.PathCondLen);
-    RS.RegCache = Sn.RegCache;
-    RS.ReadEmitted = Sn.ReadEmitted;
-    RS.Written = Sn.Written;
-    RS.Locals = Sn.Locals;
-    RS.Depth = Sn.Depth;
-    Control = Sn.Control;
-    Values = Sn.Values;
-    PathStmts = Sn.PathStmts;
-    RS.Events.push_back(Event::assertE(X.TB.notTerm(Sn.Named)));
-    RS.PathCond.push_back(X.TB.notTerm(Sn.Cond));
-    pushBlock(Sn.IfStmt->Else);
-  }
-
-  /// At the else-join: collapse the two arms into the current run state if
-  /// every divergence is expressible as an ite within budget.  Performs no
-  /// mutation until every check has passed.
-  bool tryMerge(PendingMerge &PM) {
-    Snapshot &Sn = PM.Snap;
-    size_t From = Sn.EventsLen;
-    if (!segMergeable(From))
-      return false;
-    // The arms must reconverge on identical control state: same frames
-    // (the only in-place mutation visible exactly at the join is a
-    // CallExit's Returned flag, when one arm returned and the other fell
-    // through — not mergeable), same operand stack, same call depth.
-    if (RS.Depth != PM.ThenDepth ||
-        Control.size() != PM.ThenControl.size() ||
-        Values.size() != PM.ThenValues.size() ||
-        RS.Locals.size() != PM.ThenLocals.size())
-      return false;
-    for (size_t I = 0; I < Control.size(); ++I)
-      if (!frameEq(Control[I], PM.ThenControl[I]))
-        return false;
-    for (size_t I = 0; I < Values.size(); ++I)
-      if (Values[I] != PM.ThenValues[I])
-        return false;
-    // A local initialized in one arm only has no value to ite against.
-    for (size_t I = 0; I < RS.Locals.size(); ++I)
-      if ((PM.ThenLocals[I] == nullptr) != (RS.Locals[I] == nullptr))
-        return false;
-
-    // Registers written by either arm, then-arm order first.  The side
-    // that wrote always has a cache entry; the other side falls back to
-    // the fork-time value (inherited cache entry) or a fresh read.
-    std::vector<Reg> WriteOrder;
-    auto addWrites = [&](const std::vector<Event> &Evs, size_t Lo) {
-      for (size_t I = Lo; I < Evs.size(); ++I) {
-        if (Evs[I].K != EventKind::WriteReg)
-          continue;
-        bool SeenReg = false;
-        for (const Reg &R : WriteOrder)
-          if (R == Evs[I].R) {
-            SeenReg = true;
-            break;
-          }
-        if (!SeenReg)
-          WriteOrder.push_back(Evs[I].R);
-      }
-    };
-    addWrites(PM.ThenSeg, 0);
-    addWrites(RS.Events, From);
-
-    // Arms that disagree on the program counter stay enumerated: an ite
-    // jump target is opaque to consumers that walk the trace as a CFG
-    // (the proof engine resolves each instruction's successor address), so
-    // control-flow forks demote while data forks keep merging.
-    if (!RS.Opts->MergePcName.empty()) {
-      for (const Reg &R : WriteOrder) {
-        if (R.Base != RS.Opts->MergePcName)
-          continue;
-        auto TI = PM.ThenRegCache.find(R);
-        auto EI = RS.RegCache.find(R);
-        if (TI == PM.ThenRegCache.end() || EI == RS.RegCache.end() ||
-            TI->second != EI->second)
-          return false;
-      }
-    }
-
-    // Budget: every candidate ite's operand DAG must stay under
-    // MergeTermBudget, or pathological branch nests would compound ites
-    // into an exponential term graph.
-    const Term *Named = Sn.Named;
-    size_t Cap = RS.Opts->MergeTermBudget;
-    auto overBudget = [&](const Term *A, const Term *B) {
-      if (A == B)
-        return false;
-      std::unordered_set<const Term *> DagSeen;
-      dagSizeCapped(Named, DagSeen, Cap);
-      if (A)
-        dagSizeCapped(A, DagSeen, Cap);
-      if (B)
-        dagSizeCapped(B, DagSeen, Cap);
-      return DagSeen.size() > Cap;
-    };
-    for (const Reg &R : WriteOrder) {
-      auto TI = PM.ThenRegCache.find(R);
-      auto EI = RS.RegCache.find(R);
-      if (overBudget(TI == PM.ThenRegCache.end() ? nullptr : TI->second,
-                     EI == RS.RegCache.end() ? nullptr : EI->second))
-        return false;
-    }
-    for (size_t I = 0; I < RS.Locals.size(); ++I)
-      if (overBudget(PM.ThenLocals[I], RS.Locals[I]))
-        return false;
-
-    // ---- Commit.  Capture the else side before rebuilding. ----
-    std::vector<Event> ElseSeg(RS.Events.begin() + ptrdiff_t(From),
-                               RS.Events.end());
-    auto ElseRegCache = std::move(RS.RegCache);
-
-    // Events: shared prefix, then both arms' effects with the fork asserts
-    // and write-reg markers dropped.  Reads inside a segment always bind
-    // pre-fork values (a write populates the register cache, suppressing
-    // later read events), so hoisting the writes past them into the merged
-    // section preserves every binding.
-    RS.Events.resize(Sn.EventsLen);
-    auto appendKept = [&](const std::vector<Event> &Evs) {
-      for (size_t I = 1; I < Evs.size(); ++I) // [0] is the fork assert
-        if (Evs[I].K != EventKind::WriteReg)
-          RS.Events.push_back(Evs[I]);
-    };
-    appendKept(PM.ThenSeg);
-    appendKept(ElseSeg);
-
-    // Maps: fork-time state plus the segments' first-occurrence reads (when
-    // both arms read the same unseen register, the then-arm variable wins;
-    // the else-arm twin stays declared and the ITL read-event semantics
-    // equates the two).
-    RS.RegCache = std::move(Sn.RegCache);
-    RS.ReadEmitted = std::move(Sn.ReadEmitted);
-    RS.Written = std::move(Sn.Written);
-    for (size_t I = Sn.EventsLen; I < RS.Events.size(); ++I) {
-      const Event &E = RS.Events[I];
-      if (E.K == EventKind::ReadReg && !RS.RegCache.count(E.R)) {
-        RS.RegCache[E.R] = E.Val;
-        RS.ReadEmitted[E.R] = true;
-      }
-    }
-    RS.PathCond.resize(Sn.PathCondLen);
-
-    // Locals: divergent slots collapse to ite(cond, then, else).
-    for (size_t I = 0; I < RS.Locals.size(); ++I) {
-      const Term *TV = PM.ThenLocals[I];
-      if (TV != RS.Locals[I]) {
-        RS.Locals[I] = X.TB.iteTerm(Named, TV, RS.Locals[I]);
-        ++Stats->IteTermsIntroduced;
-      }
-    }
-
-    // Registers: one merged write per register either arm wrote.
-    for (const Reg &R : WriteOrder) {
-      auto TI = PM.ThenRegCache.find(R);
-      auto EI = ElseRegCache.find(R);
-      const Term *TV = TI == PM.ThenRegCache.end() ? nullptr : TI->second;
-      const Term *EV = EI == ElseRegCache.end() ? nullptr : EI->second;
-      unsigned W = (TV ? TV : EV)->width();
-      auto freshRead = [&]() {
-        // The arm never observed R, so its side of the ite is R's pre-fork
-        // value: sound to read here because the per-arm writes were
-        // dropped above and the merged write is not emitted yet.
-        const Term *V = X.pooledVar(Sort::bitvec(W), RS);
-        RS.Events.push_back(Event::declareConst(V));
-        RS.Events.push_back(Event::readReg(R, V));
-        return V;
-      };
-      if (!TV)
-        TV = freshRead();
-      if (!EV)
-        EV = freshRead();
-      const Term *V = TV;
-      if (TV != EV) {
-        V = X.TB.iteTerm(Named, TV, EV);
-        ++Stats->IteTermsIntroduced;
-      }
-      X.writeRegister(R, V, RS);
-    }
-    return true;
-  }
-
-  /// After every step of runMerge: resolve any pending forks whose join
-  /// depth the control stack has reached (or unwound past).
-  void checkJoin() {
-    while (!Pending.empty() && !RS.failed()) {
-      PendingMerge &PM = Pending.back();
-      if (Control.size() > PM.JoinDepth)
-        return; // still inside an arm
-      auto fallBack = [&] {
-        ++Stats->MergeFallbacks;
-        ResumePoint RP;
-        RP.Continuation = PM.InElse;
-        RP.PM = std::move(Pending.back());
-        pushWork(std::move(RP));
-        Pending.pop_back();
-      };
-      if (Control.size() < PM.JoinDepth) {
-        // A return unwound past the join: the arms never reconverge.  The
-        // current path keeps running; the unexplored side (or the parked
-        // then continuation) becomes ordinary enumerated work.  The unwind
-        // may have jumped outer joins too, hence the loop.
-        fallBack();
-        continue;
-      }
-      if (!PM.InElse) {
-        if (!segMergeable(PM.Snap.EventsLen)) {
-          fallBack(); // cheap reject before paying for the else capture
-          continue;
-        }
-        captureThenAndFlip(PM);
-        return; // now exploring the else arm
-      }
-      if (tryMerge(PM)) {
-        ++Stats->PathsMerged;
-        Pending.pop_back();
-        continue;
-      }
-      fallBack();
-    }
-  }
-
-  void execStmtFrame(const Stmt &S) {
-    ++RS.Stmts;
-    ++PathStmts;
-    if (RS.guardTripped())
-      return;
-    switch (S.Kind) {
-    case StmtKind::Block:
-      pushBlock(S.Body);
-      return;
-    case StmtKind::Let:
-    case StmtKind::Assign:
-      push(FK::AssignLocal, &S);
-      pushExpr(*S.Value);
-      return;
-    case StmtKind::RegWrite:
-      push(FK::WriteReg, &S);
-      pushExpr(*S.Value);
-      return;
-    case StmtKind::If:
-      push(FK::IfCond, &S);
-      pushExpr(*S.Value);
-      return;
-    case StmtKind::ExprStmt:
-      push(FK::Drop, &S);
-      pushExpr(*S.Value);
-      return;
-    case StmtKind::Return:
-      if (S.Value) {
-        push(FK::ReturnValue, &S);
-        pushExpr(*S.Value);
-      } else {
-        unwindReturn();
-      }
-      return;
-    case StmtKind::Throw:
-      RS.fail(S.Line, "reachable model exception: " + S.Message);
-      return;
-    case StmtKind::Assert:
-      push(FK::AssertCond, &S);
-      pushExpr(*S.Value);
-      return;
-    }
-    RS.fail(S.Line, "internal: unhandled statement");
-  }
-
-  void evalExprFrame(const Expr &E) {
-    switch (E.Kind) {
-    case ExprKind::BitsLit:
-      Values.push_back(X.TB.constBV(E.BitsVal));
-      return;
-    case ExprKind::BoolLit:
-      Values.push_back(X.TB.constBool(E.BoolVal));
-      return;
-    case ExprKind::IntLit:
-      RS.fail(E.Line, "internal: unresolved decimal literal");
-      return;
-    case ExprKind::VarRef: {
-      const Term *V = RS.Locals[size_t(E.LocalIdx)];
-      if (!V) {
-        RS.fail(E.Line, "internal: read of uninitialized local",
-                support::ErrorCode::Internal);
-        return;
-      }
-      Values.push_back(V);
-      return;
-    }
-    case ExprKind::RegRead:
-      Values.push_back(
-          X.readRegister(Reg(E.Name, E.Field), E.Ty.Width, RS));
-      return;
-    case ExprKind::Call:
-      evalCallFrame(E);
-      return;
-    case ExprKind::Unary:
-      push(FK::ApplyUnary, nullptr, &E);
-      pushExpr(*E.Args[0]);
-      return;
-    case ExprKind::Binary:
-      push(FK::ApplyBinary, nullptr, &E);
-      pushExpr(*E.Args[1]); // dispatched second (operand order preserved)
-      pushExpr(*E.Args[0]); // dispatched first
-      return;
-    case ExprKind::IfExpr:
-      push(FK::IfExprCond, nullptr, &E);
-      pushExpr(*E.Args[0]);
-      return;
-    case ExprKind::Slice:
-      push(FK::ApplySlice, nullptr, &E);
-      pushExpr(*E.Args[0]);
-      return;
-    }
-    RS.fail(E.Line, "internal: unhandled expression");
-  }
-
-  void evalCallFrame(const Expr &E) {
-    switch (E.BuiltinKind) {
-    case Builtin::ZeroExtend:
-    case Builtin::SignExtend:
-    case Builtin::Truncate:
-      push(FK::ApplyExt, nullptr, &E);
-      pushExpr(*E.Args[0]);
-      return;
-    case Builtin::ReverseBits:
-      push(FK::ApplyRev, nullptr, &E);
-      pushExpr(*E.Args[0]);
-      return;
-    case Builtin::ReadMem:
-      push(FK::ReadMemFin, nullptr, &E);
-      pushExpr(*E.Args[0]);
-      return;
-    case Builtin::WriteMem:
-      push(FK::WriteMemFin, nullptr, &E);
-      pushExpr(*E.Args[1]); // data, dispatched second
-      pushExpr(*E.Args[0]); // address, dispatched first
-      return;
-    case Builtin::None:
-      break;
-    }
-    push(FK::CallArgsDone, nullptr, &E);
-    for (size_t I = E.Args.size(); I-- > 0;)
-      pushExpr(*E.Args[I]); // reversed push = in-order dispatch
-  }
-
-  /// Decides a symbolic branch condition: the solver prunes one-sided
-  /// branches exactly as decideBranch does; a both-feasible branch takes a
-  /// checkpoint instead of recording a Decision.
-  void decide(const Frame &Fr) {
-    const Stmt &S = *Fr.S;
-    const Term *C = popValue();
-    const Term *CS = X.RW.simplify(C);
-    if (CS->kind() == smt::Kind::ConstBool) {
-      pushBlock(CS->constBool() ? S.Body : S.Else);
-      return;
-    }
-    std::vector<const Term *> Base = RS.PathCond;
-    Base.push_back(CS);
-    RS.SolverQueries += 2;
-    smt::Result TrueRes = X.Solver.check(Base);
-    Base.back() = X.TB.notTerm(CS);
-    smt::Result FalseRes = X.Solver.check(Base);
-    if (TrueRes == smt::Result::Unknown ||
-        FalseRes == smt::Result::Unknown) {
-      RS.failGuard(RS.CancelFlag &&
-                           RS.CancelFlag->load(std::memory_order_relaxed)
-                       ? support::ErrorCode::Cancelled
-                       : support::ErrorCode::SolverBudgetExceeded,
-                   "solver gave up deciding a branch condition");
-      return;
-    }
-    bool TrueSat = TrueRes == smt::Result::Sat;
-    bool FalseSat = FalseRes == smt::Result::Sat;
-    if (!TrueSat && !FalseSat) {
-      RS.failGuard(support::ErrorCode::Internal,
-                   "internal: path condition became unsatisfiable");
-      return;
-    }
-    if (TrueSat != FalseSat) {
-      ++RS.PrunedBranches;
-      pushBlock(TrueSat ? S.Body : S.Else);
-      return;
-    }
-    // Both feasible: name the condition (shared prefix), checkpoint, then
-    // assert the chosen side (head of the divergent suffix, Fig. 6).
-    const Term *Named = X.nameValue(CS, RS);
-    takeSnapshot(S, CS, Named);
-    RS.Events.push_back(Event::assertE(Named));
-    RS.PathCond.push_back(CS);
-    pushBlock(S.Body);
-  }
-
-  void step() {
-    Frame Fr = std::move(Control.back());
-    Control.pop_back();
-    switch (Fr.K) {
-    case FK::Stmt:
-      execStmtFrame(*Fr.S);
-      return;
-    case FK::BlockStep: {
-      if (Fr.Idx >= Fr.Body->size())
-        return;
-      const Stmt *Child = (*Fr.Body)[Fr.Idx].get();
-      ++Fr.Idx;
-      Control.push_back(std::move(Fr));
-      push(FK::Stmt, Child);
-      return;
-    }
-    case FK::AssignLocal:
-      RS.Locals[size_t(Fr.S->LocalIdx)] = popValue();
-      return;
-    case FK::WriteReg:
-      X.writeRegister(Reg(Fr.S->Name, Fr.S->Field), popValue(), RS);
-      return;
-    case FK::IfCond:
-      decide(Fr);
-      return;
-    case FK::Drop:
-      popValue();
-      return;
-    case FK::ReturnValue:
-      RS.Locals.back() = popValue();
-      unwindReturn();
-      return;
-    case FK::AssertCond: {
-      const Stmt &S = *Fr.S;
-      const Term *CS = X.RW.simplify(popValue());
-      if (CS->kind() == smt::Kind::ConstBool) {
-        if (!CS->constBool())
-          RS.fail(S.Line, "model assertion failed: " + S.Message);
-        return;
-      }
-      std::vector<const Term *> Query = RS.PathCond;
-      Query.push_back(X.TB.notTerm(CS));
-      ++RS.SolverQueries;
-      smt::Result QR = X.Solver.check(Query);
-      if (QR == smt::Result::Unknown)
-        RS.failGuard(support::ErrorCode::SolverBudgetExceeded,
-                     "solver gave up on model assertion: " + S.Message);
-      else if (QR == smt::Result::Sat)
-        RS.fail(S.Line, "model assertion not provable: " + S.Message);
-      return;
-    }
-    case FK::Expr:
-      evalExprFrame(*Fr.E);
-      return;
-    case FK::ApplyUnary: {
-      const Term *V = popValue();
-      switch (Fr.E->UOp) {
-      case UnOp::BoolNot:
-        finish(X.TB.notTerm(V));
-        return;
-      case UnOp::BvNot:
-        finish(X.TB.bvNot(V));
-        return;
-      case UnOp::BvNeg:
-        finish(X.TB.bvNeg(V));
-        return;
-      }
-      return;
-    }
-    case FK::ApplyBinary: {
-      const Term *R = popValue();
-      const Term *L = popValue();
-      smt::TermBuilder &TB = X.TB;
-      switch (Fr.E->BOp) {
-      case BinOp::BoolAnd:
-        finish(TB.andTerm(L, R));
-        return;
-      case BinOp::BoolOr:
-        finish(TB.orTerm(L, R));
-        return;
-      case BinOp::Eq:
-        finish(TB.eqTerm(L, R));
-        return;
-      case BinOp::Ne:
-        finish(TB.notTerm(TB.eqTerm(L, R)));
-        return;
-      case BinOp::Add:
-        finish(TB.bvAdd(L, R));
-        return;
-      case BinOp::Sub:
-        finish(TB.bvSub(L, R));
-        return;
-      case BinOp::Mul:
-        finish(TB.bvMul(L, R));
-        return;
-      case BinOp::UDiv:
-        finish(TB.bvUDiv(L, R));
-        return;
-      case BinOp::URem:
-        finish(TB.bvURem(L, R));
-        return;
-      case BinOp::BvAnd:
-        finish(TB.bvAnd(L, R));
-        return;
-      case BinOp::BvOr:
-        finish(TB.bvOr(L, R));
-        return;
-      case BinOp::BvXor:
-        finish(TB.bvXor(L, R));
-        return;
-      case BinOp::Shl:
-        finish(TB.bvShl(L, TB.zextTo(L->width(), R)));
-        return;
-      case BinOp::LShr:
-        finish(TB.bvLShr(L, TB.zextTo(L->width(), R)));
-        return;
-      case BinOp::AShr:
-        finish(TB.bvAShr(L, TB.zextTo(L->width(), R)));
-        return;
-      case BinOp::ULt:
-        finish(TB.bvUlt(L, R));
-        return;
-      case BinOp::ULe:
-        finish(TB.bvUle(L, R));
-        return;
-      case BinOp::SLt:
-        finish(TB.bvSlt(L, R));
-        return;
-      case BinOp::SLe:
-        finish(TB.bvSle(L, R));
-        return;
-      case BinOp::Concat:
-        finish(TB.concat(L, R));
-        return;
-      }
-      return;
-    }
-    case FK::IfExprCond: {
-      const Term *C = popValue();
-      const Term *CS = X.RW.simplify(C);
-      if (CS->kind() == smt::Kind::ConstBool) {
-        // Tail position in the recursive engine: the chosen arm's own
-        // dispatch decides naming, no extra finish() here.
-        pushExpr(*Fr.E->Args[CS->constBool() ? 1 : 2]);
-        return;
-      }
-      Frame J;
-      J.K = FK::IteJoin;
-      J.E = Fr.E;
-      J.T = CS;
-      Control.push_back(std::move(J));
-      pushExpr(*Fr.E->Args[2]); // else, dispatched second
-      pushExpr(*Fr.E->Args[1]); // then, dispatched first
-      return;
-    }
-    case FK::IteJoin: {
-      const Term *El = popValue();
-      const Term *Th = popValue();
-      finish(X.TB.iteTerm(Fr.T, Th, El));
-      return;
-    }
-    case FK::ApplySlice:
-      finish(X.TB.extract(Fr.E->SliceHi, Fr.E->SliceLo, popValue()));
-      return;
-    case FK::ApplyExt: {
-      const Term *V = popValue();
-      const Expr &E = *Fr.E;
-      // Builtins return raw (early-return in the recursive engine: no
-      // naming even in the unsimplified baseline).
-      if (E.BuiltinKind == Builtin::Truncate) {
-        Values.push_back(X.TB.extract(E.ExtWidth - 1, 0, V));
-        return;
-      }
-      unsigned Extra = E.ExtWidth - V->width();
-      Values.push_back(E.BuiltinKind == Builtin::ZeroExtend
-                           ? X.TB.zeroExtend(Extra, V)
-                           : X.TB.signExtend(Extra, V));
-      return;
-    }
-    case FK::ApplyRev: {
-      const Term *V = popValue();
-      if (V->kind() == smt::Kind::ConstBV) {
-        Values.push_back(X.TB.constBV(V->constBV().reverseBits()));
-        return;
-      }
-      const Term *R = X.TB.extract(0, 0, V);
-      for (unsigned I = 1; I < V->width(); ++I)
-        R = X.TB.concat(R, X.TB.extract(I, I, V));
-      Values.push_back(R);
-      return;
-    }
-    case FK::ReadMemFin: {
-      const Term *A = popValue();
-      const Term *V =
-          X.pooledVar(Sort::bitvec(Fr.E->MemBytes * 8), RS);
-      RS.Events.push_back(Event::declareConst(V));
-      RS.Events.push_back(Event::readMem(V, A, Fr.E->MemBytes));
-      Values.push_back(V);
-      return;
-    }
-    case FK::WriteMemFin: {
-      const Term *D = popValue();
-      const Term *A = popValue();
-      const Term *ND = X.nameValue(D, RS);
-      RS.Events.push_back(Event::writeMem(A, ND, Fr.E->MemBytes));
-      Values.push_back(X.TB.constBV(1, 0)); // unit placeholder
-      return;
-    }
-    case FK::CallArgsDone: {
-      size_t N = Fr.E->Args.size();
-      std::vector<const Term *> Args(Values.end() - ptrdiff_t(N),
-                                     Values.end());
-      Values.resize(Values.size() - N);
-      enterFunction(*Fr.E->Callee, std::move(Args));
-      return;
-    }
-    case FK::CallExit: {
-      const Term *Ret = RS.Locals.back();
-      RS.Locals = std::move(Fr.Saved);
-      --RS.Depth;
-      if (!Fr.Returned && !Fr.F->RetTy.isUnit()) {
-        RS.fail(Fr.F->Line,
-                "function " + Fr.F->Name + " fell off the end");
-        return;
-      }
-      // A candidate's summary is stored only if the call was dynamically
-      // effect-free on this path: no events (covers forks, register and
-      // memory traffic, and baseline-mode naming) and no solver queries
-      // (covers prunes and asserts, whose feasibility is path-dependent).
-      if (Fr.MemoCand && RS.Events.size() == Fr.EventsAtEntry &&
-          RS.SolverQueries == Fr.QueriesAtEntry && Ret)
-        Memo.emplace(std::make_pair(Fr.F, std::move(Fr.MemoArgs)), Ret);
-      Values.push_back(Ret);
-      return;
-    }
-    }
-  }
-};
-
-ExecResult Executor::runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
-                                 const ExecOptions &Opts) {
+ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
+                         const ExecOptions &Opts) {
   ExecResult Res;
   auto failRun = [&Res](support::ErrorCode C,
                         const std::string &Msg) -> ExecResult & {
@@ -1941,6 +1614,15 @@ ExecResult Executor::runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
     Res.D = support::Diag::error(C, "executor", Msg);
     return Res;
   };
+
+  // Chaos hooks: exec-throw exercises the batch driver's exception
+  // containment, exec-step the ordinary Diag failure path.  Fired here so
+  // every engine sits behind the same fault surface.
+  if (support::FaultInjector::fire(support::FaultSite::ExecThrow))
+    throw std::runtime_error("injected executor fault (exec-throw)");
+  if (support::FaultInjector::fire(support::FaultSite::ExecStep))
+    return failRun(support::ErrorCode::InjectedFault,
+                   "injected executor fault (exec-step)");
 
   auto Deadline = installGuards(Solver, Opts);
 
@@ -1951,35 +1633,53 @@ ExecResult Executor::runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
                    "model has no decode(bits(32)) entry point");
   }
 
-  std::vector<const Term *> VarPool;
-  std::vector<std::vector<Event>> PathEvents;
   ExecStats Stats;
   uint64_t MemoHitsBefore = Solver.stats().NumMemoHits;
   uint64_t StoreHitsBefore = Solver.stats().NumStoreHits;
   uint64_t CapHitsBefore =
       RW.fixpointCapHits() + Solver.stats().FixpointCapHits;
 
-  Machine Mc(*this);
-  Mc.Stats = &Stats;
-  RunState &RS = Mc.RS;
-  RS.A = &A;
-  RS.Opts = &Opts;
-  RS.VarPool = &VarPool;
-  RS.CancelFlag = Opts.Cancel.raw();
-  RS.Deadline = Deadline;
+  // What every path starts from: the run's counters, the variable pool
+  // shared by all paths (position-stable naming), Replay's decision prefix,
+  // and the guards.
+  std::vector<const Term *> VarPool;
+  std::vector<Decision> Decisions;
+  RunState Base;
+  Base.Opts = &Opts;
+  Base.Stats = &Stats;
+  Base.Decisions = &Decisions;
+  Base.VarPool = &VarPool;
+  Base.CancelFlag = Opts.Cancel.raw();
+  Base.Deadline = Deadline;
 
-  // The preamble and the decode entry happen ONCE: every fork checkpoint
-  // transitively extends this shared prefix.
-  std::vector<const Term *> OpVars;
-  const Term *Opcode = emitPreamble(Op, A, RS, OpVars);
-  if (RS.failed())
-    return failRun(RS.Code, RS.Error);
-  Res.OpcodeVars = std::move(OpVars);
-  Mc.enterFunction(*Decode, {Opcode});
+  // Each engine supplies only its per-path step, which runs the next path
+  // to its end and returns its run state.  Replay re-runs the preamble and
+  // the whole model along the recorded decision prefix; the machine runs
+  // the preamble and the decode entry once (every fork checkpoint extends
+  // that shared prefix) and afterwards resumes its next work item.
+  std::vector<std::vector<Event>> PathEvents;
+  RunState ReplayRS;
+  auto replayPath = [&]() -> RunState & {
+    ReplayRS = Base;
+    if (const Term *Opcode = emitPreamble(Op, A, ReplayRS, Res.OpcodeVars))
+      callFunction(*Decode, {Opcode}, ReplayRS);
+    return ReplayRS;
+  };
+  Machine Mc(*this, Base);
+  auto machinePath = [&]() -> RunState & {
+    if (!PathEvents.empty())
+      Mc.resumeWork();
+    else if (const Term *Opcode = emitPreamble(Op, A, Mc.RS, Res.OpcodeVars))
+      Mc.enterFunction(*Decode, {Opcode});
+    Mc.run();
+    return Mc.RS;
+  };
+  bool Replay = Opts.Engine == ExecEngine::Replay;
 
-  while (true) {
-    // Guard placement mirrors the replay loop: budgets are checked before
-    // each path is (re)started, so failure attribution is identical.
+  do {
+    // Guard placement parity: budgets are checked before each path is
+    // (re)started, whatever the engine, so failure attribution is
+    // identical.
     if (PathEvents.size() >= Opts.MaxPaths) {
       return failRun(support::ErrorCode::PathBudgetExceeded,
                      "path budget exceeded (model blow-up?)");
@@ -1992,18 +1692,14 @@ ExecResult Executor::runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
       return failRun(support::ErrorCode::DeadlineExceeded,
                      "trace generation deadline exceeded");
 
-    while (!Mc.Control.empty() && !RS.failed())
-      Mc.step();
+    RunState &RS = Replay ? replayPath() : machinePath();
     if (RS.failed())
       return failRun(RS.Code == support::ErrorCode::Ok
                          ? support::ErrorCode::ModelError
                          : RS.Code,
                      RS.Error);
     PathEvents.push_back(RS.Events); // copy: checkpoints share the prefix
-    if (Mc.Snaps.empty())
-      break;
-    Mc.resume();
-  }
+  } while (Replay ? flipLastFork(Decisions) : !Mc.Work.empty());
 
   std::vector<size_t> All(PathEvents.size());
   for (size_t K = 0; K < All.size(); ++K)
@@ -2014,9 +1710,6 @@ ExecResult Executor::runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
     return failRun(support::ErrorCode::Internal, MergeErr);
   Stats.Paths = unsigned(PathEvents.size());
   Stats.Events = Res.Trace.countEvents();
-  Stats.PrunedBranches = RS.PrunedBranches;
-  Stats.SolverQueries = RS.SolverQueries;
-  Stats.StmtsExecuted = RS.Stmts;
   Stats.SolverMemoHits =
       unsigned(Solver.stats().NumMemoHits - MemoHitsBefore);
   Stats.SolverStoreHits =
@@ -2026,138 +1719,4 @@ ExecResult Executor::runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
   Res.Stats = Stats;
   Res.Ok = true;
   return Res;
-}
-
-ExecResult Executor::runMerge(const OpcodeSpec &Op, const Assumptions &A,
-                              const ExecOptions &Opts) {
-  ExecResult Res;
-  auto failRun = [&Res](support::ErrorCode C,
-                        const std::string &Msg) -> ExecResult & {
-    Res.Ok = false;
-    Res.Error = Msg;
-    Res.D = support::Diag::error(C, "executor", Msg);
-    return Res;
-  };
-
-  auto Deadline = installGuards(Solver, Opts);
-
-  const sail::FunctionDecl *Decode = M.findFunction("decode");
-  if (!Decode || Decode->Params.size() != 1 ||
-      Decode->Params[0].Ty != sail::Type::bits(32)) {
-    return failRun(support::ErrorCode::ModelError,
-                   "model has no decode(bits(32)) entry point");
-  }
-
-  std::vector<const Term *> VarPool;
-  std::vector<std::vector<Event>> PathEvents;
-  ExecStats Stats;
-  uint64_t MemoHitsBefore = Solver.stats().NumMemoHits;
-  uint64_t StoreHitsBefore = Solver.stats().NumStoreHits;
-  uint64_t CapHitsBefore =
-      RW.fixpointCapHits() + Solver.stats().FixpointCapHits;
-
-  Machine Mc(*this);
-  Mc.Stats = &Stats;
-  RunState &RS = Mc.RS;
-  RS.A = &A;
-  RS.Opts = &Opts;
-  RS.VarPool = &VarPool;
-  RS.CancelFlag = Opts.Cancel.raw();
-  RS.Deadline = Deadline;
-
-  std::vector<const Term *> OpVars;
-  const Term *Opcode = emitPreamble(Op, A, RS, OpVars);
-  if (RS.failed())
-    return failRun(RS.Code, RS.Error);
-  Res.OpcodeVars = std::move(OpVars);
-  Mc.enterFunction(*Decode, {Opcode});
-
-  while (true) {
-    if (PathEvents.size() >= Opts.MaxPaths) {
-      return failRun(support::ErrorCode::PathBudgetExceeded,
-                     "path budget exceeded (model blow-up?)");
-    }
-    if (Opts.Cancel.cancelled())
-      return failRun(support::ErrorCode::Cancelled,
-                     "trace generation cancelled");
-    if (Deadline != std::chrono::steady_clock::time_point::max() &&
-        std::chrono::steady_clock::now() >= Deadline)
-      return failRun(support::ErrorCode::DeadlineExceeded,
-                     "trace generation deadline exceeded");
-
-    while (!Mc.Control.empty() && !RS.failed()) {
-      Mc.step();
-      if (!Mc.Snaps.empty()) {
-        // decide() just checkpointed a both-feasible fork; park it for
-        // join-point merging instead of plain DFS enumeration.  The join
-        // depth is the stack depth at decide() time — one less than now,
-        // since decide() already pushed the then block.
-        Machine::PendingMerge PM;
-        PM.Snap = std::move(Mc.Snaps.back());
-        Mc.Snaps.pop_back();
-        PM.JoinDepth = Mc.Control.size() - 1;
-        Mc.Pending.push_back(std::move(PM));
-      }
-      Mc.checkJoin();
-    }
-    if (RS.failed())
-      return failRun(RS.Code == support::ErrorCode::Ok
-                         ? support::ErrorCode::ModelError
-                         : RS.Code,
-                     RS.Error);
-    // checkJoin drained Pending when Control emptied (every open fork
-    // merged or fell back), so the finished path is fully resolved.
-    PathEvents.push_back(RS.Events);
-    if (Mc.Work.empty())
-      break;
-    Mc.resumeWork();
-  }
-
-  std::vector<size_t> All(PathEvents.size());
-  for (size_t K = 0; K < All.size(); ++K)
-    All[K] = K;
-  std::string MergeErr;
-  Res.Trace = mergePaths(PathEvents, std::move(All), 0, MergeErr);
-  if (!MergeErr.empty())
-    return failRun(support::ErrorCode::Internal, MergeErr);
-  Stats.Paths = unsigned(PathEvents.size());
-  Stats.Events = Res.Trace.countEvents();
-  Stats.PrunedBranches = RS.PrunedBranches;
-  Stats.SolverQueries = RS.SolverQueries;
-  Stats.StmtsExecuted = RS.Stmts;
-  Stats.SolverMemoHits =
-      unsigned(Solver.stats().NumMemoHits - MemoHitsBefore);
-  Stats.SolverStoreHits =
-      unsigned(Solver.stats().NumStoreHits - StoreHitsBefore);
-  Stats.FixpointCapHits = RW.fixpointCapHits() +
-                          Solver.stats().FixpointCapHits - CapHitsBefore;
-  Res.Stats = Stats;
-  Res.Ok = true;
-  return Res;
-}
-
-ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
-                         const ExecOptions &Opts) {
-  // Chaos hooks: exec-throw exercises the batch driver's exception
-  // containment, exec-step the ordinary Diag failure path.  Fired here so
-  // both engines sit behind the same fault surface.
-  if (support::FaultInjector::fire(support::FaultSite::ExecThrow))
-    throw std::runtime_error("injected executor fault (exec-throw)");
-  if (support::FaultInjector::fire(support::FaultSite::ExecStep)) {
-    ExecResult Res;
-    Res.Ok = false;
-    Res.Error = "injected executor fault (exec-step)";
-    Res.D = support::Diag::error(support::ErrorCode::InjectedFault,
-                                 "executor", Res.Error);
-    return Res;
-  }
-  switch (Opts.Engine) {
-  case ExecEngine::Replay:
-    return runReplay(Op, A, Opts);
-  case ExecEngine::Merge:
-    return runMerge(Op, A, Opts);
-  case ExecEngine::Snapshot:
-    break;
-  }
-  return runSnapshot(Op, A, Opts);
 }

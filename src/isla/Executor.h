@@ -10,17 +10,19 @@
 /// the mini-Sail model symbolically, pruning branches that are unreachable
 /// under the assumptions with the SMT solver, and emit an ITL trace.
 ///
-/// Path exploration has two engines (ExecEngine).  The production Snapshot
-/// engine runs the model on an explicit frame-stack machine; at each
-/// both-feasible symbolic branch it checkpoints the run state (control and
-/// value stacks, register maps, event/path-condition lengths, pooled-variable
-/// cursor) and pushes the flipped alternative onto a DFS worklist, so shared
-/// prefixes execute exactly once.  The legacy Replay engine re-executes the
-/// whole model per path following a recorded decision prefix.  Both merge
+/// Path exploration has three engines (ExecEngine) over one driver: they
+/// differ only in how they explore paths.  Replay re-executes the whole
+/// model per path on a recursive walker, following a recorded decision
+/// prefix.  Snapshot and Merge run the model on an explicit frame-stack
+/// machine; at each both-feasible symbolic branch it checkpoints the run
+/// state (control and value stacks, register maps, event/path-condition
+/// lengths, pooled-variable cursor), so shared prefixes execute exactly
+/// once.  Snapshot queues every checkpoint on a depth-first worklist; Merge
+/// first tries to collapse the fork's arms at its join.  All engines merge
 /// their linear event sequences into a trace tree by longest common prefix,
 /// and variable naming is deterministic (a pooled allocator keyed by event
-/// position), so the two engines are bit-identical: a shared prefix, then
-/// Cases() whose subtraces begin with Assert() of the branch condition
+/// position), so Replay and Snapshot are bit-identical: a shared prefix,
+/// then Cases() whose subtraces begin with Assert() of the branch condition
 /// (Fig. 6).
 ///
 //===----------------------------------------------------------------------===//
@@ -113,10 +115,12 @@ ExecEngine defaultExecEngine();
 void setDefaultExecEngine(ExecEngine E);
 
 /// Knobs for the E4/E5 ablation benchmarks, plus the per-run resource
-/// guards.  Only the first three fields are semantic (they shape the emitted
-/// trace) and participate in the trace-cache fingerprint; the guards below
-/// them only decide whether a run *completes* — a guarded failure is never
-/// cached, so they must stay out of cache/Fingerprint.
+/// guards.  The fields down to MergePcName are semantic (they shape the
+/// emitted trace) and participate in the trace-cache fingerprint — Engine,
+/// MergeTermBudget and MergePcName only under Engine == Merge, since
+/// Snapshot and Replay are bit-identical.  The guards below them only
+/// decide whether a run *completes* — a guarded failure is never cached, so
+/// they must stay out of cache/Fingerprint.
 struct ExecOptions {
   /// Reuse the value of a register read within the instruction (Isla's
   /// trace simplification).  Off = every model-level read re-emits an event.
@@ -247,21 +251,42 @@ public:
 
 private:
   struct RunState;
-  struct Machine; // the snapshot-forking explicit-stack interpreter
+  struct Machine; // the checkpointing frame-stack interpreter
+  enum class Sides : uint8_t;
 
-  ExecResult runReplay(const OpcodeSpec &Op, const Assumptions &A,
-                       const ExecOptions &Opts);
-  ExecResult runSnapshot(const OpcodeSpec &Op, const Assumptions &A,
-                         const ExecOptions &Opts);
-  /// Snapshot engine extended with post-dominator path merging (see
-  /// ExecEngine::Merge).
-  ExecResult runMerge(const OpcodeSpec &Op, const Assumptions &A,
-                      const ExecOptions &Opts);
-  /// Emits the shared per-path preamble (assumption events, opcode term).
-  /// On failure marks \p RS failed and returns nullptr.
+  /// Emits the shared per-path preamble (assumption events, opcode term),
+  /// refilling \p OpVars.  On failure marks \p RS failed and returns
+  /// nullptr.
   const smt::Term *emitPreamble(const OpcodeSpec &Op, const Assumptions &A,
                                 RunState &RS,
                                 std::vector<const smt::Term *> &OpVars);
+
+  // Step rules shared by the recursive walker and the frame machine.
+
+  /// The term (and events) of builtin \p E over its evaluated operands.
+  const smt::Term *applyBuiltin(const sail::Expr &E,
+                                const std::vector<const smt::Term *> &Args,
+                                RunState &RS);
+  /// Which sides of the simplified, non-constant branch condition \p S are
+  /// feasible under the path condition; counts a pruned branch, and fails
+  /// the run if the solver cannot decide.
+  Sides feasibleSides(const smt::Term *S, RunState &RS);
+  /// Enters one side of a both-feasible fork: the Assert heading its
+  /// divergent suffix (Fig. 6) and the path-condition conjunct.
+  void takeSide(const smt::Term *Cond, const smt::Term *Named, bool Then,
+                RunState &RS);
+  /// Discharges model assertion \p S on its evaluated condition \p C.
+  void dischargeAssert(const sail::Stmt &S, const smt::Term *C,
+                       RunState &RS);
+
+  const smt::Term *readRegister(const itl::Reg &R, unsigned Width,
+                                RunState &RS);
+  void writeRegister(const itl::Reg &R, const smt::Term *V, RunState &RS);
+  /// Names \p V with a define-const if it is compound; returns the name.
+  const smt::Term *nameValue(const smt::Term *V, RunState &RS);
+  const smt::Term *pooledVar(smt::Sort S, RunState &RS);
+
+  // The recursive walker (Replay).
 
   const smt::Term *evalExpr(const sail::Expr &E, RunState &RS);
   const smt::Term *evalCall(const sail::Expr &E, RunState &RS);
@@ -271,15 +296,10 @@ private:
   const smt::Term *callFunction(const sail::FunctionDecl &F,
                                 std::vector<const smt::Term *> Args,
                                 RunState &RS);
-  /// Resolves a symbolic boolean to a concrete decision, pruning with the
-  /// solver or forking (recording a decision).
+  /// Resolves a symbolic boolean to a concrete decision, replaying the
+  /// recorded prefix, then pruning with the solver or forking (recording a
+  /// decision).
   bool decideBranch(const smt::Term *Cond, RunState &RS);
-  const smt::Term *readRegister(const itl::Reg &R, unsigned Width,
-                                RunState &RS);
-  void writeRegister(const itl::Reg &R, const smt::Term *V, RunState &RS);
-  /// Names \p V with a define-const if it is compound; returns the name.
-  const smt::Term *nameValue(const smt::Term *V, RunState &RS);
-  const smt::Term *pooledVar(smt::Sort S, RunState &RS);
 
   const sail::Model &M;
   smt::TermBuilder &TB;

@@ -57,17 +57,11 @@ bool Client::sendHello(std::string &Err) {
   }
   support::wire::Cursor C(F.Payload);
   uint64_t Ver = C.u64();
-  // The welcome carries the *negotiated* version: min(ours, the
-  // server's).  Anything in the range we speak is a successful handshake;
-  // a protocol-2 peer simply means the protocol-3 helpers (health,
-  // reload) will fail fast client-side.
-  if (C.Fail || Ver < MinProtocolVersion || Ver > ProtocolVersion) {
+  if (C.Fail || Ver != ProtocolVersion) {
     Err = "server speaks protocol " + std::to_string(Ver) + ", client " +
-          std::to_string(MinProtocolVersion) + ".." +
           std::to_string(ProtocolVersion);
     return false;
   }
-  PeerVer = Ver;
   return true;
 }
 
@@ -205,8 +199,6 @@ bool Client::connect(const std::string &EndpointSpec, std::string &Err) {
 }
 
 void Client::settleLeastLoaded() {
-  if (PeerVer < 3)
-    return; // the probe needs the protocol-3 health request
   // Probe the ring in order, remembering each endpoint's instantaneous
   // load; endpoints that fail to dial or to answer are left marked by
   // dialAny/awaitFrame and simply not preferred.
@@ -739,8 +731,8 @@ bool Client::healthOnce(HealthInfo &Out, const net::Deadline &Overall,
       continue;
     }
     if (F.Type == FrameType::Error || F.Type == FrameType::Bye) {
-      // A protocol-2 daemon answers `health` with an error frame and
-      // closes; that is a permanent version mismatch, not a flaky link.
+      // An error frame in answer to `health` is a permanent refusal, not
+      // a flaky link.
       Err = "server error: " + F.Payload;
       return false;
     }
@@ -751,11 +743,6 @@ bool Client::healthOnce(HealthInfo &Out, const net::Deadline &Overall,
 bool Client::health(HealthInfo &Out, std::string &Err) {
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
                             double &) -> Outcome {
-    if (PeerVer < 3) {
-      E = "peer speaks protocol " + std::to_string(PeerVer) +
-          "; health needs protocol 3";
-      return Outcome::Done;
-    }
     bool Transient = false;
     if (healthOnce(Out, Overall, E, Transient))
       return Outcome::Done;
@@ -770,11 +757,6 @@ bool Client::reloadServer(std::string &Err) {
 
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
                             double &) -> Outcome {
-    if (PeerVer < 3) {
-      E = "peer speaks protocol " + std::to_string(PeerVer) +
-          "; reload needs protocol 3";
-      return Outcome::Done;
-    }
     Req.DeadlineMs = Opt.DeadlineMs
                          ? uint64_t(Overall.secondsLeft() * 1000) + 1
                          : 0;

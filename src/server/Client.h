@@ -127,8 +127,6 @@ public:
   void close();
   bool connected() const { return Fd >= 0; }
 
-  /// The protocol version negotiated at the last handshake (0 before any).
-  uint64_t peerVersion() const { return PeerVer; }
   /// The endpoint currently (or most recently) connected to.
   std::string activeEndpoint() const {
     return Eps.empty() ? Spec : Eps[Cur].Spec;
@@ -185,11 +183,10 @@ public:
   /// Fetches the server's stats JSON.
   bool getStats(std::string &Out, std::string &Err);
 
-  /// Fetches the server's readiness snapshot (protocol 3; fails fast with
-  /// a version error against a protocol-2 peer).
+  /// Fetches the server's readiness snapshot.
   bool health(HealthInfo &Out, std::string &Err);
 
-  /// Asks the server to hot-reload its ISA models (protocol 3).  True when
+  /// Asks the server to hot-reload its ISA models.  True when
   /// the daemon swapped in the new parse; false with \p Err when the
   /// reload was rejected (e.g. the new source does not parse — the daemon
   /// keeps serving the old generation).
@@ -251,7 +248,6 @@ private:
   std::string Spec; ///< Raw spec of the last connect() (possibly a list).
   std::vector<EndpointHealth> Eps; ///< Parsed failover ring.
   size_t Cur = 0;                  ///< Index of the active endpoint.
-  uint64_t PeerVer = 0;            ///< Negotiated protocol version.
   unsigned ShedStreak = 0; ///< Consecutive sheds from the active endpoint.
   /// The shared retry pacer: persists across helper calls so a shed storm
   /// keeps its long delays between calls, and resets on every success so

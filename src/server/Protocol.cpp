@@ -261,9 +261,6 @@ bool islaris::server::decodeRequest(const std::string &Payload, Request &Out) {
   } else if (Kind == "reload") {
     Out.K = Request::Kind::Reload;
   } else {
-    // A protocol-2 server lands here for "health"/"reload" and answers
-    // with its malformed-request error frame — the negotiated downgrade
-    // the v3 client expects.
     return false;
   }
   return !C.Fail;
@@ -290,7 +287,7 @@ bool islaris::server::decodeHello(const std::string &Payload, HelloInfo &Out) {
     Out.ClientName.clear();
     return true;
   }
-  // Protocol-1 hellos stop here; missing deadline/heartbeat fields stay 0.
+  // Missing deadline/heartbeat fields stay 0.
   uint64_t Deadline = C.u64();
   if (C.Fail)
     return true;

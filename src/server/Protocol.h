@@ -60,19 +60,11 @@
 
 namespace islaris::server {
 
-/// Protocol version spoken by hello/welcome.  Version 2 (PR 8) added
-/// heartbeat frames, request deadlines, and retry-after hints on
-/// rejections.  Version 3 (PR 10) added the `health` readiness probe and
-/// the `reload` hot-model-reload request.
+/// The one protocol version spoken by hello/welcome (heartbeat frames,
+/// request deadlines, retry-after hints on rejections, the `health`
+/// readiness probe and the `reload` hot-model-reload request).  A hello
+/// with any other version is refused with an error frame and a close.
 inline constexpr uint64_t ProtocolVersion = 3;
-
-/// Oldest protocol the server still accepts in a hello.  Version 3 is a
-/// strict superset of 2 (two new request kinds, one new response frame
-/// that only v3 requests elicit), so a v2 peer negotiates and works
-/// unchanged; a v2 *server* answers the new kinds with its existing
-/// malformed-request error frame, which is exactly what a v3 client
-/// treats as "no health endpoint here".
-inline constexpr uint64_t MinProtocolVersion = 2;
 
 /// Hard bound on a frame payload; a header advertising more is malformed
 /// (protects the reader from allocating on behalf of a corrupt length
@@ -186,9 +178,9 @@ struct Request {
 std::string encodeRequest(const Request &R);
 bool decodeRequest(const std::string &Payload, Request &Out);
 
-/// A parsed `hello` frame payload.  The deadline/heartbeat fields were
-/// added in protocol 2; decodeHello tolerates their absence (fields stay
-/// zero) so a minimal hello still handshakes.
+/// A parsed `hello` frame payload.  decodeHello tolerates the absence of
+/// the fields after Version (they stay empty/zero), so a minimal hello
+/// still handshakes.
 struct HelloInfo {
   uint64_t Version = ProtocolVersion;
   std::string ClientName;

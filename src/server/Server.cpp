@@ -67,10 +67,6 @@ struct Conn {
   std::atomic<uint32_t> InFlight{0};
   /// Connection-default request deadline from the hello (0 = none).
   std::atomic<uint64_t> DefaultDeadlineMs{0};
-  /// Protocol version negotiated at hello: min(client's, ours).  Gates the
-  /// protocol-3 request kinds so a v2 peer sees exactly the protocol-2
-  /// behavior it negotiated.
-  std::atomic<uint64_t> Version{ProtocolVersion};
   std::thread Reader;
 };
 
@@ -471,23 +467,17 @@ struct Server::Impl {
     switch (F.Type) {
     case FrameType::Hello: {
       HelloInfo H;
-      if (!decodeHello(F.Payload, H) || H.Version < MinProtocolVersion ||
-          H.Version > ProtocolVersion) {
+      if (!decodeHello(F.Payload, H) || H.Version != ProtocolVersion) {
         sendFrame(*C, FrameType::Error,
                   "unsupported protocol version " + std::to_string(H.Version) +
-                      " (server speaks " +
-                      std::to_string(MinProtocolVersion) + ".." +
-                      std::to_string(ProtocolVersion) + ")");
+                      " (server speaks " + std::to_string(ProtocolVersion) +
+                      ")");
         return false;
       }
       C->DefaultDeadlineMs.store(H.DefaultDeadlineMs,
                                  std::memory_order_relaxed);
-      C->Version.store(H.Version, std::memory_order_relaxed);
       std::ostringstream OS;
-      // The welcome echoes the negotiated version — min(client's, ours) —
-      // not the server's own, so a protocol-2 peer keeps speaking the
-      // protocol it knows.
-      support::wire::putU64(OS, H.Version);
+      support::wire::putU64(OS, ProtocolVersion);
       support::wire::putU64(OS, uint64_t(::getpid()));
       support::wire::putStr(OS, "islarisd");
       return sendFrame(*C, FrameType::Welcome, OS.str());
@@ -505,15 +495,6 @@ struct Server::Impl {
     case FrameType::Request: {
       Request R;
       if (!decodeRequest(F.Payload, R)) {
-        bump(&ServerStats::Malformed);
-        sendFrame(*C, FrameType::Error, "malformed request payload");
-        return false;
-      }
-      // Protocol-3 request kinds on a protocol-2 connection get exactly
-      // what a real protocol-2 server would answer: its decoder cannot
-      // parse them, so it reports a malformed payload and closes.
-      if ((R.K == Request::Kind::Health || R.K == Request::Kind::Reload) &&
-          C->Version.load(std::memory_order_relaxed) < 3) {
         bump(&ServerStats::Malformed);
         sendFrame(*C, FrameType::Error, "malformed request payload");
         return false;
@@ -645,7 +626,7 @@ struct Server::Impl {
       break;
     case Request::Kind::Study: {
       bump(&ServerStats::StudyRequests);
-      if (!validStudy(R.Study)) {
+      if (R.Study != "suite" && !frontend::findCaseStudy(R.Study)) {
         reject(*C, R.Id, "unknown case study: " + R.Study);
         return;
       }
@@ -759,17 +740,6 @@ struct Server::Impl {
     D.Error = Why;
     sendFrame(*W.C, FrameType::Done, encodeDone(D));
     retire(W);
-  }
-
-  static bool validStudy(const std::string &S) {
-    static const char *Names[] = {"memcpy-arm",    "memcpy-rv", "hvc",
-                                  "pkvm",          "unaligned", "uart",
-                                  "rbit",          "binsearch-arm",
-                                  "binsearch-rv",  "suite"};
-    for (const char *N : Names)
-      if (S == N)
-        return true;
-    return false;
   }
 
   //===--------------------------------------------------------------------===//
@@ -1051,26 +1021,6 @@ struct Server::Impl {
     }
   }
 
-  frontend::CaseResult runOneStudy(const std::string &Name) {
-    if (Name == "memcpy-arm")
-      return frontend::runMemcpyArm();
-    if (Name == "memcpy-rv")
-      return frontend::runMemcpyRv();
-    if (Name == "hvc")
-      return frontend::runHvc();
-    if (Name == "pkvm")
-      return frontend::runPkvm();
-    if (Name == "unaligned")
-      return frontend::runUnaligned();
-    if (Name == "uart")
-      return frontend::runUart();
-    if (Name == "rbit")
-      return frontend::runRbit();
-    if (Name == "binsearch-arm")
-      return frontend::runBinSearchArm();
-    return frontend::runBinSearchRv();
-  }
-
   void runStudyJob(Job &J) {
     if (J.W.expired(Clock::now())) {
       expireWaiter(J.W, "deadline expired in queue");
@@ -1080,17 +1030,16 @@ struct Server::Impl {
     // the ambient protocol is per-process, so study execution is strictly
     // serialized even on a multi-worker server.
     std::lock_guard<std::mutex> SL(StudyMu);
-    std::vector<std::string> Names;
-    if (J.Study == "suite")
-      Names = {"memcpy-arm", "memcpy-rv",    "hvc",
-               "pkvm",       "unaligned",    "uart",
-               "rbit",       "binsearch-arm", "binsearch-rv"};
-    else
-      Names = {J.Study};
+    // Admission already checked the name, so findCaseStudy cannot miss.
+    std::span<const frontend::StudyEntry> Studies =
+        J.Study == "suite"
+            ? frontend::caseStudies()
+            : std::span<const frontend::StudyEntry>(
+                  frontend::findCaseStudy(J.Study), 1);
 
     std::vector<frontend::CaseResult> Rows;
-    for (const std::string &N : Names) {
-      frontend::CaseResult R = runOneStudy(N);
+    for (const frontend::StudyEntry &E : Studies) {
+      frontend::CaseResult R = E.Run();
       Rows.push_back(R);
       bump(&ServerStats::RowsStreamed);
       sendFrame(*J.W.C, FrameType::Row,
@@ -1098,8 +1047,8 @@ struct Server::Impl {
       if (!R.Ok)
         sendFrame(*J.W.C, FrameType::Diag,
                   encodeIdPayload(J.W.ReqId,
-                                  N + ": " + (R.Error.empty() ? "failed"
-                                                              : R.Error)));
+                                  std::string(E.Id) + ": " +
+                                      (R.Error.empty() ? "failed" : R.Error)));
     }
     DoneInfo D;
     D.Id = J.W.ReqId;

@@ -6,8 +6,7 @@
 //
 //  - health probes: the protocol-3 `health` request reports queue
 //    pressure, the model generation fingerprint, and degraded flags, and
-//    answers even while the daemon drains; protocol-2 peers still
-//    handshake and get a clean error for the kinds they predate;
+//    answers even while the daemon drains;
 //  - hot model reload: SIGHUP/`reload` swaps the model registry under
 //    load without dropping a single accepted request, bumps the
 //    generation, and a parse failure leaves the serving registry
@@ -129,7 +128,6 @@ TEST(FleetHealthTest, ProbeReportsReadinessFields) {
 
   server::Client C(fleetClientOptions());
   ASSERT_TRUE(C.connect(D.Path + "/a.sock", Err)) << Err;
-  EXPECT_EQ(C.peerVersion(), server::ProtocolVersion);
 
   server::HealthInfo H;
   ASSERT_TRUE(C.health(H, Err)) << Err;
@@ -142,7 +140,7 @@ TEST(FleetHealthTest, ProbeReportsReadinessFields) {
   EXPECT_FALSE(H.ModelFpHex.empty());
   EXPECT_EQ(H.DegradedFlags, 0u);
 
-  // The stats JSON carries the same generation/degraded fields, so v2-era
+  // The stats JSON carries the same generation/degraded fields, so
   // tooling scraping stats sees the fleet state too.
   std::string Json;
   ASSERT_TRUE(C.getStats(Json, Err)) << Err;
@@ -155,65 +153,6 @@ TEST(FleetHealthTest, ProbeReportsReadinessFields) {
   S.requestShutdown();
   S.wait();
   EXPECT_GE(S.stats().HealthRequests, 1u);
-}
-
-TEST(FleetHealthTest, ProtocolV2PeerHandshakesButHealthErrors) {
-  TempDir D;
-  server::Server S(daemonConfig(D, "a.sock"));
-  std::string Err;
-  ASSERT_TRUE(S.start(Err)) << Err;
-
-  // Hand-rolled protocol-2 peer: the negotiated welcome must echo 2, and
-  // the kinds added in 3 must die as malformed (exactly what a real
-  // protocol-2 server would answer), not crash or hang the daemon.
-  int Fd = server::connectSpec(D.Path + "/a.sock", 2, Err);
-  ASSERT_GE(Fd, 0) << Err;
-
-  server::HelloInfo H;
-  H.Version = 2;
-  H.ClientName = "v2-relic";
-  std::string Wire =
-      server::encodeFrame({server::FrameType::Hello, server::encodeHello(H)});
-  ASSERT_EQ(::write(Fd, Wire.data(), Wire.size()), ssize_t(Wire.size()));
-
-  server::FrameReader R;
-  auto NextFrame = [&](server::Frame &F) {
-    char Buf[512];
-    for (;;) {
-      if (R.next(F) == server::FrameReader::Status::Frame)
-        return true;
-      ssize_t N = ::read(Fd, Buf, sizeof Buf);
-      if (N <= 0)
-        return false;
-      R.feed(Buf, size_t(N));
-    }
-  };
-
-  server::Frame F;
-  ASSERT_TRUE(NextFrame(F));
-  ASSERT_EQ(F.Type, server::FrameType::Welcome);
-  support::wire::Cursor Cur(F.Payload);
-  EXPECT_EQ(Cur.u64(), 2u); // negotiated down to the client's version
-
-  server::Request Req;
-  Req.Id = 1;
-  Req.K = server::Request::Kind::Health;
-  Wire = server::encodeFrame(
-      {server::FrameType::Request, server::encodeRequest(Req)});
-  ASSERT_EQ(::write(Fd, Wire.data(), Wire.size()), ssize_t(Wire.size()));
-
-  bool SawError = false;
-  while (NextFrame(F)) {
-    if (F.Type == server::FrameType::Heartbeat)
-      continue;
-    SawError = F.Type == server::FrameType::Error;
-    break;
-  }
-  EXPECT_TRUE(SawError);
-  ::close(Fd);
-
-  S.requestShutdown();
-  S.wait();
 }
 
 //===----------------------------------------------------------------------===//

@@ -90,11 +90,24 @@ cache::TraceJob makeJob(const isla::Assumptions &A, uint32_t Op,
 // Executor resource guards.
 //===----------------------------------------------------------------------===//
 
-TEST(GuardTest, PathBudgetExceededIsAttributed) {
+/// The three executor guards over every engine: the run driver checks them
+/// before each path, whatever the engine explores (guard placement parity).
+class ExecutorGuardTest : public ::testing::TestWithParam<isla::ExecEngine> {
+protected:
+  isla::ExecOptions options() const {
+    isla::ExecOptions O;
+    O.Engine = GetParam();
+    // Keep Merge from collapsing cbz's control-flow fork into one path.
+    O.MergePcName = "_PC";
+    return O;
+  }
+};
+
+TEST_P(ExecutorGuardTest, PathBudgetExceededIsAttributed) {
   smt::TermBuilder TB;
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
-  isla::ExecOptions O;
+  isla::ExecOptions O = options();
   O.MaxPaths = 1; // cbz forks into taken/untaken under a symbolic register
   isla::ExecResult R =
       Ex.run(isla::OpcodeSpec::concrete(e::cbz(2, 0x1c)), A, O);
@@ -103,11 +116,11 @@ TEST(GuardTest, PathBudgetExceededIsAttributed) {
   EXPECT_NE(R.Error.find("path budget"), std::string::npos) << R.Error;
 }
 
-TEST(GuardTest, ExpiredDeadlineFailsCleanly) {
+TEST_P(ExecutorGuardTest, ExpiredDeadlineFailsCleanly) {
   smt::TermBuilder TB;
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
-  isla::ExecOptions O;
+  isla::ExecOptions O = options();
   O.DeadlineSeconds = 1e-9; // already expired when the path loop starts
   isla::ExecResult R =
       Ex.run(isla::OpcodeSpec::concrete(e::addImm(0, 0, 1)), A, O);
@@ -115,11 +128,11 @@ TEST(GuardTest, ExpiredDeadlineFailsCleanly) {
   EXPECT_EQ(R.D.Code, ErrorCode::DeadlineExceeded);
 }
 
-TEST(GuardTest, PreCancelledTokenFailsWithCancelled) {
+TEST_P(ExecutorGuardTest, PreCancelledTokenFailsWithCancelled) {
   smt::TermBuilder TB;
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
-  isla::ExecOptions O;
+  isla::ExecOptions O = options();
   O.Cancel = CancelToken::create();
   O.Cancel.requestCancel();
   isla::ExecResult R =
@@ -127,6 +140,22 @@ TEST(GuardTest, PreCancelledTokenFailsWithCancelled) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.D.Code, ErrorCode::Cancelled);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllEngines, ExecutorGuardTest,
+    ::testing::Values(isla::ExecEngine::Replay, isla::ExecEngine::Snapshot,
+                      isla::ExecEngine::Merge),
+    [](const ::testing::TestParamInfo<isla::ExecEngine> &I) {
+      switch (I.param) {
+      case isla::ExecEngine::Replay:
+        return "Replay";
+      case isla::ExecEngine::Snapshot:
+        return "Snapshot";
+      case isla::ExecEngine::Merge:
+        return "Merge";
+      }
+      return "Unknown";
+    });
 
 TEST(GuardTest, SolverGiveUpInExecutorIsNeverAWrongTrace) {
   // Force every solver check to Unknown: the executor must refuse to decide

@@ -287,18 +287,21 @@ TEST(ServerTest, WrongProtocolVersionGetsErrorAndClose) {
   std::string Err;
   ASSERT_TRUE(S.start(Err)) << Err;
 
-  server::Client C;
-  ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
-  // A hello claiming a future protocol version must be answered with an
-  // error frame and a close, not silence.
-  std::ostringstream OS;
-  support::wire::putU64(OS, server::ProtocolVersion + 41);
-  ASSERT_TRUE(C.send({server::FrameType::Hello, OS.str()}, Err)) << Err;
-  server::Frame F;
-  ASSERT_TRUE(C.recv(F, Err)) << Err;
-  EXPECT_EQ(F.Type, server::FrameType::Error);
-  EXPECT_NE(F.Payload.find("version"), std::string::npos) << F.Payload;
-  EXPECT_FALSE(C.recv(F, Err)); // connection closed
+  // A hello claiming any version but the one the server speaks — an old
+  // one or a future one — must be answered with an error frame and a
+  // close, not silence.
+  for (uint64_t Ver : {uint64_t(2), server::ProtocolVersion + 41}) {
+    server::Client C;
+    ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
+    std::ostringstream OS;
+    support::wire::putU64(OS, Ver);
+    ASSERT_TRUE(C.send({server::FrameType::Hello, OS.str()}, Err)) << Err;
+    server::Frame F;
+    ASSERT_TRUE(C.recv(F, Err)) << Err;
+    EXPECT_EQ(F.Type, server::FrameType::Error) << Ver;
+    EXPECT_NE(F.Payload.find("version"), std::string::npos) << F.Payload;
+    EXPECT_FALSE(C.recv(F, Err)) << Ver; // connection closed
+  }
 
   S.requestShutdown();
   S.wait();
