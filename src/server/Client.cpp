@@ -176,10 +176,7 @@ bool Client::connect(const std::string &EndpointSpec, std::string &Err) {
   // reset during the hello/welcome exchange is just as transient as one
   // mid-request, and on a hostile wire it happens.  (reconnect() stays
   // single-attempt — retryLoop already paces re-dials with this backoff.)
-  net::Deadline Overall =
-      Opt.DeadlineMs > 0
-          ? net::Deadline::in(double(Opt.DeadlineMs) / 1000.0)
-          : net::Deadline();
+  net::Deadline Overall = overallDeadline();
   unsigned Max = Opt.MaxAttempts ? Opt.MaxAttempts : 1;
   for (unsigned A = 0;; ++A) {
     if (dialAny(Err)) {
@@ -216,10 +213,12 @@ void Client::settleLeastLoaded() {
     }
     HealthInfo H;
     std::string HErr;
-    bool Transient = false;
+    double RetryAfterSeconds = 0;
     double Wait = Opt.ConnectTimeoutSeconds > 0 ? Opt.ConnectTimeoutSeconds
                                                 : 5;
-    if (!healthOnce(H, net::Deadline::in(Wait), HErr, Transient))
+    if (healthOnce(H, net::Deadline::in(Wait), HErr, RetryAfterSeconds) !=
+            Outcome::Done ||
+        !HErr.empty())
       continue;
     uint64_t Load = H.QueueDepth + H.ActiveJobs + (H.Draining ? 1u << 20 : 0);
     if (Load < BestLoad) {
@@ -396,66 +395,52 @@ bool Client::retryLoop(
   if (!RetryB)
     RetryB.emplace(Opt.BackoffBaseSeconds, Opt.BackoffCapSeconds, Opt.Seed);
   support::Backoff &B = *RetryB;
-  net::Deadline Overall = Opt.DeadlineMs > 0
-                              ? net::Deadline::in(double(Opt.DeadlineMs) /
-                                                  1000.0)
-                              : net::Deadline();
+  net::Deadline Overall = overallDeadline();
   unsigned Max = Opt.MaxAttempts ? Opt.MaxAttempts : 1;
   std::string LastErr;
   for (unsigned A = 0; A < Max; ++A) {
     if (A > 0)
       Net.Retries++;
-    if (!connected()) {
-      std::string CErr;
-      if (!reconnect(CErr)) {
-        LastErr = CErr;
-        double Delay = B.next();
-        if (!Overall.infinite() && Overall.secondsLeft() <= Delay) {
-          Err = "deadline expired reconnecting: " + CErr;
-          Net.DeadlineExpired++;
-          return false;
-        }
-        std::this_thread::sleep_for(std::chrono::duration<double>(Delay));
-        continue;
-      }
-    }
-    std::string AErr;
+    LastErr.clear();
     double RetryAfterSeconds = 0;
-    Outcome O = Attempt(Overall, AErr, RetryAfterSeconds);
-    switch (O) {
-    case Outcome::Done:
-      Err = AErr;
-      if (AErr.empty()) {
+    Outcome O = Outcome::Transient;
+    if (connected() || reconnect(LastErr)) {
+      O = Attempt(Overall, LastErr, RetryAfterSeconds);
+      switch (O) {
+      case Outcome::Done:
+        Err = LastErr;
+        if (LastErr.empty()) {
+          ShedStreak = 0;
+          B.reset(); // success ends the failure streak: next retry is fast
+        }
+        return LastErr.empty();
+      case Outcome::Shed:
+        Net.Sheds++;
+        // Shed storm: a daemon that sheds twice in a row is saturated;
+        // with a failover ring, move the next dial to the neighbor instead
+        // of queueing politely behind the flood.
+        if (++ShedStreak >= 2 && Eps.size() > 1) {
+          ShedStreak = 0;
+          close();
+          Cur = (Cur + 1) % Eps.size();
+          Net.EndpointRotations++;
+        }
+        break;
+      case Outcome::Transient:
         ShedStreak = 0;
-        B.reset(); // success ends the failure streak: next retry is fast
+        close(); // next iteration re-dials...
+        if (Eps.size() > 1) {
+          // ...starting at the neighbor: a reset/reap mid-request is the
+          // failover signal, and the dedup'd request id makes landing on a
+          // different daemon an attach-or-reread, never a recompute.
+          Cur = (Cur + 1) % Eps.size();
+          Net.EndpointRotations++;
+        }
+        break;
       }
-      return AErr.empty();
-    case Outcome::Shed:
-      Net.Sheds++;
-      // Shed storm: a daemon that sheds twice in a row is saturated; with
-      // a failover ring, move the next dial to the neighbor instead of
-      // queueing politely behind the flood.
-      if (++ShedStreak >= 2 && Eps.size() > 1) {
-        ShedStreak = 0;
-        close();
-        Cur = (Cur + 1) % Eps.size();
-        Net.EndpointRotations++;
-      }
-      break;
-    case Outcome::Transient:
-      ShedStreak = 0;
-      close(); // next iteration re-dials...
-      if (Eps.size() > 1) {
-        // ...starting at the neighbor: a reset/reap mid-request is the
-        // failover signal, and the dedup'd request id makes landing on a
-        // different daemon an attach-or-reread, never a recompute.
-        Cur = (Cur + 1) % Eps.size();
-        Net.EndpointRotations++;
-      }
-      break;
     }
-    LastErr = AErr;
-    if (Overall.expired())
+    // No backoff after the last attempt: there is nothing left to pace.
+    if (A + 1 >= Max || Overall.expired())
       break;
     double Delay =
         O == Outcome::Shed ? B.next(RetryAfterSeconds) : B.next();
@@ -475,69 +460,94 @@ bool Client::retryLoop(
 // Helpers.
 //===----------------------------------------------------------------------===//
 
+net::Deadline Client::overallDeadline() const {
+  return Opt.DeadlineMs > 0
+             ? net::Deadline::in(double(Opt.DeadlineMs) / 1000.0)
+             : net::Deadline();
+}
+
+Client::Outcome Client::exchange(Request &Req, const net::Deadline &Overall,
+                                 Reply &Rep, std::string &Err,
+                                 double &RetryAfterSeconds, FrameType Result,
+                                 const std::function<bool(std::string &)>
+                                     &OnResult) {
+  Req.DeadlineMs =
+      Overall.infinite() ? 0 : uint64_t(Overall.secondsLeft() * 1000) + 1;
+  if (!send(Frame{FrameType::Request, encodeRequest(Req)}, Err))
+    return Outcome::Transient;
+  Frame F;
+  bool Transient = false;
+  while (awaitFrame(F, Overall, Err, Transient)) {
+    if (F.Type == FrameType::Error) {
+      Err = "server error: " + F.Payload;
+      return Outcome::Transient;
+    }
+    if (F.Type == FrameType::Bye) {
+      Err = "server shut down before the result arrived";
+      return Outcome::Done; // a drained server will not come back
+    }
+    if (F.Type == FrameType::Done) {
+      DoneInfo D;
+      if (!decodeDone(F.Payload, D) || D.Id != Req.Id)
+        continue;
+      Rep.Done = D;
+      Rep.Ok = D.Status == 0;
+      return Outcome::Done;
+    }
+    // Everything else that matters is id-tagged: `accepted`, `diag` and
+    // frames for other ids are skipped.
+    uint64_t Id = 0;
+    std::string Body;
+    if ((F.Type != Result && F.Type != FrameType::Rejected) ||
+        !decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
+      continue;
+    if (F.Type == Result) {
+      if (OnResult(Body))
+        continue;
+      Err = std::string("undecodable ") + frameTypeName(F.Type) +
+            " frame from server";
+      return Outcome::Transient;
+    }
+    if (!decodeRejectBody(Body, Rep.RejectReason, Rep.RetryAfterMs)) {
+      Err = "undecodable rejected frame from server";
+      return Outcome::Transient;
+    }
+    Rep.Rejected = true;
+    if (Rep.RetryAfterMs == 0)
+      return Outcome::Done; // permanent: the request itself is invalid
+    RetryAfterSeconds = double(Rep.RetryAfterMs) / 1000.0;
+    Err = "shed: " + Rep.RejectReason;
+    return Outcome::Shed;
+  }
+  return Transient ? Outcome::Transient : Outcome::Done;
+}
+
+Client::Outcome Client::answered(Outcome O, const Reply &Rep, bool Got,
+                                 const char *What, std::string &Err) {
+  if (O != Outcome::Done || !Err.empty())
+    return O;
+  if (Rep.Rejected)
+    Err = std::string(What) + " request rejected: " + Rep.RejectReason;
+  else if (!Got)
+    Err = Rep.Done.Error.empty() ? std::string(What) + " failed"
+                                 : Rep.Done.Error;
+  return O;
+}
+
 bool Client::runTrace(const TraceRequest &R, TraceResult &Out,
                       std::string &Err) {
   Request Req;
   Req.Id = nextId(); // one id across every retry: idempotent replay
   Req.K = Request::Kind::Trace;
   Req.Trace = R;
-
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
-                            double &RetryAfterSeconds) -> Outcome {
+                            double &RetryAfterSeconds) {
     Out = TraceResult();
-    Req.DeadlineMs = Opt.DeadlineMs
-                         ? uint64_t(Overall.secondsLeft() * 1000) + 1
-                         : 0;
-    if (!send(Frame{FrameType::Request, encodeRequest(Req)}, E))
-      return Outcome::Transient;
-    Frame F;
-    bool Transient = false;
-    while (awaitFrame(F, Overall, E, Transient)) {
-      uint64_t Id = 0;
-      std::string Body;
-      switch (F.Type) {
-      case FrameType::Accepted:
-        continue;
-      case FrameType::Rejected: {
-        if (!decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
-          continue;
-        std::string Reason;
-        uint64_t RetryMs = 0;
-        decodeRejectBody(Body, Reason, RetryMs);
-        Out.Rejected = true;
-        Out.RejectReason = Reason;
-        Out.RetryAfterMs = RetryMs;
-        if (RetryMs > 0) {
-          RetryAfterSeconds = double(RetryMs) / 1000.0;
-          E = "shed: " + Reason;
-          return Outcome::Shed;
-        }
-        return Outcome::Done; // permanent: surface via Out.Rejected
-      }
-      case FrameType::Trace:
-        if (decodeIdPayload(F.Payload, Id, Body) && Id == Req.Id)
-          Out.EntryText = std::move(Body);
-        continue;
-      case FrameType::Done: {
-        DoneInfo D;
-        if (decodeDone(F.Payload, D) && D.Id == Req.Id) {
-          Out.Done = D;
-          Out.Ok = D.Status == 0;
-          return Outcome::Done;
-        }
-        continue;
-      }
-      case FrameType::Error:
-        E = "server error: " + F.Payload;
-        return Outcome::Transient;
-      case FrameType::Bye:
-        E = "server shut down before the result arrived";
-        return Outcome::Done; // a drained server will not come back
-      default:
-        continue; // diag/stats frames for other ids: skip
-      }
-    }
-    return Transient ? Outcome::Transient : Outcome::Done;
+    return exchange(Req, Overall, Out, E, RetryAfterSeconds, FrameType::Trace,
+                    [&](std::string &Body) {
+                      Out.EntryText = std::move(Body);
+                      return true;
+                    });
   });
 }
 
@@ -548,85 +558,28 @@ bool Client::runStudy(
   Req.Id = nextId();
   Req.K = Request::Kind::Study;
   Req.Study = Name;
-
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
-                            double &RetryAfterSeconds) -> Outcome {
+                            double &RetryAfterSeconds) {
     Out = StudyResult(); // a retry restarts the row stream from scratch
-    Req.DeadlineMs = Opt.DeadlineMs
-                         ? uint64_t(Overall.secondsLeft() * 1000) + 1
-                         : 0;
-    if (!send(Frame{FrameType::Request, encodeRequest(Req)}, E))
-      return Outcome::Transient;
-    Frame F;
-    bool Transient = false;
-    while (awaitFrame(F, Overall, E, Transient)) {
-      uint64_t Id = 0;
-      std::string Body;
-      switch (F.Type) {
-      case FrameType::Accepted:
-        continue;
-      case FrameType::Rejected: {
-        if (!decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
-          continue;
-        std::string Reason;
-        uint64_t RetryMs = 0;
-        decodeRejectBody(Body, Reason, RetryMs);
-        Out.Rejected = true;
-        Out.RejectReason = Reason;
-        Out.RetryAfterMs = RetryMs;
-        if (RetryMs > 0) {
-          RetryAfterSeconds = double(RetryMs) / 1000.0;
-          E = "shed: " + Reason;
-          return Outcome::Shed;
-        }
-        return Outcome::Done;
-      }
-      case FrameType::Row: {
-        if (!decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
-          continue;
-        frontend::CaseResult R;
-        if (!frontend::decodeCaseResult(Body, R)) {
-          E = "undecodable case-result row from server";
-          return Outcome::Transient;
-        }
-        Out.Rows.push_back(R);
-        if (OnRow)
-          OnRow(R);
-        continue;
-      }
-      case FrameType::Done: {
-        DoneInfo D;
-        if (decodeDone(F.Payload, D) && D.Id == Req.Id) {
-          Out.Done = D;
-          Out.Ok = D.Status == 0;
-          return Outcome::Done;
-        }
-        continue;
-      }
-      case FrameType::Error:
-        E = "server error: " + F.Payload;
-        return Outcome::Transient;
-      case FrameType::Bye:
-        E = "server shut down before the result arrived";
-        return Outcome::Done;
-      default:
-        continue;
-      }
-    }
-    return Transient ? Outcome::Transient : Outcome::Done;
+    return exchange(Req, Overall, Out, E, RetryAfterSeconds, FrameType::Row,
+                    [&](std::string &Body) {
+                      frontend::CaseResult R;
+                      if (!frontend::decodeCaseResult(Body, R))
+                        return false;
+                      Out.Rows.push_back(R);
+                      if (OnRow)
+                        OnRow(R);
+                      return true;
+                    });
   });
 }
 
 bool Client::ping(std::string &Err) {
   if (!send(Frame{FrameType::Ping, ""}, Err))
     return false;
-  net::Deadline Overall = Opt.DeadlineMs > 0
-                              ? net::Deadline::in(double(Opt.DeadlineMs) /
-                                                  1000.0)
-                              : net::Deadline();
   Frame F;
   bool Transient = false;
-  while (awaitFrame(F, Overall, Err, Transient)) {
+  while (awaitFrame(F, overallDeadline(), Err, Transient)) {
     if (F.Type == FrameType::Pong)
       return true;
     if (F.Type == FrameType::Error || F.Type == FrameType::Bye) {
@@ -641,112 +594,39 @@ bool Client::getStats(std::string &Out, std::string &Err) {
   Request Req;
   Req.Id = nextId();
   Req.K = Request::Kind::Stats;
-
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
-                            double &RetryAfterSeconds) -> Outcome {
-    Req.DeadlineMs = Opt.DeadlineMs
-                         ? uint64_t(Overall.secondsLeft() * 1000) + 1
-                         : 0;
-    if (!send(Frame{FrameType::Request, encodeRequest(Req)}, E))
-      return Outcome::Transient;
-    Frame F;
+                            double &RetryAfterSeconds) {
+    Reply Rep;
     bool Got = false;
-    bool Transient = false;
-    while (awaitFrame(F, Overall, E, Transient)) {
-      uint64_t Id = 0;
-      std::string Body;
-      if (F.Type == FrameType::Stats &&
-          decodeIdPayload(F.Payload, Id, Body) && Id == Req.Id) {
-        Out = std::move(Body);
-        Got = true;
-        continue;
-      }
-      if (F.Type == FrameType::Done) {
-        DoneInfo D;
-        if (decodeDone(F.Payload, D) && D.Id == Req.Id) {
-          if (Got)
-            return Outcome::Done;
-          E = "stats done without a stats frame (" + D.Error + ")";
-          return Outcome::Done;
-        }
-        continue;
-      }
-      if (F.Type == FrameType::Rejected &&
-          decodeIdPayload(F.Payload, Id, Body) && Id == Req.Id) {
-        std::string Reason;
-        uint64_t RetryMs = 0;
-        decodeRejectBody(Body, Reason, RetryMs);
-        if (RetryMs > 0) {
-          RetryAfterSeconds = double(RetryMs) / 1000.0;
-          E = "shed: " + Reason;
-          return Outcome::Shed;
-        }
-        E = "stats request rejected: " + Reason;
-        return Outcome::Done;
-      }
-      if (F.Type == FrameType::Error || F.Type == FrameType::Bye) {
-        E = "server error: " + F.Payload;
-        return Outcome::Done;
-      }
-    }
-    return Transient ? Outcome::Transient : Outcome::Done;
+    Outcome O = exchange(Req, Overall, Rep, E, RetryAfterSeconds,
+                         FrameType::Stats, [&](std::string &Body) {
+                           Out = std::move(Body);
+                           return Got = true;
+                         });
+    return answered(O, Rep, Got, "stats", E);
   });
 }
 
-bool Client::healthOnce(HealthInfo &Out, const net::Deadline &Overall,
-                        std::string &Err, bool &Transient) {
-  Transient = false;
+Client::Outcome Client::healthOnce(HealthInfo &Out,
+                                   const net::Deadline &Overall,
+                                   std::string &Err,
+                                   double &RetryAfterSeconds) {
   Request Req;
   Req.Id = nextId();
   Req.K = Request::Kind::Health;
-  Req.DeadlineMs =
-      Overall.infinite() ? 0 : uint64_t(Overall.secondsLeft() * 1000) + 1;
-  if (!send(Frame{FrameType::Request, encodeRequest(Req)}, Err)) {
-    Transient = true;
-    return false;
-  }
-  Frame F;
+  Reply Rep;
   bool Got = false;
-  while (awaitFrame(F, Overall, Err, Transient)) {
-    uint64_t Id = 0;
-    std::string Body;
-    if (F.Type == FrameType::Health && decodeIdPayload(F.Payload, Id, Body) &&
-        Id == Req.Id) {
-      if (!decodeHealth(Body, Out)) {
-        Err = "malformed health payload";
-        Transient = true;
-        return false;
-      }
-      Got = true;
-      continue;
-    }
-    if (F.Type == FrameType::Done) {
-      DoneInfo D;
-      if (decodeDone(F.Payload, D) && D.Id == Req.Id) {
-        if (Got)
-          return true;
-        Err = "health done without a snapshot (" + D.Error + ")";
-        return false;
-      }
-      continue;
-    }
-    if (F.Type == FrameType::Error || F.Type == FrameType::Bye) {
-      // An error frame in answer to `health` is a permanent refusal, not
-      // a flaky link.
-      Err = "server error: " + F.Payload;
-      return false;
-    }
-  }
-  return false;
+  Outcome O = exchange(Req, Overall, Rep, Err, RetryAfterSeconds,
+                       FrameType::Health, [&](std::string &Body) {
+                         return Got = decodeHealth(Body, Out);
+                       });
+  return answered(O, Rep, Got, "health", Err);
 }
 
 bool Client::health(HealthInfo &Out, std::string &Err) {
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
-                            double &) -> Outcome {
-    bool Transient = false;
-    if (healthOnce(Out, Overall, E, Transient))
-      return Outcome::Done;
-    return Transient ? Outcome::Transient : Outcome::Done;
+                            double &RetryAfterSeconds) {
+    return healthOnce(Out, Overall, E, RetryAfterSeconds);
   });
 }
 
@@ -754,33 +634,11 @@ bool Client::reloadServer(std::string &Err) {
   Request Req;
   Req.Id = nextId();
   Req.K = Request::Kind::Reload;
-
   return retryLoop(Err, [&](const net::Deadline &Overall, std::string &E,
-                            double &) -> Outcome {
-    Req.DeadlineMs = Opt.DeadlineMs
-                         ? uint64_t(Overall.secondsLeft() * 1000) + 1
-                         : 0;
-    if (!send(Frame{FrameType::Request, encodeRequest(Req)}, E))
-      return Outcome::Transient;
-    Frame F;
-    bool Transient = false;
-    while (awaitFrame(F, Overall, E, Transient)) {
-      if (F.Type == FrameType::Done) {
-        DoneInfo D;
-        if (decodeDone(F.Payload, D) && D.Id == Req.Id) {
-          if (D.Status == 0)
-            return Outcome::Done;
-          E = D.Error.empty() ? "reload failed" : D.Error;
-          return Outcome::Done;
-        }
-        continue;
-      }
-      if (F.Type == FrameType::Error || F.Type == FrameType::Bye) {
-        E = "server error: " + F.Payload;
-        return Outcome::Done;
-      }
-    }
-    return Transient ? Outcome::Transient : Outcome::Done;
+                            double &RetryAfterSeconds) {
+    Reply Rep;
+    Outcome O = exchange(Req, Overall, Rep, E, RetryAfterSeconds);
+    return answered(O, Rep, Rep.Ok, "reload", E);
   });
 }
 

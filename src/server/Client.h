@@ -7,9 +7,11 @@
 /// \file
 /// The client half of the islarisd protocol: a blocking connection that
 /// handshakes on connect and exposes one-call helpers for the request
-/// kinds (trace, study, stats, ping, shutdown).  Each helper issues one
-/// request and consumes frames until its `done` (or `rejected`) arrives;
-/// concurrency comes from opening multiple clients, one per thread, which
+/// kinds trace, study, stats, health and reload, plus ping and shutdown.
+/// The five id-carrying kinds share one exchange (send the request,
+/// consume frames until its `done` or `rejected`) and one retry rule;
+/// ping and shutdown carry no request id and are a single round trip.
+/// Concurrency comes from opening multiple clients, one per thread, which
 /// is exactly how bench_server and the dedup tests drive the daemon.
 ///
 /// Fleet failover (PR 10): connect() accepts a comma-separated endpoint
@@ -30,11 +32,12 @@
 ///    the remaining patience travels in every request so the server can
 ///    abandon work this client will no longer read.
 ///
-///  - Retries: sheds (rejected + retry-after) and transient transport
-///    failures (reset, EOF mid-stream, corrupted frame, silence) are
-///    retried with capped exponential backoff and deterministic seeded
-///    jitter (support::Backoff), reconnecting as needed.  Retrying is safe
-///    by construction: request ids are idempotent per client, and trace
+///  - Retries: sheds (rejected + retry-after), `error` frames and
+///    transient transport failures (reset, EOF mid-stream, corrupted
+///    frame, silence) are retried with capped exponential backoff (never
+///    slept after the last attempt) and deterministic seeded jitter
+///    (support::Backoff), reconnecting as needed.  Retrying is safe by
+///    construction: request ids are idempotent per client, and trace
 ///    requests are canonicalized and deduped at admission, so a replay
 ///    can only re-observe or attach — never recompute divergently.
 ///
@@ -145,29 +148,30 @@ public:
   /// error.
   bool recv(Frame &Out, std::string &Err);
 
-  /// Outcome of one trace request.
-  struct TraceResult {
+  /// How an id-carrying request ended: its `done`, or the `rejected` that
+  /// stood in for it.
+  struct Reply {
     bool Ok = false;
     bool Rejected = false;
     std::string RejectReason;
     uint64_t RetryAfterMs = 0; ///< Hint from the final shed, when Rejected.
+    DoneInfo Done;
+  };
+
+  /// Outcome of one trace request.
+  struct TraceResult : Reply {
     /// Serialized cache entry (TraceCache::serializeEntry form) — the
     /// bit-identical artifact the dedup test compares across clients.
     std::string EntryText;
-    DoneInfo Done;
   };
   /// Issues a trace request and consumes frames until done/rejected,
   /// retrying sheds and transient transport failures per ClientOptions.
   bool runTrace(const TraceRequest &R, TraceResult &Out, std::string &Err);
 
-  /// Outcome of one study/suite request.
-  struct StudyResult {
-    bool Ok = false;
-    bool Rejected = false;
-    std::string RejectReason;
-    uint64_t RetryAfterMs = 0;
+  /// Outcome of one study/suite request; Done.Status is the suite exit
+  /// code (0/1/2).
+  struct StudyResult : Reply {
     std::vector<frontend::CaseResult> Rows;
-    DoneInfo Done; ///< Done.Status is the suite exit code (0/1/2).
   };
   /// Issues a study request ("suite" or one of the nine study names),
   /// streaming each row through \p OnRow as it arrives.  On a retry the
@@ -226,10 +230,10 @@ private:
   /// Probes every endpoint's health and re-dials the least-loaded one
   /// (connect()-time only, behind ClientOptions::PreferLeastLoaded).
   void settleLeastLoaded();
-  /// Sends one health request on the current connection and waits for its
-  /// snapshot (no retries; health() wraps it in the retry loop).
-  bool healthOnce(HealthInfo &Out, const net::Deadline &Overall,
-                  std::string &Err, bool &Transient);
+  /// One health exchange on the current connection (no retries; health()
+  /// wraps it in the retry loop, settleLeastLoaded probes with it).
+  Outcome healthOnce(HealthInfo &Out, const net::Deadline &Overall,
+                     std::string &Err, double &RetryAfterSeconds);
   bool reconnect(std::string &Err);
   bool sendHello(std::string &Err);
   /// Waits for the next non-heartbeat frame, ticking heartbeats out and
@@ -237,6 +241,25 @@ private:
   /// the caller whether a retry could help.
   bool awaitFrame(Frame &Out, const net::Deadline &Overall, std::string &Err,
                   bool &Transient);
+  /// One attempt of an id-carrying request: sends \p Req carrying the
+  /// patience left in \p Overall and consumes frames until its answer.
+  /// The body of each \p Result frame for Req's id goes to \p OnResult,
+  /// which returns false when it does not decode (the default, Done, means
+  /// the `done` frame is the whole answer).  `done` fills \p Rep;
+  /// `rejected` fills it too, as Shed when it carries a retry-after hint
+  /// and as a finished (Done) answer when it does not.
+  Outcome exchange(Request &Req, const net::Deadline &Overall, Reply &Rep,
+                   std::string &Err, double &RetryAfterSeconds,
+                   FrameType Result = FrameType::Done,
+                   const std::function<bool(std::string &)> &OnResult =
+                       nullptr);
+  /// For the helpers that must get an answer (stats, health, reload): a
+  /// finished exchange that was rejected, or that ended without \p Got,
+  /// becomes an error naming \p What and the reason.
+  static Outcome answered(Outcome O, const Reply &Rep, bool Got,
+                          const char *What, std::string &Err);
+  /// The end-to-end bound of one helper call (ClientOptions::DeadlineMs).
+  net::Deadline overallDeadline() const;
   /// Shared retry driver around one attempt closure.
   bool retryLoop(
       std::string &Err,

@@ -355,20 +355,17 @@ std::string islaris::server::encodeRejectBody(const std::string &Reason,
   return OS.str();
 }
 
-void islaris::server::decodeRejectBody(const std::string &Body,
+bool islaris::server::decodeRejectBody(const std::string &Body,
                                        std::string &Reason,
                                        uint64_t &RetryAfterMs) {
   Cursor C(Body);
   std::string R = C.str();
-  if (C.Fail) {
-    // Legacy bare-string reason; no hint.
-    Reason = Body;
-    RetryAfterMs = 0;
-    return;
-  }
-  Reason = R;
   uint64_t RA = C.u64();
-  RetryAfterMs = C.Fail ? 0 : RA;
+  if (C.Fail)
+    return false;
+  Reason = std::move(R);
+  RetryAfterMs = RA;
+  return true;
 }
 
 std::string islaris::server::encodeDone(const DoneInfo &D) {

@@ -199,10 +199,10 @@ bool decodeHello(const std::string &Payload, HelloInfo &Out);
 /// human-readable reason plus a machine retry-after hint.  RetryAfterMs 0
 /// means "do not retry — the request itself is invalid"; nonzero marks a
 /// load shed worth retrying after the hinted delay.  decodeRejectBody
-/// tolerates a bare legacy reason string (hint degrades to 0).
+/// refuses a body without both fields (false, outputs untouched).
 std::string encodeRejectBody(const std::string &Reason,
                              uint64_t RetryAfterMs);
-void decodeRejectBody(const std::string &Body, std::string &Reason,
+bool decodeRejectBody(const std::string &Body, std::string &Reason,
                       uint64_t &RetryAfterMs);
 
 /// `health` frame payload (protocol 3): the readiness snapshot a probe or

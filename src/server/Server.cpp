@@ -159,8 +159,8 @@ struct Server::Impl {
   // ids, the dedup index, and the activity clock — all under QMu.
   mutable std::mutex QMu;
   /// Wakes workers only.  Anyone else sleeping on QCv could steal an
-  /// enqueue's notify_one and strand the job (the waitImpl/idleLoop
-  /// waiters have their own cvs for exactly that reason).
+  /// enqueue's notify_one and strand the job (the waitImpl waiter has its
+  /// own cv for exactly that reason).
   std::condition_variable QCv;
   /// Wakes threads blocked in wait() when a drain begins.
   std::condition_variable ShutCv;
@@ -173,12 +173,6 @@ struct Server::Impl {
   bool EvictedSinceActivity = false;
 
   std::vector<std::thread> WorkerThs;
-  std::thread IdleTh;
-  /// The idle timer ticks on its own cv: were it to share QCv, an
-  /// enqueue's notify_one could wake the timer instead of a worker and
-  /// strand the job until the next notification (a lost wakeup).
-  std::mutex IdleMu;
-  std::condition_variable IdleCv;
 
   /// Serializes study requests: the study runners consult process-wide
   /// ambient state, so two concurrent suite runs would race on it.
@@ -239,6 +233,20 @@ struct Server::Impl {
 
   bool sendFrame(Conn &C, FrameType T, const std::string &Payload) {
     return sendAll(C, encodeFrame(Frame{T, Payload}));
+  }
+
+  /// The one encoder of `done` frames.
+  void sendDone(Conn &C, uint64_t Id, unsigned Status, const char *Source,
+                double Seconds = 0, const std::string &Error = "",
+                uint64_t Attempts = 0) {
+    DoneInfo D;
+    D.Id = Id;
+    D.Status = Status;
+    D.Source = Source;
+    D.Attempts = Attempts;
+    D.Seconds = Seconds;
+    D.Error = Error;
+    sendFrame(C, FrameType::Done, encodeDone(D));
   }
 
   void touchActivity() {
@@ -343,7 +351,12 @@ struct Server::Impl {
     while (!Draining.load(std::memory_order_relaxed)) {
       pollfd P{Lsn.fd(), POLLIN, 0};
       int R = ::poll(&P, 1, 200);
+      // Housekeeping rides the same tick.  The degraded probe and the idle
+      // check pace themselves by wall time, so a busy accept loop runs
+      // them no more often than an idle one.
       reapConns();
+      probeDegraded();
+      evictIfIdle();
       if (R <= 0)
         continue;
       int Fd = Lsn.acceptOne();
@@ -517,26 +530,28 @@ struct Server::Impl {
   // Admission.
   //===--------------------------------------------------------------------===//
 
-  /// Permanent rejection: the request itself is invalid, retrying is
-  /// pointless (retry-after 0).
-  void reject(Conn &C, uint64_t Id, const std::string &Why) {
+  /// Permanent rejection by default: the request itself is invalid,
+  /// retrying is pointless (retry-after 0).
+  void reject(Conn &C, uint64_t Id, const std::string &Why,
+              uint64_t RetryAfterMs = 0) {
     bump(&ServerStats::Rejected);
     sendFrame(C, FrameType::Rejected,
-              encodeIdPayload(Id, encodeRejectBody(Why, 0)));
+              encodeIdPayload(Id, encodeRejectBody(Why, RetryAfterMs)));
   }
 
   /// Load shed: the request is fine, the server is not — carry a
   /// retry-after hint scaled by queue pressure so a polite client comes
   /// back when there is room.  Call with QMu NOT held.
-  void shed(Conn &C, uint64_t Id, const std::string &Why,
-            size_t QueuedNow) {
-    bump(&ServerStats::Rejected);
+  void shed(Conn &C, uint64_t Id, const std::string &Why) {
+    size_t Queued;
+    {
+      std::lock_guard<std::mutex> QL(QMu);
+      Queued = TotalQueued;
+    }
     bump(&ServerStats::Shed);
     uint64_t Base = Cfg.ShedRetryAfterMs ? Cfg.ShedRetryAfterMs : 100;
     size_t Depth = Cfg.MaxQueueDepth ? Cfg.MaxQueueDepth : 1;
-    uint64_t Hint = Base + Base * uint64_t(QueuedNow) / uint64_t(Depth);
-    sendFrame(C, FrameType::Rejected,
-              encodeIdPayload(Id, encodeRejectBody(Why, Hint)));
+    reject(C, Id, Why, Base + Base * uint64_t(Queued) / uint64_t(Depth));
   }
 
   void admit(const std::shared_ptr<Conn> &C, const Request &R) {
@@ -550,10 +565,7 @@ struct Server::Impl {
       bump(&ServerStats::HealthRequests);
       sendFrame(*C, FrameType::Health,
                 encodeIdPayload(R.Id, encodeHealth(healthSnapshotImpl())));
-      DoneInfo D;
-      D.Id = R.Id;
-      D.Source = "health";
-      sendFrame(*C, FrameType::Done, encodeDone(D));
+      sendDone(*C, R.Id, 0, "health");
       return;
     }
 
@@ -562,12 +574,7 @@ struct Server::Impl {
       // fine, this daemon is leaving.  The retry-after hint lets a lone
       // client wait out a restart, and a failover client's shed-storm
       // rotation carries the request to a surviving daemon.
-      size_t Q;
-      {
-        std::lock_guard<std::mutex> QL(QMu);
-        Q = TotalQueued;
-      }
-      shed(*C, R.Id, "server draining", Q);
+      shed(*C, R.Id, "server draining");
       return;
     }
 
@@ -578,13 +585,8 @@ struct Server::Impl {
       Clock::time_point T0 = Clock::now();
       std::string RErr;
       bool Ok = reloadModelsImpl(RErr);
-      DoneInfo D;
-      D.Id = R.Id;
-      D.Status = Ok ? 0 : 2; // infrastructure failure, never a verdict
-      D.Source = "reload";
-      D.Seconds = secondsSince(T0);
-      D.Error = RErr;
-      sendFrame(*C, FrameType::Done, encodeDone(D));
+      // A failed reload is an infrastructure failure, never a verdict.
+      sendDone(*C, R.Id, Ok ? 0 : 2, "reload", secondsSince(T0), RErr);
       return;
     }
 
@@ -604,15 +606,9 @@ struct Server::Impl {
     if (Cfg.MaxInflightPerClient > 0 &&
         C->InFlight.load(std::memory_order_relaxed) >=
             Cfg.MaxInflightPerClient) {
-      size_t Q;
-      {
-        std::lock_guard<std::mutex> QL(QMu);
-        Q = TotalQueued;
-      }
       shed(*C, R.Id,
            "client quota exceeded (" +
-               std::to_string(Cfg.MaxInflightPerClient) + " in flight)",
-           Q);
+               std::to_string(Cfg.MaxInflightPerClient) + " in flight)");
       return;
     }
 
@@ -669,56 +665,45 @@ struct Server::Impl {
       G->Key = cache::traceCacheKey(G->Arch, *G->Model, G->Op, G->Assume,
                                     G->Opts);
       G->Waiters.push_back(W);
-
-      std::unique_lock<std::mutex> L(QMu);
-      touchActivity();
-      // Cross-client dedup: an identical request already queued or
-      // executing absorbs this one — no new queue entry, one execution,
-      // result fan-out.  Attach is exempt from the queue bound because it
-      // adds no work.
-      auto It = Inflight.find(G->Key);
-      if (It != Inflight.end()) {
-        It->second->Waiters.push_back(W);
-        L.unlock();
-        C->InFlight.fetch_add(1, std::memory_order_relaxed);
-        bump(&ServerStats::DedupFanout);
-        sendFrame(*C, FrameType::Accepted, encodeIdPayload(R.Id, "dedup"));
-        return;
-      }
-      if (TotalQueued >= Cfg.MaxQueueDepth) {
-        size_t Q = TotalQueued;
-        L.unlock();
-        shed(*C, R.Id, "queue full", Q);
-        return;
-      }
       J->K = Job::Kind::Trace;
-      J->Group = G;
-      Inflight[G->Key] = G;
-      Queues[C->Id].push_back(J);
-      ++TotalQueued;
-      L.unlock();
-      C->InFlight.fetch_add(1, std::memory_order_relaxed);
-      QCv.notify_one();
-      sendFrame(*C, FrameType::Accepted, encodeIdPayload(R.Id, "queued"));
-      return;
+      J->Group = std::move(G);
+      break;
     }
     }
+    enqueue(C, R.Id, std::move(J));
+  }
 
-    // Stats/study jobs share the same bounded, per-client-fair queue.
+  /// The one way work enters the queue.  Cross-client dedup: a trace whose
+  /// key is already queued or executing attaches to that group — one
+  /// execution, result fan-out, exempt from the queue bound because it
+  /// adds no work.  Anything else is shed past the bound, or pushed onto
+  /// its client's FIFO (a trace registering its group for attachers).
+  void enqueue(const std::shared_ptr<Conn> &C, uint64_t Id,
+               std::shared_ptr<Job> J) {
     std::unique_lock<std::mutex> L(QMu);
     touchActivity();
-    if (TotalQueued >= Cfg.MaxQueueDepth) {
-      size_t Q = TotalQueued;
+    auto It = J->Group ? Inflight.find(J->Group->Key) : Inflight.end();
+    bool Attach = It != Inflight.end();
+    if (Attach) {
+      It->second->Waiters.push_back(J->W);
+    } else if (TotalQueued >= Cfg.MaxQueueDepth) {
       L.unlock();
-      shed(*C, R.Id, "queue full", Q);
+      shed(*C, Id, "queue full");
       return;
+    } else {
+      if (J->Group)
+        Inflight[J->Group->Key] = J->Group;
+      Queues[C->Id].push_back(std::move(J));
+      ++TotalQueued;
     }
-    Queues[C->Id].push_back(J);
-    ++TotalQueued;
     L.unlock();
     C->InFlight.fetch_add(1, std::memory_order_relaxed);
-    QCv.notify_one();
-    sendFrame(*C, FrameType::Accepted, encodeIdPayload(R.Id, "queued"));
+    if (Attach)
+      bump(&ServerStats::DedupFanout);
+    else
+      QCv.notify_one();
+    sendFrame(*C, FrameType::Accepted,
+              encodeIdPayload(Id, Attach ? "dedup" : "queued"));
   }
 
   /// One request id retired: the done (or deadline-expiry) frame is out,
@@ -727,19 +712,21 @@ struct Server::Impl {
     W.C->InFlight.fetch_sub(1, std::memory_order_relaxed);
   }
 
+  /// Answers a queued request with its `done` (carrying the waiter's
+  /// queue + execution time), then retires the waiter.
+  void finish(Waiter &W, unsigned Status, const char *Source,
+              const std::string &Error = "", uint64_t Attempts = 0) {
+    sendDone(*W.C, W.ReqId, Status, Source, secondsSince(W.Enqueued), Error,
+             Attempts);
+    retire(W);
+  }
+
   /// Tell a waiter its deadline passed before (or while) its work ran.
   /// Status 2 = infrastructure, Source "deadline": the verdict was never
   /// computed, so this can never be mistaken for a proof failure.
   void expireWaiter(Waiter &W, const char *Why) {
     bump(&ServerStats::DeadlineExpired);
-    DoneInfo D;
-    D.Id = W.ReqId;
-    D.Status = 2;
-    D.Source = "deadline";
-    D.Seconds = secondsSince(W.Enqueued);
-    D.Error = Why;
-    sendFrame(*W.C, FrameType::Done, encodeDone(D));
-    retire(W);
+    finish(W, 2, "deadline", Why);
   }
 
   //===--------------------------------------------------------------------===//
@@ -804,12 +791,7 @@ struct Server::Impl {
         }
         sendFrame(*J->W.C, FrameType::Stats,
                   encodeIdPayload(J->W.ReqId, renderStatsImpl()));
-        DoneInfo D;
-        D.Id = J->W.ReqId;
-        D.Source = "stats";
-        D.Seconds = secondsSince(J->W.Enqueued);
-        sendFrame(*J->W.C, FrameType::Done, encodeDone(D));
-        retire(J->W);
+        finish(J->W, 0, "stats");
         break;
       }
       }
@@ -830,7 +812,7 @@ struct Server::Impl {
   /// accounted values; on growth, charges PublishFailures and (first time)
   /// enters cache-off degraded mode: both stores stop touching the disk,
   /// requests keep being served from memory and fresh execution, and the
-  /// idle thread's write probe decides when to come back.
+  /// accept loop's write probe decides when to come back.
   void maybeDegrade() {
     if (!Cfg.Persist)
       return;
@@ -1008,16 +990,9 @@ struct Server::Impl {
       if (Ok)
         sendFrame(*W.C, FrameType::Trace,
                   encodeIdPayload(W.ReqId, EntryText));
-      DoneInfo D;
-      D.Id = W.ReqId;
-      D.Status = Ok ? 0 : Status;
-      D.Source = !Ok ? "failed" : (I == 0 ? (Fresh ? "fresh" : "warm")
-                                          : "dedup");
-      D.Attempts = Attempts;
-      D.Seconds = secondsSince(W.Enqueued);
-      D.Error = Error;
-      sendFrame(*W.C, FrameType::Done, encodeDone(D));
-      retire(W);
+      finish(W, Status,
+             !Ok ? "failed" : (I == 0 ? (Fresh ? "fresh" : "warm") : "dedup"),
+             Error, Attempts);
     }
   }
 
@@ -1050,50 +1025,37 @@ struct Server::Impl {
                                   std::string(E.Id) + ": " +
                                       (R.Error.empty() ? "failed" : R.Error)));
     }
-    DoneInfo D;
-    D.Id = J.W.ReqId;
-    D.Status = unsigned(frontend::suiteExitCode(Rows));
-    D.Source = "study";
-    D.Seconds = secondsSince(J.W.Enqueued);
-    if (D.Status != 0)
+    unsigned Status = unsigned(frontend::suiteExitCode(Rows));
+    std::string Error;
+    if (Status != 0)
       for (const frontend::CaseResult &R : Rows)
         if (!R.Ok) {
-          D.Error = R.Name + ": " + R.Error;
+          Error = R.Name + ": " + R.Error;
           break;
         }
-    sendFrame(*J.W.C, FrameType::Done, encodeDone(D));
-    retire(J.W);
+    finish(J.W, Status, "study", Error);
   }
 
   //===--------------------------------------------------------------------===//
   // Idle eviction.
   //===--------------------------------------------------------------------===//
 
-  void idleLoop() {
-    while (!Draining.load(std::memory_order_relaxed)) {
-      {
-        std::unique_lock<std::mutex> IL(IdleMu);
-        IdleCv.wait_for(IL, std::chrono::milliseconds(200));
-      }
-      if (Draining.load(std::memory_order_relaxed))
+  /// Drops the stores' hot sets once the daemon has been idle for
+  /// IdleEvictSeconds (once per idle stretch; the next request re-arms it).
+  void evictIfIdle() {
+    {
+      std::lock_guard<std::mutex> L(QMu);
+      if (Cfg.IdleEvictSeconds <= 0 || EvictedSinceActivity ||
+          TotalQueued > 0 || ActiveJobs > 0 ||
+          secondsSince(LastActivity) < Cfg.IdleEvictSeconds)
         return;
-      probeDegraded();
-      {
-        std::lock_guard<std::mutex> L(QMu);
-        if (Cfg.IdleEvictSeconds <= 0 || EvictedSinceActivity)
-          continue;
-        if (TotalQueued > 0 || ActiveJobs > 0)
-          continue;
-        if (secondsSince(LastActivity) < Cfg.IdleEvictSeconds)
-          continue;
-        EvictedSinceActivity = true;
-      }
-      // Disk entries survive; only the hot sets drop.  The next request
-      // repopulates from disk at disk-hit (not cold-execution) cost.
-      Cache->clearMemory();
-      SideCond->clearMemory();
-      bump(&ServerStats::IdleEvictions);
+      EvictedSinceActivity = true;
     }
+    // Disk entries survive; only the hot sets drop.  The next request
+    // repopulates from disk at disk-hit (not cold-execution) cost.
+    Cache->clearMemory();
+    SideCond->clearMemory();
+    bump(&ServerStats::IdleEvictions);
   }
 
   //===--------------------------------------------------------------------===//
@@ -1157,7 +1119,6 @@ struct Server::Impl {
     unsigned Workers = Cfg.Workers ? Cfg.Workers : 1;
     for (unsigned I = 0; I < Workers; ++I)
       WorkerThs.emplace_back([this] { workerLoop(); });
-    IdleTh = std::thread([this] { idleLoop(); });
     return true;
   }
 
@@ -1174,10 +1135,6 @@ struct Server::Impl {
       QCv.notify_all();
       ShutCv.notify_all();
     }
-    {
-      std::lock_guard<std::mutex> IL(IdleMu);
-    }
-    IdleCv.notify_all();
   }
 
   void waitImpl() {
@@ -1200,8 +1157,6 @@ struct Server::Impl {
     for (std::thread &T : WorkerThs)
       T.join(); // workers drain every queued job before exiting
     WorkerThs.clear();
-    if (IdleTh.joinable())
-      IdleTh.join();
 
     // Every accepted request has its done frame out; say goodbye.
     {
@@ -1271,13 +1226,6 @@ struct Server::Impl {
       std::lock_guard<std::mutex> L(StatsMu);
       S = St;
     }
-    size_t Depth;
-    unsigned Active;
-    {
-      std::lock_guard<std::mutex> L(QMu);
-      Depth = TotalQueued;
-      Active = ActiveJobs;
-    }
     HealthInfo H = healthSnapshotImpl();
     cache::CacheStats CS = Cache->stats();
     cache::SideCondStats SS = SideCond->stats();
@@ -1310,7 +1258,8 @@ struct Server::Impl {
        << ",\"model_generation\":" << H.Generation
        << ",\"model_fp\":\"" << H.ModelFpHex << "\""
        << ",\"listen\":\"" << Lsn.local().str() << "\""
-       << ",\"queue_depth\":" << Depth << ",\"active_jobs\":" << Active
+       << ",\"queue_depth\":" << H.QueueDepth
+       << ",\"active_jobs\":" << H.ActiveJobs
        << ",\"trace_cache\":{\"hits\":" << CS.Hits
        << ",\"disk_hits\":" << CS.DiskHits << ",\"misses\":" << CS.Misses
        << ",\"insertions\":" << CS.Insertions << "}"

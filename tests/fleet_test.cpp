@@ -272,6 +272,58 @@ TEST(FleetReloadTest, ReloadUnderLoadDropsNothing) {
   EXPECT_EQ(S.stats().Reloads, uint64_t(Reloads));
 }
 
+TEST(FleetReloadTest, DrainShedsReloadAndStatsWithoutWaiting) {
+  TempDir D;
+  server::ServerConfig Cfg = daemonConfig(D, "a.sock");
+  Cfg.Workers = 1;
+  Cfg.ExecDelaySeconds = 2;    // keeps the drain open while we probe it
+  Cfg.ShedRetryAfterMs = 3000; // a hint no single-attempt caller may sleep
+  server::Server S(Cfg);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+
+  // Both clients connect before the drain: a draining daemon stops
+  // accepting connections, but still answers the ones it has.
+  server::Client Busy(fleetClientOptions());
+  ASSERT_TRUE(Busy.connect(Cfg.SocketPath, Err)) << Err;
+  server::ClientOptions O = fleetClientOptions(8);
+  O.MaxAttempts = 1;
+  server::Client Late(O);
+  ASSERT_TRUE(Late.connect(Cfg.SocketPath, Err)) << Err;
+
+  server::Client::TraceResult TR;
+  std::string TErr;
+  bool TraceOk = false;
+  std::thread Tracer([&] { TraceOk = Busy.runTrace(addImm(40), TR, TErr); });
+  ASSERT_TRUE(waitFor(5, [&] { return S.healthSnapshot().ActiveJobs == 1; }));
+  S.requestShutdown();
+
+  // The drain sheds both requests; a single-attempt caller reports the
+  // shed at once instead of sleeping out the hint or awaiting the drain.
+  auto Elapsed = [](Clock::time_point T0) {
+    return std::chrono::duration<double>(Clock::now() - T0).count();
+  };
+  Clock::time_point T0 = Clock::now();
+  std::string Json, SErr;
+  EXPECT_FALSE(Late.getStats(Json, SErr));
+  EXPECT_LT(Elapsed(T0), 1.0);
+  EXPECT_NE(SErr.find("draining"), std::string::npos) << SErr;
+
+  T0 = Clock::now();
+  std::string RErr;
+  EXPECT_FALSE(Late.reloadServer(RErr));
+  EXPECT_LT(Elapsed(T0), 1.0);
+  EXPECT_NE(RErr.find("draining"), std::string::npos) << RErr;
+
+  // The accepted trace still completes before the drain says goodbye.
+  Tracer.join();
+  EXPECT_TRUE(TraceOk) << TErr;
+  EXPECT_TRUE(TR.Ok);
+  S.wait();
+  EXPECT_EQ(S.stats().Reloads, 0u);
+  EXPECT_GE(S.stats().Shed, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Failover.
 //===----------------------------------------------------------------------===//

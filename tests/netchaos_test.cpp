@@ -496,7 +496,7 @@ TEST(ShedTest, FloodIsShedWithRetryAfterWhilePoliteClientSucceeds) {
       std::string Body, Reason;
       uint64_t RetryMs = 0;
       ASSERT_TRUE(server::decodeIdPayload(F.Payload, Id, Body));
-      server::decodeRejectBody(Body, Reason, RetryMs);
+      ASSERT_TRUE(server::decodeRejectBody(Body, Reason, RetryMs));
       EXPECT_NE(Reason.find("queue full"), std::string::npos);
       EXPECT_GT(RetryMs, 0u) << "sheds must carry a retry-after hint";
       MaxHint = std::max(MaxHint, RetryMs);
@@ -554,7 +554,7 @@ TEST(ShedTest, PerClientQuotaIsolatesTheFlooder) {
       std::string Body, Reason;
       uint64_t RetryMs = 0;
       ASSERT_TRUE(server::decodeIdPayload(F.Payload, Id, Body));
-      server::decodeRejectBody(Body, Reason, RetryMs);
+      ASSERT_TRUE(server::decodeRejectBody(Body, Reason, RetryMs));
       if (Reason.find("quota") != std::string::npos) {
         EXPECT_GT(RetryMs, 0u);
         ++QuotaSheds;

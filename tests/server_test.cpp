@@ -257,6 +257,78 @@ TEST(PayloadCodecTest, IdPayloadRoundTrip) {
   EXPECT_FALSE(server::decodeIdPayload("77", Id, Body));
 }
 
+TEST(PayloadCodecTest, RejectBodyRoundTripAndBareReasonRefused) {
+  std::string Reason;
+  uint64_t RetryMs = 0;
+  ASSERT_TRUE(server::decodeRejectBody(
+      server::encodeRejectBody("queue full", 250), Reason, RetryMs));
+  EXPECT_EQ(Reason, "queue full");
+  EXPECT_EQ(RetryMs, 250u);
+  ASSERT_TRUE(server::decodeRejectBody(
+      server::encodeRejectBody("unknown case study: x", 0), Reason, RetryMs));
+  EXPECT_EQ(Reason, "unknown case study: x");
+  EXPECT_EQ(RetryMs, 0u);
+
+  // One protocol version: a bare reason (or a reason without its hint) is
+  // a malformed body, not a hint-0 rejection.
+  Reason = "untouched";
+  EXPECT_FALSE(server::decodeRejectBody("server draining", Reason, RetryMs));
+  EXPECT_FALSE(server::decodeRejectBody("4:full", Reason, RetryMs));
+  EXPECT_FALSE(server::decodeRejectBody("", Reason, RetryMs));
+  EXPECT_EQ(Reason, "untouched");
+}
+
+TEST(PayloadCodecTest, HealthRoundTripsEveryField) {
+  server::HealthInfo In;
+  In.Version = 3;
+  In.Pid = 4242;
+  In.UptimeSeconds = 12.5;
+  In.QueueDepth = 7;
+  In.ActiveJobs = 2;
+  In.Draining = 1;
+  In.Generation = 5;
+  In.ModelFpHex = "0123456789abcdef";
+  In.DegradedFlags = server::HealthDegradedCacheOff;
+  In.PublishFailures = 9;
+  In.DegradedSeconds = 0.75;
+  server::HealthInfo Out;
+  ASSERT_TRUE(server::decodeHealth(server::encodeHealth(In), Out));
+  EXPECT_EQ(Out.Version, 3u);
+  EXPECT_EQ(Out.Pid, 4242u);
+  EXPECT_DOUBLE_EQ(Out.UptimeSeconds, 12.5);
+  EXPECT_EQ(Out.QueueDepth, 7u);
+  EXPECT_EQ(Out.ActiveJobs, 2u);
+  EXPECT_EQ(Out.Draining, 1u);
+  EXPECT_EQ(Out.Generation, 5u);
+  EXPECT_EQ(Out.ModelFpHex, "0123456789abcdef");
+  EXPECT_EQ(Out.DegradedFlags, server::HealthDegradedCacheOff);
+  EXPECT_EQ(Out.PublishFailures, 9u);
+  EXPECT_DOUBLE_EQ(Out.DegradedSeconds, 0.75);
+  EXPECT_FALSE(server::decodeHealth("", Out));
+}
+
+TEST(PayloadCodecTest, HelloRoundTripsEveryFieldAndVersionOnlyDecodes) {
+  server::HelloInfo In;
+  In.Version = server::ProtocolVersion;
+  In.ClientName = "codec test";
+  In.DefaultDeadlineMs = 1500;
+  In.HeartbeatMs = 200;
+  server::HelloInfo Out;
+  ASSERT_TRUE(server::decodeHello(server::encodeHello(In), Out));
+  EXPECT_EQ(Out.Version, server::ProtocolVersion);
+  EXPECT_EQ(Out.ClientName, "codec test");
+  EXPECT_EQ(Out.DefaultDeadlineMs, 1500u);
+  EXPECT_EQ(Out.HeartbeatMs, 200u);
+
+  // A minimal hello carries only the version; the extras default to zero.
+  ASSERT_TRUE(server::decodeHello("3", Out));
+  EXPECT_EQ(Out.Version, 3u);
+  EXPECT_TRUE(Out.ClientName.empty());
+  EXPECT_EQ(Out.DefaultDeadlineMs, 0u);
+  EXPECT_EQ(Out.HeartbeatMs, 0u);
+  EXPECT_FALSE(server::decodeHello("", Out));
+}
+
 //===----------------------------------------------------------------------===//
 // Live server: handshake and malformed input.
 //===----------------------------------------------------------------------===//
