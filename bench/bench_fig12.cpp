@@ -15,7 +15,6 @@
 #include "cache/SideCondCache.h"
 #include "cache/TraceCache.h"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 
@@ -203,51 +202,6 @@ int main() {
   std::printf("  cold-run results bit-identical to uncached ... %s\n",
               ColdIdentical ? "yes" : "NO");
   AllOk = AllOk && WarmSat * 2 <= ColdSat && ColdIdentical;
-
-  // Path-exploration engines: re-run the suite uncached under the legacy
-  // replay engine and the snapshot engine.  Traces are bit-identical by
-  // construction; what differs is the work — replay re-executes the shared
-  // prefix of every path, the snapshot engine restores it from a
-  // checkpoint.  Statement counts are deterministic (the criterion); wall
-  // clock is informational.
-  auto now = [] {
-    using namespace std::chrono;
-    return duration<double>(steady_clock::now().time_since_epoch()).count();
-  };
-  auto stmts = [](const std::vector<CaseResult> &Rs) {
-    uint64_t N = 0;
-    for (const CaseResult &R : Rs)
-      N += R.IslaStmts;
-    return N;
-  };
-  ifr::SuiteOptions RepOpts;
-  RepOpts.Engine = islaris::isla::ExecEngine::Replay;
-  double T0 = now();
-  std::vector<CaseResult> Rep = ifr::runAllCaseStudies(RepOpts);
-  double RepWall = now() - T0;
-  ifr::SuiteOptions SnapOpts; // snapshot engine, still uncached
-  T0 = now();
-  std::vector<CaseResult> Snap = ifr::runAllCaseStudies(SnapOpts);
-  double SnapWall = now() - T0;
-  uint64_t RepStmts = stmts(Rep), SnapStmts = stmts(Snap);
-  uint64_t Skipped = 0;
-  for (const CaseResult &R : Snap)
-    Skipped += R.IslaStmtsSkipped;
-  bool EnginesAgree = sameRows(Rep, Snap);
-  std::printf("\nPath-exploration engines (uncached; replay -> "
-              "snapshot):\n");
-  std::printf("  model statements executed .... %llu -> %llu "
-              "(%.2fx; %llu restored from checkpoints)\n",
-              (unsigned long long)RepStmts, (unsigned long long)SnapStmts,
-              SnapStmts ? double(RepStmts) / double(SnapStmts) : 0.0,
-              (unsigned long long)Skipped);
-  std::printf("  suite wall time (generation + proof) ... %.2f s -> "
-              "%.2f s (informational)\n", RepWall, SnapWall);
-  std::printf("  rows bit-identical across engines ............. %s\n",
-              EnginesAgree ? "yes" : "NO");
-  std::printf("  snapshot executes strictly fewer statements ... %s\n",
-              SnapStmts < RepStmts ? "yes" : "NO");
-  AllOk = AllOk && EnginesAgree && SnapStmts < RepStmts;
 
   // Diagnostics and fault tolerance: every row carries its structured
   // diagnostic and the batch driver's retry/quarantine counters, so a red

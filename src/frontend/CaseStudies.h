@@ -74,7 +74,7 @@ struct CaseResult {
   uint64_t IslaStmts = 0;
   uint64_t IslaStmtsSkipped = 0;
   unsigned HelperMemoHits = 0; ///< Pure-helper summary-memo hits.
-  /// Merge-engine counters (zero under Snapshot/Replay): forks collapsed
+  /// Merge-engine counters (zero under Snapshot): forks collapsed
   /// at their post-dominator join, forks demoted to enumeration, and ite
   /// terms the joins introduced.
   unsigned PathsMerged = 0;
@@ -101,33 +101,44 @@ struct CaseResult {
 std::string encodeCaseResult(const CaseResult &R);
 bool decodeCaseResult(const std::string &Text, CaseResult &Out);
 
+// Every runner generates its traces under \p Engine.  Merge traces are
+// shaped differently from Snapshot's but equivalent, so every proof must
+// go through under either.
+
 /// Runs memcpy (Fig. 7, GCC-shaped Arm code) copying \p N bytes with
 /// symbolic contents and addresses.
-CaseResult runMemcpyArm(unsigned N = 4, bool SimplifiedTraces = true);
+CaseResult runMemcpyArm(unsigned N = 4, bool SimplifiedTraces = true,
+                        isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The Clang-shaped RISC-V memcpy of Fig. 7.
-CaseResult runMemcpyRv(unsigned N = 4);
+CaseResult runMemcpyRv(unsigned N = 4,
+                       isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The Fig. 9 exception-vector install/call program.
-CaseResult runHvc();
+CaseResult runHvc(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The pKVM-style relocation-parametric hypercall handler.
-CaseResult runPkvm();
+CaseResult runPkvm(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The misaligned-store fault case study.
-CaseResult runUnaligned();
+CaseResult runUnaligned(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The UART putc MMIO poll loop.
-CaseResult runUart();
+CaseResult runUart(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The rbit inline-assembly case study.
-CaseResult runRbit();
+CaseResult runRbit(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// Comparator-parametric binary search over \p N sorted elements (Arm).
-CaseResult runBinSearchArm(unsigned N = 4);
+CaseResult
+runBinSearchArm(unsigned N = 4,
+                isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 /// The RISC-V binary search.
-CaseResult runBinSearchRv(unsigned N = 4);
+CaseResult
+runBinSearchRv(unsigned N = 4,
+               isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
 
 /// One Fig. 12 study: its islarisd id, its table row name (what the runner
 /// stamps into CaseResult::Name, so a study that dies before returning is
-/// still attributable), and the runner with its default parameters.
+/// still attributable), and the runner with its default parameters under
+/// the given engine.
 struct StudyEntry {
   const char *Id;
   const char *Row;
-  CaseResult (*Run)();
+  CaseResult (*Run)(isla::ExecEngine);
 };
 
 /// The nine studies in the paper's row order: the one table both the suite
@@ -153,12 +164,6 @@ struct SuiteOptions {
   /// Null leaves whatever injector is already active — including one
   /// configured from ISLARIS_FAULTS / ISLARIS_FAULT_SEED by the harness.
   support::FaultInjector *Faults = nullptr;
-  /// Path-exploration engine installed as the process default for the run.
-  /// Snapshot and Replay are bit-identical (Replay is the differential
-  /// oracle and ablation baseline); Merge collapses both-feasible forks at
-  /// their join points into ite values, so its traces are semantically
-  /// equivalent but differently shaped.
-  isla::ExecEngine Engine = isla::ExecEngine::Snapshot;
   /// Write-ahead run journal: when non-empty, every completed study appends
   /// a checksummed record (keyed on study identity + suite configuration)
   /// at this path, so a killed run can be resumed.

@@ -63,17 +63,15 @@ struct GenStats {
   /// Executor queries answered by the persistent side-condition store
   /// (subset of SolverQueries; only meaningful when one is attached).
   unsigned SolverStoreHits = 0;
-  /// Model statements dispatched across fresh executions (the snapshot
-  /// engine's headline saving relative to replay's paths x model size).
+  /// Model statements dispatched across fresh executions.
   uint64_t StmtsExecuted = 0;
-  /// Statements the snapshot engine restored from checkpoints instead of
-  /// re-executing.  Zero under the replay engine.
+  /// Statements restored from fork checkpoints instead of re-executed.
   uint64_t StmtsSkipped = 0;
   /// Pure-helper calls answered from the executor's per-run summary memo.
   unsigned HelperMemoHits = 0;
   /// Merge engine: forks collapsed at their join, forks demoted to plain
   /// enumeration, and ite terms the register/local joins introduced (all
-  /// zero under Snapshot/Replay) — see isla::ExecStats.
+  /// zero under Snapshot) — see isla::ExecStats.
   unsigned PathsMerged = 0;
   unsigned MergeFallbacks = 0;
   uint64_t IteTermsIntroduced = 0;

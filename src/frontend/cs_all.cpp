@@ -113,17 +113,21 @@ bool islaris::frontend::decodeCaseResult(const std::string &Text,
   return true;
 }
 
-// Defaulted-parameter runners need the wrapping thunks.
+// Runners with a size parameter run at their default size (4) here.
+using islaris::isla::ExecEngine;
 static const StudyEntry Studies[] = {
-    {"memcpy-arm", "memcpy", [] { return runMemcpyArm(); }},
-    {"memcpy-rv", "memcpy", [] { return runMemcpyRv(); }},
-    {"hvc", "hvc", [] { return runHvc(); }},
-    {"pkvm", "pkvm handler", [] { return runPkvm(); }},
-    {"unaligned", "unaligned", [] { return runUnaligned(); }},
-    {"uart", "uart putc", [] { return runUart(); }},
-    {"rbit", "inline asm", [] { return runRbit(); }},
-    {"binsearch-arm", "binary search", [] { return runBinSearchArm(); }},
-    {"binsearch-rv", "binary search", [] { return runBinSearchRv(); }},
+    {"memcpy-arm", "memcpy",
+     [](ExecEngine E) { return runMemcpyArm(4, true, E); }},
+    {"memcpy-rv", "memcpy", [](ExecEngine E) { return runMemcpyRv(4, E); }},
+    {"hvc", "hvc", runHvc},
+    {"pkvm", "pkvm handler", runPkvm},
+    {"unaligned", "unaligned", runUnaligned},
+    {"uart", "uart putc", runUart},
+    {"rbit", "inline asm", runRbit},
+    {"binsearch-arm", "binary search",
+     [](ExecEngine E) { return runBinSearchArm(4, E); }},
+    {"binsearch-rv", "binary search",
+     [](ExecEngine E) { return runBinSearchRv(4, E); }},
 };
 
 std::span<const StudyEntry> islaris::frontend::caseStudies() {
@@ -156,8 +160,6 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
   cache::setAmbientSideCondCache(O.SideCond ? O.SideCond : SavedSide);
   support::RunLimits SavedLimits = support::ambientRunLimits();
   support::setAmbientRunLimits(O.Limits);
-  isla::ExecEngine SavedEngine = isla::defaultExecEngine();
-  isla::setDefaultExecEngine(O.Engine);
   support::FaultInjector *SavedFaults = support::FaultInjector::active();
   // Explicit SuiteOptions::Faults wins; otherwise honor ISLARIS_FAULTS so
   // any suite binary can be chaos-tested from the shell without a rebuild.
@@ -170,7 +172,7 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
     support::FaultInjector::setActive(Installed);
 
   // Write-ahead run journal.  Records are keyed on the study's identity
-  // *and* the result-affecting suite configuration (engine, limits): a
+  // *and* the result-affecting suite configuration (limits): a
   // resumed run with different guards must not restore rows those guards
   // would have failed.  Threads and cache pointers stay out of the key —
   // results are bit-identical across them by construction.
@@ -184,7 +186,7 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
     FP.str("islaris-suite-job");
     FP.u64(uint64_t(I));
     FP.str(Studies[I].Row);
-    FP.u64(uint64_t(O.Engine));
+    FP.u64(0); // the former engine slot: keeps older journals resumable
     auto Bits = [](double D) {
       uint64_t U;
       static_assert(sizeof(U) == sizeof(D));
@@ -221,7 +223,7 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
         // an escaped exception becomes that row's infrastructure error and
         // the pool keeps draining.
         try {
-          Results[I] = Studies[I].Run();
+          Results[I] = Studies[I].Run(ExecEngine::Snapshot);
         } catch (const std::exception &E) {
           Results[I].Name = Studies[I].Row;
           Results[I].Ok = false;
@@ -243,7 +245,6 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
 
   if (Installed)
     support::FaultInjector::setActive(SavedFaults);
-  isla::setDefaultExecEngine(SavedEngine);
   support::setAmbientRunLimits(SavedLimits);
   cache::setAmbientTraceCache(Saved);
   cache::setAmbientSideCondCache(SavedSide);

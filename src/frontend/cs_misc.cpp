@@ -28,7 +28,7 @@ using smt::Term;
 // Unaligned access fault.
 //===----------------------------------------------------------------------===//
 
-CaseResult islaris::frontend::runUnaligned() {
+CaseResult islaris::frontend::runUnaligned(isla::ExecEngine Engine) {
   CaseResult Res;
   Res.Name = "unaligned";
   Res.Isa = "Arm";
@@ -40,6 +40,7 @@ CaseResult islaris::frontend::runUnaligned() {
   A.put(e::strImm(2, 0, 1, 0)); // str w0, [x1]
 
   Verifier V(aarch64());
+  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 
@@ -109,7 +110,7 @@ constexpr uint64_t UartLsr = 0x3f215054;
 constexpr uint64_t UartIo = 0x3f215040;
 } // namespace
 
-CaseResult islaris::frontend::runUart() {
+CaseResult islaris::frontend::runUart(isla::ExecEngine Engine) {
   CaseResult Res;
   Res.Name = "UART";
   Res.Isa = "Arm";
@@ -130,6 +131,7 @@ CaseResult islaris::frontend::runUart() {
   A.put(e::ret());
 
   Verifier V(aarch64());
+  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   V.defaults() = armEl1Assumptions();
@@ -205,7 +207,7 @@ CaseResult islaris::frontend::runUart() {
 // rbit (C inline assembly).
 //===----------------------------------------------------------------------===//
 
-CaseResult islaris::frontend::runRbit() {
+CaseResult islaris::frontend::runRbit(isla::ExecEngine Engine) {
   CaseResult Res;
   Res.Name = "rbit";
   Res.Isa = "Arm";
@@ -218,6 +220,7 @@ CaseResult islaris::frontend::runRbit() {
   A.put(e::ret());
 
   Verifier V(aarch64());
+  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   std::string Err;

@@ -29,20 +29,8 @@ using islaris::sail::UnOp;
 using smt::Sort;
 using smt::Term;
 
-namespace {
-
-/// One symbolic branch decision (concolic path enumeration).
-struct Decision {
-  bool Taken;
-  bool Both;    ///< Both sides were feasible at discovery.
-  bool Flipped; ///< Already explored the other side.
-};
-
-} // namespace
-
-/// Per-path mutable state.  Replay starts every path from a fresh copy of
-/// the run's base state; the frame machine keeps one and checkpoints it at
-/// forks.
+/// Per-path mutable state.  The frame machine keeps one and checkpoints it
+/// at forks.
 struct Executor::RunState {
   const ExecOptions *Opts = nullptr;
   ExecStats *Stats = nullptr; ///< The run's counters, shared by its paths.
@@ -53,8 +41,6 @@ struct Executor::RunState {
   std::unordered_map<Reg, bool, RegHash> Written;
   std::vector<const Term *> PathCond;
 
-  std::vector<Decision> *Decisions = nullptr; ///< Replay's decision prefix.
-  size_t DecisionCursor = 0;
   std::vector<const Term *> *VarPool = nullptr;
   size_t VarCursor = 0;
 
@@ -107,14 +93,6 @@ struct Executor::RunState {
   }
 };
 
-
-// Ambient default engine (see defaultExecEngine in the header).  Same
-// discipline as cache::ambientTraceCache: installed before a suite run
-// spawns workers, restored after the pool joins.
-static ExecEngine AmbientEngine = ExecEngine::Snapshot;
-
-ExecEngine islaris::isla::defaultExecEngine() { return AmbientEngine; }
-void islaris::isla::setDefaultExecEngine(ExecEngine E) { AmbientEngine = E; }
 
 unsigned islaris::isla::registerWidth(const sail::Model &M,
                                       const itl::Reg &R) {
@@ -287,9 +265,8 @@ void Executor::writeRegister(const Reg &R, const Term *V, RunState &RS) {
 }
 
 //===----------------------------------------------------------------------===//
-// Step rules shared by the recursive walker (Replay) and the frame machine
-// (Snapshot, Merge).  They take already-evaluated operands; naming the
-// result stays with the caller.
+// Step rules of the frame machine.  They take already-evaluated operands;
+// naming the result stays with the caller.
 //===----------------------------------------------------------------------===//
 
 static const Term *applyUnary(smt::TermBuilder &TB, UnOp Op, const Term *V) {
@@ -464,227 +441,11 @@ void Executor::dischargeAssert(const Stmt &S, const Term *C, RunState &RS) {
 }
 
 //===----------------------------------------------------------------------===//
-// The recursive walker (Replay): re-executes the whole model once per path,
-// following the recorded decision prefix.
-//===----------------------------------------------------------------------===//
-
-bool Executor::decideBranch(const Term *Cond, RunState &RS) {
-  const Term *S = RW.simplify(Cond);
-  if (S->kind() == smt::Kind::ConstBool)
-    return S->constBool();
-
-  // Replaying a recorded decision?  One pruned at discovery emits no
-  // events (the path condition implies it).
-  if (RS.DecisionCursor < RS.Decisions->size()) {
-    const Decision &D = (*RS.Decisions)[RS.DecisionCursor++];
-    if (D.Both)
-      takeSide(S, nameValue(S, RS), D.Taken, RS);
-    return D.Taken;
-  }
-
-  // Fresh decision.  Both feasible: fork, naming the condition (shared
-  // prefix) and asserting the then side (head of the divergent suffix, as
-  // in Fig. 6).
-  Sides Sd = feasibleSides(S, RS);
-  if (Sd == Sides::Failed)
-    return false;
-  RS.Decisions->push_back({Sd != Sides::Else, Sd == Sides::Both, false});
-  ++RS.DecisionCursor;
-  if (Sd == Sides::Both)
-    takeSide(S, nameValue(S, RS), true, RS);
-  return Sd != Sides::Else;
-}
-
-const Term *Executor::evalCall(const Expr &E, RunState &RS) {
-  std::vector<const Term *> Args;
-  for (size_t I = 0, N = callOperands(E); I < N; ++I) {
-    const Term *V = evalExpr(*E.Args[I], RS);
-    if (!V)
-      return nullptr;
-    Args.push_back(V);
-  }
-  if (E.BuiltinKind != Builtin::None)
-    return applyBuiltin(E, Args, RS);
-  return callFunction(*E.Callee, std::move(Args), RS);
-}
-
-const Term *Executor::evalExpr(const Expr &E, RunState &RS) {
-  if (RS.failed())
-    return nullptr;
-  const Term *Result = nullptr;
-  switch (E.Kind) {
-  case ExprKind::BitsLit:
-    return TB.constBV(E.BitsVal);
-  case ExprKind::BoolLit:
-    return TB.constBool(E.BoolVal);
-  case ExprKind::IntLit:
-    RS.fail(E.Line, "internal: unresolved decimal literal");
-    return nullptr;
-  case ExprKind::VarRef: {
-    const Term *V = RS.Locals[size_t(E.LocalIdx)];
-    if (!V) {
-      RS.fail(E.Line, "internal: read of uninitialized local",
-              support::ErrorCode::Internal);
-      return nullptr;
-    }
-    return V;
-  }
-  case ExprKind::RegRead:
-    return readRegister(Reg(E.Name, E.Field), E.Ty.Width, RS);
-  case ExprKind::Call:
-    return evalCall(E, RS); // builtins return raw, even in the baseline
-  case ExprKind::Unary: {
-    const Term *V = evalExpr(*E.Args[0], RS);
-    if (!V)
-      return nullptr;
-    Result = applyUnary(TB, E.UOp, V);
-    break;
-  }
-  case ExprKind::Binary: {
-    const Term *L = evalExpr(*E.Args[0], RS);
-    const Term *R = evalExpr(*E.Args[1], RS);
-    if (!L || !R)
-      return nullptr;
-    Result = applyBinary(TB, E.BOp, L, R);
-    break;
-  }
-  case ExprKind::IfExpr: {
-    const Term *C = evalExpr(*E.Args[0], RS);
-    if (!C)
-      return nullptr;
-    // Value-level selection stays an ite term (no fork).
-    const Term *CS = RW.simplify(C);
-    if (CS->kind() == smt::Kind::ConstBool)
-      return evalExpr(*E.Args[CS->constBool() ? 1 : 2], RS);
-    const Term *T = evalExpr(*E.Args[1], RS);
-    const Term *El = evalExpr(*E.Args[2], RS);
-    if (!T || !El)
-      return nullptr;
-    Result = TB.iteTerm(CS, T, El);
-    break;
-  }
-  case ExprKind::Slice: {
-    const Term *V = evalExpr(*E.Args[0], RS);
-    if (!V)
-      return nullptr;
-    Result = TB.extract(E.SliceHi, E.SliceLo, V);
-    break;
-  }
-  }
-  if (!Result) {
-    RS.fail(E.Line, "internal: unhandled expression");
-    return nullptr;
-  }
-  // Unsimplified baseline: name every compound intermediate.
-  if (!RS.Opts->SinksOnly)
-    Result = nameValue(Result, RS);
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Statements.
-//===----------------------------------------------------------------------===//
-
-void Executor::execBlock(const std::vector<sail::StmtPtr> &Body, RunState &RS,
-                         bool &Returned) {
-  for (const sail::StmtPtr &S : Body) {
-    if (RS.failed() || Returned)
-      return;
-    execStmt(*S, RS, Returned);
-  }
-}
-
-void Executor::execStmt(const Stmt &S, RunState &RS, bool &Returned) {
-  ++RS.Stats->StmtsExecuted;
-  if (RS.guardTripped())
-    return;
-  switch (S.Kind) {
-  case StmtKind::Block:
-    return execBlock(S.Body, RS, Returned);
-  case StmtKind::Let:
-  case StmtKind::Assign: {
-    const Term *V = evalExpr(*S.Value, RS);
-    if (!V)
-      return;
-    RS.Locals[size_t(S.LocalIdx)] = V;
-    return;
-  }
-  case StmtKind::RegWrite: {
-    const Term *V = evalExpr(*S.Value, RS);
-    if (!V)
-      return;
-    writeRegister(Reg(S.Name, S.Field), V, RS);
-    return;
-  }
-  case StmtKind::If: {
-    const Term *C = evalExpr(*S.Value, RS);
-    if (!C)
-      return;
-    if (decideBranch(C, RS))
-      execBlock(S.Body, RS, Returned);
-    else
-      execBlock(S.Else, RS, Returned);
-    return;
-  }
-  case StmtKind::ExprStmt:
-    evalExpr(*S.Value, RS);
-    return;
-  case StmtKind::Return:
-    if (S.Value) {
-      const Term *V = evalExpr(*S.Value, RS);
-      if (!V)
-        return;
-      RS.Locals.back() = V; // return slot, see callFunction
-    }
-    Returned = true;
-    return;
-  case StmtKind::Throw:
-    RS.fail(S.Line, "reachable model exception: " + S.Message);
-    return;
-  case StmtKind::Assert: {
-    const Term *C = evalExpr(*S.Value, RS);
-    if (C)
-      dischargeAssert(S, C, RS);
-    return;
-  }
-  }
-  RS.fail(S.Line, "internal: unhandled statement");
-}
-
-const Term *Executor::callFunction(const sail::FunctionDecl &F,
-                                   std::vector<const Term *> Args,
-                                   RunState &RS) {
-  if (++RS.Depth > 128) {
-    RS.fail(F.Line, "call depth limit exceeded in " + F.Name);
-    --RS.Depth;
-    return nullptr;
-  }
-  std::vector<const Term *> Saved = std::move(RS.Locals);
-  RS.Locals.assign(F.NumLocals + 1, nullptr); // +1: return slot at back()
-  for (size_t I = 0; I < Args.size(); ++I)
-    RS.Locals[I] = Args[I];
-  RS.Locals.back() = TB.constBV(1, 0); // unit default
-
-  bool Returned = false;
-  execStmt(*F.Body, RS, Returned);
-  const Term *Ret = RS.Locals.back();
-  RS.Locals = std::move(Saved);
-  --RS.Depth;
-  if (RS.failed())
-    return nullptr;
-  if (!Returned && !F.RetTy.isUnit()) {
-    RS.fail(F.Line, "function " + F.Name + " fell off the end");
-    return nullptr;
-  }
-  return Ret;
-}
-
-//===----------------------------------------------------------------------===//
 // The frame machine (Snapshot, Merge).
 //
-// The recursive walker above cannot resume a flipped branch without
-// re-running the model, so Snapshot and Merge run a defunctionalized
-// frame-stack machine: control is an explicit stack of copyable frames
+// A recursive walker cannot resume a flipped branch without re-running the
+// model, so both engines run a defunctionalized frame-stack machine:
+// control is an explicit stack of copyable frames
 // (statements AND expressions — forks can occur inside expression-position
 // calls), values an explicit operand stack.  A both-feasible branch deep
 // inside nested calls is then checkpointable by value-copying the two
@@ -697,15 +458,17 @@ const Term *Executor::callFunction(const sail::FunctionDecl &F,
 // Merge first parks it until the fork's join and queues it only when the
 // arms cannot be merged.
 //
-// Determinism invariants (what makes Snapshot bit-identical to Replay):
+// Determinism invariants (what makes a resumed path identical to
+// re-running the model along it; the golden corpus in tests/snapshot_test
+// pins the resulting traces):
 //  * events and path conditions are append-only, so a checkpoint stores
 //    only their lengths and restore truncates;
 //  * pooled variable naming is position-stable: restoring VarCursor makes
-//    the flipped path draw exactly the variables the replay engine would
-//    re-draw while re-executing the prefix;
+//    the flipped path draw exactly the variables a re-execution of the
+//    prefix would re-draw;
 //  * the branch condition is named (define-const, shared prefix) BEFORE the
-//    checkpoint and asserted AFTER it, mirroring decideBranch's order, so
-//    the merged tree diverges exactly at the Assert events (Fig. 6).
+//    checkpoint and asserted AFTER it, so the merged tree diverges exactly
+//    at the Assert events (Fig. 6).
 //===----------------------------------------------------------------------===//
 
 struct Executor::Machine {
@@ -832,8 +595,8 @@ struct Executor::Machine {
     Values.pop_back();
     return V;
   }
-  /// Tail of the recursive evalExpr for compound results: name every
-  /// intermediate in the unsimplified baseline.
+  /// Tail of every compound expression result: name each intermediate in
+  /// the unsimplified baseline.
   void finish(const Term *V) {
     if (!RS.Opts->SinksOnly)
       V = X.nameValue(V, RS);
@@ -913,16 +676,15 @@ struct Executor::Machine {
     PathStmts = C.PathStmts;
   }
 
-  /// Mirrors decideBranch's replay of a flipped fork: assert the negated
-  /// named condition and take the else side.
+  /// Resumes a flipped fork: assert the negated named condition and take
+  /// the else side.
   void enterElse(const Fork &F) {
     X.takeSide(F.Cond, F.Named, false, RS);
     pushBlock(F.IfStmt->Else);
   }
 
   /// Decides a symbolic branch condition: the solver prunes one-sided
-  /// branches exactly as decideBranch does; a both-feasible branch becomes
-  /// a Fork instead of a recorded Decision.
+  /// branches; a both-feasible branch becomes a Fork.
   void decide(const Stmt &S) {
     const Term *CS = X.RW.simplify(popValue());
     if (CS->kind() == smt::Kind::ConstBool) {
@@ -1460,7 +1222,7 @@ struct Executor::Machine {
 };
 
 //===----------------------------------------------------------------------===//
-// The driver: one path loop for all three engines, then the trace merge.
+// The driver: one path loop for both engines, then the trace merge.
 //===----------------------------------------------------------------------===//
 static bool eventEquals(const Event &A, const Event &B) {
   return A.K == B.K && A.R == B.R && A.Val == B.Val && A.Addr == B.Addr &&
@@ -1591,19 +1353,6 @@ const Term *Executor::emitPreamble(const OpcodeSpec &Op, const Assumptions &A,
   return Opcode;
 }
 
-/// Replay's backtrack: flips the most recent unflipped genuine fork of the
-/// decision prefix; false once every fork has been explored both ways.
-static bool flipLastFork(std::vector<Decision> &Decisions) {
-  while (!Decisions.empty() &&
-         (!Decisions.back().Both || Decisions.back().Flipped))
-    Decisions.pop_back();
-  if (Decisions.empty())
-    return false;
-  Decisions.back().Taken = !Decisions.back().Taken;
-  Decisions.back().Flipped = true;
-  return true;
-}
-
 ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
                          const ExecOptions &Opts) {
   ExecResult Res;
@@ -1617,7 +1366,7 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
 
   // Chaos hooks: exec-throw exercises the batch driver's exception
   // containment, exec-step the ordinary Diag failure path.  Fired here so
-  // every engine sits behind the same fault surface.
+  // both engines sit behind the same fault surface.
   if (support::FaultInjector::fire(support::FaultSite::ExecThrow))
     throw std::runtime_error("injected executor fault (exec-throw)");
   if (support::FaultInjector::fire(support::FaultSite::ExecStep))
@@ -1640,46 +1389,22 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
       RW.fixpointCapHits() + Solver.stats().FixpointCapHits;
 
   // What every path starts from: the run's counters, the variable pool
-  // shared by all paths (position-stable naming), Replay's decision prefix,
-  // and the guards.
+  // shared by all paths (position-stable naming), and the guards.
   std::vector<const Term *> VarPool;
-  std::vector<Decision> Decisions;
   RunState Base;
   Base.Opts = &Opts;
   Base.Stats = &Stats;
-  Base.Decisions = &Decisions;
   Base.VarPool = &VarPool;
   Base.CancelFlag = Opts.Cancel.raw();
   Base.Deadline = Deadline;
-
-  // Each engine supplies only its per-path step, which runs the next path
-  // to its end and returns its run state.  Replay re-runs the preamble and
-  // the whole model along the recorded decision prefix; the machine runs
-  // the preamble and the decode entry once (every fork checkpoint extends
-  // that shared prefix) and afterwards resumes its next work item.
-  std::vector<std::vector<Event>> PathEvents;
-  RunState ReplayRS;
-  auto replayPath = [&]() -> RunState & {
-    ReplayRS = Base;
-    if (const Term *Opcode = emitPreamble(Op, A, ReplayRS, Res.OpcodeVars))
-      callFunction(*Decode, {Opcode}, ReplayRS);
-    return ReplayRS;
-  };
   Machine Mc(*this, Base);
-  auto machinePath = [&]() -> RunState & {
-    if (!PathEvents.empty())
-      Mc.resumeWork();
-    else if (const Term *Opcode = emitPreamble(Op, A, Mc.RS, Res.OpcodeVars))
-      Mc.enterFunction(*Decode, {Opcode});
-    Mc.run();
-    return Mc.RS;
-  };
-  bool Replay = Opts.Engine == ExecEngine::Replay;
 
+  // The first path runs the preamble and the decode entry; every later one
+  // resumes the machine's next work item, a fork checkpoint extending that
+  // shared prefix.
+  std::vector<std::vector<Event>> PathEvents;
   do {
-    // Guard placement parity: budgets are checked before each path is
-    // (re)started, whatever the engine, so failure attribution is
-    // identical.
+    // Budgets are checked before each path is (re)started.
     if (PathEvents.size() >= Opts.MaxPaths) {
       return failRun(support::ErrorCode::PathBudgetExceeded,
                      "path budget exceeded (model blow-up?)");
@@ -1692,14 +1417,18 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
       return failRun(support::ErrorCode::DeadlineExceeded,
                      "trace generation deadline exceeded");
 
-    RunState &RS = Replay ? replayPath() : machinePath();
-    if (RS.failed())
-      return failRun(RS.Code == support::ErrorCode::Ok
+    if (!PathEvents.empty())
+      Mc.resumeWork();
+    else if (const Term *Opcode = emitPreamble(Op, A, Mc.RS, Res.OpcodeVars))
+      Mc.enterFunction(*Decode, {Opcode});
+    Mc.run();
+    if (Mc.RS.failed())
+      return failRun(Mc.RS.Code == support::ErrorCode::Ok
                          ? support::ErrorCode::ModelError
-                         : RS.Code,
-                     RS.Error);
-    PathEvents.push_back(RS.Events); // copy: checkpoints share the prefix
-  } while (Replay ? flipLastFork(Decisions) : !Mc.Work.empty());
+                         : Mc.RS.Code,
+                     Mc.RS.Error);
+    PathEvents.push_back(Mc.RS.Events); // copy: checkpoints share the prefix
+  } while (!Mc.Work.empty());
 
   std::vector<size_t> All(PathEvents.size());
   for (size_t K = 0; K < All.size(); ++K)

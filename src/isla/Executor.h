@@ -10,20 +10,16 @@
 /// the mini-Sail model symbolically, pruning branches that are unreachable
 /// under the assumptions with the SMT solver, and emit an ITL trace.
 ///
-/// Path exploration has three engines (ExecEngine) over one driver: they
-/// differ only in how they explore paths.  Replay re-executes the whole
-/// model per path on a recursive walker, following a recorded decision
-/// prefix.  Snapshot and Merge run the model on an explicit frame-stack
-/// machine; at each both-feasible symbolic branch it checkpoints the run
+/// Path exploration has two engines (ExecEngine) over one frame-stack
+/// machine.  At each both-feasible symbolic branch it checkpoints the run
 /// state (control and value stacks, register maps, event/path-condition
 /// lengths, pooled-variable cursor), so shared prefixes execute exactly
 /// once.  Snapshot queues every checkpoint on a depth-first worklist; Merge
-/// first tries to collapse the fork's arms at its join.  All engines merge
-/// their linear event sequences into a trace tree by longest common prefix,
-/// and variable naming is deterministic (a pooled allocator keyed by event
-/// position), so Replay and Snapshot are bit-identical: a shared prefix,
-/// then Cases() whose subtraces begin with Assert() of the branch condition
-/// (Fig. 6).
+/// first tries to collapse the fork's arms at its join.  Both merge their
+/// linear event sequences into a trace tree by longest common prefix, and
+/// variable naming is deterministic (a pooled allocator keyed by event
+/// position): a shared prefix, then Cases() whose subtraces begin with
+/// Assert() of the branch condition (Fig. 6).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,11 +83,10 @@ struct OpcodeSpec {
 
 /// Path-exploration engine.  Snapshot is the production engine: it forks by
 /// checkpointing the run state at each both-feasible branch and restoring it
-/// on backtrack, so shared prefixes execute exactly once.  Replay is the
-/// original concolic engine (re-runs the whole model per path following a
-/// recorded decision prefix), kept as a differential oracle and ablation
-/// baseline.  Snapshot and Replay produce bit-identical merged traces, so
-/// choosing between them is NOT part of the trace-cache fingerprint.
+/// on backtrack, so shared prefixes execute exactly once.  Its traces are
+/// deterministic, and a golden corpus in tests/snapshot_test.cpp (recorded
+/// from the original per-path re-executing engine and checked against the
+/// §5 validator) guards their exact shape.
 ///
 /// Merge extends Snapshot with path merging at post-dominator join points:
 /// when both arms of a both-feasible branch reach the branch's control-flow
@@ -105,22 +100,15 @@ struct OpcodeSpec {
 /// be merged (memory events, assumptions, nested unmerged forks, or ite
 /// terms past MergeTermBudget) fall back to plain enumeration for that fork
 /// only (ExecStats::MergeFallbacks).
-enum class ExecEngine : uint8_t { Snapshot, Replay, Merge };
-
-/// Process-wide default engine for newly constructed ExecOptions.  Follows
-/// the same ambient install/restore protocol as ambientTraceCache: set
-/// before a suite run, restore after (the pointer-sized store itself is not
-/// synchronized).
-ExecEngine defaultExecEngine();
-void setDefaultExecEngine(ExecEngine E);
+enum class ExecEngine : uint8_t { Snapshot, Merge };
 
 /// Knobs for the E4/E5 ablation benchmarks, plus the per-run resource
 /// guards.  The fields down to MergePcName are semantic (they shape the
 /// emitted trace) and participate in the trace-cache fingerprint — Engine,
-/// MergeTermBudget and MergePcName only under Engine == Merge, since
-/// Snapshot and Replay are bit-identical.  The guards below them only
-/// decide whether a run *completes* — a guarded failure is never cached, so
-/// they must stay out of cache/Fingerprint.
+/// MergeTermBudget and MergePcName only under Engine == Merge, so Snapshot
+/// keys carry no engine salt.  The guards below them only decide whether a
+/// run *completes* — a guarded failure is never cached, so they must stay
+/// out of cache/Fingerprint.
 struct ExecOptions {
   /// Reuse the value of a register read within the instruction (Isla's
   /// trace simplification).  Off = every model-level read re-emits an event.
@@ -132,12 +120,9 @@ struct ExecOptions {
   /// Instruction budget safeguard against model bugs.
   unsigned MaxPaths = 64;
 
-  /// Path-exploration engine.  Snapshot and Replay are bit-identical and
-  /// share cache keys; Merge emits semantically equivalent but differently
-  /// shaped traces and is salted into the fingerprint.  Defaults to the
-  /// ambient engine so suite harnesses can flip a whole run without
-  /// threading the knob everywhere.
-  ExecEngine Engine = defaultExecEngine();
+  /// Path-exploration engine.  Merge emits semantically equivalent but
+  /// differently shaped traces and is salted into the fingerprint.
+  ExecEngine Engine = ExecEngine::Snapshot;
 
   /// Merge engine only: ceiling on the term-DAG size (distinct nodes) of
   /// any single merged ite register value.  A join whose merged value would
@@ -183,20 +168,21 @@ struct ExecStats {
   /// installed via setSolverCache).  Derived, like SolverMemoHits.
   unsigned SolverStoreHits = 0;
   /// Model statements actually dispatched across all paths of this run.
-  /// Under the replay engine this is O(paths x model size); the snapshot
-  /// engine re-executes only divergent suffixes.  Derived.
+  /// Shared prefixes execute once; only divergent suffixes are re-run.
+  /// Derived.
   uint64_t StmtsExecuted = 0;
-  /// Statements the snapshot engine did NOT re-execute because the shared
-  /// prefix was restored from a checkpoint: the sum over resumed forks of
-  /// the statements executed before the fork point.  Always 0 under the
-  /// replay engine.  Derived.
+  /// Statements NOT re-executed because the shared prefix was restored from
+  /// a checkpoint: the sum over resumed forks of the statements executed
+  /// before the fork point.  StmtsExecuted + StmtsSkippedBySnapshot is what
+  /// re-running the model once per path would dispatch (helper-memo hits
+  /// aside).  Derived.
   uint64_t StmtsSkippedBySnapshot = 0;
   /// Calls to statically-pure model helpers answered from the per-run
   /// (function, argument-terms) summary memo.  Derived.
   unsigned HelperMemoHits = 0;
   /// Merge engine: both-feasible forks whose arms were collapsed at their
   /// join point instead of enumerated (each merge halves the suffix count
-  /// below it).  Always 0 under Snapshot/Replay.  Derived.
+  /// below it).  Always 0 under Snapshot.  Derived.
   unsigned PathsMerged = 0;
   /// Merge engine: both-feasible forks that fell back to plain enumeration
   /// (unmergeable segment effects, control divergence at the join, or a
@@ -254,14 +240,14 @@ private:
   struct Machine; // the checkpointing frame-stack interpreter
   enum class Sides : uint8_t;
 
-  /// Emits the shared per-path preamble (assumption events, opcode term),
-  /// refilling \p OpVars.  On failure marks \p RS failed and returns
-  /// nullptr.
+  /// Emits the run's preamble (assumption events, opcode term), which
+  /// every path shares, refilling \p OpVars.  On failure marks \p RS
+  /// failed and returns nullptr.
   const smt::Term *emitPreamble(const OpcodeSpec &Op, const Assumptions &A,
                                 RunState &RS,
                                 std::vector<const smt::Term *> &OpVars);
 
-  // Step rules shared by the recursive walker and the frame machine.
+  // Step rules of the frame machine.
 
   /// The term (and events) of builtin \p E over its evaluated operands.
   const smt::Term *applyBuiltin(const sail::Expr &E,
@@ -285,21 +271,6 @@ private:
   /// Names \p V with a define-const if it is compound; returns the name.
   const smt::Term *nameValue(const smt::Term *V, RunState &RS);
   const smt::Term *pooledVar(smt::Sort S, RunState &RS);
-
-  // The recursive walker (Replay).
-
-  const smt::Term *evalExpr(const sail::Expr &E, RunState &RS);
-  const smt::Term *evalCall(const sail::Expr &E, RunState &RS);
-  void execStmt(const sail::Stmt &S, RunState &RS, bool &Returned);
-  void execBlock(const std::vector<sail::StmtPtr> &Body, RunState &RS,
-                 bool &Returned);
-  const smt::Term *callFunction(const sail::FunctionDecl &F,
-                                std::vector<const smt::Term *> Args,
-                                RunState &RS);
-  /// Resolves a symbolic boolean to a concrete decision, replaying the
-  /// recorded prefix, then pruning with the solver or forking (recording a
-  /// decision).
-  bool decideBranch(const smt::Term *Cond, RunState &RS);
 
   const sail::Model &M;
   smt::TermBuilder &TB;

@@ -87,31 +87,6 @@ TEST(ChaosTest, BaselineAllNineVerify) {
   EXPECT_EQ(frontend::suiteExitCode(baseline()), 0);
 }
 
-TEST(ChaosTest, ReplayEngineMatchesBaseline) {
-  // The differential oracle under suite conditions: the legacy replay
-  // engine must reproduce the (snapshot-engine) baseline rows exactly.
-  SuiteOptions O;
-  O.Threads = 2;
-  O.Engine = islaris::isla::ExecEngine::Replay;
-  std::vector<CaseResult> Run = runAllCaseStudies(O);
-  for (const CaseResult &R : Run)
-    EXPECT_TRUE(R.Ok) << R.Name << " (" << R.Isa << "): " << R.Error;
-  expectIdenticalOrAttributed(Run, "replay-engine");
-}
-
-TEST(ChaosTest, ReplayEngineUnderExecFaultsNeverLies) {
-  FaultInjector FI(/*Seed=*/4321);
-  FI.setRate(FaultSite::ExecStep, 0.05);
-  FI.setRate(FaultSite::ExecThrow, 0.02);
-  SuiteOptions O;
-  O.Threads = 2;
-  O.Faults = &FI;
-  O.Engine = islaris::isla::ExecEngine::Replay;
-  O.Limits.JobRetries = 3;
-  std::vector<CaseResult> Run = runAllCaseStudies(O);
-  expectIdenticalOrAttributed(Run, "replay-exec-faults");
-}
-
 TEST(ChaosTest, CacheIoFaultsNeverChangeResults) {
   // Cache faults can only cost performance: a failed read is a miss, a
   // failed write loses an entry, a torn write publishes a corrupt file the

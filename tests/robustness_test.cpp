@@ -90,7 +90,7 @@ cache::TraceJob makeJob(const isla::Assumptions &A, uint32_t Op,
 // Executor resource guards.
 //===----------------------------------------------------------------------===//
 
-/// The three executor guards over every engine: the run driver checks them
+/// The three executor guards over both engines: the run driver checks them
 /// before each path, whatever the engine explores (guard placement parity).
 class ExecutorGuardTest : public ::testing::TestWithParam<isla::ExecEngine> {
 protected:
@@ -143,12 +143,9 @@ TEST_P(ExecutorGuardTest, PreCancelledTokenFailsWithCancelled) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, ExecutorGuardTest,
-    ::testing::Values(isla::ExecEngine::Replay, isla::ExecEngine::Snapshot,
-                      isla::ExecEngine::Merge),
+    ::testing::Values(isla::ExecEngine::Snapshot, isla::ExecEngine::Merge),
     [](const ::testing::TestParamInfo<isla::ExecEngine> &I) {
       switch (I.param) {
-      case isla::ExecEngine::Replay:
-        return "Replay";
       case isla::ExecEngine::Snapshot:
         return "Snapshot";
       case isla::ExecEngine::Merge:
