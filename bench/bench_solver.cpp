@@ -4,10 +4,14 @@
 // automation" (§6).  These google-benchmark micro-benchmarks measure our
 // QF_BV solver on the side-condition shapes the case studies generate:
 // address containment, flag-condition implications, move-wide patching
-// equalities, and the rbit spec/trace equivalence.
+// equalities, the rbit spec/trace equivalence, and the three shapes that
+// dominated SAT-core time before the Unsat-only decision tier (Decide.h):
+// binary-search select chains, linear add/sub disequalities and signed
+// order chains.
 //
 //===----------------------------------------------------------------------===//
 
+#include "../tests/SideCondShapes.h"
 #include "smt/Solver.h"
 
 #include <benchmark/benchmark.h>
@@ -159,6 +163,54 @@ void BM_SortedImplication(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_SortedImplication);
+
+/// One cold check of a goal set; fails the benchmark on a wrong verdict.
+void checkShape(benchmark::State &State, const shapes::Goals &G,
+                TermBuilder &TB, Result Want) {
+  Solver S(TB);
+  Result R = S.check(G);
+  benchmark::DoNotOptimize(R);
+  if (R != Want)
+    State.SkipWithError("wrong verdict");
+}
+
+/// The binary-search select chain over N elements, RV (arg 1 = 0) or Arm
+/// NZCV (arg 1 = 1) flags.  N = 4 has 25 (lo, hi) cases and is refuted by
+/// the tier; N = 8 has 81, above the 64-case cap, so it measures the tier's
+/// failed attempt plus the SAT core.
+void BM_BinarySearchSelect(benchmark::State &State) {
+  auto F = State.range(1) ? shapes::Flags::ArmNZCV : shapes::Flags::RV;
+  for (auto _ : State) {
+    TermBuilder TB;
+    checkShape(State,
+               shapes::binarySearchSelect(TB, unsigned(State.range(0)), F),
+               TB, Result::Unsat);
+  }
+}
+BENCHMARK(BM_BinarySearchSelect)
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Unit(benchmark::kMillisecond);
+
+/// memcpy's `(p+1) - (4 - (c2-1)) != p - (4-c2)`: refuted by linear forms.
+void BM_LinearCancel(benchmark::State &State) {
+  for (auto _ : State) {
+    TermBuilder TB;
+    checkShape(State, shapes::linearCancel(TB), TB, Result::Unsat);
+  }
+}
+BENCHMARK(BM_LinearCancel);
+
+/// `e0 <= e1 <= e2 <= e3` with `e2 < e1`: refuted by the order closure.
+void BM_OrderChain(benchmark::State &State) {
+  for (auto _ : State) {
+    TermBuilder TB;
+    checkShape(State, shapes::orderChain(TB), TB, Result::Unsat);
+  }
+}
+BENCHMARK(BM_OrderChain);
 
 } // namespace
 

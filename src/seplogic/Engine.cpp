@@ -96,16 +96,7 @@ bool ProofEngine::prove(const Term *Goal, Ctx &C) {
   std::vector<const Term *> Query = C.Pure;
   Query.push_back(TB.notTerm(G));
   ++Stats.SolverQueries;
-  auto T0 = std::chrono::steady_clock::now();
   smt::Result CR = Solver.check(Query);
-  if (getenv("ISLARIS_DEBUG_SLOW")) {
-    double Dt = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - T0)
-                    .count();
-    if (Dt > 0.5)
-      fprintf(stderr, "[slow %.1fs, pure=%zu] %s\n", Dt, C.Pure.size(),
-              G->toString().substr(0, 200).c_str());
-  }
   if (CR == smt::Result::Unknown) {
     // "Not proven" is the sound answer, but it must not be memoized (a
     // retry with a fresh budget may well prove it) and the spec as a whole
@@ -670,9 +661,6 @@ bool ProofEngine::wpInstrEnd(Ctx C, unsigned Budget) {
     return fail("instruction budget exhausted at " + CA->toHexString() +
                     " (missing loop invariant?)",
                 support::ErrorCode::InstrBudgetExhausted);
-  if (getenv("ISLARIS_DEBUG_SLOW"))
-    fprintf(stderr, "[instr %s budget=%u pure=%zu]\n",
-            CA->toHexString().c_str(), Budget, C.Pure.size());
   ++Stats.InstructionsWalked;
   C.Subst.clear(); // trace variables are per instruction
   return wpTrace(*It->second, std::move(C), Budget - 1);

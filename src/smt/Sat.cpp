@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace islaris::smt::sat;
 
@@ -445,10 +443,6 @@ SatResult Solver::solve(const std::vector<Lit> &Assumptions) {
     if (Confl != NoReason) {
       ++Conflicts;
       ++ConflictsThisRestart;
-      if ((Conflicts & 0xfff) == 0 && getenv("ISLARIS_SAT_DEBUG"))
-        fprintf(stderr, "[sat] conflicts=%llu decisions=%llu learnts=%zu\n",
-                (unsigned long long)Conflicts, (unsigned long long)Decisions,
-                Clauses.size() - NumOrigClauses);
       if (decisionLevel() == 0)
         return SatResult::Unsat;
       int BtLevel;

@@ -1,6 +1,7 @@
 //===- smt/Solver.cpp - QF_BV satisfiability facade --------------------------===//
 
 #include "smt/Solver.h"
+#include "smt/Decide.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -254,7 +255,13 @@ Result Solver::check(const std::vector<const Term *> &Assumptions) {
             Answered = true;
           }
       if (!Answered) {
-        R = solveGoals(Goals);
+        if (decideUnsat(Goals)) {
+          ++Stats.NumDecided;
+          invalidateModel();
+          R = Result::Unsat;
+        } else {
+          R = solveGoals(Goals);
+        }
         // An Unknown is a statement about this run's budget, not about the
         // formula: memoizing or persisting it would convert a transient
         // resource condition into a cached wrong-ish answer.

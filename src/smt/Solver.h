@@ -18,7 +18,18 @@
 /// built once and reused across checks — the "scoped incrementality" half
 /// of the side-condition cache.
 ///
-/// On top of that sit two caching layers:
+/// In front of the core sits an Unsat-only decision tier (Decide.h): after
+/// a memo and store miss, check() calls decideUnsat on the residual goals
+/// before solveGoals.  It normalises the goals, closes their signed and
+/// unsigned order literals, and enumerates variables with tiny unsigned
+/// domains (at most 64 assignments, a fixed constant).  It answers only
+/// Unsat; anything it does not refute goes to the core on the original
+/// goals, so every Sat answer and model still comes from the core.  Its
+/// answers are memoized and stored like the core's and counted in
+/// SolverStats::NumDecided; NumSatCalls counts checks that reached the
+/// core.
+///
+/// Before either, check() consults two caching layers:
 ///
 ///  - an in-memory memo table keyed on the canonical simplified goal set
 ///    (sorted hash-consed term ids), so a query repeated anywhere within a
@@ -72,6 +83,7 @@ struct SolverStats {
   uint64_t NumSyntactic = 0; ///< Checks decided without the SAT core.
   uint64_t NumMemoHits = 0;  ///< Checks answered by the in-run memo table.
   uint64_t NumStoreHits = 0; ///< Checks answered by the persistent store.
+  uint64_t NumDecided = 0;   ///< Checks refuted by decideUnsat (Decide.h).
   uint64_t NumSatCalls = 0;  ///< Checks that reached the SAT core.
   uint64_t NumUnknown = 0;   ///< Checks cut short by a guard or fault.
   uint64_t NumConflicts = 0;

@@ -1,5 +1,7 @@
 //===- tests/smt_test.cpp - Term/Rewriter/BitBlaster/Solver tests ------------===//
 
+#include "SideCondShapes.h"
+#include "smt/Decide.h"
 #include "smt/Evaluator.h"
 #include "smt/Rewriter.h"
 #include "smt/Solver.h"
@@ -7,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <random>
 
@@ -424,11 +428,12 @@ TEST(SolverTest, MemoHitMatchesColdSolve) {
 
   S.push();
   S.assertTerm(TB.bvUlt(TB.constBV(16, 50), X)); // now unsat (x = 7)
-  EXPECT_EQ(S.check(), Result::Unsat);
-  EXPECT_EQ(S.stats().NumSatCalls, 2u);
+  EXPECT_EQ(S.check(), Result::Unsat); // refuted by the decision tier
+  EXPECT_EQ(S.stats().NumDecided, 1u);
   EXPECT_EQ(S.check(), Result::Unsat); // unsat results memoize too
-  EXPECT_EQ(S.stats().NumSatCalls, 2u);
+  EXPECT_EQ(S.stats().NumDecided, 1u);
   EXPECT_EQ(S.stats().NumMemoHits, 3u);
+  EXPECT_EQ(S.stats().NumSatCalls, 1u);
   S.pop();
 }
 
@@ -545,5 +550,187 @@ TEST(SolverTest, IncrementalBlastingReusesCircuits) {
   EXPECT_LT(S.stats().TermsBlasted - BlastedAfterFirst,
             BlastedAfterFirst);
 }
+
+//===----------------------------------------------------------------------===//
+// Unsat-only decision tier (Decide.h).
+//===----------------------------------------------------------------------===//
+
+struct LoggedShape {
+  const char *Name;
+  std::function<shapes::Goals(TermBuilder &, bool Perturb)> Build;
+};
+
+std::vector<LoggedShape> loggedShapes() {
+  return {
+      {"binary-search select chain, RV",
+       [](TermBuilder &TB, bool P) {
+         return shapes::binarySearchSelect(TB, 4, shapes::Flags::RV, P);
+       }},
+      {"binary-search select chain, Arm NZCV",
+       [](TermBuilder &TB, bool P) {
+         return shapes::binarySearchSelect(TB, 4, shapes::Flags::ArmNZCV, P);
+       }},
+      {"linear add/sub disequality", shapes::linearCancel},
+      {"signed order chain", shapes::orderChain},
+  };
+}
+
+// The four shapes that dominated SAT-core time are refuted by the tier:
+// no check reaches the core.
+TEST(DecideTest, LoggedShapesAreDecidedBeforeTheCore) {
+  for (const LoggedShape &Sh : loggedShapes()) {
+    TermBuilder TB;
+    Solver S(TB);
+    EXPECT_EQ(S.check(Sh.Build(TB, false)), Result::Unsat) << Sh.Name;
+    EXPECT_EQ(S.stats().NumSatCalls, 0u) << Sh.Name;
+    EXPECT_EQ(S.stats().NumDecided, 1u) << Sh.Name;
+  }
+}
+
+// One literal changed makes each shape satisfiable: the tier must let it
+// through to the core, whose model satisfies every goal.
+TEST(DecideTest, PerturbedShapesReachTheCoreWithAModel) {
+  for (const LoggedShape &Sh : loggedShapes()) {
+    TermBuilder TB;
+    Solver S(TB);
+    shapes::Goals G = Sh.Build(TB, true);
+    ASSERT_EQ(S.check(G), Result::Sat) << Sh.Name;
+    EXPECT_EQ(S.stats().NumSatCalls, 1u) << Sh.Name;
+    EXPECT_EQ(S.stats().NumDecided, 0u) << Sh.Name;
+    Env E;
+    for (const Term *Goal : G)
+      for (const Term *V : collectVars(Goal))
+        E[V->varId()] = S.modelValue(V);
+    for (const Term *Goal : G) {
+      auto V = evaluate(Goal, E);
+      ASSERT_TRUE(V.has_value()) << Sh.Name;
+      EXPECT_TRUE(V->asBool()) << Sh.Name << ": " << Goal->toString();
+    }
+  }
+}
+
+/// Random conjunctions of order literals, linear equalities and bounded
+/// select chains over three variables of width 3 or 4.  The literals of one
+/// conjunction compare pairs from a small shared pool, so cycles, repeated
+/// atoms and complementary literals come up often.
+class DecideGen {
+public:
+  DecideGen(TermBuilder &TB, std::mt19937 &Rng, unsigned W)
+      : TB(TB), Rng(Rng), W(W) {
+    for (int I = 0; I < 3; ++I)
+      Vars.push_back(TB.freshVar(Sort::bitvec(W), "x" + std::to_string(I)));
+  }
+
+  const std::vector<const Term *> &vars() const { return Vars; }
+
+  shapes::Goals conjunction() {
+    Pool.clear();
+    for (unsigned I = 0, N = 2 + Rng() % 3; I < N; ++I)
+      Pool.emplace_back(term(), term());
+    shapes::Goals G;
+    for (unsigned I = 0, N = 2 + Rng() % 5; I < N; ++I)
+      G.push_back(literal(2));
+    return G;
+  }
+
+private:
+  const Term *var() { return Vars[Rng() % Vars.size()]; }
+  const Term *konst() { return TB.constBV(W, Rng()); }
+
+  /// A variable, constant, linear combination or select chain.
+  const Term *term() {
+    switch (Rng() % 9) {
+    case 0:
+      return konst();
+    case 1:
+      return TB.bvAdd(var(), konst());
+    case 2:
+      return TB.bvSub(TB.bvAdd(var(), konst()), TB.bvSub(var(), var()));
+    case 3:
+      return TB.bvAdd(TB.bvNot(var()), TB.bvMul(var(), konst()));
+    case 4: { // bounded select chain
+      const Term *Idx = var();
+      return TB.iteTerm(TB.eqTerm(Idx, TB.constBV(W, 0)), var(),
+                        TB.iteTerm(TB.eqTerm(Idx, TB.constBV(W, 1)), var(),
+                                   var()));
+    }
+    default:
+      return var();
+    }
+  }
+
+  /// A pool pair in either orientation.
+  std::pair<const Term *, const Term *> pair() {
+    auto [A, B] = Pool[Rng() % Pool.size()];
+    return Rng() % 2 ? std::make_pair(A, B) : std::make_pair(B, A);
+  }
+
+  const Term *literal(int Depth) {
+    auto [A, B] = pair();
+    switch (Rng() % (Depth > 0 ? 9 : 7)) {
+    case 0:
+      return TB.bvUle(A, B);
+    case 1:
+      return TB.bvUlt(A, B);
+    case 2:
+      return TB.bvSle(A, B);
+    case 3:
+      return TB.bvSlt(A, B);
+    case 4: // linear equality or disequality
+      return Rng() % 2 ? TB.eqTerm(A, B) : TB.notTerm(TB.eqTerm(A, B));
+    case 5: // a small bound, feeding the tiny-domain split
+      return Rng() % 2 ? TB.bvUle(var(), TB.constBV(W, Rng() % 4))
+                       : TB.bvUlt(TB.bvAdd(var(), konst()),
+                                  TB.constBV(W, Rng() % 4));
+    case 6: { // a < b ∨ a = b, which the tier folds to a ≤ b
+      const Term *Lt = Rng() % 2 ? TB.bvUlt(A, B) : TB.bvSlt(A, B);
+      return TB.orTerm(Lt, Rng() % 2 ? TB.eqTerm(A, B) : TB.eqTerm(B, A));
+    }
+    case 7:
+      return TB.orTerm(literal(Depth - 1), literal(Depth - 1));
+    default:
+      return TB.notTerm(literal(Depth - 1));
+    }
+  }
+
+  TermBuilder &TB;
+  std::mt19937 &Rng;
+  unsigned W;
+  std::vector<const Term *> Vars;
+  std::vector<std::pair<const Term *, const Term *>> Pool;
+};
+
+class DecideSoundnessTest : public ::testing::TestWithParam<int> {};
+
+// Whenever the tier says Unsat, no assignment satisfies the goals.
+TEST_P(DecideSoundnessTest, UnsatVerdictsHaveNoModel) {
+  std::mt19937 Rng(unsigned(GetParam()) * 2246822519u + 11);
+  unsigned W = GetParam() % 3 == 0 ? 4 : 3;
+  TermBuilder TB;
+  DecideGen Gen(TB, Rng, W);
+  const std::vector<const Term *> &Vars = Gen.vars();
+  unsigned Decided = 0;
+  for (int Round = 0; Round < 200; ++Round) {
+    shapes::Goals G = Gen.conjunction();
+    if (!decideUnsat(G))
+      continue;
+    ++Decided;
+    Env E;
+    for (uint64_t A = 0; A < (uint64_t(1) << (W * Vars.size())); ++A) {
+      for (size_t I = 0; I < Vars.size(); ++I)
+        E[Vars[I]->varId()] = Value(BitVec(W, A >> (W * I)));
+      bool Model = std::all_of(G.begin(), G.end(), [&](const Term *Goal) {
+        auto V = evaluate(Goal, E);
+        return V && V->asBool();
+      });
+      ASSERT_FALSE(Model) << "refuted but satisfiable at assignment " << A;
+    }
+  }
+  // The generator must exercise the tier, not only its shape check.
+  EXPECT_GT(Decided, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DecideSoundnessTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 } // namespace
