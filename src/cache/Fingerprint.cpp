@@ -153,15 +153,5 @@ Fingerprint islaris::cache::traceCacheKey(const std::string &ArchName,
   FP.boolean(Opts.CacheRegReads);
   FP.boolean(Opts.SinksOnly);
   FP.u64(Opts.MaxPaths);
-  // Snapshot keys carry no engine salt, so they are the same bytes as
-  // before the engine knob existed.  Merged traces are only semantically
-  // equivalent — different bytes — so the merge engine is salted into its
-  // own keys by a string, not the enum's value (budget included: it decides
-  // where merging falls back to enumeration, hence the trace shape).
-  if (Opts.Engine == isla::ExecEngine::Merge) {
-    FP.str("merge-engine");
-    FP.u64(Opts.MergeTermBudget);
-    FP.str(Opts.MergePcName);
-  }
   return FP.digest();
 }

@@ -74,12 +74,6 @@ struct CaseResult {
   uint64_t IslaStmts = 0;
   uint64_t IslaStmtsSkipped = 0;
   unsigned HelperMemoHits = 0; ///< Pure-helper summary-memo hits.
-  /// Merge-engine counters (zero under Snapshot): forks collapsed
-  /// at their post-dominator join, forks demoted to enumeration, and ite
-  /// terms the joins introduced.
-  unsigned PathsMerged = 0;
-  unsigned MergeFallbacks = 0;
-  uint64_t IteTermsIntroduced = 0;
   /// Rewriter fixpoint-cap hits observed by this study's executions —
   /// nonzero means two rewrite rules are ping-ponging (a regression that
   /// used to be silent).
@@ -101,44 +95,33 @@ struct CaseResult {
 std::string encodeCaseResult(const CaseResult &R);
 bool decodeCaseResult(const std::string &Text, CaseResult &Out);
 
-// Every runner generates its traces under \p Engine.  Merge traces are
-// shaped differently from Snapshot's but equivalent, so every proof must
-// go through under either.
-
 /// Runs memcpy (Fig. 7, GCC-shaped Arm code) copying \p N bytes with
 /// symbolic contents and addresses.
-CaseResult runMemcpyArm(unsigned N = 4, bool SimplifiedTraces = true,
-                        isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runMemcpyArm(unsigned N = 4, bool SimplifiedTraces = true);
 /// The Clang-shaped RISC-V memcpy of Fig. 7.
-CaseResult runMemcpyRv(unsigned N = 4,
-                       isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runMemcpyRv(unsigned N = 4);
 /// The Fig. 9 exception-vector install/call program.
-CaseResult runHvc(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runHvc();
 /// The pKVM-style relocation-parametric hypercall handler.
-CaseResult runPkvm(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runPkvm();
 /// The misaligned-store fault case study.
-CaseResult runUnaligned(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runUnaligned();
 /// The UART putc MMIO poll loop.
-CaseResult runUart(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runUart();
 /// The rbit inline-assembly case study.
-CaseResult runRbit(isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runRbit();
 /// Comparator-parametric binary search over \p N sorted elements (Arm).
-CaseResult
-runBinSearchArm(unsigned N = 4,
-                isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runBinSearchArm(unsigned N = 4);
 /// The RISC-V binary search.
-CaseResult
-runBinSearchRv(unsigned N = 4,
-               isla::ExecEngine Engine = isla::ExecEngine::Snapshot);
+CaseResult runBinSearchRv(unsigned N = 4);
 
 /// One Fig. 12 study: its islarisd id, its table row name (what the runner
 /// stamps into CaseResult::Name, so a study that dies before returning is
-/// still attributable), and the runner with its default parameters under
-/// the given engine.
+/// still attributable), and the runner with its default parameters.
 struct StudyEntry {
   const char *Id;
   const char *Row;
-  CaseResult (*Run)(isla::ExecEngine);
+  CaseResult (*Run)();
 };
 
 /// The nine studies in the paper's row order: the one table both the suite

@@ -49,9 +49,6 @@ inline CaseResult finishResult(CaseResult R, Verifier &V, bool Ok,
   R.IslaStmts = V.genStats().StmtsExecuted;
   R.IslaStmtsSkipped = V.genStats().StmtsSkipped;
   R.HelperMemoHits = V.genStats().HelperMemoHits;
-  R.PathsMerged = V.genStats().PathsMerged;
-  R.MergeFallbacks = V.genStats().MergeFallbacks;
-  R.IteTermsIntroduced = V.genStats().IteTermsIntroduced;
   R.FixpointCapHits = V.genStats().FixpointCapHits;
   R.Retries = V.genStats().Retries;
   R.Quarantined = V.genStats().Quarantined;

@@ -96,11 +96,6 @@ bool Verifier::generateTraces(std::string &Err) {
     auto AIt = PerAddr.find(Addr);
     J.Assume = AIt != PerAddr.end() ? &AIt->second : &Defaults;
     J.Opts = Opts;
-    // The merge engine must not fold control-flow forks into ite jump
-    // targets the proof engine cannot resolve; telling it the PC keeps
-    // per-instruction successor addresses concrete per path.
-    if (J.Opts.MergePcName.empty())
-      J.Opts.MergePcName = Arch.PcName;
     // Resource guards ride on the options but are excluded from the cache
     // fingerprint (a guarded failure is never cached, so a guarded and an
     // unguarded run share entries).
@@ -122,7 +117,6 @@ bool Verifier::generateTraces(std::string &Err) {
   Driver.setOptions({Limits.JobTimeoutSeconds, Limits.JobRetries});
   std::vector<cache::TraceJobResult> Results = Driver.run(Jobs, Cache);
   Gen.Retries += Driver.lastStats().Retries;
-  Gen.TimedOut += Driver.lastStats().TimedOut;
   Gen.Quarantined += Driver.lastStats().Failed;
 
   // Materialize results in address order into this verifier's builder.
@@ -156,20 +150,15 @@ bool Verifier::generateTraces(std::string &Err) {
     Traces[Addr] = std::move(Exec.Trace);
     OpcodeVars[Addr] = std::move(Exec.OpcodeVars);
     Gen.ItlEvents += Exec.Stats.Events;
-    Gen.Paths += Exec.Stats.Paths;
     ++Gen.Instructions;
     switch (R.Source) {
     case cache::ResultSource::Fresh:
       // Solver work is only accounted when it actually happened.
-      Gen.SolverQueries += Exec.Stats.SolverQueries;
       Gen.SolverMemoHits += Exec.Stats.SolverMemoHits;
       Gen.SolverStoreHits += Exec.Stats.SolverStoreHits;
       Gen.StmtsExecuted += Exec.Stats.StmtsExecuted;
       Gen.StmtsSkipped += Exec.Stats.StmtsSkippedBySnapshot;
       Gen.HelperMemoHits += Exec.Stats.HelperMemoHits;
-      Gen.PathsMerged += Exec.Stats.PathsMerged;
-      Gen.MergeFallbacks += Exec.Stats.MergeFallbacks;
-      Gen.IteTermsIntroduced += Exec.Stats.IteTermsIntroduced;
       Gen.FixpointCapHits += Exec.Stats.FixpointCapHits;
       ++Gen.Executed;
       break;

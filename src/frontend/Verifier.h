@@ -43,25 +43,23 @@ ArchInfo aarch64();
 /// The RV64 architecture (models::rv64Model).
 ArchInfo rv64();
 
-/// Trace-generation statistics ("Isla time" of Fig. 12).  ItlEvents and
-/// Paths describe the generated traces (the paper's "ITL" column) and are
-/// identical however a trace was obtained; Executed / CacheHits / Deduped /
-/// SolverQueries describe the work actually performed, so cache and dedup
-/// savings are visible instead of silently folding into Seconds.
+/// Trace-generation statistics ("Isla time" of Fig. 12).  ItlEvents
+/// describes the generated traces (the paper's "ITL" column) and is
+/// identical however a trace was obtained; Executed / CacheHits / Deduped
+/// describe the work actually performed, so cache and dedup savings are
+/// visible instead of silently folding into Seconds.
 struct GenStats {
   double Seconds = 0;
   unsigned Instructions = 0;
   unsigned ItlEvents = 0;
-  unsigned Paths = 0;
-  unsigned SolverQueries = 0; ///< Queries of executions actually run.
   unsigned Executed = 0;      ///< Instructions symbolically executed.
   unsigned CacheHits = 0;     ///< Instructions served from the trace cache.
   unsigned Deduped = 0;       ///< Instructions sharing an in-batch twin.
-  /// Executor solver queries answered by the in-run memo table (a subset
-  /// of SolverQueries; the rest reached the SAT core or were syntactic).
+  /// Executor solver queries answered by the in-run memo table (the rest
+  /// reached the SAT core or were syntactic).
   unsigned SolverMemoHits = 0;
   /// Executor queries answered by the persistent side-condition store
-  /// (subset of SolverQueries; only meaningful when one is attached).
+  /// (only meaningful when one is attached).
   unsigned SolverStoreHits = 0;
   /// Model statements dispatched across fresh executions.
   uint64_t StmtsExecuted = 0;
@@ -69,12 +67,6 @@ struct GenStats {
   uint64_t StmtsSkipped = 0;
   /// Pure-helper calls answered from the executor's per-run summary memo.
   unsigned HelperMemoHits = 0;
-  /// Merge engine: forks collapsed at their join, forks demoted to plain
-  /// enumeration, and ite terms the register/local joins introduced (all
-  /// zero under Snapshot) — see isla::ExecStats.
-  unsigned PathsMerged = 0;
-  unsigned MergeFallbacks = 0;
-  uint64_t IteTermsIntroduced = 0;
   /// Rewriter fixpoint-cap hits across the executions actually run (see
   /// smt::Rewriter::fixpointCapHits); persistently zero in a healthy rule
   /// set, so any nonzero value is a rules regression made visible.
@@ -82,7 +74,6 @@ struct GenStats {
   /// Batch-driver fault-tolerance counters for the generation batches this
   /// verifier ran (see cache::BatchStats).
   unsigned Retries = 0;
-  unsigned TimedOut = 0;
   unsigned Quarantined = 0; ///< Jobs that ended without a trace (Failed).
 };
 

@@ -31,9 +31,9 @@ using islaris::support::wire::putStr;
 
 std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
   std::ostringstream OS;
-  // Version 2: merge-engine and rewriter-cap counters appended.  Version-1
-  // journal rows fail to decode, so a resumed run simply re-verifies them.
-  OS << "case 2 ";
+  // Codec version 3.  Rows of any other version fail to decode, so a
+  // resumed run simply re-verifies them.
+  OS << "case 3 ";
   putStr(OS, R.Name);
   putStr(OS, R.Isa);
   OS << (R.Ok ? 1 : 0) << " ";
@@ -47,9 +47,7 @@ std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
   OS << R.TracesExecuted << " " << R.CacheHits << " " << R.Deduped << " "
      << R.IslaMemoHits << " " << R.IslaStoreHits << " " << R.IslaStmts
      << " " << R.IslaStmtsSkipped << " " << R.HelperMemoHits << " "
-     << R.PathsMerged << " " << R.MergeFallbacks << " "
-     << R.IteTermsIntroduced << " " << R.FixpointCapHits << " "
-     << R.Retries << " " << R.Quarantined << " ";
+     << R.FixpointCapHits << " " << R.Retries << " " << R.Quarantined << " ";
   const seplogic::ProofStats &PS = R.Proof;
   OS << PS.EventsProcessed << " " << PS.InstructionsWalked << " "
      << PS.PathsVerified << " " << PS.PathsPruned << " " << PS.Entailments
@@ -64,7 +62,7 @@ std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
 bool islaris::frontend::decodeCaseResult(const std::string &Text,
                                          CaseResult &Out) {
   Cursor C(Text);
-  if (C.tok() != "case" || C.tok() != "2")
+  if (C.tok() != "case" || C.tok() != "3")
     return false;
   CaseResult R;
   R.Name = C.str();
@@ -88,9 +86,6 @@ bool islaris::frontend::decodeCaseResult(const std::string &Text,
   R.IslaStmts = C.u64();
   R.IslaStmtsSkipped = C.u64();
   R.HelperMemoHits = unsigned(C.u64());
-  R.PathsMerged = unsigned(C.u64());
-  R.MergeFallbacks = unsigned(C.u64());
-  R.IteTermsIntroduced = C.u64();
   R.FixpointCapHits = C.u64();
   R.Retries = unsigned(C.u64());
   R.Quarantined = unsigned(C.u64());
@@ -114,20 +109,16 @@ bool islaris::frontend::decodeCaseResult(const std::string &Text,
 }
 
 // Runners with a size parameter run at their default size (4) here.
-using islaris::isla::ExecEngine;
 static const StudyEntry Studies[] = {
-    {"memcpy-arm", "memcpy",
-     [](ExecEngine E) { return runMemcpyArm(4, true, E); }},
-    {"memcpy-rv", "memcpy", [](ExecEngine E) { return runMemcpyRv(4, E); }},
+    {"memcpy-arm", "memcpy", [] { return runMemcpyArm(); }},
+    {"memcpy-rv", "memcpy", [] { return runMemcpyRv(); }},
     {"hvc", "hvc", runHvc},
     {"pkvm", "pkvm handler", runPkvm},
     {"unaligned", "unaligned", runUnaligned},
     {"uart", "uart putc", runUart},
     {"rbit", "inline asm", runRbit},
-    {"binsearch-arm", "binary search",
-     [](ExecEngine E) { return runBinSearchArm(4, E); }},
-    {"binsearch-rv", "binary search",
-     [](ExecEngine E) { return runBinSearchRv(4, E); }},
+    {"binsearch-arm", "binary search", [] { return runBinSearchArm(); }},
+    {"binsearch-rv", "binary search", [] { return runBinSearchRv(); }},
 };
 
 std::span<const StudyEntry> islaris::frontend::caseStudies() {
@@ -186,7 +177,6 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
     FP.str("islaris-suite-job");
     FP.u64(uint64_t(I));
     FP.str(Studies[I].Row);
-    FP.u64(0); // the former engine slot: keeps older journals resumable
     auto Bits = [](double D) {
       uint64_t U;
       static_assert(sizeof(U) == sizeof(D));
@@ -223,7 +213,7 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
         // an escaped exception becomes that row's infrastructure error and
         // the pool keeps draining.
         try {
-          Results[I] = Studies[I].Run(ExecEngine::Snapshot);
+          Results[I] = Studies[I].Run();
         } catch (const std::exception &E) {
           Results[I].Name = Studies[I].Row;
           Results[I].Ok = false;

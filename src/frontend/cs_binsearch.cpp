@@ -62,8 +62,7 @@ void addSortedFacts(Spec &S, smt::TermBuilder &TB,
 
 } // namespace
 
-CaseResult islaris::frontend::runBinSearchArm(unsigned N,
-                                               isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runBinSearchArm(unsigned N) {
   CaseResult Res;
   Res.Name = "bin.search";
   Res.Isa = "Arm";
@@ -100,7 +99,6 @@ CaseResult islaris::frontend::runBinSearchArm(unsigned N,
   A.put(e::br(9));
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   V.defaults() = armEl1Assumptions();
@@ -203,8 +201,7 @@ CaseResult islaris::frontend::runBinSearchArm(unsigned N,
                       /*Hints=*/2 + 2 * N + (N ? N - 1 : 0));
 }
 
-CaseResult islaris::frontend::runBinSearchRv(unsigned N,
-                                              isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runBinSearchRv(unsigned N) {
   CaseResult Res;
   Res.Name = "bin.search";
   Res.Isa = "RV";
@@ -239,7 +236,6 @@ CaseResult islaris::frontend::runBinSearchRv(unsigned N,
   A.put(e::jalr(0, T0, 0));
 
   Verifier V(rv64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   std::string Err;

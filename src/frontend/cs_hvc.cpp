@@ -19,7 +19,7 @@ using islaris::itl::Reg;
 using islaris::seplogic::Spec;
 using smt::Term;
 
-CaseResult islaris::frontend::runHvc(isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runHvc() {
   CaseResult Res;
   Res.Name = "hvc";
   Res.Isa = "Arm";
@@ -59,7 +59,6 @@ CaseResult islaris::frontend::runHvc(isla::ExecEngine Engine) {
   A.put(e::eret());                        // return from exception
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 

@@ -24,8 +24,7 @@ using islaris::seplogic::Spec;
 using smt::Term;
 
 CaseResult islaris::frontend::runMemcpyArm(unsigned N,
-                                            bool SimplifiedTraces,
-                                            isla::ExecEngine Engine) {
+                                            bool SimplifiedTraces) {
   CaseResult Res;
   Res.Name = "memcpy";
   Res.Isa = "Arm";
@@ -47,7 +46,6 @@ CaseResult islaris::frontend::runMemcpyArm(unsigned N,
   A.put(e::ret());              // ret
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   if (!SimplifiedTraces) {
     // The E5 ablation: hand the proof engine Isla's unsimplified output.
@@ -130,8 +128,7 @@ CaseResult islaris::frontend::runMemcpyArm(unsigned N,
                       /*Hints=*/1 + unsigned(N > 0 ? Inv.sizeMetric() : 0));
 }
 
-CaseResult islaris::frontend::runMemcpyRv(unsigned N,
-                                           isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runMemcpyRv(unsigned N) {
   CaseResult Res;
   Res.Name = "memcpy";
   Res.Isa = "RV";
@@ -154,7 +151,6 @@ CaseResult islaris::frontend::runMemcpyRv(unsigned N,
   A.put(e::ret());             // ret
 
   Verifier V(rv64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   std::string Err;
   if (!V.generateTraces(Err))

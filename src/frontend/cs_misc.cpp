@@ -28,7 +28,7 @@ using smt::Term;
 // Unaligned access fault.
 //===----------------------------------------------------------------------===//
 
-CaseResult islaris::frontend::runUnaligned(isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runUnaligned() {
   CaseResult Res;
   Res.Name = "unaligned";
   Res.Isa = "Arm";
@@ -40,7 +40,6 @@ CaseResult islaris::frontend::runUnaligned(isla::ExecEngine Engine) {
   A.put(e::strImm(2, 0, 1, 0)); // str w0, [x1]
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 
@@ -110,7 +109,7 @@ constexpr uint64_t UartLsr = 0x3f215054;
 constexpr uint64_t UartIo = 0x3f215040;
 } // namespace
 
-CaseResult islaris::frontend::runUart(isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runUart() {
   CaseResult Res;
   Res.Name = "UART";
   Res.Isa = "Arm";
@@ -131,7 +130,6 @@ CaseResult islaris::frontend::runUart(isla::ExecEngine Engine) {
   A.put(e::ret());
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   V.defaults() = armEl1Assumptions();
@@ -207,7 +205,7 @@ CaseResult islaris::frontend::runUart(isla::ExecEngine Engine) {
 // rbit (C inline assembly).
 //===----------------------------------------------------------------------===//
 
-CaseResult islaris::frontend::runRbit(isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runRbit() {
   CaseResult Res;
   Res.Name = "rbit";
   Res.Isa = "Arm";
@@ -220,7 +218,6 @@ CaseResult islaris::frontend::runRbit(isla::ExecEngine Engine) {
   A.put(e::ret());
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   std::string Err;

@@ -23,7 +23,7 @@ using islaris::itl::Reg;
 using islaris::seplogic::Spec;
 using smt::Term;
 
-CaseResult islaris::frontend::runPkvm(isla::ExecEngine Engine) {
+CaseResult islaris::frontend::runPkvm() {
   CaseResult Res;
   Res.Name = "pKVM";
   Res.Isa = "Arm";
@@ -79,7 +79,6 @@ CaseResult islaris::frontend::runPkvm(isla::ExecEngine Engine) {
   A.put(e::br(7));                     // into the assumed-correct C code
 
   Verifier V(aarch64());
-  V.options().Engine = Engine;
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 

@@ -8,14 +8,11 @@
 #include <chrono>
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <stdexcept>
-#include <unordered_set>
 
 using namespace islaris;
 using namespace islaris::isla;
 using islaris::itl::Event;
-using islaris::itl::EventKind;
 using islaris::itl::Reg;
 using islaris::itl::RegHash;
 using islaris::itl::Trace;
@@ -138,7 +135,7 @@ static const Term *selectSimplify(smt::TermBuilder &TB, const Term *T) {
     Ops.push_back(S);
   }
   if (T->kind() == Kind::Extract) {
-    const Term *Op = Ops.empty() ? T->operand(0) : Ops[0];
+    const Term *Op = Ops[0];
     unsigned Hi = T->attrA(), Lo = T->attrB();
     if (Op->kind() == Kind::Concat) {
       unsigned LoW = Op->operand(1)->width();
@@ -151,73 +148,8 @@ static const Term *selectSimplify(smt::TermBuilder &TB, const Term *T) {
     if ((Op->kind() == Kind::ZeroExtend || Op->kind() == Kind::SignExtend) &&
         Hi < Op->operand(0)->width())
       return selectSimplify(TB, TB.extract(Hi, Lo, Op->operand(0)));
-    if (Changed)
-      return TB.extract(Hi, Lo, Op);
-    return T;
   }
-  if (!Changed)
-    return T;
-  // Rebuild with the simplified children for the kinds sinks produce.
-  switch (T->kind()) {
-  case Kind::Concat:
-    return TB.concat(Ops[0], Ops[1]);
-  case Kind::ZeroExtend:
-    return TB.zeroExtend(T->attrA(), Ops[0]);
-  case Kind::SignExtend:
-    return TB.signExtend(T->attrA(), Ops[0]);
-  case Kind::Ite:
-    return TB.iteTerm(Ops[0], Ops[1], Ops[2]);
-  case Kind::Eq:
-    return TB.eqTerm(Ops[0], Ops[1]);
-  case Kind::Not:
-    return TB.notTerm(Ops[0]);
-  case Kind::BVNot:
-    return TB.bvNot(Ops[0]);
-  case Kind::BVNeg:
-    return TB.bvNeg(Ops[0]);
-  case Kind::BVAdd:
-    return TB.bvAdd(Ops[0], Ops[1]);
-  case Kind::BVSub:
-    return TB.bvSub(Ops[0], Ops[1]);
-  case Kind::BVMul:
-    return TB.bvMul(Ops[0], Ops[1]);
-  case Kind::BVAnd:
-    return TB.bvAnd(Ops[0], Ops[1]);
-  case Kind::BVOr:
-    return TB.bvOr(Ops[0], Ops[1]);
-  case Kind::BVXor:
-    return TB.bvXor(Ops[0], Ops[1]);
-  case Kind::BVShl:
-    return TB.bvShl(Ops[0], Ops[1]);
-  case Kind::BVLShr:
-    return TB.bvLShr(Ops[0], Ops[1]);
-  case Kind::BVAShr:
-    return TB.bvAShr(Ops[0], Ops[1]);
-  case Kind::BVUlt:
-    return TB.bvUlt(Ops[0], Ops[1]);
-  case Kind::BVUle:
-    return TB.bvUle(Ops[0], Ops[1]);
-  case Kind::BVSlt:
-    return TB.bvSlt(Ops[0], Ops[1]);
-  case Kind::BVSle:
-    return TB.bvSle(Ops[0], Ops[1]);
-  case Kind::BVUDiv:
-    return TB.bvUDiv(Ops[0], Ops[1]);
-  case Kind::BVURem:
-    return TB.bvURem(Ops[0], Ops[1]);
-  case Kind::BVSDiv:
-    return TB.bvSDiv(Ops[0], Ops[1]);
-  case Kind::BVSRem:
-    return TB.bvSRem(Ops[0], Ops[1]);
-  case Kind::And:
-    return TB.andTerm(Ops[0], Ops[1]);
-  case Kind::Or:
-    return TB.orTerm(Ops[0], Ops[1]);
-  case Kind::Implies:
-    return TB.impliesTerm(Ops[0], Ops[1]);
-  default:
-    return T;
-  }
+  return Changed ? TB.rebuild(T, Ops) : T;
 }
 
 const Term *Executor::nameValue(const Term *V, RunState &RS) {
@@ -441,10 +373,10 @@ void Executor::dischargeAssert(const Stmt &S, const Term *C, RunState &RS) {
 }
 
 //===----------------------------------------------------------------------===//
-// The frame machine (Snapshot, Merge).
+// The frame machine.
 //
 // A recursive walker cannot resume a flipped branch without re-running the
-// model, so both engines run a defunctionalized frame-stack machine:
+// model, so the executor runs a defunctionalized frame-stack machine:
 // control is an explicit stack of copyable frames
 // (statements AND expressions — forks can occur inside expression-position
 // calls), values an explicit operand stack.  A both-feasible branch deep
@@ -453,10 +385,8 @@ void Executor::dischargeAssert(const Stmt &S, const Term *C, RunState &RS) {
 // appending the flipped assertion continues the run as if the shared prefix
 // had been re-executed — except it wasn't, which is the whole point.
 //
-// Every fork's checkpoint becomes a work item.  Snapshot queues it at once
-// (the worklist, sorted by event length, pops in the LIFO order of a DFS);
-// Merge first parks it until the fork's join and queues it only when the
-// arms cannot be merged.
+// Every fork's checkpoint becomes a work item, queued at once; the worklist
+// pops in the LIFO order of a DFS.
 //
 // Determinism invariants (what makes a resumed path identical to
 // re-running the model along it; the golden corpus in tests/snapshot_test
@@ -537,21 +467,14 @@ struct Executor::Machine {
     const Stmt *IfStmt = nullptr;
     const Term *Cond = nullptr;  ///< Simplified condition (path-cond form).
     const Term *Named = nullptr; ///< Named condition (event form).
-    size_t JoinDepth = 0;        ///< Control depth of the fork's join.
-    /// Merge only: the then arm's state at its join, captured before the
-    /// else arm runs, and the then arm's events from the fork to its join.
-    std::optional<Checkpoint> Then;
-    std::vector<Event> ThenSeg;
   };
 
   Executor &X;
   RunState RS;
   ExecStats &Stats;
-  const bool Merging;
   std::vector<Frame> Control;
   std::vector<const Term *> Values;
-  std::vector<Fork> Pending; ///< Merge: forks awaiting their join.
-  std::vector<Fork> Work;    ///< Unexplored resumptions, by At.EventsLen.
+  std::vector<Fork> Work; ///< Unexplored resumptions, by At.EventsLen.
   /// Per-run summaries of statically-pure helpers, keyed on the hash-consed
   /// argument terms.  Exact-pointer lookups only, so the (nondeterministic)
   /// map ordering never leaks into the trace.
@@ -561,8 +484,7 @@ struct Executor::Machine {
   uint64_t PathStmts = 0; ///< Logical statements of the current path.
 
   Machine(Executor &X, const RunState &Base)
-      : X(X), RS(Base), Stats(*Base.Stats),
-        Merging(Base.Opts->Engine == ExecEngine::Merge) {}
+      : X(X), RS(Base), Stats(*Base.Stats) {}
 
   void push(FK K, const Stmt *S = nullptr, const Expr *E = nullptr) {
     Frame Fr;
@@ -676,13 +598,6 @@ struct Executor::Machine {
     PathStmts = C.PathStmts;
   }
 
-  /// Resumes a flipped fork: assert the negated named condition and take
-  /// the else side.
-  void enterElse(const Fork &F) {
-    X.takeSide(F.Cond, F.Named, false, RS);
-    pushBlock(F.IfStmt->Else);
-  }
-
   /// Decides a symbolic branch condition: the solver prunes one-sided
   /// branches; a both-feasible branch becomes a Fork.
   void decide(const Stmt &S) {
@@ -699,338 +614,32 @@ struct Executor::Machine {
       return;
     }
     // Both feasible: name the condition (shared prefix), checkpoint, then
-    // assert the chosen side (head of the divergent suffix, Fig. 6).  The
-    // fork's join is the control depth it returns to after the then block.
+    // assert the chosen side (head of the divergent suffix, Fig. 6).  Forks
+    // are queued in the order they are taken, i.e. by increasing event
+    // length, so the worklist pops exactly LIFO and a resumption never
+    // outlives a shallower one whose restore would truncate its shared
+    // prefix.
     const Term *Named = X.nameValue(CS, RS);
-    Fork F{save(), &S, CS, Named, Control.size(), std::nullopt, {}};
-    if (Merging)
-      Pending.push_back(std::move(F));
-    else
-      pushWork(std::move(F));
+    Work.push_back({save(), &S, CS, Named});
     X.takeSide(CS, Named, true, RS);
     pushBlock(S.Body);
   }
 
-  /// Sorted insert keyed on the fork checkpoint's event length: the
-  /// worklist pops from the back, and a resumption must never outlive a
-  /// shallower one whose restore would truncate its shared prefix.  Forks
-  /// queued as they are taken arrive in increasing order, so for Snapshot
-  /// this is a push_back and the pops are exactly LIFO.
-  void pushWork(Fork F) {
-    size_t Key = F.At.EventsLen;
-    size_t I = Work.size();
-    while (I > 0 && Work[I - 1].At.EventsLen > Key)
-      --I;
-    Work.insert(Work.begin() + ptrdiff_t(I), std::move(F));
-  }
-
-  /// Starts the next path from the deepest work item.
+  /// Starts the next path from the deepest work item: restore its
+  /// checkpoint, then assert the negated named condition and take the else
+  /// side.
   void resumeWork() {
     Fork F = std::move(Work.back());
     Work.pop_back();
-    if (!F.Then) {
-      restore(std::move(F.At));
-      enterElse(F);
-      return;
-    }
-    // Mid-path continuation: the then arm ran to its join before the merge
-    // was abandoned, so restart it exactly there (its fork assert is the
-    // head of ThenSeg).
-    RS.Events.resize(F.At.EventsLen);
-    RS.Events.insert(RS.Events.end(), F.ThenSeg.begin(), F.ThenSeg.end());
-    RS.PathCond.resize(F.At.PathCondLen);
-    RS.PathCond.push_back(F.Cond);
-    restore(std::move(*F.Then));
+    restore(std::move(F.At));
+    X.takeSide(F.Cond, F.Named, false, RS);
+    pushBlock(F.IfStmt->Else);
   }
 
-  /// Runs the current path to its end, resolving join points after every
-  /// step (Pending stays empty unless merging).
+  /// Runs the current path to its end.
   void run() {
-    while (!Control.empty() && !RS.failed()) {
+    while (!Control.empty() && !RS.failed())
       step();
-      checkJoin();
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Path merging at post-dominator joins (ExecEngine::Merge).
-  //
-  // The fork's post-dominator needs no CFG analysis: mini-Sail is
-  // structured, so both arms of an if rejoin exactly when the control stack
-  // shrinks back to its depth at decide() time.  Every both-feasible fork
-  // waits on the Pending stack (nested forks have strictly increasing join
-  // depths) and the stack depth is checked after every step.
-  // At the then-join the engine captures the arm's effects and flips to the
-  // else arm WITHOUT restoring the variable cursor — both arms' values must
-  // coexist in one linear trace — and at the else-join the two run states
-  // collapse into one: divergent registers and locals become
-  // ite(cond, then, else), the two fork asserts and per-arm write-reg
-  // events are dropped, and the path condition reverts to the shared
-  // prefix's.  The merged trace is semantically equivalent to the
-  // enumerated pair but not bit-identical, which is why Merge is salted
-  // into the trace-cache key and validated through the equivalence checker.
-  //
-  // Any arm with effects an ite cannot express — memory traffic, a nested
-  // fork that itself fell back (its Assert poisons the segment), control
-  // stacks that do not re-converge (a return unwinding past the join), or
-  // an ite value past MergeTermBudget — demotes the fork to plain
-  // enumeration: the fork goes on the Work list (Mode A: its else side;
-  // Mode B: the parked then continuation) and the current path simply
-  // continues.
-  //===--------------------------------------------------------------------===//
-  /// True iff events [From..end) are the fork's own assert followed only by
-  /// register-level effects.  Memory traffic cannot be collapsed into an
-  /// ite, and a second Assert is a nested fork that fell back to
-  /// enumeration — merging across it would lose its path split, so the
-  /// poisoning cascades outward by construction.
-  bool segMergeable(size_t From) const {
-    if (From >= RS.Events.size() || RS.Events[From].K != EventKind::Assert)
-      return false;
-    for (size_t I = From + 1; I < RS.Events.size(); ++I) {
-      switch (RS.Events[I].K) {
-      case EventKind::DeclareConst:
-      case EventKind::DefineConst:
-      case EventKind::ReadReg:
-      case EventKind::WriteReg:
-        continue;
-      default:
-        return false;
-      }
-    }
-    return true;
-  }
-
-  static bool frameEq(const Frame &A, const Frame &B) {
-    return A.K == B.K && A.S == B.S && A.E == B.E && A.Body == B.Body &&
-           A.Idx == B.Idx && A.T == B.T && A.F == B.F &&
-           A.Saved == B.Saved && A.Returned == B.Returned &&
-           A.MemoCand == B.MemoCand &&
-           A.EventsAtEntry == B.EventsAtEntry &&
-           A.QueriesAtEntry == B.QueriesAtEntry &&
-           A.MemoArgs == B.MemoArgs;
-  }
-
-  /// Distinct-node count of a term DAG, stopping early past \p Cap.
-  static size_t dagSizeCapped(const Term *T,
-                              std::unordered_set<const Term *> &Seen,
-                              size_t Cap) {
-    if (Seen.size() > Cap || !Seen.insert(T).second)
-      return Seen.size();
-    for (const Term *Op : T->operands()) {
-      dagSizeCapped(Op, Seen, Cap);
-      if (Seen.size() > Cap)
-        break;
-    }
-    return Seen.size();
-  }
-  /// At the then-join of a mergeable then arm: record the arm's final state
-  /// and re-run the else arm from the fork checkpoint (a copy: it must
-  /// survive for a possible Mode-B fallback at the else-join).  The
-  /// variable cursor is deliberately NOT restored — the else arm draws
-  /// fresh pooled variables so both arms' definitions coexist in the one
-  /// merged event sequence.
-  void captureThenAndFlip(Fork &F) {
-    F.ThenSeg.assign(RS.Events.begin() + ptrdiff_t(F.At.EventsLen),
-                     RS.Events.end());
-    F.Then = save();
-    size_t Cursor = RS.VarCursor;
-    restore(F.At);
-    RS.VarCursor = Cursor;
-    enterElse(F);
-  }
-  /// At the else-join: collapse the two arms into the current run state if
-  /// every divergence is expressible as an ite within budget.  Performs no
-  /// mutation until every check has passed.
-  bool tryMerge(Fork &F) {
-    const Checkpoint &Then = *F.Then;
-    size_t From = F.At.EventsLen;
-    if (!segMergeable(From))
-      return false;
-    // The arms must reconverge on identical control state: same frames
-    // (the only in-place mutation visible exactly at the join is a
-    // CallExit's Returned flag, when one arm returned and the other fell
-    // through — not mergeable), same operand stack, same call depth.
-    if (RS.Depth != Then.Depth ||
-        Control.size() != Then.Control.size() ||
-        Values.size() != Then.Values.size() ||
-        RS.Locals.size() != Then.Locals.size())
-      return false;
-    for (size_t I = 0; I < Control.size(); ++I)
-      if (!frameEq(Control[I], Then.Control[I]))
-        return false;
-    for (size_t I = 0; I < Values.size(); ++I)
-      if (Values[I] != Then.Values[I])
-        return false;
-    // A local initialized in one arm only has no value to ite against.
-    for (size_t I = 0; I < RS.Locals.size(); ++I)
-      if ((Then.Locals[I] == nullptr) != (RS.Locals[I] == nullptr))
-        return false;
-
-    // Registers written by either arm, then-arm order first.  The side
-    // that wrote always has a cache entry; the other side falls back to
-    // the fork-time value (inherited cache entry) or a fresh read.
-    std::vector<Reg> WriteOrder;
-    auto addWrites = [&](const std::vector<Event> &Evs, size_t Lo) {
-      for (size_t I = Lo; I < Evs.size(); ++I) {
-        if (Evs[I].K != EventKind::WriteReg)
-          continue;
-        bool SeenReg = false;
-        for (const Reg &R : WriteOrder)
-          if (R == Evs[I].R) {
-            SeenReg = true;
-            break;
-          }
-        if (!SeenReg)
-          WriteOrder.push_back(Evs[I].R);
-      }
-    };
-    addWrites(F.ThenSeg, 0);
-    addWrites(RS.Events, From);
-
-    // Arms that disagree on the program counter stay enumerated: an ite
-    // jump target is opaque to consumers that walk the trace as a CFG
-    // (the proof engine resolves each instruction's successor address), so
-    // control-flow forks demote while data forks keep merging.
-    if (!RS.Opts->MergePcName.empty()) {
-      for (const Reg &R : WriteOrder) {
-        if (R.Base != RS.Opts->MergePcName)
-          continue;
-        auto TI = Then.RegCache.find(R);
-        auto EI = RS.RegCache.find(R);
-        if (TI == Then.RegCache.end() || EI == RS.RegCache.end() ||
-            TI->second != EI->second)
-          return false;
-      }
-    }
-
-    // Budget: every candidate ite's operand DAG must stay under
-    // MergeTermBudget, or pathological branch nests would compound ites
-    // into an exponential term graph.
-    const Term *Named = F.Named;
-    size_t Cap = RS.Opts->MergeTermBudget;
-    auto overBudget = [&](const Term *A, const Term *B) {
-      if (A == B)
-        return false;
-      std::unordered_set<const Term *> DagSeen;
-      dagSizeCapped(Named, DagSeen, Cap);
-      if (A)
-        dagSizeCapped(A, DagSeen, Cap);
-      if (B)
-        dagSizeCapped(B, DagSeen, Cap);
-      return DagSeen.size() > Cap;
-    };
-    for (const Reg &R : WriteOrder) {
-      auto TI = Then.RegCache.find(R);
-      auto EI = RS.RegCache.find(R);
-      if (overBudget(TI == Then.RegCache.end() ? nullptr : TI->second,
-                     EI == RS.RegCache.end() ? nullptr : EI->second))
-        return false;
-    }
-    for (size_t I = 0; I < RS.Locals.size(); ++I)
-      if (overBudget(Then.Locals[I], RS.Locals[I]))
-        return false;
-
-    // ---- Commit.  Capture the else side before rebuilding. ----
-    std::vector<Event> ElseSeg(RS.Events.begin() + ptrdiff_t(From),
-                               RS.Events.end());
-    auto ElseRegCache = std::move(RS.RegCache);
-
-    // Events: shared prefix, then both arms' effects with the fork asserts
-    // and write-reg markers dropped.  Reads inside a segment always bind
-    // pre-fork values (a write populates the register cache, suppressing
-    // later read events), so hoisting the writes past them into the merged
-    // section preserves every binding.
-    RS.Events.resize(F.At.EventsLen);
-    auto appendKept = [&](const std::vector<Event> &Evs) {
-      for (size_t I = 1; I < Evs.size(); ++I) // [0] is the fork assert
-        if (Evs[I].K != EventKind::WriteReg)
-          RS.Events.push_back(Evs[I]);
-    };
-    appendKept(F.ThenSeg);
-    appendKept(ElseSeg);
-
-    // Maps: fork-time state plus the segments' first-occurrence reads (when
-    // both arms read the same unseen register, the then-arm variable wins;
-    // the else-arm twin stays declared and the ITL read-event semantics
-    // equates the two).
-    RS.RegCache = std::move(F.At.RegCache);
-    RS.ReadEmitted = std::move(F.At.ReadEmitted);
-    RS.Written = std::move(F.At.Written);
-    for (size_t I = F.At.EventsLen; I < RS.Events.size(); ++I) {
-      const Event &E = RS.Events[I];
-      if (E.K == EventKind::ReadReg && !RS.RegCache.count(E.R)) {
-        RS.RegCache[E.R] = E.Val;
-        RS.ReadEmitted[E.R] = true;
-      }
-    }
-    RS.PathCond.resize(F.At.PathCondLen);
-
-    // Locals: divergent slots collapse to ite(cond, then, else).
-    for (size_t I = 0; I < RS.Locals.size(); ++I) {
-      const Term *TV = Then.Locals[I];
-      if (TV != RS.Locals[I]) {
-        RS.Locals[I] = X.TB.iteTerm(Named, TV, RS.Locals[I]);
-        ++Stats.IteTermsIntroduced;
-      }
-    }
-
-    // Registers: one merged write per register either arm wrote.
-    for (const Reg &R : WriteOrder) {
-      auto TI = Then.RegCache.find(R);
-      auto EI = ElseRegCache.find(R);
-      const Term *TV = TI == Then.RegCache.end() ? nullptr : TI->second;
-      const Term *EV = EI == ElseRegCache.end() ? nullptr : EI->second;
-      unsigned W = (TV ? TV : EV)->width();
-      auto freshRead = [&]() {
-        // The arm never observed R, so its side of the ite is R's pre-fork
-        // value: sound to read here because the per-arm writes were
-        // dropped above and the merged write is not emitted yet.
-        const Term *V = X.pooledVar(Sort::bitvec(W), RS);
-        RS.Events.push_back(Event::declareConst(V));
-        RS.Events.push_back(Event::readReg(R, V));
-        return V;
-      };
-      if (!TV)
-        TV = freshRead();
-      if (!EV)
-        EV = freshRead();
-      const Term *V = TV;
-      if (TV != EV) {
-        V = X.TB.iteTerm(Named, TV, EV);
-        ++Stats.IteTermsIntroduced;
-      }
-      X.writeRegister(R, V, RS);
-    }
-    return true;
-  }
-
-  /// After every step: resolve any pending forks whose join depth the
-  /// control stack has reached (or unwound past).
-  void checkJoin() {
-    while (!Pending.empty() && !RS.failed()) {
-      Fork &F = Pending.back();
-      if (Control.size() > F.JoinDepth)
-        return; // still inside an arm
-      if (Control.size() == F.JoinDepth) {
-        if (!F.Then && segMergeable(F.At.EventsLen)) {
-          captureThenAndFlip(F);
-          return; // now exploring the else arm
-        }
-        if (F.Then && tryMerge(F)) {
-          ++Stats.PathsMerged;
-          Pending.pop_back();
-          continue;
-        }
-      }
-      // Fall back: a return unwound past the join (the arms never
-      // reconverge, and the unwind may have jumped outer joins too, hence
-      // the loop), the then arm is unmergeable (rejected before paying for
-      // the else capture), or the merge was rejected.  The current path
-      // keeps running; the fork becomes ordinary enumerated work.
-      ++Stats.MergeFallbacks;
-      pushWork(std::move(F));
-      Pending.pop_back();
-    }
   }
 
   void execStmtFrame(const Stmt &S) {
@@ -1222,7 +831,7 @@ struct Executor::Machine {
 };
 
 //===----------------------------------------------------------------------===//
-// The driver: one path loop for both engines, then the trace merge.
+// The driver: the path loop, then the trace merge.
 //===----------------------------------------------------------------------===//
 static bool eventEquals(const Event &A, const Event &B) {
   return A.K == B.K && A.R == B.R && A.Val == B.Val && A.Addr == B.Addr &&
@@ -1365,8 +974,7 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
   };
 
   // Chaos hooks: exec-throw exercises the batch driver's exception
-  // containment, exec-step the ordinary Diag failure path.  Fired here so
-  // both engines sit behind the same fault surface.
+  // containment, exec-step the ordinary Diag failure path.
   if (support::FaultInjector::fire(support::FaultSite::ExecThrow))
     throw std::runtime_error("injected executor fault (exec-throw)");
   if (support::FaultInjector::fire(support::FaultSite::ExecStep))

@@ -10,16 +10,17 @@
 /// the mini-Sail model symbolically, pruning branches that are unreachable
 /// under the assumptions with the SMT solver, and emit an ITL trace.
 ///
-/// Path exploration has two engines (ExecEngine) over one frame-stack
-/// machine.  At each both-feasible symbolic branch it checkpoints the run
-/// state (control and value stacks, register maps, event/path-condition
-/// lengths, pooled-variable cursor), so shared prefixes execute exactly
-/// once.  Snapshot queues every checkpoint on a depth-first worklist; Merge
-/// first tries to collapse the fork's arms at its join.  Both merge their
-/// linear event sequences into a trace tree by longest common prefix, and
-/// variable naming is deterministic (a pooled allocator keyed by event
-/// position): a shared prefix, then Cases() whose subtraces begin with
-/// Assert() of the branch condition (Fig. 6).
+/// Path exploration runs one frame-stack machine.  At each both-feasible
+/// symbolic branch it checkpoints the run state (control and value stacks,
+/// register maps, event/path-condition lengths, pooled-variable cursor) and
+/// queues the checkpoint on a depth-first worklist, so shared prefixes
+/// execute exactly once.  The linear event sequences are merged into a
+/// trace tree by longest common prefix, and variable naming is
+/// deterministic (a pooled allocator keyed by event position): a shared
+/// prefix, then Cases() whose subtraces begin with Assert() of the branch
+/// condition (Fig. 6).  A golden corpus in tests/snapshot_test.cpp
+/// (recorded from the original per-path re-executing engine and checked
+/// against the §5 validator) guards the traces' exact shape.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,34 +82,11 @@ struct OpcodeSpec {
   bool isConcrete() const { return SymMask.isZero(); }
 };
 
-/// Path-exploration engine.  Snapshot is the production engine: it forks by
-/// checkpointing the run state at each both-feasible branch and restoring it
-/// on backtrack, so shared prefixes execute exactly once.  Its traces are
-/// deterministic, and a golden corpus in tests/snapshot_test.cpp (recorded
-/// from the original per-path re-executing engine and checked against the
-/// §5 validator) guards their exact shape.
-///
-/// Merge extends Snapshot with path merging at post-dominator join points:
-/// when both arms of a both-feasible branch reach the branch's control-flow
-/// join with purely register-level effects, the two run states are collapsed
-/// into one — divergent register values become ite(cond, then, else) terms —
-/// instead of enumerating both suffixes.  Merged traces are semantically
-/// equivalent to the enumerated ones but NOT bit-identical (one linear path
-/// with ite values replaces a Cases() split), so Merge is salted into the
-/// trace-cache key and validated against Snapshot through the validation
-/// equivalence checker, not by byte comparison.  Arms whose effects cannot
-/// be merged (memory events, assumptions, nested unmerged forks, or ite
-/// terms past MergeTermBudget) fall back to plain enumeration for that fork
-/// only (ExecStats::MergeFallbacks).
-enum class ExecEngine : uint8_t { Snapshot, Merge };
-
 /// Knobs for the E4/E5 ablation benchmarks, plus the per-run resource
-/// guards.  The fields down to MergePcName are semantic (they shape the
-/// emitted trace) and participate in the trace-cache fingerprint — Engine,
-/// MergeTermBudget and MergePcName only under Engine == Merge, so Snapshot
-/// keys carry no engine salt.  The guards below them only decide whether a
-/// run *completes* — a guarded failure is never cached, so they must stay
-/// out of cache/Fingerprint.
+/// guards.  The first three fields are semantic (they shape the emitted
+/// trace) and participate in the trace-cache fingerprint.  The guards below
+/// them only decide whether a run *completes* — a guarded failure is never
+/// cached, so they must stay out of cache/Fingerprint.
 struct ExecOptions {
   /// Reuse the value of a register read within the instruction (Isla's
   /// trace simplification).  Off = every model-level read re-emits an event.
@@ -119,27 +97,6 @@ struct ExecOptions {
   bool SinksOnly = true;
   /// Instruction budget safeguard against model bugs.
   unsigned MaxPaths = 64;
-
-  /// Path-exploration engine.  Merge emits semantically equivalent but
-  /// differently shaped traces and is salted into the fingerprint.
-  ExecEngine Engine = ExecEngine::Snapshot;
-
-  /// Merge engine only: ceiling on the term-DAG size (distinct nodes) of
-  /// any single merged ite register value.  A join whose merged value would
-  /// exceed the budget falls back to plain enumeration for that fork, so
-  /// pathological branch nests cannot blow up the term graph.  Semantic
-  /// under Engine == Merge (it shapes the trace) and fingerprinted there.
-  unsigned MergeTermBudget = 4096;
-
-  /// Merge engine only: name of the architecture's program-counter register.
-  /// When set, forks whose arms disagree on this register's value fall back
-  /// to enumeration instead of merging — an ite jump target is opaque to
-  /// consumers that walk the trace as a CFG (the proof engine resolves each
-  /// instruction's successor address), so control-flow forks stay enumerated
-  /// while data forks merge.  Empty merges the PC like any other register
-  /// (fine for standalone trace generation and validation).  Semantic under
-  /// Engine == Merge and fingerprinted there.
-  std::string MergePcName;
 
   /// Wall-clock deadline for this one trace generation (0 = none).  Checked
   /// between statements, so a wedged SAT call is bounded separately by the
@@ -180,16 +137,6 @@ struct ExecStats {
   /// Calls to statically-pure model helpers answered from the per-run
   /// (function, argument-terms) summary memo.  Derived.
   unsigned HelperMemoHits = 0;
-  /// Merge engine: both-feasible forks whose arms were collapsed at their
-  /// join point instead of enumerated (each merge halves the suffix count
-  /// below it).  Always 0 under Snapshot.  Derived.
-  unsigned PathsMerged = 0;
-  /// Merge engine: both-feasible forks that fell back to plain enumeration
-  /// (unmergeable segment effects, control divergence at the join, or a
-  /// merged value past MergeTermBudget).  Derived.
-  unsigned MergeFallbacks = 0;
-  /// Merge engine: ite terms introduced by register joins.  Derived.
-  uint64_t IteTermsIntroduced = 0;
   /// Times the rewriter's root-rule loop hit its defensive iteration cap
   /// during this run (see smt::Rewriter::fixpointCapHits) — counts both the
   /// executor's own rewriter and its solver's.  Zero in a healthy rule set.
@@ -221,8 +168,7 @@ class Executor {
 public:
   Executor(const sail::Model &M, smt::TermBuilder &TB);
 
-  /// Symbolically executes `decode(opcode)` under \p A, dispatching on
-  /// Opts.Engine.
+  /// Symbolically executes `decode(opcode)` under \p A.
   ExecResult run(const OpcodeSpec &Op, const Assumptions &A,
                  const ExecOptions &Opts = ExecOptions());
 

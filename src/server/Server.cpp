@@ -1014,7 +1014,7 @@ struct Server::Impl {
 
     std::vector<frontend::CaseResult> Rows;
     for (const frontend::StudyEntry &E : Studies) {
-      frontend::CaseResult R = E.Run(isla::ExecEngine::Snapshot);
+      frontend::CaseResult R = E.Run();
       Rows.push_back(R);
       bump(&ServerStats::RowsStreamed);
       sendFrame(*J.W.C, FrameType::Row,

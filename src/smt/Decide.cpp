@@ -146,7 +146,6 @@ private:
   using Domain = std::pair<const Term *, std::vector<uint64_t>>;
 
   const Term *import(const Term *T);
-  const Term *rebuild(const Term *Shape, const std::vector<const Term *> &Ops);
 
   const Term *norm(const Term *T);
   const Term *normNode(const Term *T);
@@ -195,75 +194,6 @@ private:
 // Term construction.
 //===----------------------------------------------------------------------===//
 
-const Term *Decider::rebuild(const Term *Shape,
-                             const std::vector<const Term *> &Ops) {
-  switch (Shape->kind()) {
-  case Kind::ConstBV:
-  case Kind::ConstBool:
-  case Kind::Var:
-    return Shape;
-  case Kind::Not:
-    return TB.notTerm(Ops[0]);
-  case Kind::And:
-    return TB.andTerm(Ops[0], Ops[1]);
-  case Kind::Or:
-    return TB.orTerm(Ops[0], Ops[1]);
-  case Kind::Implies:
-    return TB.impliesTerm(Ops[0], Ops[1]);
-  case Kind::Ite:
-    return TB.iteTerm(Ops[0], Ops[1], Ops[2]);
-  case Kind::Eq:
-    return TB.eqTerm(Ops[0], Ops[1]);
-  case Kind::BVAdd:
-    return TB.bvAdd(Ops[0], Ops[1]);
-  case Kind::BVSub:
-    return TB.bvSub(Ops[0], Ops[1]);
-  case Kind::BVMul:
-    return TB.bvMul(Ops[0], Ops[1]);
-  case Kind::BVUDiv:
-    return TB.bvUDiv(Ops[0], Ops[1]);
-  case Kind::BVURem:
-    return TB.bvURem(Ops[0], Ops[1]);
-  case Kind::BVSDiv:
-    return TB.bvSDiv(Ops[0], Ops[1]);
-  case Kind::BVSRem:
-    return TB.bvSRem(Ops[0], Ops[1]);
-  case Kind::BVNeg:
-    return TB.bvNeg(Ops[0]);
-  case Kind::BVAnd:
-    return TB.bvAnd(Ops[0], Ops[1]);
-  case Kind::BVOr:
-    return TB.bvOr(Ops[0], Ops[1]);
-  case Kind::BVXor:
-    return TB.bvXor(Ops[0], Ops[1]);
-  case Kind::BVNot:
-    return TB.bvNot(Ops[0]);
-  case Kind::BVShl:
-    return TB.bvShl(Ops[0], Ops[1]);
-  case Kind::BVLShr:
-    return TB.bvLShr(Ops[0], Ops[1]);
-  case Kind::BVAShr:
-    return TB.bvAShr(Ops[0], Ops[1]);
-  case Kind::BVUlt:
-    return TB.bvUlt(Ops[0], Ops[1]);
-  case Kind::BVUle:
-    return TB.bvUle(Ops[0], Ops[1]);
-  case Kind::BVSlt:
-    return TB.bvSlt(Ops[0], Ops[1]);
-  case Kind::BVSle:
-    return TB.bvSle(Ops[0], Ops[1]);
-  case Kind::Extract:
-    return TB.extract(Shape->attrA(), Shape->attrB(), Ops[0]);
-  case Kind::Concat:
-    return TB.concat(Ops[0], Ops[1]);
-  case Kind::ZeroExtend:
-    return TB.zeroExtend(Shape->attrA(), Ops[0]);
-  case Kind::SignExtend:
-    return TB.signExtend(Shape->attrA(), Ops[0]);
-  }
-  return Shape;
-}
-
 /// Copies a caller term into the scratch builder.
 const Term *Decider::import(const Term *T) {
   auto It = Imported.find(T);
@@ -285,7 +215,7 @@ const Term *Decider::import(const Term *T) {
     Ops.reserve(T->numOperands());
     for (const Term *Op : T->operands())
       Ops.push_back(import(Op));
-    R = rebuild(T, Ops);
+    R = TB.rebuild(T, Ops);
   }
   }
   Imported.emplace(T, R);
@@ -402,7 +332,7 @@ const Term *Decider::atom(const Term *A) {
     if (L == R)
       return TB.constBool(!isStrict(K));
     if (L != A->operand(0) || R != A->operand(1)) {
-      A = rebuild(A, {L, R});
+      A = TB.rebuild(A, {L, R});
       if (A->isConst())
         return A;
     }
@@ -428,7 +358,7 @@ const Term *Decider::lift(const Term *Shape, std::vector<const Term *> Ops,
                           unsigned Idx, const Term *Tree) {
   if (Tree->kind() != Kind::Ite) {
     Ops[Idx] = Tree;
-    return atom(rebuild(Shape, Ops));
+    return atom(TB.rebuild(Shape, Ops));
   }
   const Term *T = lift(Shape, Ops, Idx, Tree->operand(1));
   const Term *E = lift(Shape, Ops, Idx, Tree->operand(2));
@@ -452,7 +382,7 @@ const Term *Decider::finish(const Term *Shape, std::vector<const Term *> Ops) {
     const Term *Tree = Ops[unsigned(Idx)];
     return lift(Shape, std::move(Ops), unsigned(Idx), Tree);
   }
-  return atom(rebuild(Shape, Ops));
+  return atom(TB.rebuild(Shape, Ops));
 }
 
 /// The order atom equivalent to the negation of \p A.

@@ -13,76 +13,6 @@ static bool isOnesConst(const Term *T) {
   return T->kind() == Kind::ConstBV && T->constBV().isAllOnes();
 }
 
-const Term *Rewriter::rebuild(const Term *T,
-                              const std::vector<const Term *> &Ops) {
-  switch (T->kind()) {
-  case Kind::ConstBV:
-  case Kind::ConstBool:
-  case Kind::Var:
-    return T;
-  case Kind::Not:
-    return TB.notTerm(Ops[0]);
-  case Kind::And:
-    return TB.andTerm(Ops[0], Ops[1]);
-  case Kind::Or:
-    return TB.orTerm(Ops[0], Ops[1]);
-  case Kind::Implies:
-    return TB.impliesTerm(Ops[0], Ops[1]);
-  case Kind::Ite:
-    return TB.iteTerm(Ops[0], Ops[1], Ops[2]);
-  case Kind::Eq:
-    return TB.eqTerm(Ops[0], Ops[1]);
-  case Kind::BVAdd:
-    return TB.bvAdd(Ops[0], Ops[1]);
-  case Kind::BVSub:
-    return TB.bvSub(Ops[0], Ops[1]);
-  case Kind::BVMul:
-    return TB.bvMul(Ops[0], Ops[1]);
-  case Kind::BVUDiv:
-    return TB.bvUDiv(Ops[0], Ops[1]);
-  case Kind::BVURem:
-    return TB.bvURem(Ops[0], Ops[1]);
-  case Kind::BVSDiv:
-    return TB.bvSDiv(Ops[0], Ops[1]);
-  case Kind::BVSRem:
-    return TB.bvSRem(Ops[0], Ops[1]);
-  case Kind::BVNeg:
-    return TB.bvNeg(Ops[0]);
-  case Kind::BVAnd:
-    return TB.bvAnd(Ops[0], Ops[1]);
-  case Kind::BVOr:
-    return TB.bvOr(Ops[0], Ops[1]);
-  case Kind::BVXor:
-    return TB.bvXor(Ops[0], Ops[1]);
-  case Kind::BVNot:
-    return TB.bvNot(Ops[0]);
-  case Kind::BVShl:
-    return TB.bvShl(Ops[0], Ops[1]);
-  case Kind::BVLShr:
-    return TB.bvLShr(Ops[0], Ops[1]);
-  case Kind::BVAShr:
-    return TB.bvAShr(Ops[0], Ops[1]);
-  case Kind::BVUlt:
-    return TB.bvUlt(Ops[0], Ops[1]);
-  case Kind::BVUle:
-    return TB.bvUle(Ops[0], Ops[1]);
-  case Kind::BVSlt:
-    return TB.bvSlt(Ops[0], Ops[1]);
-  case Kind::BVSle:
-    return TB.bvSle(Ops[0], Ops[1]);
-  case Kind::Extract:
-    return TB.extract(T->attrA(), T->attrB(), Ops[0]);
-  case Kind::Concat:
-    return TB.concat(Ops[0], Ops[1]);
-  case Kind::ZeroExtend:
-    return TB.zeroExtend(T->attrA(), Ops[0]);
-  case Kind::SignExtend:
-    return TB.signExtend(T->attrA(), Ops[0]);
-  }
-  assert(false && "unhandled kind in rebuild");
-  return T;
-}
-
 const Term *Rewriter::applyRules(const Term *T) {
   switch (T->kind()) {
   case Kind::BVAdd: {
@@ -240,11 +170,11 @@ const Term *Rewriter::applyRules(const Term *T) {
       case Kind::BVAnd:
       case Kind::BVOr:
       case Kind::BVXor:
-        return rebuild(Op, {TB.extract(Hi, 0, Op->operand(0)),
-                            TB.extract(Hi, 0, Op->operand(1))});
+        return TB.rebuild(Op, {TB.extract(Hi, 0, Op->operand(0)),
+                               TB.extract(Hi, 0, Op->operand(1))});
       case Kind::BVNot:
       case Kind::BVNeg:
-        return rebuild(Op, {TB.extract(Hi, 0, Op->operand(0))});
+        return TB.rebuild(Op, {TB.extract(Hi, 0, Op->operand(0))});
       case Kind::Ite:
         return TB.iteTerm(Op->operand(0), TB.extract(Hi, 0, Op->operand(1)),
                           TB.extract(Hi, 0, Op->operand(2)));
@@ -336,7 +266,7 @@ const Term *Rewriter::simplify(const Term *T) {
     Changed |= S != Op;
     Ops.push_back(S);
   }
-  const Term *Cur = Changed ? rebuild(T, Ops) : T;
+  const Term *Cur = Changed ? TB.rebuild(T, Ops) : T;
 
   // Apply root rules to a fixpoint (rules may expose further rules; cap the
   // iteration count defensively).

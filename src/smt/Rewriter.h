@@ -40,7 +40,6 @@ public:
   uint64_t fixpointCapHits() const { return CapHits; }
 
 private:
-  const Term *rebuild(const Term *T, const std::vector<const Term *> &Ops);
   /// Applies root rules to an already-children-simplified term; returns the
   /// input if no rule fires.
   const Term *applyRules(const Term *T);

@@ -302,6 +302,66 @@ const Term *TermBuilder::zextTo(unsigned Width, const Term *T) {
   return zeroExtend(Width - T->width(), T);
 }
 
+const Term *TermBuilder::rebuild(const Term *Shape,
+                                 const std::vector<const Term *> &Ops) {
+  switch (Shape->kind()) {
+  case Kind::ConstBV:
+  case Kind::ConstBool:
+  case Kind::Var:
+    return Shape;
+  case Kind::Not:
+    return notTerm(Ops[0]);
+  case Kind::And:
+    return andTerm(Ops[0], Ops[1]);
+  case Kind::Or:
+    return orTerm(Ops[0], Ops[1]);
+  case Kind::Implies:
+    return impliesTerm(Ops[0], Ops[1]);
+  case Kind::Ite:
+    return iteTerm(Ops[0], Ops[1], Ops[2]);
+  case Kind::Eq:
+    return eqTerm(Ops[0], Ops[1]);
+  case Kind::BVAdd:
+  case Kind::BVSub:
+  case Kind::BVMul:
+  case Kind::BVUDiv:
+  case Kind::BVURem:
+  case Kind::BVSDiv:
+  case Kind::BVSRem:
+  case Kind::BVAnd:
+  case Kind::BVOr:
+  case Kind::BVXor:
+  case Kind::BVShl:
+  case Kind::BVLShr:
+  case Kind::BVAShr:
+    assert(Ops[0]->sort() == Ops[1]->sort() && Ops[0]->sort().isBitVec() &&
+           "bitvector operation requires equal bitvector sorts");
+    return binOp(Shape->kind(), Ops[0]->sort(), Ops[0], Ops[1]);
+  case Kind::BVNeg:
+    return bvNeg(Ops[0]);
+  case Kind::BVNot:
+    return bvNot(Ops[0]);
+  case Kind::BVUlt:
+    return bvUlt(Ops[0], Ops[1]);
+  case Kind::BVUle:
+    return bvUle(Ops[0], Ops[1]);
+  case Kind::BVSlt:
+    return bvSlt(Ops[0], Ops[1]);
+  case Kind::BVSle:
+    return bvSle(Ops[0], Ops[1]);
+  case Kind::Extract:
+    return extract(Shape->attrA(), Shape->attrB(), Ops[0]);
+  case Kind::Concat:
+    return concat(Ops[0], Ops[1]);
+  case Kind::ZeroExtend:
+    return zeroExtend(Shape->attrA(), Ops[0]);
+  case Kind::SignExtend:
+    return signExtend(Shape->attrA(), Ops[0]);
+  }
+  assert(false && "unhandled kind in rebuild");
+  return Shape;
+}
+
 const Term *TermBuilder::substitute(
     const Term *T, const std::unordered_map<uint32_t, const Term *> &Map) {
   std::unordered_map<const Term *, const Term *> Memo;
@@ -336,58 +396,8 @@ const Term *TermBuilder::substitute(
         Changed |= MOp != Op;
         NewOps.push_back(MOp);
       }
-      if (Changed) {
-        switch (Cur->kind()) {
-        case Kind::Not:
-          New = notTerm(NewOps[0]);
-          break;
-        case Kind::And:
-          New = andTerm(NewOps[0], NewOps[1]);
-          break;
-        case Kind::Or:
-          New = orTerm(NewOps[0], NewOps[1]);
-          break;
-        case Kind::Ite:
-          New = iteTerm(NewOps[0], NewOps[1], NewOps[2]);
-          break;
-        case Kind::Eq:
-          New = eqTerm(NewOps[0], NewOps[1]);
-          break;
-        case Kind::BVNeg:
-          New = bvNeg(NewOps[0]);
-          break;
-        case Kind::BVNot:
-          New = bvNot(NewOps[0]);
-          break;
-        case Kind::Extract:
-          New = extract(Cur->attrA(), Cur->attrB(), NewOps[0]);
-          break;
-        case Kind::Concat:
-          New = concat(NewOps[0], NewOps[1]);
-          break;
-        case Kind::ZeroExtend:
-          New = zeroExtend(Cur->attrA(), NewOps[0]);
-          break;
-        case Kind::SignExtend:
-          New = signExtend(Cur->attrA(), NewOps[0]);
-          break;
-        case Kind::BVUlt:
-          New = bvUlt(NewOps[0], NewOps[1]);
-          break;
-        case Kind::BVUle:
-          New = bvUle(NewOps[0], NewOps[1]);
-          break;
-        case Kind::BVSlt:
-          New = bvSlt(NewOps[0], NewOps[1]);
-          break;
-        case Kind::BVSle:
-          New = bvSle(NewOps[0], NewOps[1]);
-          break;
-        default:
-          New = binOp(Cur->kind(), Cur->sort(), NewOps[0], NewOps[1]);
-          break;
-        }
-      }
+      if (Changed)
+        New = rebuild(Cur, NewOps);
     }
     Memo[Cur] = New;
   }

@@ -98,6 +98,11 @@ public:
   /// Zero-extends or truncates \p T to exactly \p Width bits.
   const Term *zextTo(unsigned Width, const Term *T);
 
+  /// A node of \p Shape's kind (and extract/extension attributes) over
+  /// \p Ops, built through the folding constructors above.  Leaves return
+  /// \p Shape itself.  \p Shape may belong to another builder.
+  const Term *rebuild(const Term *Shape, const std::vector<const Term *> &Ops);
+
   /// Substitutes variables in \p T according to \p Map (varId -> term).
   /// Unmapped variables are left in place.
   const Term *substitute(const Term *T,

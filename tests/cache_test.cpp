@@ -1602,6 +1602,12 @@ TEST(SuiteJournalTest, CaseResultCodecRoundTrips) {
   BadVer[5] = '9'; // "case 9 " — an unknown codec version
   frontend::CaseResult Junk;
   EXPECT_FALSE(frontend::decodeCaseResult(BadVer, Junk));
+  // A row of the previous codec version, which carried the merge-engine
+  // counters, is rejected too: a resumed run re-verifies it.
+  ASSERT_EQ(Enc.rfind("case 3 ", 0), 0u);
+  std::string OldVer = Enc;
+  OldVer[5] = '2';
+  EXPECT_FALSE(frontend::decodeCaseResult(OldVer, Junk));
   EXPECT_FALSE(frontend::decodeCaseResult(Enc.substr(0, Enc.size() / 2),
                                           Junk));
   EXPECT_FALSE(frontend::decodeCaseResult("", Junk));

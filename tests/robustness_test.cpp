@@ -90,24 +90,12 @@ cache::TraceJob makeJob(const isla::Assumptions &A, uint32_t Op,
 // Executor resource guards.
 //===----------------------------------------------------------------------===//
 
-/// The three executor guards over both engines: the run driver checks them
-/// before each path, whatever the engine explores (guard placement parity).
-class ExecutorGuardTest : public ::testing::TestWithParam<isla::ExecEngine> {
-protected:
-  isla::ExecOptions options() const {
-    isla::ExecOptions O;
-    O.Engine = GetParam();
-    // Keep Merge from collapsing cbz's control-flow fork into one path.
-    O.MergePcName = "_PC";
-    return O;
-  }
-};
-
-TEST_P(ExecutorGuardTest, PathBudgetExceededIsAttributed) {
+/// The three executor guards: the run driver checks them before each path.
+TEST(ExecutorGuardTest, PathBudgetExceededIsAttributed) {
   smt::TermBuilder TB;
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
-  isla::ExecOptions O = options();
+  isla::ExecOptions O;
   O.MaxPaths = 1; // cbz forks into taken/untaken under a symbolic register
   isla::ExecResult R =
       Ex.run(isla::OpcodeSpec::concrete(e::cbz(2, 0x1c)), A, O);
@@ -116,11 +104,11 @@ TEST_P(ExecutorGuardTest, PathBudgetExceededIsAttributed) {
   EXPECT_NE(R.Error.find("path budget"), std::string::npos) << R.Error;
 }
 
-TEST_P(ExecutorGuardTest, ExpiredDeadlineFailsCleanly) {
+TEST(ExecutorGuardTest, ExpiredDeadlineFailsCleanly) {
   smt::TermBuilder TB;
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
-  isla::ExecOptions O = options();
+  isla::ExecOptions O;
   O.DeadlineSeconds = 1e-9; // already expired when the path loop starts
   isla::ExecResult R =
       Ex.run(isla::OpcodeSpec::concrete(e::addImm(0, 0, 1)), A, O);
@@ -128,11 +116,11 @@ TEST_P(ExecutorGuardTest, ExpiredDeadlineFailsCleanly) {
   EXPECT_EQ(R.D.Code, ErrorCode::DeadlineExceeded);
 }
 
-TEST_P(ExecutorGuardTest, PreCancelledTokenFailsWithCancelled) {
+TEST(ExecutorGuardTest, PreCancelledTokenFailsWithCancelled) {
   smt::TermBuilder TB;
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
-  isla::ExecOptions O = options();
+  isla::ExecOptions O;
   O.Cancel = CancelToken::create();
   O.Cancel.requestCancel();
   isla::ExecResult R =
@@ -140,19 +128,6 @@ TEST_P(ExecutorGuardTest, PreCancelledTokenFailsWithCancelled) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.D.Code, ErrorCode::Cancelled);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllEngines, ExecutorGuardTest,
-    ::testing::Values(isla::ExecEngine::Snapshot, isla::ExecEngine::Merge),
-    [](const ::testing::TestParamInfo<isla::ExecEngine> &I) {
-      switch (I.param) {
-      case isla::ExecEngine::Snapshot:
-        return "Snapshot";
-      case isla::ExecEngine::Merge:
-        return "Merge";
-      }
-      return "Unknown";
-    });
 
 TEST(GuardTest, SolverGiveUpInExecutorIsNeverAWrongTrace) {
   // Force every solver check to Unknown: the executor must refuse to decide

@@ -4,8 +4,8 @@
 // recorded from the original per-path re-executing engine and that pass
 // the §5 validator, while restoring shared prefixes from checkpoints
 // instead of re-executing them; plus the purity classification and
-// pure-helper summary memo that ride on it, the persistent side-condition
-// store wired into the executor's pruning queries, and the merge engine.
+// pure-helper summary memo that ride on it, and the persistent
+// side-condition store wired into the executor's pruning queries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +63,7 @@ function decode(opcode : bits(32)) -> unit = {
 }
 )";
 
-/// Independent two-way forks: enumeration explores 2^N leaves, merging
-/// collapses each fork at its join and re-reaches the next one once.
+/// Independent two-way forks: enumeration explores 2^N leaves.
 const char *ManyBranchArch = R"(
 register X0 : bits(64)
 register X1 : bits(64)
@@ -80,6 +79,55 @@ function decode(opcode : bits(32)) -> unit = {
 }
 )";
 
+/// A fork nested inside another fork's then-arm: restoring the inner
+/// fork's checkpoint must not disturb the outer one's (3 paths).
+const char *NestedForkArch = R"(
+register X0 : bits(64)
+register X1 : bits(64)
+register X2 : bits(64)
+register _PC : bits(64)
+
+function decode(opcode : bits(32)) -> unit = {
+  if opcode[0] == 0b1 then {
+    if opcode[1] == 0b1 then { X1 = X0 + X0; } else { X1 = X0; };
+    X2 = X1;
+  } else {
+    X2 = X0;
+  };
+  _PC = _PC + 0x0000000000000004;
+}
+)";
+
+/// A return inside a forked arm unwinds past the fork's join, so that path
+/// skips the code after the if.
+const char *EarlyReturnArch = R"(
+register X0 : bits(64)
+register X1 : bits(64)
+register X2 : bits(64)
+register _PC : bits(64)
+
+function decode(opcode : bits(32)) -> unit = {
+  if opcode[0] == 0b1 then { X1 = X0; return; } else { X1 = X0 + X0; };
+  X2 = X1;
+  _PC = _PC + 0x0000000000000004;
+}
+)";
+
+/// A memory write in one arm of a fork.
+const char *MemWriteArch = R"(
+register X0 : bits(64)
+register X1 : bits(64)
+register _PC : bits(64)
+
+function decode(opcode : bits(32)) -> unit = {
+  if opcode[0] == 0b1 then {
+    write_mem(0x0000000000001000, truncate(X0, 8), 1);
+  } else {
+    X1 = X0 + X0;
+  };
+  _PC = _PC + 0x0000000000000004;
+}
+)";
 
 std::unique_ptr<sail::Model> parseArch(const char *Src) {
   std::string Err;
@@ -98,9 +146,12 @@ std::unique_ptr<sail::Model> parseArch(const char *Src) {
 // is the AArch64 fuzz corpus (every flag-branch condition code, several
 // register selections, memory, symbolic immediate and destination fields,
 // and the unconstrained flag branch), bench_traces' four studies, the
-// RV64 and Arm opcodes of validation_test, MemoArch, and ManyBranchArch
+// RV64 and Arm opcodes of validation_test, MemoArch, ManyBranchArch
 // with three symbolic bits, whose nested forks pin the depth-first order
-// in which paths are explored.
+// in which paths are explored, and three small forking models:
+// NestedForkArch (checkpoint restore across nested forks), EarlyReturnArch
+// (return unwinding inside a forked arm) and MemWriteArch (a memory event
+// in one arm).
 //
 // Rule: a change that alters the shape of any trace here regenerates this
 // table and says why in CHANGES.md.  A digest is the cache::Fingerprinter
@@ -111,7 +162,9 @@ enum class Assume : uint8_t { None, El1, El2 };
 
 struct GoldenRow {
   const char *Name;
-  /// "aarch64", "rv64", "memo" (MemoArch) or "forks" (ManyBranchArch).
+  /// "aarch64", "rv64", "memo" (MemoArch), "forks" (ManyBranchArch),
+  /// "nested" (NestedForkArch), "early-return" (EarlyReturnArch) or
+  /// "mem-write" (MemWriteArch).
   const char *Arch;
   uint32_t Opcode;
   uint32_t SymMask;
@@ -185,6 +238,9 @@ const GoldenRow Golden[] = {
     {"arm-ret", "aarch64", 0xd65f03c0u, 0x00000000u, Assume::None, "4192130b40670c754c0afd5e61c54ed1", 1, 3, 0, 0},
     {"memo", "memo", 0x00000000u, 0x00000000u, Assume::None, "87e5281c4e2155659f3c149efb81c927", 1, 14, 0, 0},
     {"forks-3", "forks", 0x00000000u, 0x00000007u, Assume::None, "903bf29bea71fc18a93ba06966752ed8", 8, 79, 0, 1},
+    {"nested-2", "nested", 0x00000000u, 0x00000003u, Assume::None, "789498e0b3eda537946563bdfcfa9592", 3, 31, 0, 1},
+    {"early-return-1", "early-return", 0x00000000u, 0x00000001u, Assume::None, "e5a7883545da86708cf4b5c2b37c19b3", 2, 16, 0, 1},
+    {"mem-write-1", "mem-write", 0x00000000u, 0x00000001u, Assume::None, "43575408dc5cd9ae0253a7bdc8e252b9", 2, 20, 0, 1},
 };
 
 Assumptions assumptionsFor(Assume K) {
@@ -201,11 +257,22 @@ Assumptions assumptionsFor(Assume K) {
 const sail::Model &modelFor(const std::string &Arch) {
   static std::unique_ptr<sail::Model> Memo = parseArch(MemoArch);
   static std::unique_ptr<sail::Model> Forks = parseArch(ManyBranchArch);
+  static std::unique_ptr<sail::Model> Nested = parseArch(NestedForkArch);
+  static std::unique_ptr<sail::Model> Early = parseArch(EarlyReturnArch);
+  static std::unique_ptr<sail::Model> Mem = parseArch(MemWriteArch);
   if (Arch == "aarch64")
     return models::aarch64Model();
   if (Arch == "rv64")
     return models::rv64Model();
-  return Arch == "forks" ? *Forks : *Memo;
+  if (Arch == "forks")
+    return *Forks;
+  if (Arch == "nested")
+    return *Nested;
+  if (Arch == "early-return")
+    return *Early;
+  if (Arch == "mem-write")
+    return *Mem;
+  return *Memo;
 }
 
 std::string digestOf(const itl::Trace &T) {
@@ -284,6 +351,8 @@ TEST(SnapshotSuiteTest, AllNineCaseStudiesMatchRecordedCounters) {
     EXPECT_EQ(R.Proof.EventsProcessed, Want[I].Events) << R.Name;
     EXPECT_EQ(R.IslaStmts, Want[I].Stmts) << R.Name;
     EXPECT_EQ(R.IslaStmtsSkipped, Want[I].Skipped) << R.Name;
+    // A healthy rewrite-rule set never hits the fixpoint cap.
+    EXPECT_EQ(R.FixpointCapHits, 0u) << R.Name;
   }
 }
 
@@ -399,267 +468,4 @@ TEST(ExecutorSideCondTest, SecondRunAnswersPruningFromStore) {
   ASSERT_TRUE(R3.Ok) << R3.Error;
   EXPECT_EQ(R3.Stats.SolverStoreHits, 0u);
   EXPECT_EQ(R3.Trace.toString(), R1.Trace.toString());
-}
-
-//===----------------------------------------------------------------------===//
-// Post-dominator path merging.
-//
-// The merge engine's contract is weaker than snapshot's bit-identity: its
-// traces are *semantically equivalent* (each fork's arms collapse into ite
-// values at the join, so variable naming and event layout differ), so the
-// differential oracle here is the §5 validation checker — per-path solver
-// witnesses plus randomized states replayed through the concrete reference
-// interpreter — rather than string equality.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs \p Op under the snapshot engine (the enumeration baseline) and the
-/// merge engine in fresh builders.
-struct MergePair {
-  smt::TermBuilder TBs, TBm;
-  ExecResult S, M; ///< Snapshot / merge results.
-
-  MergePair(const sail::Model &Mod, const OpcodeSpec &Op,
-            const Assumptions &A, unsigned Budget = 0) {
-    ExecOptions Snap;
-    Snap.Engine = ExecEngine::Snapshot;
-    Executor Es(Mod, TBs);
-    S = Es.run(Op, A, Snap);
-
-    ExecOptions Mrg;
-    Mrg.Engine = ExecEngine::Merge;
-    if (Budget)
-      Mrg.MergeTermBudget = Budget;
-    Executor Em(Mod, TBm);
-    M = Em.run(Op, A, Mrg);
-  }
-};
-
-/// Semantic equivalence of a (possibly merged) trace for a concrete opcode
-/// via the validation checker: every linear path solver-witnessed and
-/// replayed against the concrete model interpreter.
-void expectValidates(const sail::Model &Mod, smt::TermBuilder &TB,
-                     uint32_t Opcode, const Assumptions &A,
-                     const ExecResult &R, const std::string &What) {
-  ASSERT_TRUE(R.Ok) << What << ": " << R.Error;
-  validation::ValidationResult VR = validation::validateInstruction(
-      Mod, TB, Opcode, A, R.Trace, "_PC", /*RandomTrials=*/4, Opcode);
-  EXPECT_TRUE(VR.Ok) << What << ": " << VR.Error;
-  EXPECT_EQ(VR.PathsCovered, VR.Paths) << What;
-}
-
-} // namespace
-
-TEST(MergeDifferentialTest, ForkingBranchCollapsesToOnePath) {
-  // beq with unconstrained flags: both arms feasible, joining at the end
-  // of decode.  The merge engine must collapse them into a single path
-  // whose register writes are ite terms on the branch condition.
-  uint32_t Beq = 0x54000000u | (0x7fff0u << 5);
-  MergePair P(models::aarch64Model(), OpcodeSpec::concrete(Beq),
-              Assumptions());
-  ASSERT_TRUE(P.S.Ok) << P.S.Error;
-  ASSERT_TRUE(P.M.Ok) << P.M.Error;
-  EXPECT_GE(P.S.Stats.Paths, 2u);
-  EXPECT_EQ(P.M.Stats.Paths, 1u);
-  EXPECT_GE(P.M.Stats.PathsMerged, 1u);
-  EXPECT_EQ(P.M.Stats.MergeFallbacks, 0u);
-  EXPECT_GT(P.M.Stats.IteTermsIntroduced, 0u);
-  // One fork saves the post-join suffix re-execution; never costs more.
-  EXPECT_LE(P.M.Stats.StmtsExecuted, P.S.Stats.StmtsExecuted);
-  // A healthy rewrite-rule set never hits the fixpoint cap, ite terms
-  // included.
-  EXPECT_EQ(P.M.Stats.FixpointCapHits, 0u);
-  expectValidates(models::aarch64Model(), P.TBm, Beq, Assumptions(), P.M,
-                  "beq-merged");
-}
-
-TEST(MergeDifferentialTest, FuzzCorpusSemanticallyEquivalent) {
-  namespace e = arch::aarch64::enc;
-  // The snapshot corpus's concrete opcodes, revalidated under merging:
-  // same Ok verdict, never more paths than enumeration, and the merged
-  // trace semantically equivalent per the validation checker.
-  std::vector<std::pair<std::string, uint32_t>> Corpus;
-  for (unsigned C = 0; C < 16; C += 3)
-    Corpus.push_back({"bcond-" + std::to_string(C),
-                      0x54000000u | (0x10u << 5) | C});
-  Corpus.push_back({"add", e::addImm(3, 3, 4)});
-  Corpus.push_back({"ldr", e::ldrImm(0, 2, 0, 0)});
-  Corpus.push_back({"str", e::strImm(0, 2, 1, 0)});
-  Corpus.push_back({"ret", e::ret()});
-
-  unsigned TotalMerged = 0;
-  for (const auto &[Name, Op] : Corpus) {
-    MergePair P(models::aarch64Model(), OpcodeSpec::concrete(Op),
-                el1Assumptions());
-    ASSERT_EQ(P.S.Ok, P.M.Ok) << Name << ": " << P.S.Error << " / "
-                              << P.M.Error;
-    if (!P.S.Ok)
-      continue;
-    EXPECT_LE(P.M.Stats.Paths, P.S.Stats.Paths) << Name;
-    ASSERT_EQ(P.S.OpcodeVars.size(), P.M.OpcodeVars.size()) << Name;
-    TotalMerged += P.M.Stats.PathsMerged;
-    expectValidates(models::aarch64Model(), P.TBm, Op, el1Assumptions(),
-                    P.M, Name);
-  }
-  // The flag-condition branches fork, so at least one of them must have
-  // actually merged — otherwise the engine silently degenerated into
-  // enumeration and this test proves nothing.
-  EXPECT_GE(TotalMerged, 1u);
-}
-
-TEST(MergeDifferentialTest, IndependentForksMergeSuperLinearly) {
-  auto M = parseArch(ManyBranchArch);
-  ASSERT_TRUE(M);
-  // Bits 2..0 symbolic: three independent both-feasible forks.
-  OpcodeSpec Op = OpcodeSpec::symbolicField(0, 2, 0);
-  MergePair P(*M, Op, Assumptions());
-  ASSERT_TRUE(P.S.Ok) << P.S.Error;
-  ASSERT_TRUE(P.M.Ok) << P.M.Error;
-  EXPECT_EQ(P.S.Stats.Paths, 8u);
-  EXPECT_EQ(P.M.Stats.Paths, 1u);
-  EXPECT_EQ(P.M.Stats.PathsMerged, 3u);
-  EXPECT_EQ(P.M.Stats.MergeFallbacks, 0u);
-  EXPECT_GE(P.M.Stats.IteTermsIntroduced, 3u);
-  // The super-linear claim: enumeration re-executes every suffix once per
-  // leaf (tree of 2^N paths); merging executes each arm exactly once.
-  EXPECT_LT(P.M.Stats.StmtsExecuted * 2, P.S.Stats.StmtsExecuted);
-}
-
-namespace {
-
-/// A fork nested inside another fork's then-arm.  The inner fork merges
-/// first; its joined events (defines, reads, ite writes — no assert) keep
-/// the outer arm mergeable, so the outer fork merges too.
-const char *NestedForkArch = R"(
-register X0 : bits(64)
-register X1 : bits(64)
-register X2 : bits(64)
-register _PC : bits(64)
-
-function decode(opcode : bits(32)) -> unit = {
-  if opcode[0] == 0b1 then {
-    if opcode[1] == 0b1 then { X1 = X0 + X0; } else { X1 = X0; };
-    X2 = X1;
-  } else {
-    X2 = X0;
-  };
-  _PC = _PC + 0x0000000000000004;
-}
-)";
-
-/// An arm that returns early never reaches the join: the fork must demote
-/// to plain enumeration (and, being pure enumeration, stay bit-identical
-/// to the snapshot engine).
-const char *EarlyReturnArch = R"(
-register X0 : bits(64)
-register X1 : bits(64)
-register X2 : bits(64)
-register _PC : bits(64)
-
-function decode(opcode : bits(32)) -> unit = {
-  if opcode[0] == 0b1 then { X1 = X0; return; } else { X1 = X0 + X0; };
-  X2 = X1;
-  _PC = _PC + 0x0000000000000004;
-}
-)";
-
-/// An arm with a memory event: joins on memory state are out of scope, so
-/// the fork must fall back at the join check.
-const char *MemWriteArch = R"(
-register X0 : bits(64)
-register X1 : bits(64)
-register _PC : bits(64)
-
-function decode(opcode : bits(32)) -> unit = {
-  if opcode[0] == 0b1 then {
-    write_mem(0x0000000000001000, truncate(X0, 8), 1);
-  } else {
-    X1 = X0 + X0;
-  };
-  _PC = _PC + 0x0000000000000004;
-}
-)";
-
-} // namespace
-
-TEST(MergeDifferentialTest, NestedForksMergeHierarchically) {
-  auto M = parseArch(NestedForkArch);
-  ASSERT_TRUE(M);
-  OpcodeSpec Op = OpcodeSpec::symbolicField(0, 1, 0);
-  MergePair P(*M, Op, Assumptions());
-  ASSERT_TRUE(P.S.Ok) << P.S.Error;
-  ASSERT_TRUE(P.M.Ok) << P.M.Error;
-  EXPECT_EQ(P.S.Stats.Paths, 3u);
-  EXPECT_EQ(P.M.Stats.Paths, 1u);
-  EXPECT_EQ(P.M.Stats.PathsMerged, 2u);
-  EXPECT_EQ(P.M.Stats.MergeFallbacks, 0u);
-}
-
-TEST(MergeDifferentialTest, EarlyReturnFallsBackToEnumeration) {
-  auto M = parseArch(EarlyReturnArch);
-  ASSERT_TRUE(M);
-  OpcodeSpec Op = OpcodeSpec::symbolicField(0, 0, 0);
-  MergePair P(*M, Op, Assumptions());
-  ASSERT_TRUE(P.S.Ok) << P.S.Error;
-  ASSERT_TRUE(P.M.Ok) << P.M.Error;
-  EXPECT_EQ(P.M.Stats.PathsMerged, 0u);
-  EXPECT_EQ(P.M.Stats.MergeFallbacks, 1u);
-  EXPECT_EQ(P.M.Stats.Paths, P.S.Stats.Paths);
-  // A then-arm fallback happens before any else-side work, so the demoted
-  // fork enumerates exactly like the snapshot engine — bit-identical.
-  EXPECT_EQ(P.M.Trace.toString(), P.S.Trace.toString());
-}
-
-TEST(MergeDifferentialTest, MemoryEventFallsBackToEnumeration) {
-  auto M = parseArch(MemWriteArch);
-  ASSERT_TRUE(M);
-  OpcodeSpec Op = OpcodeSpec::symbolicField(0, 0, 0);
-  MergePair P(*M, Op, Assumptions());
-  ASSERT_TRUE(P.S.Ok) << P.S.Error;
-  ASSERT_TRUE(P.M.Ok) << P.M.Error;
-  EXPECT_EQ(P.M.Stats.PathsMerged, 0u);
-  EXPECT_EQ(P.M.Stats.MergeFallbacks, 1u);
-  EXPECT_EQ(P.M.Stats.Paths, P.S.Stats.Paths);
-  EXPECT_EQ(P.M.Trace.toString(), P.S.Trace.toString());
-}
-
-TEST(MergeDifferentialTest, TinyBudgetFallsBackToEnumeration) {
-  // A one-node term budget rejects every ite candidate, so the engine must
-  // demote cleanly to enumeration — same path count, still validated.
-  uint32_t Beq = 0x54000000u | (0x7fff0u << 5);
-  MergePair P(models::aarch64Model(), OpcodeSpec::concrete(Beq),
-              Assumptions(), /*Budget=*/1);
-  ASSERT_TRUE(P.S.Ok) << P.S.Error;
-  ASSERT_TRUE(P.M.Ok) << P.M.Error;
-  EXPECT_EQ(P.M.Stats.PathsMerged, 0u);
-  EXPECT_GE(P.M.Stats.MergeFallbacks, 1u);
-  EXPECT_EQ(P.M.Stats.IteTermsIntroduced, 0u);
-  EXPECT_EQ(P.M.Stats.Paths, P.S.Stats.Paths);
-  expectValidates(models::aarch64Model(), P.TBm, Beq, Assumptions(), P.M,
-                  "beq-budget-fallback");
-}
-
-TEST(MergeSuiteTest, AllNineCaseStudiesVerifyUnderMerge) {
-  // End-to-end semantic equivalence: every Fig. 12 proof must go through
-  // against merged traces exactly as it does against enumerated ones.
-  std::vector<frontend::CaseResult> S = frontend::runAllCaseStudies();
-  std::span<const frontend::StudyEntry> Studies = frontend::caseStudies();
-  ASSERT_EQ(S.size(), Studies.size());
-  unsigned Merged = 0;
-  for (size_t I = 0; I < S.size(); ++I) {
-    frontend::CaseResult M = Studies[I].Run(ExecEngine::Merge);
-    EXPECT_EQ(S[I].Ok, M.Ok) << S[I].Name << ": " << S[I].Error << " / "
-                             << M.Error;
-    EXPECT_EQ(S[I].AsmInstrs, M.AsmInstrs) << S[I].Name;
-    EXPECT_EQ(S[I].FixpointCapHits, 0u) << S[I].Name;
-    EXPECT_EQ(M.FixpointCapHits, 0u) << M.Name;
-    // Snapshot never merges; its counters must stay zero.
-    EXPECT_EQ(S[I].PathsMerged, 0u) << S[I].Name;
-    EXPECT_EQ(S[I].MergeFallbacks, 0u) << S[I].Name;
-    Merged += M.PathsMerged;
-  }
-  // At least one real-model fork (pKVM's) collapses at its join, so a
-  // merged trace, not only enumeration fallbacks, goes through a proof.
-  EXPECT_GE(Merged, 1u);
 }
