@@ -7,7 +7,8 @@
 // equalities, the rbit spec/trace equivalence, and the three shapes that
 // dominated SAT-core time before the Unsat-only decision tier (Decide.h):
 // binary-search select chains, linear add/sub disequalities and signed
-// order chains.
+// order chains; and Isla's branch pruning, whose Sat checks the
+// model-reuse tier answers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -211,6 +212,53 @@ void BM_OrderChain(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_OrderChain);
+
+/// Branch pruning as Executor::feasibleSides does it: a path condition
+/// grown by one literal per step, with both sides of each step's branch
+/// checked on one Solver.  The path is an unrolled loop over a length the
+/// precondition pins (`len + N = 3N`), so the loop-exit side `len <= k` is
+/// pruned; every third step instead branches on a fresh byte `d < 128`,
+/// with both sides feasible.  The then side is taken.  Counters per
+/// iteration: checks that reached the SAT core and checks answered by a
+/// reused model.
+void BM_BranchFeasibility(benchmark::State &State) {
+  unsigned Steps = unsigned(State.range(0));
+  uint64_t SatCalls = 0, Reused = 0;
+  for (auto _ : State) {
+    TermBuilder TB;
+    Solver S(TB);
+    auto C = [&](uint64_t V) { return TB.constBV(64, V); };
+    auto Fresh = [&](const std::string &Name) {
+      return TB.freshVar(Sort::bitvec(64), Name);
+    };
+    const Term *Len = Fresh("len");
+    std::vector<const Term *> PC = {
+        TB.eqTerm(TB.bvAdd(Len, C(Steps)), C(3 * uint64_t(Steps)))};
+    for (unsigned K = 0; K < Steps; ++K) {
+      bool Data = K % 3 == 2;
+      const Term *Cond =
+          Data ? TB.bvUlt(Fresh("d" + std::to_string(K)), C(128))
+               : TB.bvUlt(C(K), Len);
+      PC.push_back(Cond);
+      Result Then = S.check(PC);
+      PC.back() = TB.notTerm(Cond);
+      Result Else = S.check(PC);
+      if (Then != Result::Sat || Else != (Data ? Result::Sat : Result::Unsat))
+        State.SkipWithError("wrong branch verdict");
+      PC.back() = Cond;
+    }
+    SatCalls += S.stats().NumSatCalls;
+    Reused += S.stats().NumReused;
+  }
+  State.counters["sat_calls"] =
+      benchmark::Counter(double(SatCalls), benchmark::Counter::kAvgIterations);
+  State.counters["reused"] =
+      benchmark::Counter(double(Reused), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BranchFeasibility)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

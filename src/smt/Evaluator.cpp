@@ -7,7 +7,8 @@ using namespace islaris::smt;
 
 namespace {
 
-/// Iterative post-order evaluator with memoization.
+/// Iterative post-order evaluator with memoization.  The memo outlives one
+/// run(), so a visitor evaluating several roots shares their subterms.
 class EvalVisitor {
 public:
   explicit EvalVisitor(const Env &E) : E(E) {}
@@ -122,4 +123,15 @@ private:
 
 std::optional<Value> islaris::smt::evaluate(const Term *T, const Env &E) {
   return EvalVisitor(E).run(T);
+}
+
+bool islaris::smt::satisfiesAll(const std::vector<const Term *> &Goals,
+                                const Env &E) {
+  EvalVisitor V(E);
+  for (const Term *G : Goals) {
+    std::optional<Value> R = V.run(G);
+    if (!R || !R->asBool())
+      return false;
+  }
+  return true;
 }

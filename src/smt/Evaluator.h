@@ -63,6 +63,12 @@ using Env = std::unordered_map<uint32_t, Value>;
 /// Asserts on sort errors (terms are built well-sorted).
 std::optional<Value> evaluate(const Term *T, const Env &E);
 
+/// True iff every term of \p Goals evaluates to true under \p E.  The goals
+/// are evaluated in one pass whose memo is shared across them, so the
+/// subterms they have in common are evaluated once; the pass stops at the
+/// first goal that is false or mentions an unassigned variable.
+bool satisfiesAll(const std::vector<const Term *> &Goals, const Env &E);
+
 } // namespace islaris::smt
 
 #endif // ISLARIS_SMT_EVALUATOR_H

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <unordered_set>
 
 using namespace islaris;
 using namespace islaris::smt;
@@ -38,18 +39,36 @@ static Value defaultValue(const Term *V) {
   return V->isBool() ? Value(false) : Value(BitVec::zeros(V->width()));
 }
 
-std::string
-Solver::printGoalClosure(const std::vector<const Term *> &Goals) {
+/// The free variables of \p Goals, each once.  One traversal with one
+/// visited set: residual goals share the path condition's subterms.
+static std::vector<const Term *>
+goalVars(const std::vector<const Term *> &Goals) {
+  std::vector<const Term *> Vars;
+  std::unordered_set<const Term *> Seen;
+  std::vector<const Term *> Stack(Goals.begin(), Goals.end());
+  while (!Stack.empty()) {
+    const Term *T = Stack.back();
+    Stack.pop_back();
+    if (!Seen.insert(T).second)
+      continue;
+    if (T->isVar())
+      Vars.push_back(T);
+    for (const Term *Op : T->operands())
+      Stack.push_back(Op);
+  }
+  return Vars;
+}
+
+/// printGoalClosure over the goals' free variables \p Vars.
+static std::string printClosure(const std::vector<const Term *> &Goals,
+                                const std::vector<const Term *> &Vars) {
   // Free-variable declarations, sorted by name.  Two distinct variables
   // printing the same name would make the closure ambiguous (the printed
   // formula conflates them); refuse to produce a key in that case.
   std::map<std::string, const Term *> Decls;
-  for (const Term *G : Goals)
-    for (const Term *V : collectVars(G)) {
-      auto [It, New] = Decls.emplace(V->varName(), V);
-      if (!New && It->second != V)
-        return std::string();
-    }
+  for (const Term *V : Vars)
+    if (!Decls.emplace(V->varName(), V).second)
+      return std::string();
   std::vector<std::string> Printed;
   Printed.reserve(Goals.size());
   for (const Term *G : Goals)
@@ -69,7 +88,45 @@ Solver::printGoalClosure(const std::vector<const Term *> &Goals) {
   return Out;
 }
 
-Result Solver::solveGoals(const std::vector<const Term *> &Goals) {
+std::string
+Solver::printGoalClosure(const std::vector<const Term *> &Goals) {
+  return printClosure(Goals, goalVars(Goals));
+}
+
+bool Solver::reuseModel(const std::vector<const Term *> &Goals,
+                        const std::vector<const Term *> &Vars) {
+  // Newest goals first: a candidate that fails usually fails on the literal
+  // just added to a path condition it already satisfies.
+  std::vector<const Term *> Newest(Goals.rbegin(), Goals.rend());
+  static const Env Zeros;
+  const Env *Candidates[] = {&LastModel, &Zeros};
+  for (const Env *From : Candidates) {
+    Env Cand;
+    Cand.reserve(Vars.size());
+    bool Differs = false; // from the all-zeros candidate
+    for (const Term *V : Vars) {
+      auto It = From->find(V->varId());
+      Value Def = defaultValue(V);
+      if (It != From->end() && It->second != Def) {
+        Cand.emplace(V->varId(), It->second);
+        Differs = true;
+      } else {
+        Cand.emplace(V->varId(), std::move(Def));
+      }
+    }
+    if (From == &LastModel && !Differs)
+      continue; // identical to the next candidate
+    if (satisfiesAll(Newest, Cand)) {
+      Model = std::move(Cand);
+      HasModel = true;
+      return true;
+    }
+  }
+  return false;
+}
+
+Result Solver::solveGoals(const std::vector<const Term *> &Goals,
+                          const std::vector<const Term *> &Vars) {
   ++Stats.NumSatCalls;
   if (!Core) {
     Core = std::make_unique<sat::Solver>();
@@ -110,15 +167,32 @@ Result Solver::solveGoals(const std::vector<const Term *> &Goals) {
   // that later checks overwrite, but this Env stays valid until the next
   // assertTerm()/pop().
   Model.clear();
-  for (const Term *G : Goals)
-    for (const Term *V : collectVars(G))
-      if (!Model.count(V->varId()))
-        Model.emplace(V->varId(), Blaster->modelValue(V));
+  for (const Term *V : Vars)
+    Model.emplace(V->varId(), Blaster->modelValue(V));
+  if (!Vars.empty() &&
+      support::FaultInjector::fire(support::FaultSite::SolverModel)) {
+    // Injected corruption of the core's model: flip the lowest bit of the
+    // first goal variable's value, standing in for a blaster or CDCL bug.
+    Value &V = Model[Vars.front()->varId()];
+    if (V.isBool())
+      V = Value(!V.asBool());
+    else
+      V = Value(V.asBitVec().bvxor(BitVec(V.asBitVec().width(), 1)));
+  }
+  // Certify the model against the goals before it is used or cached.  A
+  // model that fails is a solver bug, not a statement about the formula:
+  // answer Unknown, which is never cached, so callers fail soundly.
+  if (!satisfiesAll(Goals, Model)) {
+    ++Stats.NumRejectedModels;
+    ++Stats.NumUnknown;
+    invalidateModel();
+    return Result::Unknown;
+  }
   HasModel = true;
   return Result::Sat;
 }
 
-bool Solver::installCached(const std::vector<const Term *> &Goals,
+bool Solver::installCached(const std::vector<const Term *> &Vars,
                            const SolverCache::CachedResult &C, Result &R) {
   if (!C.Sat) {
     invalidateModel();
@@ -130,9 +204,8 @@ bool Solver::installCached(const std::vector<const Term *> &Goals,
   // set (e.g. a different-width variable of the same name): reject it and
   // fall back to solving.
   std::unordered_map<std::string, const Term *> ByName;
-  for (const Term *G : Goals)
-    for (const Term *V : collectVars(G))
-      ByName.emplace(V->varName(), V);
+  for (const Term *V : Vars)
+    ByName.emplace(V->varName(), V);
   Env M;
   for (const auto &[Name, Width, Bits] : C.Model) {
     auto It = ByName.find(Name);
@@ -158,17 +231,16 @@ bool Solver::installCached(const std::vector<const Term *> &Goals,
 }
 
 SolverCache::CachedResult
-Solver::exportResult(const std::vector<const Term *> &Goals,
+Solver::exportResult(const std::vector<const Term *> &Vars,
                      Result R) const {
   SolverCache::CachedResult C;
   C.Sat = R == Result::Sat;
   if (!C.Sat)
     return C;
-  std::map<std::string, const Term *> Vars;
-  for (const Term *G : Goals)
-    for (const Term *V : collectVars(G))
-      Vars.emplace(V->varName(), V);
-  for (const auto &[Name, V] : Vars) {
+  std::map<std::string, const Term *> ByName;
+  for (const Term *V : Vars)
+    ByName.emplace(V->varName(), V);
+  for (const auto &[Name, V] : ByName) {
     auto It = Model.find(V->varId());
     Value Val = It != Model.end() ? It->second : defaultValue(V);
     if (V->isBool())
@@ -245,28 +317,35 @@ Result Solver::check(const std::vector<const Term *> &Assumptions) {
       Model = Hit->second.Model;
       HasModel = R == Result::Sat;
     } else {
+      std::vector<const Term *> Vars = goalVars(Goals);
       std::string Closure =
-          Persist ? printGoalClosure(Goals) : std::string();
+          Persist ? printClosure(Goals, Vars) : std::string();
       bool Answered = false;
       if (!Closure.empty())
         if (auto Cached = Persist->lookup(Closure))
-          if (installCached(Goals, *Cached, R)) {
+          if (installCached(Vars, *Cached, R)) {
             ++Stats.NumStoreHits;
             Answered = true;
           }
       if (!Answered) {
-        if (decideUnsat(Goals)) {
+        if (reuseModel(Goals, Vars)) {
+          ++Stats.NumReused;
+          R = Result::Sat;
+        } else if (decideUnsat(Goals)) {
           ++Stats.NumDecided;
           invalidateModel();
           R = Result::Unsat;
         } else {
-          R = solveGoals(Goals);
+          R = solveGoals(Goals, Vars);
         }
-        // An Unknown is a statement about this run's budget, not about the
-        // formula: memoizing or persisting it would convert a transient
-        // resource condition into a cached wrong-ish answer.
+        if (R == Result::Sat)
+          LastModel = Model;
+        // An Unknown is a statement about this run (its budget, or a core
+        // model that failed its check), not about the formula: memoizing or
+        // persisting it would convert a transient condition into a cached
+        // wrong-ish answer.
         if (R != Result::Unknown && !Closure.empty())
-          Persist->store(Closure, exportResult(Goals, R));
+          Persist->store(Closure, exportResult(Vars, R));
       }
       if (R != Result::Unknown)
         Memo.emplace(std::move(Key), MemoEntry{R, Model});

@@ -18,18 +18,30 @@
 /// built once and reused across checks — the "scoped incrementality" half
 /// of the side-condition cache.
 ///
-/// In front of the core sits an Unsat-only decision tier (Decide.h): after
-/// a memo and store miss, check() calls decideUnsat on the residual goals
-/// before solveGoals.  It normalises the goals, closes their signed and
-/// unsigned order literals, and enumerates variables with tiny unsigned
-/// domains (at most 64 assignments, a fixed constant).  It answers only
-/// Unsat; anything it does not refute goes to the core on the original
-/// goals, so every Sat answer and model still comes from the core.  Its
-/// answers are memoized and stored like the core's and counted in
-/// SolverStats::NumDecided; NumSatCalls counts checks that reached the
-/// core.
+/// A check that misses the memo and the store goes through two tiers and
+/// then the core, in this order:
 ///
-/// Before either, check() consults two caching layers:
+///  - model reuse: the model of the last Sat answer from this tier or the
+///    core, then all zeros, each completed to every free variable of the
+///    residual goals with zero/false defaults.  A candidate under which
+///    every goal evaluates to true answers Sat, with that assignment as
+///    the model (SolverStats::NumReused).  Callers use models only for the
+///    verdict, to propose values whose uniqueness they prove, or as
+///    witnesses any model serves, so cold models may depend on query
+///    order; verdicts do not;
+///  - decideUnsat (Decide.h): normalises the goals, closes their signed
+///    and unsigned order literals, and enumerates variables with tiny
+///    unsigned domains (at most 64 assignments, a fixed constant).  It
+///    answers only Unsat (SolverStats::NumDecided);
+///  - the core, on the original goals (SolverStats::NumSatCalls).
+///
+/// Every Sat answer's model is Evaluator-checked against the residual
+/// goals before it is used or cached.  A core model that fails the check
+/// is answered Unknown (SolverStats::NumRejectedModels).  Tier and core
+/// answers are memoized and stored alike; store hits are installed
+/// without the check, so the warm path pays nothing for it.
+///
+/// Before the tiers, check() consults two caching layers:
 ///
 ///  - an in-memory memo table keyed on the canonical simplified goal set
 ///    (sorted hash-consed term ids), so a query repeated anywhere within a
@@ -83,9 +95,12 @@ struct SolverStats {
   uint64_t NumSyntactic = 0; ///< Checks decided without the SAT core.
   uint64_t NumMemoHits = 0;  ///< Checks answered by the in-run memo table.
   uint64_t NumStoreHits = 0; ///< Checks answered by the persistent store.
+  uint64_t NumReused = 0;    ///< Checks answered Sat by a reused model.
   uint64_t NumDecided = 0;   ///< Checks refuted by decideUnsat (Decide.h).
   uint64_t NumSatCalls = 0;  ///< Checks that reached the SAT core.
   uint64_t NumUnknown = 0;   ///< Checks cut short by a guard or fault.
+  /// Core models that failed the Evaluator check (answered Unknown).
+  uint64_t NumRejectedModels = 0;
   uint64_t NumConflicts = 0;
   uint64_t TermsBlasted = 0; ///< Terms translated to CNF (mirror of blaster).
   uint64_t TermsReused = 0;  ///< Blaster cache hits: clauses reused.
@@ -179,11 +194,16 @@ public:
   }
 
 private:
-  Result solveGoals(const std::vector<const Term *> &Goals);
-  bool installCached(const std::vector<const Term *> &Goals,
+  // The helpers below take the residual goals' free variables, collected
+  // once per memo miss.
+  bool reuseModel(const std::vector<const Term *> &Goals,
+                  const std::vector<const Term *> &Vars);
+  Result solveGoals(const std::vector<const Term *> &Goals,
+                    const std::vector<const Term *> &Vars);
+  bool installCached(const std::vector<const Term *> &Vars,
                      const SolverCache::CachedResult &C, Result &R);
   SolverCache::CachedResult
-  exportResult(const std::vector<const Term *> &Goals, Result R) const;
+  exportResult(const std::vector<const Term *> &Vars, Result R) const;
   void invalidateModel() {
     HasModel = false;
     Model.clear();
@@ -207,6 +227,11 @@ private:
   // so it cannot be invalidated by later clause additions.
   bool HasModel = false;
   Env Model;
+
+  // The model of the last Sat answer from the reuse tier or the core: the
+  // reuse tier's first candidate.  Unlike Model it survives assertTerm()
+  // and pop(), and memo and store hits leave it alone.
+  Env LastModel;
 
   // In-run memo: canonical goal-id set -> result + model.  Terms are
   // hash-consed, so ids identify goals and the key is builder-stable.

@@ -30,6 +30,8 @@ const char *islaris::support::faultSiteName(FaultSite S) {
     return "crash-journal";
   case FaultSite::DiskFull:
     return "disk-full";
+  case FaultSite::SolverModel:
+    return "solver-model";
   }
   return "unknown";
 }

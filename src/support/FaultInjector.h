@@ -16,6 +16,9 @@
 ///   cache-torn-write  only a prefix of the entry reaches disk, then IS
 ///                     published — readers must detect the corruption
 ///   solver-unknown    smt::Solver::check returns a spurious Unknown
+///   solver-model      one bit of a SAT-core model is flipped before the
+///                     solver's Evaluator check, which must reject it
+///                     unless the flipped model still satisfies the goals
 ///   exec-step         the symbolic executor fails the current run with an
 ///                     attributed injected-fault Diag (retryable)
 ///   exec-throw        the symbolic executor throws, exercising the batch
@@ -72,8 +75,9 @@ enum class FaultSite : unsigned {
   CrashPublish,
   CrashJournal,
   DiskFull,
+  SolverModel,
 };
-inline constexpr unsigned NumFaultSites = 10;
+inline constexpr unsigned NumFaultSites = 11;
 
 /// Stable site name ("cache-read", ...); the ISLARIS_FAULTS syntax.
 const char *faultSiteName(FaultSite S);

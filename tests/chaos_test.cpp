@@ -1,11 +1,11 @@
 //===- tests/chaos_test.cpp - Fault-injected end-to-end suite runs --------------===//
 //
 // The pipeline-level fault-tolerance property: under injected cache I/O
-// faults, spurious solver give-ups, and transient executor faults, every
-// Fig. 12 case study either verifies with results bit-identical to the
-// fault-free run or fails with a cleanly attributed infrastructure
-// diagnostic.  Never a crash, never a hang, never a silently different
-// verdict.
+// faults, spurious solver give-ups, corrupted solver models, and transient
+// executor faults, every Fig. 12 case study either verifies with results
+// bit-identical to the fault-free run or fails with a cleanly attributed
+// infrastructure diagnostic.  Never a crash, never a hang, never a silently
+// different verdict.
 //
 //===----------------------------------------------------------------------===//
 
@@ -139,6 +139,21 @@ TEST(ChaosTest, SpuriousSolverUnknownsAreIdenticalOrAttributed) {
   std::vector<CaseResult> Run = runAllCaseStudies(O);
   expectIdenticalOrAttributed(Run, "solver-unknown");
   EXPECT_GT(FI.probes(FaultSite::SolverUnknown), 0u);
+}
+
+// A flipped bit in a SAT-core model either still satisfies the goals (the
+// model was not unique in that bit) or is caught by the solver's Evaluator
+// check and answered Unknown, which callers attribute: never a verdict
+// built on a wrong model.
+TEST(ChaosTest, CorruptCoreModelsAreIdenticalOrAttributed) {
+  FaultInjector FI(/*Seed=*/11);
+  FI.setRate(FaultSite::SolverModel, 0.2);
+  SuiteOptions O;
+  O.Threads = 2;
+  O.Faults = &FI;
+  std::vector<CaseResult> Run = runAllCaseStudies(O);
+  expectIdenticalOrAttributed(Run, "solver-model");
+  EXPECT_GT(FI.injected(FaultSite::SolverModel), 0u);
 }
 
 TEST(ChaosTest, TransientExecutorFaultsRetryOrAttribute) {

@@ -6,6 +6,7 @@
 #include "smt/Rewriter.h"
 #include "smt/Solver.h"
 #include "smt/TermBuilder.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -75,6 +76,24 @@ TEST(EvaluatorTest, IteAndBool) {
   EXPECT_EQ(evaluate(E, En)->asBitVec().toUInt64(), 1u);
   En[B->varId()] = Value(false);
   EXPECT_EQ(evaluate(E, En)->asBitVec().toUInt64(), 2u);
+}
+
+TEST(EvaluatorTest, SatisfiesAllNeedsEveryGoalTrue) {
+  TermBuilder TB;
+  const Term *X = TB.freshVar(Sort::bitvec(8), "x");
+  const Term *Y = TB.freshVar(Sort::bitvec(8), "y");
+  std::vector<const Term *> G = {TB.bvUlt(X, TB.constBV(8, 10)),
+                                 TB.notTerm(TB.eqTerm(X, TB.constBV(8, 3)))};
+  Env En;
+  EXPECT_FALSE(satisfiesAll(G, En)); // x unassigned
+  En[X->varId()] = Value(BitVec(8, 5));
+  EXPECT_TRUE(satisfiesAll(G, En));
+  EXPECT_TRUE(satisfiesAll({}, En));
+  En[X->varId()] = Value(BitVec(8, 3));
+  EXPECT_FALSE(satisfiesAll(G, En));
+  En[X->varId()] = Value(BitVec(8, 5));
+  G.push_back(TB.bvUlt(X, Y));
+  EXPECT_FALSE(satisfiesAll(G, En)); // y unassigned
 }
 
 TEST(RewriterTest, Fig3PatternCollapses) {
@@ -552,6 +571,166 @@ TEST(SolverTest, IncrementalBlastingReusesCircuits) {
 }
 
 //===----------------------------------------------------------------------===//
+// Model-reuse tier and model certification.
+//===----------------------------------------------------------------------===//
+
+/// After a Sat answer: reads the goal variables' values back through
+/// modelValue and checks that every goal evaluates to true under them.
+void expectModelSatisfies(Solver &S, const std::vector<const Term *> &Goals,
+                          const std::string &Where) {
+  Env E;
+  for (const Term *G : Goals)
+    for (const Term *V : collectVars(G))
+      E[V->varId()] = S.modelValue(V);
+  for (const Term *G : Goals) {
+    auto V = evaluate(G, E);
+    ASSERT_TRUE(V.has_value()) << Where;
+    EXPECT_TRUE(V->asBool()) << Where << ": " << G->toString();
+  }
+}
+
+// Executor::feasibleSides checks PC ∧ s and PC ∧ ¬s, then extends PC by a
+// Sat side.  Once the core has found a model of the path condition, the
+// branches that model (or all zeros) satisfies are answered without it.
+TEST(SolverTest, LastModelAnswersTheOtherBranch) {
+  TermBuilder TB;
+  Solver S(TB);
+  const Term *X = TB.freshVar(Sort::bitvec(8), "x");
+  const Term *Y = TB.freshVar(Sort::bitvec(8), "y");
+  auto C = [&](uint64_t V) { return TB.constBV(8, V); };
+  auto Counts = [&] {
+    return std::make_tuple(S.stats().NumReused, S.stats().NumSatCalls);
+  };
+  // A reused answer: counted once, no core call, and modelValue agrees
+  // with evaluating every goal under the model it returned.
+  auto ExpectReused = [&](const std::vector<const Term *> &G) {
+    auto [Reused, Core] = Counts();
+    ASSERT_EQ(S.check(G), Result::Sat);
+    EXPECT_EQ(S.stats().NumReused, Reused + 1);
+    EXPECT_EQ(S.stats().NumSatCalls, Core);
+    expectModelSatisfies(S, G, "reused");
+    for (const Term *Goal : G)
+      EXPECT_EQ(S.modelValue(Goal), Value(true)) << Goal->toString();
+  };
+
+  // x + 3 = 10 pins x to 7, so every model below is predictable.
+  std::vector<const Term *> PC = {TB.eqTerm(TB.bvAdd(X, C(3)), C(10))};
+  auto With = [&](const Term *Side) {
+    std::vector<const Term *> G;
+    G.reserve(PC.size() + 1);
+    G.insert(G.end(), PC.begin(), PC.end());
+    G.push_back(Side);
+    return G;
+  };
+
+  // Branch on x <u 8.  A fresh solver has no last model and all zeros
+  // falsifies x = 7: the core answers Sat with x = 7.  The else side is
+  // Unsat, so the tier does not answer it and the last model stays.
+  const Term *S1 = TB.bvUlt(X, C(8));
+  ASSERT_EQ(S.check(With(S1)), Result::Sat);
+  EXPECT_EQ(Counts(), std::make_tuple(uint64_t(0), uint64_t(1)));
+  EXPECT_EQ(S.modelValue(X).asBitVec().toUInt64(), 7u);
+  ASSERT_EQ(S.check(With(TB.notTerm(S1))), Result::Unsat);
+  EXPECT_EQ(S.stats().NumReused, 0u);
+  PC.push_back(S1);
+
+  // Branch on y <u 16, y a new variable.  The last model (x = 7, y at its
+  // default 0) answers the then side.  It falsifies the else side, as do
+  // all zeros, so the core answers that one with some y >= 16.
+  const Term *S2 = TB.bvUlt(Y, C(16));
+  ExpectReused(With(S2));
+  EXPECT_EQ(S.modelValue(Y).asBitVec().toUInt64(), 0u);
+  uint64_t Core = S.stats().NumSatCalls;
+  ASSERT_EQ(S.check(With(TB.notTerm(S2))), Result::Sat);
+  EXPECT_EQ(S.stats().NumSatCalls, Core + 1);
+  EXPECT_GE(S.modelValue(Y).asBitVec().toUInt64(), 16u);
+
+  // Exploring the else side: its first branch (y != 0) is answered by the
+  // core model of the else side's own feasibility check.
+  PC.push_back(TB.notTerm(S2));
+  ExpectReused(With(TB.notTerm(TB.eqTerm(Y, C(0)))));
+  EXPECT_GE(S.modelValue(Y).asBitVec().toUInt64(), 16u);
+
+  // Push/pop and assertions leave the last model in place: the asserted
+  // path condition plus a fresh branch is answered from it again.
+  S.push();
+  for (const Term *G : PC)
+    S.assertTerm(G);
+  ExpectReused({TB.bvUlt(C(2), Y)});
+  S.pop();
+}
+
+// A Sat answer from the reuse tier is stored like the core's: a second
+// builder gets it from the store, with the same model and no tier or core.
+TEST(SolverTest, ReusedModelRoundTripsThroughTheStore) {
+  FakeSolverCache Cache;
+  auto Goals = [](TermBuilder &TB) {
+    const Term *X = TB.freshVar(Sort::bitvec(16), "x");
+    const Term *Y = TB.freshVar(Sort::bitvec(16), "y");
+    const Term *PC =
+        TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)), TB.constBV(16, 10));
+    return std::make_tuple(X, Y, PC, TB.bvUlt(Y, X));
+  };
+  {
+    TermBuilder TB;
+    Solver S(TB);
+    S.setCache(&Cache);
+    auto [X, Y, PC, Lt] = Goals(TB);
+    ASSERT_EQ(S.check({PC}), Result::Sat); // the core: x = 7
+    ASSERT_EQ(S.check({PC, Lt}), Result::Sat); // reused: x = 7, y = 0
+    EXPECT_EQ(S.stats().NumSatCalls, 1u);
+    EXPECT_EQ(S.stats().NumReused, 1u);
+    EXPECT_EQ(S.modelValue(X).asBitVec().toUInt64(), 7u);
+    EXPECT_EQ(S.modelValue(Y).asBitVec().toUInt64(), 0u);
+    EXPECT_EQ(Cache.M.size(), 2u);
+  }
+  {
+    TermBuilder TB;
+    const Term *Pad = TB.freshVar(Sort::bitvec(8), "pad"); // shift var ids
+    (void)Pad;
+    Solver S(TB);
+    S.setCache(&Cache);
+    auto [X, Y, PC, Lt] = Goals(TB);
+    ASSERT_EQ(S.check({PC, Lt}), Result::Sat);
+    EXPECT_EQ(S.stats().NumStoreHits, 1u);
+    EXPECT_EQ(S.stats().NumReused, 0u);
+    EXPECT_EQ(S.stats().NumSatCalls, 0u);
+    EXPECT_EQ(S.modelValue(X).asBitVec().toUInt64(), 7u);
+    EXPECT_EQ(S.modelValue(Y).asBitVec().toUInt64(), 0u);
+  }
+}
+
+// A core model is checked against the goals before it is used or cached.
+// With x + 3 = 10 the model is unique, so a flipped bit is always caught:
+// the answer is Unknown, nothing is memoized or stored, and the next check
+// reaches the core again and is Sat.
+TEST(SolverTest, CorruptCoreModelIsRejected) {
+  support::FaultInjector FI(/*Seed=*/5);
+  FI.failFirst(support::FaultSite::SolverModel, 1);
+  support::FaultInjector *Saved = support::FaultInjector::active();
+  support::FaultInjector::setActive(&FI);
+  FakeSolverCache Cache;
+  TermBuilder TB;
+  Solver S(TB);
+  S.setCache(&Cache);
+  const Term *X = TB.freshVar(Sort::bitvec(16), "x");
+  S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)), TB.constBV(16, 10)));
+  Result First = S.check();
+  Result Second = S.check();
+  support::FaultInjector::setActive(Saved);
+
+  EXPECT_EQ(First, Result::Unknown);
+  EXPECT_EQ(FI.injected(support::FaultSite::SolverModel), 1u);
+  ASSERT_EQ(Second, Result::Sat);
+  EXPECT_EQ(S.stats().NumRejectedModels, 1u);
+  EXPECT_EQ(S.stats().NumUnknown, 1u);
+  EXPECT_EQ(S.stats().NumMemoHits, 0u);
+  EXPECT_EQ(S.stats().NumSatCalls, 2u);
+  EXPECT_EQ(S.modelValue(X).asBitVec().toUInt64(), 7u);
+  EXPECT_EQ(Cache.M.size(), 1u); // only the certified answer was stored
+}
+
+//===----------------------------------------------------------------------===//
 // Unsat-only decision tier (Decide.h).
 //===----------------------------------------------------------------------===//
 
@@ -588,24 +767,17 @@ TEST(DecideTest, LoggedShapesAreDecidedBeforeTheCore) {
 }
 
 // One literal changed makes each shape satisfiable: the tier must let it
-// through to the core, whose model satisfies every goal.
+// through to the core or the model-reuse tier (two shapes are satisfied by
+// all zeros), whose model satisfies every goal.
 TEST(DecideTest, PerturbedShapesReachTheCoreWithAModel) {
   for (const LoggedShape &Sh : loggedShapes()) {
     TermBuilder TB;
     Solver S(TB);
     shapes::Goals G = Sh.Build(TB, true);
     ASSERT_EQ(S.check(G), Result::Sat) << Sh.Name;
-    EXPECT_EQ(S.stats().NumSatCalls, 1u) << Sh.Name;
+    EXPECT_EQ(S.stats().NumSatCalls + S.stats().NumReused, 1u) << Sh.Name;
     EXPECT_EQ(S.stats().NumDecided, 0u) << Sh.Name;
-    Env E;
-    for (const Term *Goal : G)
-      for (const Term *V : collectVars(Goal))
-        E[V->varId()] = S.modelValue(V);
-    for (const Term *Goal : G) {
-      auto V = evaluate(Goal, E);
-      ASSERT_TRUE(V.has_value()) << Sh.Name;
-      EXPECT_TRUE(V->asBool()) << Sh.Name << ": " << Goal->toString();
-    }
+    expectModelSatisfies(S, G, Sh.Name);
   }
 }
 
@@ -731,6 +903,57 @@ TEST_P(DecideSoundnessTest, UnsatVerdictsHaveNoModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecideSoundnessTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+class ModelReuseSoundnessTest : public ::testing::TestWithParam<int> {};
+
+// Random goal sets checked in sequence on one Solver, so each Sat answer's
+// model is a candidate for the sets after it.  Every answer agrees with
+// exhaustive enumeration, and every Sat model makes every goal true.
+TEST_P(ModelReuseSoundnessTest, AnswersAgreeWithEnumeration) {
+  std::mt19937 Rng(unsigned(GetParam()) * 2654435761u + 3);
+  unsigned W = GetParam() % 2 ? 3 : 4;
+  TermBuilder TB;
+  DecideGen Gen(TB, Rng, W);
+  const std::vector<const Term *> &Vars = Gen.vars();
+  Solver S(TB);
+  shapes::Goals Prev;
+  for (int Round = 0; Round < 200; ++Round) {
+    // Half the sets extend the previous one by a literal, as a path
+    // condition grows; the rest are fresh.
+    shapes::Goals G = Gen.conjunction();
+    if (Rng() % 2 && !Prev.empty()) {
+      G.resize(1);
+      G.insert(G.begin(), Prev.begin(), Prev.end());
+    }
+    uint64_t Reused = S.stats().NumReused;
+    Result R = S.check(G);
+    ASSERT_NE(R, Result::Unknown);
+    bool Satisfiable = false;
+    Env E;
+    for (uint64_t A = 0; A < (uint64_t(1) << (W * Vars.size())); ++A) {
+      for (size_t I = 0; I < Vars.size(); ++I)
+        E[Vars[I]->varId()] = Value(BitVec(W, A >> (W * I)));
+      Satisfiable = std::all_of(G.begin(), G.end(), [&](const Term *Goal) {
+        auto V = evaluate(Goal, E);
+        return V && V->asBool();
+      });
+      if (Satisfiable)
+        break;
+    }
+    ASSERT_EQ(R == Result::Sat, Satisfiable)
+        << "round " << Round << (S.stats().NumReused > Reused ? " (reused)"
+                                                              : "");
+    if (R != Result::Sat)
+      continue;
+    expectModelSatisfies(S, G, "round " + std::to_string(Round));
+    Prev = G;
+  }
+  // The sequence must exercise the tier, not only the core.
+  EXPECT_GT(S.stats().NumReused, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ModelReuseSoundnessTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
 } // namespace
