@@ -111,11 +111,9 @@ bool traceIdentityCheck() {
   }
 
   cache::TraceCache C;
-  Verifier Warmer(frontend::aarch64());
-  Warmer.setTraceCache(&C);
+  Verifier Warmer(frontend::aarch64(), {&C, nullptr, {}});
   setup(Warmer);
-  Verifier Cached(frontend::aarch64());
-  Cached.setTraceCache(&C);
+  Verifier Cached(frontend::aarch64(), {&C, nullptr, {}});
   setup(Cached);
   Verifier Parallel(frontend::aarch64());
   Parallel.setParallelism(4);

@@ -303,8 +303,7 @@ int main() {
   // full endpoint list.  A third of the way in, one daemon is drained
   // out from under its clients; two thirds in, a second daemon
   // hot-reloads its models.  Both events must cost latency, not
-  // requests.  (Trace requests only: in-process servers share ambient
-  // per-process state that separate daemon processes would not.)
+  // requests.
   constexpr unsigned FailoverRequests = 600;
   constexpr unsigned FailoverThreads = 8;
   constexpr unsigned FleetSize = 3;

@@ -49,7 +49,7 @@ bool validateSet(const char *Title, const sail::Model &M,
       continue;
     }
     validation::ValidationResult VR = validation::validateInstruction(
-        M, TB, Op, isla::Assumptions(), R.Trace, PcName, 8, Op, &Limits,
+        M, TB, Op, isla::Assumptions(), R.Trace, PcName, 8, Op, Limits,
         Cancel);
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - T0)

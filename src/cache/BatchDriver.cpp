@@ -196,23 +196,24 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
   // cancelled by the watchdog, and retryable failures get bounded retries
   // before the job is quarantined with its last diagnostic.
   Watchdog WD;
-  const DriverOptions DO = Opts;
   parallelFor(Work.size(), NThreads, [&](size_t W) {
     const Fingerprint &K = *Work[W].first;
     Group &G = *Work[W].second;
     const TraceJob &J = Jobs[G.Members.front()];
+    // The group's watchdog timeout and retry count ride on its options.
+    const support::RunLimits &L = J.Opts.Limits;
     // Salt the shared side-condition store by this job's model so its
     // pruning/assert queries can never be answered by another model's
     // entries (fingerprintModel is memoized, so this is a map lookup).
     std::optional<SaltedSolverCache> SideCond;
     if (J.SideCond)
       SideCond.emplace(*J.SideCond, fingerprintModel(*J.Model));
-    for (unsigned Attempt = 0; Attempt <= DO.MaxRetries; ++Attempt) {
+    for (unsigned Attempt = 0; Attempt <= L.JobRetries; ++Attempt) {
       ++G.Attempts;
       isla::ExecOptions EO = J.Opts;
       std::shared_ptr<Watchdog::Attempt> Armed;
-      if (DO.JobTimeoutSeconds > 0) {
-        Armed = WD.arm(DO.JobTimeoutSeconds, EO.Cancel);
+      if (L.JobTimeoutSeconds > 0) {
+        Armed = WD.arm(L.JobTimeoutSeconds, EO.Cancel);
         EO.Cancel = Armed->Tok;
       }
       // The builder must outlive encode(): the result's trace and opcode
@@ -268,7 +269,7 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
         // driver knows the cancellation was its own deadline.
         G.D = support::Diag::error(
             support::ErrorCode::JobTimeout, "batch-driver",
-            "job exceeded " + std::to_string(DO.JobTimeoutSeconds) +
+            "job exceeded " + std::to_string(L.JobTimeoutSeconds) +
                 "s wall clock and was cancelled");
       }
       G.Error = G.D.Message;

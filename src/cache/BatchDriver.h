@@ -34,7 +34,10 @@
 namespace islaris::cache {
 
 /// One symbolic-execution request: Executor::run(Op, *Assume, Opts) against
-/// *Model.  \p Assume is borrowed and must outlive the batch.
+/// *Model.  \p Assume is borrowed and must outlive the batch.  Besides the
+/// executor's guards, Opts.Limits carries the job's watchdog timeout and
+/// retry count (JobTimeoutSeconds, JobRetries); jobs sharing a cache key
+/// share one execution under the first such job's limits.
 struct TraceJob {
   const sail::Model *Model = nullptr;
   std::string ArchName;
@@ -79,18 +82,6 @@ struct BatchStats {
   unsigned Exceptions = 0; ///< Executions that ended in a caught exception.
 };
 
-/// Fault-tolerance knobs of a batch run.
-struct DriverOptions {
-  /// Per-job wall clock (seconds; 0 = none).  Past it the watchdog fires
-  /// the job's cancellation token; the job fails with JobTimeout and is
-  /// eligible for retry.
-  double JobTimeoutSeconds = 0;
-  /// Executions allowed beyond the first for retryable failures (timeouts,
-  /// escaped exceptions, injected faults) before the job is quarantined
-  /// with its last diagnostic.  Deterministic failures are never retried.
-  unsigned MaxRetries = 1;
-};
-
 class BatchDriver {
 public:
   /// \p Threads = 0 selects std::thread::hardware_concurrency(); 1 runs
@@ -98,9 +89,6 @@ public:
   explicit BatchDriver(unsigned Threads = 0);
 
   unsigned threads() const { return NThreads; }
-
-  void setOptions(const DriverOptions &O) { Opts = O; }
-  const DriverOptions &options() const { return Opts; }
 
   /// Runs a batch.  Results are positionally aligned with \p Jobs.  When
   /// \p Cache is non-null, hits are served from it and fresh executions are
@@ -119,7 +107,6 @@ public:
 private:
   unsigned NThreads;
   BatchStats Last;
-  DriverOptions Opts;
 };
 
 } // namespace islaris::cache

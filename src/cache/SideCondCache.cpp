@@ -24,8 +24,11 @@ Fingerprint SideCondStore::key(const std::string &Closure) const {
   Fingerprinter FP;
   FP.str("islaris-sidecond");
   FP.str(Closure);
-  FP.u64(Cfg.ModelSalt.Hi);
-  FP.u64(Cfg.ModelSalt.Lo);
+  // Two fixed zero words keep keys byte-identical to stores persisted while
+  // this slot held a per-store salt (SideCondTest.KeyIsPinned).  Models
+  // are told apart by the SaltedSolverCache closure prefix.
+  FP.u64(0);
+  FP.u64(0);
   return FP.digest();
 }
 
@@ -154,13 +157,10 @@ void SideCondStore::store(const std::string &Closure,
   }
   if (New && Cfg.Persist && Files.publish(K, serializeEntry(K, R))) {
     // Generation bookkeeping: attribute the entry to the model it was
-    // discharged against — the SaltedSolverCache prefix when the store is
-    // shared across models, the config salt otherwise.
+    // discharged against, named by its SaltedSolverCache prefix.
     Fingerprint Salt;
     if (extractClosureSalt(Closure, Salt))
       recordEntryGeneration(dir(), Salt, K);
-    else if (Cfg.ModelSalt.Hi || Cfg.ModelSalt.Lo)
-      recordEntryGeneration(dir(), Cfg.ModelSalt, K);
   }
 }
 

@@ -11,11 +11,12 @@
 ///
 /// Keys are 128-bit fingerprints over the solver's canonical *printed* goal
 /// closure (sorted goals plus sorted free-variable declarations — see
-/// Solver::printGoalClosure) salted with a model hash, normally
-/// cache::fingerprintModel of the ISA model in play.  The printed form is
-/// builder-independent, so a key matches across TermBuilders, processes,
-/// and runs; the salt means editing the ISA model invalidates every entry
-/// — a stale cache can only miss, never lie.  Queries whose printed form
+/// Solver::printGoalClosure).  The batch driver prefixes its executors'
+/// closures with cache::fingerprintModel of the ISA model in play (see
+/// SaltedSolverCache).  The printed form is builder-independent, so a key
+/// matches across TermBuilders, processes, and runs; the salt means editing
+/// the ISA model invalidates every model-dependent entry — a stale cache
+/// can only miss, never lie.  Queries whose printed form
 /// would be ambiguous (duplicate variable names) never reach this store.
 ///
 /// Entries record the Sat/Unsat verdict and, for Sat, a full model of the
@@ -70,19 +71,15 @@ struct SideCondConfig {
   bool Persist = false;
   /// Store directory; empty means resolveCacheDir() + "/sidecond".
   std::string Dir;
-  /// Salt mixed into every key; pass cache::fingerprintModel(...) of the
-  /// ISA model(s) the side conditions are discharged against, so model
-  /// edits invalidate the store wholesale.
-  Fingerprint ModelSalt;
   /// Run the clean-shutdown-marker protocol on construction (see
   /// cache/Scrub.h).  Same contract as TraceCacheConfig::ScrubOnOpen.
   bool ScrubOnOpen = false;
 };
 
 /// Thread-safe content-addressed store of side-condition results.  One
-/// instance is shared by every solver of a run (suite harnesses install it
-/// as the ambient store); all state sits behind one mutex, disk I/O
-/// happens outside it.
+/// instance is shared by every solver of a run (frontend::RunContext hands
+/// it to each Verifier); all state sits behind one mutex, disk I/O happens
+/// outside it.
 class SideCondStore : public smt::SolverCache {
 public:
   explicit SideCondStore(SideCondConfig C = SideCondConfig());
@@ -110,7 +107,7 @@ public:
   /// drains); same contract as TraceCache::drainDiags.
   std::vector<support::Diag> drainDiags() { return Files.drainDiags(); }
 
-  /// The fingerprint \p Closure is stored under (closure + salt).
+  /// The fingerprint \p Closure is stored under.
   Fingerprint key(const std::string &Closure) const;
 
   /// The on-disk entry format, one line:
@@ -132,9 +129,8 @@ private:
 };
 
 /// A zero-copy view of another SolverCache that prefixes every closure with
-/// a fingerprint salt before delegating.  Lets one shared store (whose own
-/// ModelSalt stays neutral) serve queries discharged against different ISA
-/// models — the batch driver wraps the suite store in the fingerprint of
+/// a fingerprint salt before delegating.  Lets one shared store serve
+/// queries discharged against different ISA models — the batch driver wraps the suite store in the fingerprint of
 /// each job's model, so an aarch64 pruning query can never answer a riscv64
 /// one.  Stateless beyond the prefix; safe to construct per job.
 class SaltedSolverCache : public smt::SolverCache {
@@ -159,10 +155,12 @@ private:
 /// bookkeeping and its tests.
 bool extractClosureSalt(const std::string &Closure, Fingerprint &Out);
 
-/// The process-wide ambient store consulted by newly constructed Verifiers
-/// (null by default: side-condition persistence is opt-in).  Same contract
-/// as ambientTraceCache: set before spawning concurrent case studies; the
-/// pointer itself is not synchronized.
+/// A process-wide store read only by frontend::defaultRunContext(), the
+/// default context of the study runners (null by default: side-condition
+/// persistence is opt-in).  Kept for the repo benchmark, whose no-argument
+/// runner calls share stores through it; everything else passes a
+/// RunContext.  Set it before spawning concurrent case studies; the pointer
+/// itself is not synchronized.
 SideCondStore *ambientSideCondCache();
 void setAmbientSideCondCache(SideCondStore *C);
 

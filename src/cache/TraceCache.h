@@ -179,10 +179,12 @@ private:
   CacheStats St;
 };
 
-/// The process-wide ambient cache consulted by newly constructed Verifiers
-/// (null by default: caching is opt-in and the seed pipeline is unchanged).
-/// Set it before spawning concurrent case studies; the pointer itself is
-/// not synchronized.
+/// A process-wide cache read only by frontend::defaultRunContext(), the
+/// default context of the study runners (null by default: caching is
+/// opt-in).  Kept for the repo benchmark, whose no-argument runner calls
+/// share stores through it; everything else passes a RunContext.  Set it
+/// before spawning concurrent case studies; the pointer itself is not
+/// synchronized.
 TraceCache *ambientTraceCache();
 void setAmbientTraceCache(TraceCache *C);
 

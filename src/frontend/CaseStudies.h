@@ -25,20 +25,13 @@
 #ifndef ISLARIS_FRONTEND_CASESTUDIES_H
 #define ISLARIS_FRONTEND_CASESTUDIES_H
 
-#include "isla/Executor.h"
-#include "seplogic/Engine.h"
+#include "frontend/Verifier.h"
 #include "support/Diag.h"
-#include "support/Guard.h"
 
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
-
-namespace islaris::cache {
-class TraceCache;
-class SideCondStore;
-}
 
 namespace islaris::support {
 class FaultInjector;
@@ -95,25 +88,35 @@ struct CaseResult {
 std::string encodeCaseResult(const CaseResult &R);
 bool decodeCaseResult(const std::string &Text, CaseResult &Out);
 
+/// The context a runner uses when its caller passes none: the stores set
+/// with cache::setAmbientTraceCache / setAmbientSideCondCache (null unless
+/// set) and no limits.  Kept for the repo benchmark's no-argument runner
+/// calls; everything else passes its RunContext explicitly.
+RunContext defaultRunContext();
+
 /// Runs memcpy (Fig. 7, GCC-shaped Arm code) copying \p N bytes with
 /// symbolic contents and addresses.
-CaseResult runMemcpyArm(unsigned N = 4, bool SimplifiedTraces = true);
+CaseResult runMemcpyArm(unsigned N = 4, bool SimplifiedTraces = true,
+                        const RunContext &Ctx = defaultRunContext());
 /// The Clang-shaped RISC-V memcpy of Fig. 7.
-CaseResult runMemcpyRv(unsigned N = 4);
+CaseResult runMemcpyRv(unsigned N = 4,
+                       const RunContext &Ctx = defaultRunContext());
 /// The Fig. 9 exception-vector install/call program.
-CaseResult runHvc();
+CaseResult runHvc(const RunContext &Ctx = defaultRunContext());
 /// The pKVM-style relocation-parametric hypercall handler.
-CaseResult runPkvm();
+CaseResult runPkvm(const RunContext &Ctx = defaultRunContext());
 /// The misaligned-store fault case study.
-CaseResult runUnaligned();
+CaseResult runUnaligned(const RunContext &Ctx = defaultRunContext());
 /// The UART putc MMIO poll loop.
-CaseResult runUart();
+CaseResult runUart(const RunContext &Ctx = defaultRunContext());
 /// The rbit inline-assembly case study.
-CaseResult runRbit();
+CaseResult runRbit(const RunContext &Ctx = defaultRunContext());
 /// Comparator-parametric binary search over \p N sorted elements (Arm).
-CaseResult runBinSearchArm(unsigned N = 4);
+CaseResult runBinSearchArm(unsigned N = 4,
+                           const RunContext &Ctx = defaultRunContext());
 /// The RISC-V binary search.
-CaseResult runBinSearchRv(unsigned N = 4);
+CaseResult runBinSearchRv(unsigned N = 4,
+                          const RunContext &Ctx = defaultRunContext());
 
 /// One Fig. 12 study: its islarisd id, its table row name (what the runner
 /// stamps into CaseResult::Name, so a study that dies before returning is
@@ -121,7 +124,7 @@ CaseResult runBinSearchRv(unsigned N = 4);
 struct StudyEntry {
   const char *Id;
   const char *Row;
-  CaseResult (*Run)();
+  CaseResult (*Run)(const RunContext &Ctx);
 };
 
 /// The nine studies in the paper's row order: the one table both the suite
@@ -130,19 +133,12 @@ std::span<const StudyEntry> caseStudies();
 /// The study islarisd calls \p Id, or nullptr.
 const StudyEntry *findCaseStudy(std::string_view Id);
 
-/// How to run the suite: worker threads across case studies (the studies
-/// are fully independent — each owns a private Verifier/TermBuilder) and an
-/// optional shared trace cache installed as the ambient cache for the run.
-struct SuiteOptions {
+/// How to run the suite: the run's context (its shared stores and limits;
+/// callers set O.Cache, O.SideCond and O.Limits), worker threads across
+/// case studies (the studies are fully independent — each owns a private
+/// Verifier/TermBuilder), fault injection and journaling.
+struct SuiteOptions : RunContext {
   unsigned Threads = 1; ///< 0 = hardware concurrency, 1 = serial.
-  cache::TraceCache *Cache = nullptr;
-  /// Shared persistent side-condition store, installed as the ambient
-  /// store so each study's proof engine reuses discharged SMT queries
-  /// across studies and — when the store persists — across runs.
-  cache::SideCondStore *SideCond = nullptr;
-  /// Hard resource guards installed as the ambient support::RunLimits for
-  /// the run (all-zero = unguarded, exactly the seed behavior).
-  support::RunLimits Limits;
   /// Fault injector activated for the duration of the run (chaos testing).
   /// Null leaves whatever injector is already active — including one
   /// configured from ISLARIS_FAULTS / ISLARIS_FAULT_SEED by the harness.
@@ -179,8 +175,8 @@ int suiteExitCode(const std::vector<CaseResult> &Results);
 std::vector<CaseResult> runAllCaseStudies();
 
 /// All nine rows under \p O: case studies run concurrently on O.Threads
-/// workers and share O.Cache.  Results are positionally identical to the
-/// serial overload.
+/// workers, each under O's RunContext.  Results are positionally identical
+/// to the serial overload.
 std::vector<CaseResult> runAllCaseStudies(const SuiteOptions &O);
 
 } // namespace islaris::frontend

@@ -26,10 +26,8 @@ ArchInfo islaris::frontend::rv64() {
           [](const itl::Reg &) -> unsigned { return 64; }, "rv64"};
 }
 
-Verifier::Verifier(ArchInfo Arch)
-    : Arch(std::move(Arch)), Cache(cache::ambientTraceCache()),
-      SideCond(cache::ambientSideCondCache()),
-      Limits(support::ambientRunLimits()) {}
+Verifier::Verifier(ArchInfo Arch, const RunContext &Ctx)
+    : Arch(std::move(Arch)), Ctx(Ctx) {}
 
 void Verifier::addCode(const std::map<uint64_t, uint32_t> &NewCode) {
   for (const auto &[Addr, Op] : NewCode) {
@@ -99,23 +97,18 @@ bool Verifier::generateTraces(std::string &Err) {
     // Resource guards ride on the options but are excluded from the cache
     // fingerprint (a guarded failure is never cached, so a guarded and an
     // unguarded run share entries).
-    J.Opts.DeadlineSeconds = Limits.InstrSeconds;
-    J.Opts.SolverCheckSeconds = Limits.SolverCheckSeconds;
-    J.Opts.SolverConflicts = Limits.SolverConflicts;
-    J.Opts.SolverPropagations = Limits.SolverPropagations;
-    J.Opts.Cancel = Cancel;
+    J.Opts.Limits = Ctx.Limits;
     // The executor's pruning/assert queries go through the same persistent
     // side-condition store as the proof engine's entailments; the driver
     // salts them with the job's model fingerprint.
-    J.SideCond = SideCond;
+    J.SideCond = Ctx.SideCond;
     J.Tag = Addr;
     Jobs.push_back(std::move(J));
     Addrs.push_back(Addr);
   }
 
   cache::BatchDriver Driver(GenThreads);
-  Driver.setOptions({Limits.JobTimeoutSeconds, Limits.JobRetries});
-  std::vector<cache::TraceJobResult> Results = Driver.run(Jobs, Cache);
+  std::vector<cache::TraceJobResult> Results = Driver.run(Jobs, Ctx.Cache);
   Gen.Retries += Driver.lastStats().Retries;
   Gen.Quarantined += Driver.lastStats().Failed;
 
@@ -204,15 +197,8 @@ seplogic::ProofEngine &Verifier::engine() {
     // "no instruction" diagnostic.
     Engine = std::make_unique<seplogic::ProofEngine>(TB, InstrPtrs,
                                                      Arch.PcName);
-    if (SideCond)
-      Engine->setSideCondCache(SideCond);
-    smt::SolverLimits SL;
-    SL.MaxConflicts = Limits.SolverConflicts;
-    SL.MaxPropagations = Limits.SolverPropagations;
-    SL.MaxSeconds = Limits.SolverCheckSeconds;
-    SL.Cancel = Cancel;
-    if (!SL.unlimited())
-      Engine->setSolverLimits(SL);
+    Engine->setSideCondCache(Ctx.SideCond);
+    Engine->setLimits(Ctx.Limits);
   }
   return *Engine;
 }

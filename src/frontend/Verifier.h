@@ -24,9 +24,20 @@
 
 namespace islaris::cache {
 class TraceCache;
+class SideCondStore;
 }
 
 namespace islaris::frontend {
+
+/// What one verification run is handed instead of reading process state:
+/// the stores it shares (not owned, thread-safe, null = none) and its
+/// resource guards (all-zero = unguarded).  Two runs with different
+/// contexts can execute concurrently in one process.
+struct RunContext {
+  cache::TraceCache *Cache = nullptr;
+  cache::SideCondStore *SideCond = nullptr;
+  support::RunLimits Limits;
+};
 
 /// Architecture bundle: model, PC register name, register width oracle.
 struct ArchInfo {
@@ -80,7 +91,10 @@ struct GenStats {
 /// Drives trace generation and verification for one program.
 class Verifier {
 public:
-  explicit Verifier(ArchInfo Arch);
+  /// A verifier over \p Arch that shares \p Ctx's stores (its trace
+  /// generation consults and fills Ctx.Cache; its executors and proof
+  /// engine reuse Ctx.SideCond) and runs under Ctx.Limits.
+  explicit Verifier(ArchInfo Arch, const RunContext &Ctx = RunContext());
 
   smt::TermBuilder &builder() { return TB; }
   const ArchInfo &arch() const { return Arch; }
@@ -102,21 +116,8 @@ public:
   void symbolicAt(uint64_t Addr, unsigned Hi, unsigned Lo);
 
   /// Trace-generation options (e.g. disabling Isla's simplifications for
-  /// the E5 ablation).
+  /// the E5 ablation).  Their Limits are replaced by the context's.
   isla::ExecOptions &options() { return Opts; }
-
-  /// Attaches a trace cache (shared, not owned; thread-safe).  New
-  /// verifiers start with cache::ambientTraceCache(), which is null unless
-  /// a harness opted in — the default pipeline is unchanged.
-  void setTraceCache(cache::TraceCache *C) { Cache = C; }
-  cache::TraceCache *traceCache() const { return Cache; }
-
-  /// Attaches a persistent side-condition store (shared, not owned;
-  /// thread-safe) handed to the proof engine on creation.  New verifiers
-  /// start with cache::ambientSideCondCache(), null unless a harness opted
-  /// in.  Must be called before the first engine() use to take effect.
-  void setSideCondCache(smt::SolverCache *C) { SideCond = C; }
-  smt::SolverCache *sideCondCache() const { return SideCond; }
 
   /// Worker threads for generateTraces (1 = serial on the calling thread,
   /// 0 = hardware concurrency).  Distinct instructions are independent;
@@ -124,16 +125,6 @@ public:
   /// deterministic regardless of the thread count.
   void setParallelism(unsigned Threads) { GenThreads = Threads; }
   unsigned parallelism() const { return GenThreads; }
-
-  /// Resource guards for this verifier's trace generation and proof engine.
-  /// New verifiers start from support::ambientRunLimits() (all-zero unless
-  /// a harness opted in — the default pipeline is unguarded, as before).
-  void setLimits(const support::RunLimits &L) { Limits = L; }
-  const support::RunLimits &limits() const { return Limits; }
-
-  /// Cooperative cancellation token threaded into the executor jobs and
-  /// the proof engine's solver.  Inert by default.
-  void setCancelToken(const support::CancelToken &T) { Cancel = T; }
 
   /// Structured diagnostic of the last failure recorded by this verifier —
   /// a setup error (overlapping addCode, symbolicAt on a missing address)
@@ -174,11 +165,8 @@ private:
   std::map<uint64_t, std::vector<const smt::Term *>> OpcodeVars;
   std::unique_ptr<seplogic::ProofEngine> Engine;
   GenStats Gen;
-  cache::TraceCache *Cache = nullptr;
-  smt::SolverCache *SideCond = nullptr;
+  RunContext Ctx;
   unsigned GenThreads = 1;
-  support::RunLimits Limits;
-  support::CancelToken Cancel;
   support::Diag LastDiag;
 };
 

@@ -108,17 +108,25 @@ bool islaris::frontend::decodeCaseResult(const std::string &Text,
   return true;
 }
 
+RunContext islaris::frontend::defaultRunContext() {
+  return {cache::ambientTraceCache(), cache::ambientSideCondCache(), {}};
+}
+
 // Runners with a size parameter run at their default size (4) here.
 static const StudyEntry Studies[] = {
-    {"memcpy-arm", "memcpy", [] { return runMemcpyArm(); }},
-    {"memcpy-rv", "memcpy", [] { return runMemcpyRv(); }},
+    {"memcpy-arm", "memcpy",
+     [](const RunContext &C) { return runMemcpyArm(4, true, C); }},
+    {"memcpy-rv", "memcpy",
+     [](const RunContext &C) { return runMemcpyRv(4, C); }},
     {"hvc", "hvc", runHvc},
     {"pkvm", "pkvm handler", runPkvm},
     {"unaligned", "unaligned", runUnaligned},
     {"uart", "uart putc", runUart},
     {"rbit", "inline asm", runRbit},
-    {"binsearch-arm", "binary search", [] { return runBinSearchArm(); }},
-    {"binsearch-rv", "binary search", [] { return runBinSearchRv(); }},
+    {"binsearch-arm", "binary search",
+     [](const RunContext &C) { return runBinSearchArm(4, C); }},
+    {"binsearch-rv", "binary search",
+     [](const RunContext &C) { return runBinSearchRv(4, C); }},
 };
 
 std::span<const StudyEntry> islaris::frontend::caseStudies() {
@@ -140,17 +148,11 @@ std::vector<CaseResult>
 islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
   constexpr size_t N = std::size(Studies);
 
-  // Install the shared cache as the ambient cache for the whole run so the
-  // per-study Verifiers pick it up without signature churn.  Set before the
-  // pool spawns and restored after it joins: the pointer itself is not
-  // synchronized, only the cache behind it is.  Resource limits and the
-  // fault injector follow the same ambient-install/restore protocol.
-  cache::TraceCache *Saved = cache::ambientTraceCache();
-  cache::setAmbientTraceCache(O.Cache ? O.Cache : Saved);
-  cache::SideCondStore *SavedSide = cache::ambientSideCondCache();
-  cache::setAmbientSideCondCache(O.SideCond ? O.SideCond : SavedSide);
-  support::RunLimits SavedLimits = support::ambientRunLimits();
-  support::setAmbientRunLimits(O.Limits);
+  // Every study runs under the same context: the shared stores and limits
+  // travel into each study's Verifier as an argument.  Only the fault
+  // injector, a process-wide test hook, is installed for the run and
+  // restored after the pool joins.
+  const RunContext Ctx = O;
   support::FaultInjector *SavedFaults = support::FaultInjector::active();
   // Explicit SuiteOptions::Faults wins; otherwise honor ISLARIS_FAULTS so
   // any suite binary can be chaos-tested from the shell without a rebuild.
@@ -213,7 +215,7 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
         // an escaped exception becomes that row's infrastructure error and
         // the pool keeps draining.
         try {
-          Results[I] = Studies[I].Run();
+          Results[I] = Studies[I].Run(Ctx);
         } catch (const std::exception &E) {
           Results[I].Name = Studies[I].Row;
           Results[I].Ok = false;
@@ -235,9 +237,6 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
 
   if (Installed)
     support::FaultInjector::setActive(SavedFaults);
-  support::setAmbientRunLimits(SavedLimits);
-  cache::setAmbientTraceCache(Saved);
-  cache::setAmbientSideCondCache(SavedSide);
   return Results;
 }
 

@@ -62,7 +62,8 @@ void addSortedFacts(Spec &S, smt::TermBuilder &TB,
 
 } // namespace
 
-CaseResult islaris::frontend::runBinSearchArm(unsigned N) {
+CaseResult islaris::frontend::runBinSearchArm(unsigned N,
+                                               const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "bin.search";
   Res.Isa = "Arm";
@@ -98,7 +99,7 @@ CaseResult islaris::frontend::runBinSearchArm(unsigned N) {
   A.put(e::movReg(0, 4));    // result = lo
   A.put(e::br(9));
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   V.defaults() = armEl1Assumptions();
@@ -201,7 +202,8 @@ CaseResult islaris::frontend::runBinSearchArm(unsigned N) {
                       /*Hints=*/2 + 2 * N + (N ? N - 1 : 0));
 }
 
-CaseResult islaris::frontend::runBinSearchRv(unsigned N) {
+CaseResult islaris::frontend::runBinSearchRv(unsigned N,
+                                              const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "bin.search";
   Res.Isa = "RV";
@@ -235,7 +237,7 @@ CaseResult islaris::frontend::runBinSearchRv(unsigned N) {
   A.put(e::mv(A0, A4));
   A.put(e::jalr(0, T0, 0));
 
-  Verifier V(rv64());
+  Verifier V(rv64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   std::string Err;

@@ -19,7 +19,7 @@ using islaris::itl::Reg;
 using islaris::seplogic::Spec;
 using smt::Term;
 
-CaseResult islaris::frontend::runHvc() {
+CaseResult islaris::frontend::runHvc(const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "hvc";
   Res.Isa = "Arm";
@@ -58,7 +58,7 @@ CaseResult islaris::frontend::runHvc() {
   uint64_t VecEretAddr = A.here();
   A.put(e::eret());                        // return from exception
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 

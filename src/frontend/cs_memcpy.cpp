@@ -24,7 +24,8 @@ using islaris::seplogic::Spec;
 using smt::Term;
 
 CaseResult islaris::frontend::runMemcpyArm(unsigned N,
-                                            bool SimplifiedTraces) {
+                                            bool SimplifiedTraces,
+                                            const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "memcpy";
   Res.Isa = "Arm";
@@ -45,7 +46,7 @@ CaseResult islaris::frontend::runMemcpyArm(unsigned N,
   A.label("L1");
   A.put(e::ret());              // ret
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   if (!SimplifiedTraces) {
     // The E5 ablation: hand the proof engine Isla's unsimplified output.
@@ -128,7 +129,8 @@ CaseResult islaris::frontend::runMemcpyArm(unsigned N,
                       /*Hints=*/1 + unsigned(N > 0 ? Inv.sizeMetric() : 0));
 }
 
-CaseResult islaris::frontend::runMemcpyRv(unsigned N) {
+CaseResult islaris::frontend::runMemcpyRv(unsigned N,
+                                           const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "memcpy";
   Res.Isa = "RV";
@@ -150,7 +152,7 @@ CaseResult islaris::frontend::runMemcpyRv(unsigned N) {
   A.label("L2");
   A.put(e::ret());             // ret
 
-  Verifier V(rv64());
+  Verifier V(rv64(), Ctx);
   V.addCode(A.finish());
   std::string Err;
   if (!V.generateTraces(Err))

@@ -28,7 +28,7 @@ using smt::Term;
 // Unaligned access fault.
 //===----------------------------------------------------------------------===//
 
-CaseResult islaris::frontend::runUnaligned() {
+CaseResult islaris::frontend::runUnaligned(const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "unaligned";
   Res.Isa = "Arm";
@@ -39,7 +39,7 @@ CaseResult islaris::frontend::runUnaligned() {
   uint64_t StrAddr = A.here();
   A.put(e::strImm(2, 0, 1, 0)); // str w0, [x1]
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 
@@ -109,7 +109,7 @@ constexpr uint64_t UartLsr = 0x3f215054;
 constexpr uint64_t UartIo = 0x3f215040;
 } // namespace
 
-CaseResult islaris::frontend::runUart() {
+CaseResult islaris::frontend::runUart(const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "UART";
   Res.Isa = "Arm";
@@ -129,7 +129,7 @@ CaseResult islaris::frontend::runUart() {
   A.put(e::strImm(2, 0, 3, 0));                   // str w0, [x3]
   A.put(e::ret());
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   V.defaults() = armEl1Assumptions();
@@ -205,7 +205,7 @@ CaseResult islaris::frontend::runUart() {
 // rbit (C inline assembly).
 //===----------------------------------------------------------------------===//
 
-CaseResult islaris::frontend::runRbit() {
+CaseResult islaris::frontend::runRbit(const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "rbit";
   Res.Isa = "Arm";
@@ -217,7 +217,7 @@ CaseResult islaris::frontend::runRbit() {
   A.put(e::rbit64(0, 0)); // rbit x0, x0
   A.put(e::ret());
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
   std::string Err;

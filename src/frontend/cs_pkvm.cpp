@@ -23,7 +23,7 @@ using islaris::itl::Reg;
 using islaris::seplogic::Spec;
 using smt::Term;
 
-CaseResult islaris::frontend::runPkvm() {
+CaseResult islaris::frontend::runPkvm(const RunContext &Ctx) {
   CaseResult Res;
   Res.Name = "pKVM";
   Res.Isa = "Arm";
@@ -78,7 +78,7 @@ CaseResult islaris::frontend::runPkvm() {
   A.label("to_host");
   A.put(e::br(7));                     // into the assumed-correct C code
 
-  Verifier V(aarch64());
+  Verifier V(aarch64(), Ctx);
   V.addCode(A.finish());
   smt::TermBuilder &TB = V.builder();
 

@@ -895,18 +895,13 @@ static Trace mergePaths(const std::vector<std::vector<Event>> &Paths,
 /// is never cached, and a success is budget-independent.
 static std::chrono::steady_clock::time_point
 installGuards(smt::Solver &Solver, const ExecOptions &Opts) {
-  smt::SolverLimits SL;
-  SL.MaxConflicts = Opts.SolverConflicts;
-  SL.MaxPropagations = Opts.SolverPropagations;
-  SL.MaxSeconds = Opts.SolverCheckSeconds;
-  SL.Cancel = Opts.Cancel;
-  Solver.setLimits(SL);
+  Solver.setLimits(Opts.Limits, Opts.Cancel);
 
   auto Deadline = std::chrono::steady_clock::time_point::max();
-  if (Opts.DeadlineSeconds > 0)
+  if (Opts.Limits.InstrSeconds > 0)
     Deadline = std::chrono::steady_clock::now() +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(Opts.DeadlineSeconds));
+                   std::chrono::duration<double>(Opts.Limits.InstrSeconds));
   return Deadline;
 }
 

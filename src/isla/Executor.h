@@ -98,14 +98,13 @@ struct ExecOptions {
   /// Instruction budget safeguard against model bugs.
   unsigned MaxPaths = 64;
 
-  /// Wall-clock deadline for this one trace generation (0 = none).  Checked
-  /// between statements, so a wedged SAT call is bounded separately by the
-  /// solver guards below.
-  double DeadlineSeconds = 0;
-  /// Per-solver-check guards (0 = unlimited), forwarded to smt::Solver.
-  double SolverCheckSeconds = 0;
-  uint64_t SolverConflicts = 0;
-  uint64_t SolverPropagations = 0;
+  /// Resource guards (outside the trace-cache key: a guarded failure is
+  /// never cached, and a success is budget-independent).  InstrSeconds is
+  /// this one run's wall-clock deadline, checked between statements; the
+  /// Solver* budgets go to the executor's smt::Solver per check; the Job*
+  /// fields are read by cache::BatchDriver for the job's watchdog and
+  /// retries.
+  support::RunLimits Limits;
   /// Cooperative cancellation: polled every statement and inside the SAT
   /// core; a fired token fails the run with ErrorCode::Cancelled.
   support::CancelToken Cancel;

@@ -60,7 +60,7 @@ bool ProofEngine::fail(const std::string &Msg, support::ErrorCode C) {
 
 void ProofEngine::noteSolverGaveUp(const std::string &Where) {
   GaveUp = true;
-  bool Cancelled = Solver.limits().Cancel.cancelled();
+  bool Cancelled = Solver.cancelToken().cancelled();
   fail("solver gave up on " + Where +
            (Cancelled ? " (cancelled)" : " (budget exhausted)"),
        Cancelled ? support::ErrorCode::Cancelled
@@ -605,7 +605,7 @@ ProofEngine::Step ProofEngine::wpEvent(const Event &E, Ctx &C) {
 bool ProofEngine::wpTrace(const Trace &T, Ctx C, unsigned Budget) {
   // Cooperative cancellation: one relaxed atomic load per event batch (the
   // SAT core polls the same token at much finer grain).
-  if (Solver.limits().Cancel.cancelled())
+  if (Solver.cancelToken().cancelled())
     return fail("proof search cancelled", support::ErrorCode::Cancelled);
   for (const Event &E : T.Events) {
     Step S = wpEvent(E, C);
@@ -766,7 +766,7 @@ bool ProofEngine::verifySpec(uint64_t Addr, const Spec *S) {
                        "speculative entailment)");
     else if (!DiagV)
       DiagV = support::Diag::error(
-          Solver.limits().Cancel.cancelled()
+          Solver.cancelToken().cancelled()
               ? support::ErrorCode::Cancelled
               : support::ErrorCode::SolverBudgetExceeded,
           "proof-engine", Error);

@@ -91,11 +91,15 @@ public:
   const support::Diag &diag() const { return DiagV; }
   const ProofStats &stats() const { return Stats; }
 
-  /// Installs per-check resource guards on the engine's solver.  When a
-  /// guarded check gives up (Result::Unknown), the spec under verification
-  /// fails with an attributed solver-budget/cancellation diagnostic —
-  /// Unknown is never folded into "provable" or "unprovable".
-  void setSolverLimits(const smt::SolverLimits &L) { Solver.setLimits(L); }
+  /// Installs per-check resource guards and a cancellation token on the
+  /// engine's solver (see smt::Solver::setLimits).  When a guarded check
+  /// gives up (Result::Unknown), the spec under verification fails with an
+  /// attributed solver-budget/cancellation diagnostic — Unknown is never
+  /// folded into "provable" or "unprovable".
+  void setLimits(const support::RunLimits &L,
+                 support::CancelToken Token = support::CancelToken()) {
+    Solver.setLimits(L, std::move(Token));
+  }
 
   /// Attaches a persistent side-condition store (shared, not owned) to the
   /// engine's solver; every discharged query is looked up in / written back

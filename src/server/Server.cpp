@@ -143,9 +143,9 @@ struct Server::Impl {
 
   std::unique_ptr<cache::TraceCache> Cache;
   std::unique_ptr<cache::SideCondStore> SideCond;
-  cache::TraceCache *PrevCache = nullptr;
-  cache::SideCondStore *PrevSide = nullptr;
-  support::RunLimits PrevLimits;
+  /// What every study request runs under: this daemon's stores and limits.
+  /// Built once at start, read-only afterwards.
+  frontend::RunContext Ctx;
 
   mutable std::mutex StatsMu;
   ServerStats St;
@@ -173,10 +173,6 @@ struct Server::Impl {
   bool EvictedSinceActivity = false;
 
   std::vector<std::thread> WorkerThs;
-
-  /// Serializes study requests: the study runners consult process-wide
-  /// ambient state, so two concurrent suite runs would race on it.
-  std::mutex StudyMu;
 
   // Model registry (PR 10): the current generation behind ModelMu (held
   // only for pointer reads/swaps — never across a parse).  In-flight jobs
@@ -336,10 +332,7 @@ struct Server::Impl {
     EO.CacheRegReads = T.CacheRegReads;
     EO.SinksOnly = T.SinksOnly;
     EO.MaxPaths = T.MaxPaths;
-    EO.DeadlineSeconds = Cfg.Limits.InstrSeconds;
-    EO.SolverCheckSeconds = Cfg.Limits.SolverCheckSeconds;
-    EO.SolverConflicts = Cfg.Limits.SolverConflicts;
-    EO.SolverPropagations = Cfg.Limits.SolverPropagations;
+    EO.Limits = Cfg.Limits;
     return EO;
   }
 
@@ -936,19 +929,6 @@ struct Server::Impl {
         std::this_thread::sleep_for(
             std::chrono::duration<double>(Cfg.ExecDelaySeconds));
       cache::BatchDriver BD(1);
-      cache::DriverOptions DO;
-      DO.JobTimeoutSeconds = Cfg.Limits.JobTimeoutSeconds;
-      DO.MaxRetries = Cfg.Limits.JobRetries;
-      // Deadline propagation: the watchdog (a driver knob, not part of the
-      // fingerprinted ExecOptions — cache keys stay bit-identical) is
-      // tightened to the most patient live waiter, so execution nobody
-      // will wait out is cut off rather than run to the configured cap.
-      if (AllBounded) {
-        double Bound = MaxLeft < 0.05 ? 0.05 : MaxLeft;
-        if (DO.JobTimeoutSeconds <= 0 || Bound < DO.JobTimeoutSeconds)
-          DO.JobTimeoutSeconds = Bound;
-      }
-      BD.setOptions(DO);
       cache::TraceJob TJ;
       TJ.Model = G.Model.get();
       TJ.ArchName = G.Arch;
@@ -956,6 +936,17 @@ struct Server::Impl {
       TJ.Assume = &G.Assume;
       TJ.Opts = G.Opts;
       TJ.SideCond = SideCond.get();
+      // Deadline propagation: the job's watchdog timeout (a RunLimits
+      // field, outside the fingerprinted options — cache keys stay
+      // bit-identical) is tightened to the most patient live waiter, so
+      // execution nobody will wait out is cut off rather than run to the
+      // configured cap.
+      if (AllBounded) {
+        double Bound = MaxLeft < 0.05 ? 0.05 : MaxLeft;
+        double &Timeout = TJ.Opts.Limits.JobTimeoutSeconds;
+        if (Timeout <= 0 || Bound < Timeout)
+          Timeout = Bound;
+      }
       auto R = BD.run({TJ}, Cache.get());
       const cache::TraceJobResult &TR = R.front();
       Ok = TR.Ok;
@@ -1001,10 +992,6 @@ struct Server::Impl {
       expireWaiter(J.W, "deadline expired in queue");
       return;
     }
-    // Studies consult the ambient stores the server installed at start;
-    // the ambient protocol is per-process, so study execution is strictly
-    // serialized even on a multi-worker server.
-    std::lock_guard<std::mutex> SL(StudyMu);
     // Admission already checked the name, so findCaseStudy cannot miss.
     std::span<const frontend::StudyEntry> Studies =
         J.Study == "suite"
@@ -1014,7 +1001,7 @@ struct Server::Impl {
 
     std::vector<frontend::CaseResult> Rows;
     for (const frontend::StudyEntry &E : Studies) {
-      frontend::CaseResult R = E.Run();
+      frontend::CaseResult R = E.Run(Ctx);
       Rows.push_back(R);
       bump(&ServerStats::RowsStreamed);
       sendFrame(*J.W.C, FrameType::Row,
@@ -1104,14 +1091,10 @@ struct Server::Impl {
     if (!Lsn.listenOn(E, Err))
       return false;
 
-    // Install the resident stores and guards as the process ambients for
-    // the daemon's lifetime (study runners pick them up).
-    PrevCache = cache::ambientTraceCache();
-    PrevSide = cache::ambientSideCondCache();
-    PrevLimits = support::ambientRunLimits();
-    cache::setAmbientTraceCache(Cache.get());
-    cache::setAmbientSideCondCache(SideCond.get());
-    support::setAmbientRunLimits(Cfg.Limits);
+    // Study requests run under the resident stores and guards, handed to
+    // each runner explicitly: nothing process-wide, so studies run on any
+    // worker concurrently and daemons in one process stay independent.
+    Ctx = {Cache.get(), SideCond.get(), Cfg.Limits};
 
     StartedAt = Clock::now();
     Running.store(true, std::memory_order_relaxed);
@@ -1174,10 +1157,6 @@ struct Server::Impl {
       Conns.clear();
     }
     Lsn.close(); // unlinks a unix socket path itself
-
-    cache::setAmbientTraceCache(PrevCache);
-    cache::setAmbientSideCondCache(PrevSide);
-    support::setAmbientRunLimits(PrevLimits);
 
     // A completed drain is a clean shutdown: the next open may skip its
     // scrub.

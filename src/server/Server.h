@@ -7,10 +7,13 @@
 /// \file
 /// The islarisd core: a resident verification service on a Unix-domain
 /// socket.  One process keeps the expensive state warm across requests —
-/// the persistent TraceCache and SideCondStore (installed as the ambient
-/// stores), their in-memory hot sets, and the parsed ISA models — so a
-/// short-lived client pays none of the cold-start cost the batch tools pay
-/// on every invocation.
+/// the persistent TraceCache and SideCondStore, their in-memory hot sets,
+/// and the parsed ISA models — so a short-lived client pays none of the
+/// cold-start cost the batch tools pay on every invocation.  Study requests
+/// run under one frontend::RunContext built at start from the daemon's own
+/// stores and ServerConfig::Limits; nothing is installed process-wide, so
+/// studies run concurrently on every worker and several daemons can share
+/// one process without seeing each other's stores or limits.
 ///
 /// Scheduling discipline:
 ///
@@ -73,8 +76,9 @@ struct ServerConfig {
   /// Seconds of idle after which in-memory cache hot sets are dropped
   /// (0 = never).
   double IdleEvictSeconds = 0;
-  /// Resource guards applied to request execution (JobTimeoutSeconds /
-  /// JobRetries feed the batch driver; the rest go into ExecOptions).
+  /// Resource guards applied to request execution: trace jobs carry them
+  /// in their ExecOptions (the batch driver reads JobTimeoutSeconds /
+  /// JobRetries there), study requests in their RunContext.
   support::RunLimits Limits;
   /// Keep the trace/side-condition stores on disk under CacheDir.
   bool Persist = true;
@@ -170,7 +174,7 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds the socket, installs the ambient stores, spawns threads.
+  /// Opens the stores, binds the socket, spawns threads.
   /// False (with \p Err set) if the socket could not be bound.
   bool start(std::string &Err);
 

@@ -132,18 +132,18 @@ Result Solver::solveGoals(const std::vector<const Term *> &Goals,
     Core = std::make_unique<sat::Solver>();
     Blaster = std::make_unique<BitBlaster>(*Core);
   }
-  // Translate the facade-level limits into a per-call SAT budget.  This is
-  // (re)installed on every call so a deadline is measured from the start of
-  // this check, not from when the limits were configured.
+  // Translate the run's limits into a per-call SAT budget (the one place
+  // RunLimits meets the SAT core).  This is (re)installed on every call so
+  // a deadline is measured from the start of this check, not from when the
+  // limits were configured.
   sat::SatBudget B;
-  B.MaxConflicts = Limits.MaxConflicts;
-  B.MaxPropagations = Limits.MaxPropagations;
-  if (Limits.MaxSeconds > 0)
+  B.MaxConflicts = Limits.SolverConflicts;
+  B.MaxPropagations = Limits.SolverPropagations;
+  if (Limits.SolverCheckSeconds > 0)
     B.Deadline = std::chrono::steady_clock::now() +
                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(Limits.MaxSeconds));
-  if (Limits.Cancel.valid())
-    B.Cancel = Limits.Cancel.raw();
+                     std::chrono::duration<double>(Limits.SolverCheckSeconds));
+  B.Cancel = Cancel.raw();
   Core->setBudget(B);
   uint64_t ConflictsBefore = Core->numConflicts();
   std::vector<sat::Lit> Assumps;
@@ -258,7 +258,7 @@ Result Solver::check(const std::vector<const Term *> &Assumptions) {
   // A cancellation requested before we even start: answer Unknown at once
   // (the syntactic fast paths below would be sound, but a cancelled job
   // should stop doing work, not keep simplifying terms).
-  if (Limits.Cancel.cancelled()) {
+  if (Cancel.cancelled()) {
     ++Stats.NumUnknown;
     invalidateModel();
     return Result::Unknown;

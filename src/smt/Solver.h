@@ -69,25 +69,12 @@
 namespace islaris::smt {
 
 /// Satisfiability result.  Unknown appears only when a resource guard is
-/// installed (SolverLimits / cancellation) or a fault injector spoofs it;
-/// the unlimited default solver is complete and never returns it.  Callers
-/// MUST treat Unknown explicitly — folding it into Sat or Unsat by a `==`
-/// comparison silently weakens or unsounds the surrounding proof logic.
+/// installed (RunLimits budgets / cancellation, see Solver::setLimits) or a
+/// fault injector spoofs it; the unlimited default solver is complete and
+/// never returns it.  Callers MUST treat Unknown explicitly — folding it
+/// into Sat or Unsat by a `==` comparison silently weakens or unsounds the
+/// surrounding proof logic.
 enum class Result { Sat, Unsat, Unknown };
-
-/// Per-check() resource guards (0 = unlimited).  A check cut short returns
-/// Result::Unknown; Unknown answers are never memoized or persisted.
-struct SolverLimits {
-  uint64_t MaxConflicts = 0;    ///< SAT conflict budget per check().
-  uint64_t MaxPropagations = 0; ///< SAT propagation budget per check().
-  double MaxSeconds = 0;        ///< Wall-clock deadline per check().
-  support::CancelToken Cancel;  ///< Cooperative cancellation (shared).
-
-  bool unlimited() const {
-    return MaxConflicts == 0 && MaxPropagations == 0 && MaxSeconds <= 0 &&
-           !Cancel.valid();
-  }
-};
 
 /// Accumulated statistics, reported by the Fig. 12 benchmark harness.
 struct SolverStats {
@@ -150,11 +137,18 @@ public:
   /// Under installed limits the answer may be Result::Unknown.
   Result check(const std::vector<const Term *> &Assumptions = {});
 
-  /// Installs per-check resource guards (see SolverLimits).  The guards
-  /// apply to every subsequent check(); pass a default-constructed value to
-  /// remove them.
-  void setLimits(const SolverLimits &L) { Limits = L; }
-  const SolverLimits &limits() const { return Limits; }
+  /// Installs per-check resource guards: RunLimits' SolverCheckSeconds,
+  /// SolverConflicts and SolverPropagations (0 = unlimited) become each
+  /// SAT call's budget, and \p Token is polled before and inside every
+  /// check.  A check cut short returns Result::Unknown, which is never
+  /// memoized or persisted.  The guards apply to every subsequent check();
+  /// pass default-constructed values to remove them.
+  void setLimits(const support::RunLimits &L,
+                 support::CancelToken Token = support::CancelToken()) {
+    Limits = L;
+    Cancel = std::move(Token);
+  }
+  const support::CancelToken &cancelToken() const { return Cancel; }
 
   /// True if \p T holds in every model of the current assertions
   /// (i.e. assertions ∧ ¬T is unsat).
@@ -215,7 +209,8 @@ private:
   std::vector<size_t> ScopeMarks;
   mutable SolverStats Stats;
   SolverCache *Persist = nullptr;
-  SolverLimits Limits;
+  support::RunLimits Limits;
+  support::CancelToken Cancel;
 
   // The persistent SAT core and Tseitin translation, created on the first
   // check that needs them and reused for the Solver's lifetime.  Goals are

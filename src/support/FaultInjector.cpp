@@ -1,7 +1,6 @@
 //===- support/FaultInjector.cpp - Deterministic fault injection --------------===//
 
 #include "support/FaultInjector.h"
-#include "support/Guard.h"
 
 #include <cstdlib>
 #include <cstring>
@@ -139,17 +138,4 @@ std::unique_ptr<FaultInjector> FaultInjector::fromEnv() {
       F->setRate(Site, std::strtod(Val.c_str(), nullptr));
   }
   return F;
-}
-
-//===----------------------------------------------------------------------===//
-// Ambient run limits (support/Guard.h).
-//===----------------------------------------------------------------------===//
-
-namespace {
-RunLimits AmbientLimits;
-}
-
-RunLimits islaris::support::ambientRunLimits() { return AmbientLimits; }
-void islaris::support::setAmbientRunLimits(const RunLimits &L) {
-  AmbientLimits = L;
 }

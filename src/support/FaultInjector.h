@@ -109,8 +109,9 @@ public:
   uint64_t seed() const { return Seed; }
 
   //===------------------------------------------------------------------===//
-  // Process-wide activation (same ambient contract as the caches: install
-  // before spawning workers, restore after; the pointer is unsynchronized).
+  // Process-wide activation, by design: the injector is a test hook whose
+  // sites sit deep in cache, isla and smt.  Install before spawning
+  // workers, restore after; the pointer is unsynchronized.
   //===------------------------------------------------------------------===//
 
   static FaultInjector *active();

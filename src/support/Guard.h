@@ -13,10 +13,12 @@
 ///    engine's event loop, the SAT core) poll it at cheap points and fail
 ///    their current unit of work with ErrorCode::Cancelled.
 ///
-///  - RunLimits: the knob bundle SuiteOptions exposes — per-query solver
-///    budgets, per-instruction trace-generation deadlines, and batch-driver
-///    job timeouts — installed ambiently for a run the same way the ambient
-///    trace cache is (set before spawning workers, restored after).
+///  - RunLimits: the one guard bundle of a run — per-query solver budgets,
+///    per-instruction trace-generation deadlines, and batch-driver job
+///    timeouts.  It travels explicitly: frontend::RunContext hands it to the
+///    Verifier, which copies it into isla::ExecOptions (the executor and the
+///    batch driver read it there) and into the proof engine's smt::Solver,
+///    the one place that maps it to a SAT budget.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +43,6 @@ public:
     T.Flag = std::make_shared<std::atomic<bool>>(false);
     return T;
   }
-
-  bool valid() const { return Flag != nullptr; }
 
   void requestCancel() const {
     if (Flag)
@@ -76,13 +76,6 @@ struct RunLimits {
   /// Bounded retries for retryable job failures before quarantine.
   unsigned JobRetries = 1;
 };
-
-/// The process-wide ambient limits consulted by newly constructed Verifiers
-/// (all-zero by default: guards are opt-in).  Same contract as
-/// cache::ambientTraceCache: set before spawning concurrent case studies;
-/// the value itself is not synchronized.
-RunLimits ambientRunLimits();
-void setAmbientRunLimits(const RunLimits &L);
 
 } // namespace islaris::support
 

@@ -140,7 +140,7 @@ bool runComparison(const sail::Model &M, smt::TermBuilder &TB,
 ValidationResult islaris::validation::validateInstruction(
     const sail::Model &M, smt::TermBuilder &TB, uint32_t Opcode,
     const isla::Assumptions &A, const Trace &T, const std::string &PcName,
-    unsigned RandomTrials, uint64_t Seed, const support::RunLimits *Limits,
+    unsigned RandomTrials, uint64_t Seed, const support::RunLimits &Limits,
     support::CancelToken Cancel) {
   using support::Diag;
   using support::ErrorCode;
@@ -157,13 +157,7 @@ ValidationResult islaris::validation::validateInstruction(
   // internal solver per check(), InstrSeconds caps the whole validation's
   // wall clock, and the CancelToken is polled between trials (the solver
   // polls it inside checks).
-  support::RunLimits L = Limits ? *Limits : support::ambientRunLimits();
-  smt::SolverLimits SL;
-  SL.MaxConflicts = L.SolverConflicts;
-  SL.MaxPropagations = L.SolverPropagations;
-  SL.MaxSeconds = L.SolverCheckSeconds;
-  SL.Cancel = Cancel;
-  Solver.setLimits(SL);
+  Solver.setLimits(Limits, Cancel);
   auto Start = std::chrono::steady_clock::now();
   auto guardFired = [&]() {
     if (Cancel.cancelled()) {
@@ -172,10 +166,10 @@ ValidationResult islaris::validation::validateInstruction(
       Res.Error = Res.D.Message;
       return true;
     }
-    if (L.InstrSeconds > 0 &&
+    if (Limits.InstrSeconds > 0 &&
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Start)
-                .count() > L.InstrSeconds) {
+                .count() > Limits.InstrSeconds) {
       Res.D = Diag::error(ErrorCode::DeadlineExceeded, "validation",
                           "validation deadline exceeded");
       Res.Error = Res.D.Message;

@@ -58,16 +58,16 @@ struct ValidationResult {
 /// register.  \p RandomTrials extra randomized states are checked on top
 /// of the per-path witnesses.
 ///
-/// Resource guards: \p Limits (null = the ambient support::RunLimits)
-/// bounds the internal solver per check() and, via RunLimits::InstrSeconds,
-/// the whole validation wall clock; \p Cancel cancels cooperatively between
-/// trials and inside solver checks.  A fired guard returns !Ok with the
+/// Resource guards: \p Limits (default: unguarded) bounds the internal
+/// solver per check() and, via RunLimits::InstrSeconds, the whole
+/// validation wall clock; \p Cancel cancels cooperatively between trials
+/// and inside solver checks.  A fired guard returns !Ok with the
 /// matching infrastructure Diag code.
 ValidationResult validateInstruction(
     const sail::Model &M, smt::TermBuilder &TB, uint32_t Opcode,
     const isla::Assumptions &A, const itl::Trace &Trace,
     const std::string &PcName, unsigned RandomTrials = 8, uint64_t Seed = 1,
-    const support::RunLimits *Limits = nullptr,
+    const support::RunLimits &Limits = {},
     support::CancelToken Cancel = support::CancelToken());
 
 } // namespace islaris::validation

@@ -250,7 +250,6 @@ std::map<uint64_t, std::string> traceTexts(const Verifier &V) {
 
 TEST(VerifierCacheTest, DedupsIdenticalWorkWithoutACache) {
   Verifier V(frontend::aarch64());
-  ASSERT_EQ(V.traceCache(), nullptr);
   setupVerifier(V);
   std::string Err;
   ASSERT_TRUE(V.generateTraces(Err)) << Err;
@@ -286,15 +285,13 @@ TEST(VerifierCacheTest, WarmCacheServesASecondVerifier) {
   TraceCache C;
   std::string Err;
 
-  Verifier V1(frontend::aarch64());
-  V1.setTraceCache(&C);
+  Verifier V1(frontend::aarch64(), {&C, nullptr, {}});
   setupVerifier(V1);
   ASSERT_TRUE(V1.generateTraces(Err)) << Err;
   EXPECT_EQ(V1.genStats().Executed, 2u);
   EXPECT_EQ(C.size(), 2u);
 
-  Verifier V2(frontend::aarch64());
-  V2.setTraceCache(&C);
+  Verifier V2(frontend::aarch64(), {&C, nullptr, {}});
   setupVerifier(V2);
   ASSERT_TRUE(V2.generateTraces(Err)) << Err;
   EXPECT_EQ(V2.genStats().Executed, 0u);
@@ -334,8 +331,7 @@ TEST(VerifierCacheTest, SymbolicOpcodeVarsSurviveTheCache) {
   namespace e = arch::aarch64::enc;
   TraceCache C;
   for (int Round = 0; Round < 2; ++Round) {
-    Verifier V(frontend::aarch64());
-    V.setTraceCache(&C);
+    Verifier V(frontend::aarch64(), {&C, nullptr, {}});
     V.addCode({{0x2000, e::movz(0, 0)}});
     V.symbolicAt(0x2000, 20, 5);
     V.defaults()
@@ -377,8 +373,7 @@ TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
   std::string Err;
   {
     TraceCache C(Cfg);
-    Verifier V(frontend::aarch64());
-    V.setTraceCache(&C);
+    Verifier V(frontend::aarch64(), {&C, nullptr, {}});
     setupVerifier(V);
     ASSERT_TRUE(V.generateTraces(Err)) << Err;
     EXPECT_EQ(C.stats().DiskWrites, 2u);
@@ -387,8 +382,7 @@ TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
   // A brand-new cache instance (a "second process") over the same
   // directory serves everything from disk.
   TraceCache C2(Cfg);
-  Verifier V2(frontend::aarch64());
-  V2.setTraceCache(&C2);
+  Verifier V2(frontend::aarch64(), {&C2, nullptr, {}});
   setupVerifier(V2);
   ASSERT_TRUE(V2.generateTraces(Err)) << Err;
   EXPECT_EQ(V2.genStats().Executed, 0u);
@@ -402,8 +396,7 @@ TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
        std::filesystem::recursive_directory_iterator(Tmp.Path))
     if (F.is_regular_file())
       std::filesystem::resize_file(F.path(), 10);
-  Verifier V3(frontend::aarch64());
-  V3.setTraceCache(&C3);
+  Verifier V3(frontend::aarch64(), {&C3, nullptr, {}});
   setupVerifier(V3);
   ASSERT_TRUE(V3.generateTraces(Err)) << Err;
   EXPECT_EQ(V3.genStats().Executed, 2u);
@@ -430,8 +423,7 @@ TEST(TraceCacheTest, ShardedLayoutAndFlatPlacementIsAMiss) {
   std::string Err;
   {
     TraceCache C(Cfg);
-    Verifier V(frontend::aarch64());
-    V.setTraceCache(&C);
+    Verifier V(frontend::aarch64(), {&C, nullptr, {}});
     setupVerifier(V);
     ASSERT_TRUE(V.generateTraces(Err)) << Err;
     EXPECT_EQ(C.stats().DiskWrites, 2u);
@@ -460,8 +452,7 @@ TEST(TraceCacheTest, ShardedLayoutAndFlatPlacementIsAMiss) {
     std::filesystem::rename(P, Flat.back());
   }
   TraceCache C2(Cfg);
-  Verifier V2(frontend::aarch64());
-  V2.setTraceCache(&C2);
+  Verifier V2(frontend::aarch64(), {&C2, nullptr, {}});
   setupVerifier(V2);
   ASSERT_TRUE(V2.generateTraces(Err)) << Err;
   EXPECT_EQ(V2.genStats().Executed, 2u);
@@ -552,12 +543,13 @@ TEST(SideCondTest, EntrySerializationRoundTrips) {
   EXPECT_TRUE(Out.Model.empty());
 }
 
-TEST(SideCondTest, ModelSaltSeparatesKeys) {
-  SideCondConfig A, B;
-  B.ModelSalt = Fingerprinter().str("other-model").digest();
-  SideCondStore SA(A), SB(B);
-  EXPECT_NE(SA.key("(goal-closure 1)"), SB.key("(goal-closure 1)"));
-  EXPECT_EQ(SA.key("(goal-closure 1)"), SA.key("(goal-closure 1)"));
+TEST(SideCondTest, KeyIsPinned) {
+  // Entry files are named by this key: a change to how it is hashed would
+  // silently orphan every persisted store, so one closure's key is pinned.
+  SideCondStore S;
+  EXPECT_EQ(S.key("(goal-closure 1)").toHex(),
+            "78f5acf065aba82a5194471417630690");
+  EXPECT_NE(S.key("(goal-closure 1)"), S.key("(goal-closure 2)"));
 }
 
 TEST(SideCondTest, PersistsAcrossStoreInstances) {

@@ -19,12 +19,10 @@
 //  - degraded mode: store publish failures (injected ENOSPC) flip the
 //    daemon into cache-off degraded mode once — it keeps serving from
 //    memory and fresh execution — and the self-heal probe restores disk
-//    I/O when the device recovers.
-//
-// Two in-process servers install/restore the process-ambient stores in
-// LIFO-unfriendly order, so every multi-daemon test sticks to trace
-// requests (which use the server's own stores explicitly); studies are
-// exercised against fleets in CI, where each daemon is its own process.
+//    I/O when the device recovers;
+//  - isolation: daemons in one process share nothing — a study on one
+//    runs under that daemon's own stores and limits, whatever the other
+//    daemons were started with and whether they are still running.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +31,7 @@
 #include "server/Transport.h"
 
 #include "cache/TraceCache.h"
+#include "support/Diag.h"
 #include "support/FaultInjector.h"
 #include "support/Wire.h"
 
@@ -486,6 +485,59 @@ TEST(FleetFailoverTest, LeastLoadedConnectPicksIdleDaemon) {
 
   A.requestShutdown();
   A.wait();
+  B.requestShutdown();
+  B.wait();
+}
+
+//===----------------------------------------------------------------------===//
+// Isolation of in-process daemons.
+//===----------------------------------------------------------------------===//
+
+TEST(FleetIsolationTest, StudiesRunUnderTheirOwnDaemonsStoresAndLimits) {
+  TempDir D;
+  server::ServerConfig CfgA = daemonConfig(D, "a.sock");
+  CfgA.CacheDir = D.Path + "/cache-a";
+  CfgA.Limits.InstrSeconds = 1e-9; // every trace generation is already late
+  server::ServerConfig CfgB = daemonConfig(D, "b.sock");
+  CfgB.CacheDir = D.Path + "/cache-b";
+  auto A = std::make_unique<server::Server>(CfgA);
+  server::Server B(CfgB);
+  std::string Err;
+  ASSERT_TRUE(A->start(Err)) << Err;
+  ASSERT_TRUE(B.start(Err)) << Err; // must leave A's limits alone
+
+  auto studyRbit = [&](const char *Sock, server::Client::StudyResult &R) {
+    server::Client C(fleetClientOptions());
+    return C.connect(D.Path + "/" + Sock, Err) && C.runStudy("rbit", R, Err);
+  };
+
+  // A's guard fires: an infrastructure failure, not a proof failure.
+  server::Client::StudyResult OnA;
+  ASSERT_TRUE(studyRbit("a.sock", OnA)) << Err;
+  ASSERT_EQ(OnA.Rows.size(), 1u);
+  EXPECT_FALSE(OnA.Rows[0].Ok);
+  EXPECT_TRUE(support::isInfrastructureError(OnA.Rows[0].D.Code))
+      << support::errorCodeName(OnA.Rows[0].D.Code);
+  EXPECT_EQ(OnA.Done.Status, 2u);
+  EXPECT_EQ(A->traceCache()->stats().Insertions, 0u);
+
+  // B is unguarded and fills its own store.
+  server::Client::StudyResult OnB;
+  ASSERT_TRUE(studyRbit("b.sock", OnB)) << Err;
+  ASSERT_EQ(OnB.Rows.size(), 1u);
+  EXPECT_TRUE(OnB.Rows[0].Ok) << OnB.Rows[0].Error;
+  EXPECT_GT(B.traceCache()->stats().Insertions, 0u);
+
+  // Stopping A must not take B's stores away from B's studies.
+  A->requestShutdown();
+  A->wait();
+  A.reset();
+  server::Client::StudyResult Again;
+  ASSERT_TRUE(studyRbit("b.sock", Again)) << Err;
+  ASSERT_EQ(Again.Rows.size(), 1u);
+  EXPECT_TRUE(Again.Rows[0].Ok) << Again.Rows[0].Error;
+  EXPECT_GT(Again.Rows[0].CacheHits, 0u);
+
   B.requestShutdown();
   B.wait();
 }

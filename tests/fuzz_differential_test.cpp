@@ -173,7 +173,7 @@ TEST_P(FuzzTest, ArmUserLevelInstructions) {
     support::RunLimits Limits = fuzzLimits();
     validation::ValidationResult VR = validation::validateInstruction(
         models::aarch64Model(), TB, Op, A, R.Trace, "_PC",
-        /*RandomTrials=*/3, Op ^ uint64_t(GetParam()), &Limits);
+        /*RandomTrials=*/3, Op ^ uint64_t(GetParam()), Limits);
     EXPECT_TRUE(VR.Ok) << BitVec(32, Op).toHexString() << ": " << VR.Error;
     EXPECT_EQ(VR.PathsCovered, VR.Paths) << BitVec(32, Op).toHexString();
   }
@@ -295,7 +295,7 @@ TEST_P(FuzzTest, RvInstructions) {
     support::RunLimits Limits = fuzzLimits();
     validation::ValidationResult VR = validation::validateInstruction(
         models::rv64Model(), TB, Op, isla::Assumptions(), R.Trace, "PC",
-        /*RandomTrials=*/3, Op ^ uint64_t(GetParam()), &Limits);
+        /*RandomTrials=*/3, Op ^ uint64_t(GetParam()), Limits);
     EXPECT_TRUE(VR.Ok) << BitVec(32, Op).toHexString() << ": " << VR.Error;
     EXPECT_EQ(VR.PathsCovered, VR.Paths) << BitVec(32, Op).toHexString();
   }
@@ -321,7 +321,7 @@ TEST(GuardedValidation, ExpiredDeadlineAttributed) {
   L.InstrSeconds = 1e-9; // already expired when validation starts
   validation::ValidationResult VR = validation::validateInstruction(
       models::rv64Model(), TB, Op, isla::Assumptions(), R.Trace, "PC", 3, 1,
-      &L);
+      L);
   EXPECT_FALSE(VR.Ok);
   EXPECT_EQ(VR.D.Code, support::ErrorCode::DeadlineExceeded);
   EXPECT_TRUE(support::isInfrastructureError(VR.D.Code));
@@ -340,7 +340,7 @@ TEST(GuardedValidation, CancelledTokenAttributed) {
   Cancel.requestCancel();
   validation::ValidationResult VR = validation::validateInstruction(
       models::rv64Model(), TB, Op, isla::Assumptions(), R.Trace, "PC", 3, 1,
-      nullptr, Cancel);
+      {}, Cancel);
   EXPECT_FALSE(VR.Ok);
   EXPECT_EQ(VR.D.Code, support::ErrorCode::Cancelled);
 }
@@ -359,7 +359,7 @@ TEST(GuardedValidation, GenerousGuardsDoNotPerturb) {
   support::RunLimits L = fuzzLimits();
   validation::ValidationResult Guarded = validation::validateInstruction(
       models::rv64Model(), TB, Op, isla::Assumptions(), R.Trace, "PC", 3, 7,
-      &L, support::CancelToken::create());
+      L, support::CancelToken::create());
   EXPECT_TRUE(Bare.Ok) << Bare.Error;
   EXPECT_TRUE(Guarded.Ok) << Guarded.Error;
   EXPECT_EQ(Bare.Paths, Guarded.Paths);

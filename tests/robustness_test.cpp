@@ -76,12 +76,13 @@ struct ScopedDir {
 
 /// One concrete-opcode trace job under EL1 assumptions.
 cache::TraceJob makeJob(const isla::Assumptions &A, uint32_t Op,
-                        uint64_t Tag = 0) {
+                        uint64_t Tag = 0, unsigned Retries = 1) {
   cache::TraceJob J;
   J.Model = &models::aarch64Model();
   J.ArchName = "aarch64";
   J.Op = isla::OpcodeSpec::concrete(Op);
   J.Assume = &A;
+  J.Opts.Limits.JobRetries = Retries;
   J.Tag = Tag;
   return J;
 }
@@ -109,7 +110,7 @@ TEST(ExecutorGuardTest, ExpiredDeadlineFailsCleanly) {
   isla::Executor Ex(models::aarch64Model(), TB);
   isla::Assumptions A = el1Assumptions();
   isla::ExecOptions O;
-  O.DeadlineSeconds = 1e-9; // already expired when the path loop starts
+  O.Limits.InstrSeconds = 1e-9; // already expired when the path loop starts
   isla::ExecResult R =
       Ex.run(isla::OpcodeSpec::concrete(e::addImm(0, 0, 1)), A, O);
   EXPECT_FALSE(R.Ok);
@@ -159,14 +160,14 @@ TEST(GuardTest, SolverBudgetYieldsUnknown) {
   const Term *Y = TB.freshVar(smt::Sort::bitvec(16), "y");
   // A 16x16 multiplication equality is far beyond a 1-propagation budget.
   S.assertTerm(TB.eqTerm(TB.bvMul(X, Y), TB.constBV(16, 0x2b3)));
-  smt::SolverLimits L;
-  L.MaxPropagations = 1;
+  support::RunLimits L;
+  L.SolverPropagations = 1;
   S.setLimits(L);
   EXPECT_EQ(S.check(), smt::Result::Unknown);
   EXPECT_GE(S.stats().NumUnknown, 1u);
   // Removing the limit recovers the real answer on the same solver: the
   // interrupted attempt must not have corrupted its state.
-  S.setLimits(smt::SolverLimits());
+  S.setLimits(support::RunLimits());
   EXPECT_EQ(S.check(), smt::Result::Sat);
 }
 
@@ -175,10 +176,9 @@ TEST(GuardTest, CancelledSolverCheckIsUnknown) {
   smt::Solver S(TB);
   const Term *X = TB.freshVar(smt::Sort::bitvec(8), "x");
   S.assertTerm(TB.eqTerm(X, TB.constBV(8, 7)));
-  smt::SolverLimits L;
-  L.Cancel = CancelToken::create();
-  L.Cancel.requestCancel();
-  S.setLimits(L);
+  CancelToken Cancel = CancelToken::create();
+  Cancel.requestCancel();
+  S.setLimits(support::RunLimits(), Cancel);
   EXPECT_EQ(S.check(), smt::Result::Unknown);
 }
 
@@ -228,10 +228,9 @@ TEST(GuardTest, InstrBudgetExhaustedIsAttributed) {
 
 TEST(GuardTest, CancelledProofSearchIsAttributed) {
   AddFixture F;
-  smt::SolverLimits L;
-  L.Cancel = CancelToken::create();
-  L.Cancel.requestCancel();
-  F.V.engine().setSolverLimits(L);
+  CancelToken Cancel = CancelToken::create();
+  Cancel.requestCancel();
+  F.V.engine().setLimits(support::RunLimits(), Cancel);
   EXPECT_FALSE(F.verify());
   EXPECT_EQ(F.V.engine().diag().Code, ErrorCode::Cancelled);
   EXPECT_TRUE(support::isInfrastructureError(F.V.engine().diag().Code));
@@ -269,10 +268,10 @@ TEST(BatchDriverTest, ExceptionIsContainedAndBatchDrains) {
   FI.failFirst(FaultSite::ExecThrow, 1); // first execution throws
   ScopedFaults SF(&FI);
   isla::Assumptions A = el1Assumptions();
-  std::vector<cache::TraceJob> Jobs = {makeJob(A, e::addImm(0, 0, 1), 0),
-                                       makeJob(A, e::addImm(1, 1, 2), 1)};
+  // No retries: the throw must surface.
+  std::vector<cache::TraceJob> Jobs = {makeJob(A, e::addImm(0, 0, 1), 0, 0),
+                                       makeJob(A, e::addImm(1, 1, 2), 1, 0)};
   cache::BatchDriver D(1); // serial: deterministic probe order
-  D.setOptions({0, 0});    // no retries: the throw must surface
   auto Rs = D.run(Jobs, nullptr);
   ASSERT_EQ(Rs.size(), 2u);
   // Groups execute in fingerprint order, not submission order, so which of
@@ -300,8 +299,7 @@ TEST(BatchDriverTest, RetryRecoversFromTransientFault) {
   ScopedFaults SF(&FI);
   isla::Assumptions A = el1Assumptions();
   std::vector<cache::TraceJob> Jobs = {makeJob(A, e::addImm(0, 0, 3))};
-  cache::BatchDriver D(1);
-  D.setOptions({0, 1}); // one retry
+  cache::BatchDriver D(1); // the job's limits allow one retry
   auto Rs = D.run(Jobs, nullptr);
   ASSERT_EQ(Rs.size(), 1u);
   EXPECT_TRUE(Rs[0].Ok) << Rs[0].Error;
@@ -315,9 +313,9 @@ TEST(BatchDriverTest, ExhaustedRetriesQuarantineWithLastDiag) {
   FI.failFirst(FaultSite::ExecStep, 100); // every attempt faults
   ScopedFaults SF(&FI);
   isla::Assumptions A = el1Assumptions();
-  std::vector<cache::TraceJob> Jobs = {makeJob(A, e::addImm(0, 0, 3))};
+  std::vector<cache::TraceJob> Jobs = {
+      makeJob(A, e::addImm(0, 0, 3), 0, 2)};
   cache::BatchDriver D(1);
-  D.setOptions({0, 2});
   auto Rs = D.run(Jobs, nullptr);
   ASSERT_EQ(Rs.size(), 1u);
   EXPECT_FALSE(Rs[0].Ok);
@@ -344,7 +342,6 @@ TEST(BatchDriverTest, CancelledJobIsRetriedThenQuarantined) {
   Jobs[0].Opts.Cancel = CancelToken::create();
   Jobs[0].Opts.Cancel.requestCancel(); // never completes
   cache::BatchDriver D(1);
-  D.setOptions({0, 1});
   auto Rs = D.run(Jobs, nullptr);
   ASSERT_EQ(Rs.size(), 1u);
   EXPECT_FALSE(Rs[0].Ok);

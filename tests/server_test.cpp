@@ -11,7 +11,8 @@
 //  - live-server behavior over a real Unix socket: handshake, version
 //    negotiation, malformed-input handling, admission control, round-robin
 //    fairness under a flooding client, drain-on-shutdown delivery
-//    guarantees, and clean-shutdown markers;
+//    guarantees, clean-shutdown markers, and concurrent study requests
+//    whose rows match a serial suite run;
 //  - the headline dedup claim: two clients concurrently requesting the
 //    same trace trigger exactly one execution, and both receive the result
 //    bit-identically — matching a direct BatchDriver run byte for byte.
@@ -23,7 +24,9 @@
 
 #include "cache/BatchDriver.h"
 #include "cache/Scrub.h"
+#include "cache/SideCondCache.h"
 #include "cache/TraceCache.h"
+#include "frontend/CaseStudies.h"
 #include "models/Models.h"
 #include "support/Wire.h"
 
@@ -662,6 +665,68 @@ TEST(ServerTest, CaseStudyStreamsRowsOverTheWire) {
   EXPECT_EQ(Streamed, 1u);
   EXPECT_EQ(R.Rows[0].Name, "rbit");
   EXPECT_TRUE(R.Rows[0].Ok) << R.Rows[0].Error;
+
+  S.requestShutdown();
+  S.wait();
+}
+
+TEST(ServerTest, ConcurrentSuitesMatchSerialRows) {
+  // The serial reference: the second of two suite runs over shared stores,
+  // i.e. the rows of a run whose every trace and side condition is warm.
+  cache::TraceCache RefCache;
+  cache::SideCondStore RefSideCond;
+  frontend::SuiteOptions O;
+  O.Cache = &RefCache;
+  O.SideCond = &RefSideCond;
+  frontend::runAllCaseStudies(O);
+  std::vector<frontend::CaseResult> Ref = frontend::runAllCaseStudies(O);
+
+  TempDir D;
+  server::ServerConfig Cfg = baseConfig(D);
+  Cfg.Workers = 2;
+  server::Server S(Cfg);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  {
+    // Warm the daemon's stores the same way, so the concurrent pair below
+    // reads a warm store whatever order its studies interleave in.
+    server::Client C;
+    server::Client::StudyResult Warm;
+    ASSERT_TRUE(C.connect(S.socketPath(), Err) &&
+                C.runStudy("suite", Warm, Err))
+        << Err;
+    ASSERT_EQ(Warm.Done.Status, 0u) << Warm.Done.Error;
+  }
+
+  // Two clients at once: both suites execute together, one per worker.
+  server::Client::StudyResult Res[2];
+  std::string Errs[2];
+  bool Sent[2] = {false, false};
+  std::vector<std::thread> Clients;
+  for (unsigned I = 0; I < 2; ++I)
+    Clients.emplace_back([&, I] {
+      server::Client C;
+      Sent[I] = C.connect(S.socketPath(), Errs[I]) &&
+                C.runStudy("suite", Res[I], Errs[I]);
+    });
+  for (std::thread &T : Clients)
+    T.join();
+
+  auto untimed = [](frontend::CaseResult R) {
+    R.IslaSeconds = 0;
+    R.Proof.TotalSeconds = 0;
+    R.Proof.SideCondSeconds = 0;
+    return frontend::encodeCaseResult(R);
+  };
+  for (unsigned I = 0; I < 2; ++I) {
+    ASSERT_TRUE(Sent[I]) << Errs[I];
+    ASSERT_TRUE(Res[I].Ok) << Res[I].Done.Error;
+    EXPECT_EQ(Res[I].Done.Status, 0u) << Res[I].Done.Error;
+    ASSERT_EQ(Res[I].Rows.size(), Ref.size());
+    for (size_t J = 0; J < Ref.size(); ++J)
+      EXPECT_EQ(untimed(Res[I].Rows[J]), untimed(Ref[J]))
+          << "client " << I << ", row " << J << " (" << Ref[J].Name << ")";
+  }
 
   S.requestShutdown();
   S.wait();
