@@ -3,7 +3,6 @@
 #include "cache/BatchDriver.h"
 
 #include "cache/Generations.h"
-#include "cache/SideCondCache.h"
 #include "smt/TermBuilder.h"
 #include "support/Guard.h"
 
@@ -202,12 +201,6 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
     const TraceJob &J = Jobs[G.Members.front()];
     // The group's watchdog timeout and retry count ride on its options.
     const support::RunLimits &L = J.Opts.Limits;
-    // Salt the shared side-condition store by this job's model so its
-    // pruning/assert queries can never be answered by another model's
-    // entries (fingerprintModel is memoized, so this is a map lookup).
-    std::optional<SaltedSolverCache> SideCond;
-    if (J.SideCond)
-      SideCond.emplace(*J.SideCond, fingerprintModel(*J.Model));
     for (unsigned Attempt = 0; Attempt <= L.JobRetries; ++Attempt) {
       ++G.Attempts;
       isla::ExecOptions EO = J.Opts;
@@ -222,10 +215,7 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
       isla::ExecResult R;
       bool Threw = false;
       try {
-        isla::Executor Ex(*J.Model, TB);
-        if (SideCond)
-          Ex.setSolverCache(&*SideCond);
-        R = Ex.run(J.Op, *J.Assume, EO);
+        R = isla::Executor(*J.Model, TB).run(J.Op, *J.Assume, EO);
       } catch (const std::exception &E) {
         Threw = true;
         R.Ok = false;

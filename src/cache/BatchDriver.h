@@ -37,7 +37,10 @@ namespace islaris::cache {
 /// *Model.  \p Assume is borrowed and must outlive the batch.  Besides the
 /// executor's guards, Opts.Limits carries the job's watchdog timeout and
 /// retry count (JobTimeoutSeconds, JobRetries); jobs sharing a cache key
-/// share one execution under the first such job's limits.
+/// share one execution under the first such job's limits.  Each executor
+/// answers its branch-pruning and assertion checks with its own
+/// smt::Solver, so a job's trace depends only on its model, opcode,
+/// assumptions and options.
 struct TraceJob {
   const sail::Model *Model = nullptr;
   std::string ArchName;
@@ -45,12 +48,6 @@ struct TraceJob {
   const isla::Assumptions *Assume = nullptr;
   isla::ExecOptions Opts;
   uint64_t Tag = 0; ///< Caller cookie (e.g. the instruction address).
-  /// Optional persistent store for the executor's branch-pruning and
-  /// assertion queries, installed on each worker's solver.  Must be
-  /// thread-safe (SideCondStore is).  The driver salts every query with
-  /// fingerprintModel(*Model), so one suite-wide store serves all models
-  /// without key collisions.  Borrowed; must outlive the batch.
-  smt::SolverCache *SideCond = nullptr;
 };
 
 /// Where a job's result came from.

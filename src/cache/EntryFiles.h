@@ -14,8 +14,8 @@
 ///     plus the store's extension;
 ///   - the durability envelope, verified before any payload byte reaches a
 ///     parser:  (islaris-entry <version> <fnv64-hex> <payload-size>)\n<payload>
-///     The model-fingerprint salt rides inside the payload: both stores
-///     embed the full key in their payload header and check it on read;
+///     Both stores embed the full key in their payload header and check
+///     it on read;
 ///   - quarantine: a file that fails verification is a miss, moves to
 ///     <dir>/quarantine/ and yields one bounded Diag, which frees the path
 ///     so first-writer-wins republication heals the entry;

@@ -197,21 +197,18 @@ islaris::cache::gcGenerations(const GenerationGcOptions &O) {
       Fingerprint K;
       if (!Fingerprint::fromHex(KeyHex, K))
         continue;
-      // The manifest records bare keys; resolve against both stores'
-      // extensions.
-      for (std::string_view Ext : {TraceEntryExt, SideCondEntryExt}) {
-        std::string P = EntryFiles::entryPath(O.Dir, K, Ext);
-        uint64_t Size = fs::file_size(P, EC);
-        if (EC) {
-          EC.clear();
-          continue;
-        }
-        ++R.EntriesRemoved;
-        R.BytesReclaimed += Size;
-        if (!O.DryRun && !fs::remove(P, EC) && EC)
-          Note(support::ErrorCode::IoError,
-               "could not remove retired entry: " + P);
+      // The manifest records bare keys of trace entries.
+      std::string P = EntryFiles::entryPath(O.Dir, K, TraceEntryExt);
+      uint64_t Size = fs::file_size(P, EC);
+      if (EC) {
+        EC.clear();
+        continue;
       }
+      ++R.EntriesRemoved;
+      R.BytesReclaimed += Size;
+      if (!O.DryRun && !fs::remove(P, EC) && EC)
+        Note(support::ErrorCode::IoError,
+             "could not remove retired entry: " + P);
     }
     In.close();
     if (!O.DryRun)

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generation bookkeeping for the persistent stores.  Store entries are
+/// Generation bookkeeping for the persistent trace store (the side-condition
+/// store's keys are model-independent and need none).  Trace entries are
 /// content-addressed under keys that hash the ISA model, so editing a model
 /// orphans every entry minted against the old text: still perfectly valid
 /// files, never looked up again.  Over months of model iteration a shared
 /// store accumulates unbounded garbage no LRU budget can tell apart from
 /// hot entries.
 ///
-/// The fix is a per-store generation registry keyed on model fingerprints:
+/// The fix is a generation registry keyed on model fingerprints:
 ///
 ///   <dir>/generations.txt           "<model-fp> <seq> <unix-time>" lines
 ///   <dir>/manifests/<model-fp>.mf   one entry-key hex per line
@@ -84,9 +85,9 @@ struct GenerationGcReport {
 
 /// Retires every generation of \p O.Dir outside the newest
 /// O.KeepGenerations: deletes the entries each retired fingerprint's
-/// manifest enumerates (either store's extension), removes the manifest, and rewrites the registry without the
-/// retired rows.  Safe on a live store — entries are immutable and
-/// recomputable, so the worst interleaving costs a re-execution.
+/// manifest enumerates, removes the manifest, and rewrites the registry
+/// without the retired rows.  Safe on a live store — entries are immutable
+/// and recomputable, so the worst interleaving costs a re-execution.
 GenerationGcReport gcGenerations(const GenerationGcOptions &O);
 
 } // namespace islaris::cache

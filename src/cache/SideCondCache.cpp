@@ -2,7 +2,6 @@
 
 #include "cache/SideCondCache.h"
 
-#include "cache/Generations.h" // per-model entry manifests
 #include "cache/TraceCache.h"  // resolveCacheDir
 #include "itl/Parser.h"
 #include "support/Parse.h"
@@ -25,8 +24,7 @@ Fingerprint SideCondStore::key(const std::string &Closure) const {
   FP.str("islaris-sidecond");
   FP.str(Closure);
   // Two fixed zero words keep keys byte-identical to stores persisted while
-  // this slot held a per-store salt (SideCondTest.KeyIsPinned).  Models
-  // are told apart by the SaltedSolverCache closure prefix.
+  // this slot held a per-store salt (SideCondTest.KeyIsPinned).
   FP.u64(0);
   FP.u64(0);
   return FP.digest();
@@ -155,26 +153,8 @@ void SideCondStore::store(const std::string &Closure,
       New = true; // over the memory bound; disk still gets the entry
     }
   }
-  if (New && Cfg.Persist && Files.publish(K, serializeEntry(K, R))) {
-    // Generation bookkeeping: attribute the entry to the model it was
-    // discharged against, named by its SaltedSolverCache prefix.
-    Fingerprint Salt;
-    if (extractClosureSalt(Closure, Salt))
-      recordEntryGeneration(dir(), Salt, K);
-  }
-}
-
-bool islaris::cache::extractClosureSalt(const std::string &Closure,
-                                        Fingerprint &Out) {
-  // The SaltedSolverCache prefix: "(salt <32 hex>) ".
-  constexpr std::string_view Magic = "(salt ";
-  constexpr size_t HexLen = 32;
-  if (Closure.size() < Magic.size() + HexLen + 2 ||
-      Closure.compare(0, Magic.size(), Magic) != 0 ||
-      Closure[Magic.size() + HexLen] != ')' ||
-      Closure[Magic.size() + HexLen + 1] != ' ')
-    return false;
-  return Fingerprint::fromHex(Closure.substr(Magic.size(), HexLen), Out);
+  if (New && Cfg.Persist)
+    Files.publish(K, serializeEntry(K, R));
 }
 
 void SideCondStore::clearMemory() {

@@ -11,13 +11,14 @@
 ///
 /// Keys are 128-bit fingerprints over the solver's canonical *printed* goal
 /// closure (sorted goals plus sorted free-variable declarations — see
-/// Solver::printGoalClosure).  The batch driver prefixes its executors'
-/// closures with cache::fingerprintModel of the ISA model in play (see
-/// SaltedSolverCache).  The printed form is builder-independent, so a key
-/// matches across TermBuilders, processes, and runs; the salt means editing
-/// the ISA model invalidates every model-dependent entry — a stale cache
-/// can only miss, never lie.  Queries whose printed form
-/// would be ambiguous (duplicate variable names) never reach this store.
+/// Solver::printGoalClosure).  The printed form is builder-independent, so
+/// a key matches across TermBuilders, processes, and runs.  A closure is a
+/// self-contained formula whose verdict does not depend on any ISA model,
+/// so keys carry no model salt.  The store's one reader is the proof
+/// engine (frontend::Verifier::engine); trace generation never consults it,
+/// so a trace depends only on the model, the opcode and the assumptions.
+/// Queries whose printed form would be ambiguous (duplicate variable names)
+/// never reach this store.
 ///
 /// Entries record the Sat/Unsat verdict and, for Sat, a full model of the
 /// closure's variables by (name, width, value), so a hit restores
@@ -127,33 +128,6 @@ private:
   std::unordered_map<Fingerprint, CachedResult, FingerprintHash> Map;
   SideCondStats St;
 };
-
-/// A zero-copy view of another SolverCache that prefixes every closure with
-/// a fingerprint salt before delegating.  Lets one shared store serve
-/// queries discharged against different ISA models — the batch driver wraps the suite store in the fingerprint of
-/// each job's model, so an aarch64 pruning query can never answer a riscv64
-/// one.  Stateless beyond the prefix; safe to construct per job.
-class SaltedSolverCache : public smt::SolverCache {
-public:
-  SaltedSolverCache(smt::SolverCache &Inner, const Fingerprint &Salt)
-      : Inner(Inner), Prefix("(salt " + Salt.toHex() + ") ") {}
-
-  std::optional<CachedResult> lookup(const std::string &Closure) override {
-    return Inner.lookup(Prefix + Closure);
-  }
-  void store(const std::string &Closure, const CachedResult &R) override {
-    Inner.store(Prefix + Closure, R);
-  }
-
-private:
-  smt::SolverCache &Inner;
-  std::string Prefix;
-};
-
-/// Parses the SaltedSolverCache "(salt <32 hex>) " closure prefix into
-/// \p Out; false when \p Closure is unsalted.  Exposed for the generation
-/// bookkeeping and its tests.
-bool extractClosureSalt(const std::string &Closure, Fingerprint &Out);
 
 /// A process-wide store read only by frontend::defaultRunContext(), the
 /// default context of the study runners (null by default: side-condition

@@ -60,8 +60,6 @@ struct CaseResult {
   unsigned CacheHits = 0;      ///< Instructions served by the trace cache.
   unsigned Deduped = 0;        ///< Instructions deduplicated in-batch.
   unsigned IslaMemoHits = 0;   ///< Executor queries answered by the memo.
-  /// Executor queries answered by the persistent side-condition store.
-  unsigned IslaStoreHits = 0;
   /// Model statements dispatched by fresh executions, and statements the
   /// snapshot engine restored from checkpoints instead of re-executing.
   uint64_t IslaStmts = 0;

@@ -45,7 +45,6 @@ inline CaseResult finishResult(CaseResult R, Verifier &V, bool Ok,
   R.CacheHits = V.genStats().CacheHits;
   R.Deduped = V.genStats().Deduped;
   R.IslaMemoHits = V.genStats().SolverMemoHits;
-  R.IslaStoreHits = V.genStats().SolverStoreHits;
   R.IslaStmts = V.genStats().StmtsExecuted;
   R.IslaStmtsSkipped = V.genStats().StmtsSkipped;
   R.HelperMemoHits = V.genStats().HelperMemoHits;

@@ -98,10 +98,6 @@ bool Verifier::generateTraces(std::string &Err) {
     // fingerprint (a guarded failure is never cached, so a guarded and an
     // unguarded run share entries).
     J.Opts.Limits = Ctx.Limits;
-    // The executor's pruning/assert queries go through the same persistent
-    // side-condition store as the proof engine's entailments; the driver
-    // salts them with the job's model fingerprint.
-    J.SideCond = Ctx.SideCond;
     J.Tag = Addr;
     Jobs.push_back(std::move(J));
     Addrs.push_back(Addr);
@@ -148,7 +144,6 @@ bool Verifier::generateTraces(std::string &Err) {
     case cache::ResultSource::Fresh:
       // Solver work is only accounted when it actually happened.
       Gen.SolverMemoHits += Exec.Stats.SolverMemoHits;
-      Gen.SolverStoreHits += Exec.Stats.SolverStoreHits;
       Gen.StmtsExecuted += Exec.Stats.StmtsExecuted;
       Gen.StmtsSkipped += Exec.Stats.StmtsSkippedBySnapshot;
       Gen.HelperMemoHits += Exec.Stats.HelperMemoHits;

@@ -31,8 +31,10 @@ namespace islaris::frontend {
 
 /// What one verification run is handed instead of reading process state:
 /// the stores it shares (not owned, thread-safe, null = none) and its
-/// resource guards (all-zero = unguarded).  Two runs with different
-/// contexts can execute concurrently in one process.
+/// resource guards (all-zero = unguarded).  Cache serves trace generation;
+/// SideCond serves the proof engine alone (trace generation never reads or
+/// writes it).  Two runs with different contexts can execute concurrently
+/// in one process.
 struct RunContext {
   cache::TraceCache *Cache = nullptr;
   cache::SideCondStore *SideCond = nullptr;
@@ -69,9 +71,6 @@ struct GenStats {
   /// Executor solver queries answered by the in-run memo table (the rest
   /// reached the SAT core or were syntactic).
   unsigned SolverMemoHits = 0;
-  /// Executor queries answered by the persistent side-condition store
-  /// (only meaningful when one is attached).
-  unsigned SolverStoreHits = 0;
   /// Model statements dispatched across fresh executions.
   uint64_t StmtsExecuted = 0;
   /// Statements restored from fork checkpoints instead of re-executed.
@@ -92,8 +91,8 @@ struct GenStats {
 class Verifier {
 public:
   /// A verifier over \p Arch that shares \p Ctx's stores (its trace
-  /// generation consults and fills Ctx.Cache; its executors and proof
-  /// engine reuse Ctx.SideCond) and runs under Ctx.Limits.
+  /// generation consults and fills Ctx.Cache; its proof engine reuses
+  /// Ctx.SideCond) and runs under Ctx.Limits.
   explicit Verifier(ArchInfo Arch, const RunContext &Ctx = RunContext());
 
   smt::TermBuilder &builder() { return TB; }

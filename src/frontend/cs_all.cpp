@@ -31,9 +31,9 @@ using islaris::support::wire::putStr;
 
 std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
   std::ostringstream OS;
-  // Codec version 3.  Rows of any other version fail to decode, so a
+  // Codec version 4.  Rows of any other version fail to decode, so a
   // resumed run simply re-verifies them.
-  OS << "case 3 ";
+  OS << "case 4 ";
   putStr(OS, R.Name);
   putStr(OS, R.Isa);
   OS << (R.Ok ? 1 : 0) << " ";
@@ -45,9 +45,9 @@ std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
      << R.Hints << " ";
   putF(OS, R.IslaSeconds);
   OS << R.TracesExecuted << " " << R.CacheHits << " " << R.Deduped << " "
-     << R.IslaMemoHits << " " << R.IslaStoreHits << " " << R.IslaStmts
-     << " " << R.IslaStmtsSkipped << " " << R.HelperMemoHits << " "
-     << R.FixpointCapHits << " " << R.Retries << " " << R.Quarantined << " ";
+     << R.IslaMemoHits << " " << R.IslaStmts << " " << R.IslaStmtsSkipped
+     << " " << R.HelperMemoHits << " " << R.FixpointCapHits << " "
+     << R.Retries << " " << R.Quarantined << " ";
   const seplogic::ProofStats &PS = R.Proof;
   OS << PS.EventsProcessed << " " << PS.InstructionsWalked << " "
      << PS.PathsVerified << " " << PS.PathsPruned << " " << PS.Entailments
@@ -62,7 +62,7 @@ std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
 bool islaris::frontend::decodeCaseResult(const std::string &Text,
                                          CaseResult &Out) {
   Cursor C(Text);
-  if (C.tok() != "case" || C.tok() != "3")
+  if (C.tok() != "case" || C.tok() != "4")
     return false;
   CaseResult R;
   R.Name = C.str();
@@ -82,7 +82,6 @@ bool islaris::frontend::decodeCaseResult(const std::string &Text,
   R.CacheHits = unsigned(C.u64());
   R.Deduped = unsigned(C.u64());
   R.IslaMemoHits = unsigned(C.u64());
-  R.IslaStoreHits = unsigned(C.u64());
   R.IslaStmts = C.u64();
   R.IslaStmtsSkipped = C.u64();
   R.HelperMemoHits = unsigned(C.u64());

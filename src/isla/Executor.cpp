@@ -987,7 +987,6 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
 
   ExecStats Stats;
   uint64_t MemoHitsBefore = Solver.stats().NumMemoHits;
-  uint64_t StoreHitsBefore = Solver.stats().NumStoreHits;
   uint64_t CapHitsBefore =
       RW.fixpointCapHits() + Solver.stats().FixpointCapHits;
 
@@ -1044,8 +1043,6 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
   Stats.Events = Res.Trace.countEvents();
   Stats.SolverMemoHits =
       unsigned(Solver.stats().NumMemoHits - MemoHitsBefore);
-  Stats.SolverStoreHits =
-      unsigned(Solver.stats().NumStoreHits - StoreHitsBefore);
   Stats.FixpointCapHits = RW.fixpointCapHits() +
                           Solver.stats().FixpointCapHits - CapHitsBefore;
   Res.Stats = Stats;

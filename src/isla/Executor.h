@@ -120,9 +120,6 @@ struct ExecStats {
   /// SAT call (flipped-branch re-checks repeat heavily).  Derived, not part
   /// of the serialized trace-cache entry format.
   unsigned SolverMemoHits = 0;
-  /// Queries answered by a persistent side-condition store (when one is
-  /// installed via setSolverCache).  Derived, like SolverMemoHits.
-  unsigned SolverStoreHits = 0;
   /// Model statements actually dispatched across all paths of this run.
   /// Shared prefixes execute once; only divergent suffixes are re-run.
   /// Derived.
@@ -170,15 +167,6 @@ public:
   /// Symbolically executes `decode(opcode)` under \p A.
   ExecResult run(const OpcodeSpec &Op, const Assumptions &A,
                  const ExecOptions &Opts = ExecOptions());
-
-  /// Installs a persistent store for the executor's branch-pruning and
-  /// assertion side-condition queries (nullptr to detach).  The caller
-  /// keeps ownership and must salt the store by the model fingerprint if it
-  /// is shared across models (see cache::SaltedSolverCache).
-  void setSolverCache(smt::SolverCache *C) { Solver.setCache(C); }
-
-  /// Cumulative solver statistics (for the Fig. 12 harness).
-  const smt::SolverStats &solverStats() const { return Solver.stats(); }
 
 private:
   struct RunState;

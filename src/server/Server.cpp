@@ -935,7 +935,6 @@ struct Server::Impl {
       TJ.Op = G.Op;
       TJ.Assume = &G.Assume;
       TJ.Opts = G.Opts;
-      TJ.SideCond = SideCond.get();
       // Deadline propagation: the job's watchdog timeout (a RunLimits
       // field, outside the fingerprinted options — cache keys stay
       // bit-identical) is tightened to the most patient live waiter, so

@@ -48,8 +48,9 @@
 ///    run — across push/pop frames, paths, or specs — returns instantly
 ///    with the same answer and model;
 ///  - an optional persistent SolverCache (implemented by
-///    cache::SideCondStore), keyed on the *printed* goal closure so
-///    results survive across runs and processes.
+///    cache::SideCondStore, attached only by the proof engine), keyed on
+///    the *printed* goal closure so results survive across runs and
+///    processes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1548,7 +1548,6 @@ TEST(SuiteJournalTest, CaseResultCodecRoundTrips) {
   R.CacheHits = 12;
   R.Deduped = 2;
   R.IslaMemoHits = 1;
-  R.IslaStoreHits = 4;
   R.IslaStmts = 1234567;
   R.IslaStmtsSkipped = 7;
   R.HelperMemoHits = 8;
@@ -1594,12 +1593,15 @@ TEST(SuiteJournalTest, CaseResultCodecRoundTrips) {
   BadVer[5] = '9'; // "case 9 " — an unknown codec version
   frontend::CaseResult Junk;
   EXPECT_FALSE(frontend::decodeCaseResult(BadVer, Junk));
-  // A row of the previous codec version, which carried the merge-engine
-  // counters, is rejected too: a resumed run re-verifies it.
-  ASSERT_EQ(Enc.rfind("case 3 ", 0), 0u);
-  std::string OldVer = Enc;
-  OldVer[5] = '2';
-  EXPECT_FALSE(frontend::decodeCaseResult(OldVer, Junk));
+  // Rows of the older codec versions, which carried the executor's store
+  // hits (3) and the merge-engine counters (2), are rejected too: a
+  // resumed run re-verifies them.
+  ASSERT_EQ(Enc.rfind("case 4 ", 0), 0u);
+  for (char Old : {'3', '2'}) {
+    std::string OldVer = Enc;
+    OldVer[5] = Old;
+    EXPECT_FALSE(frontend::decodeCaseResult(OldVer, Junk)) << Old;
+  }
   EXPECT_FALSE(frontend::decodeCaseResult(Enc.substr(0, Enc.size() / 2),
                                           Junk));
   EXPECT_FALSE(frontend::decodeCaseResult("", Junk));
@@ -1873,17 +1875,6 @@ TEST(GenerationsTest, BatchDriverRecordsGenerationsForFreshEntries) {
   ASSERT_TRUE(std::filesystem::exists(Manifest));
   EXPECT_NE(readFileRaw(Manifest).find(R.front().Key.toHex()),
             std::string::npos);
-}
-
-TEST(SideCondTest, ExtractClosureSaltParsesSaltedClosures) {
-  Fingerprint Salt = Fingerprinter().str("some-model").digest();
-  std::string Closure = "(salt " + Salt.toHex() + ") (assert (= x 1))";
-  Fingerprint Out;
-  ASSERT_TRUE(extractClosureSalt(Closure, Out));
-  EXPECT_EQ(Out, Salt);
-  EXPECT_FALSE(extractClosureSalt("(assert (= x 1))", Out));
-  EXPECT_FALSE(extractClosureSalt("(salt nothex) (assert)", Out));
-  EXPECT_FALSE(extractClosureSalt("", Out));
 }
 
 } // namespace

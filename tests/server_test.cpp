@@ -22,6 +22,7 @@
 #include "server/Client.h"
 #include "server/Server.h"
 
+#include "arch/AArch64.h"
 #include "cache/BatchDriver.h"
 #include "cache/Scrub.h"
 #include "cache/SideCondCache.h"
@@ -643,6 +644,33 @@ TEST(ServerTest, FreshThenWarmBitIdenticalAndMatchesDirectDriver) {
   ASSERT_TRUE(R.front().Ok) << R.front().Error;
   EXPECT_EQ(cache::TraceCache::serializeEntry(R.front().Key, R.front().Entry),
             First.EntryText);
+}
+
+TEST(ServerTest, FreshTraceLeavesTheSideCondStoreAlone) {
+  // b.eq on an unconstrained PSTATE.Z: the executor prunes both sides of
+  // the fork with its own solver.  The daemon's side-condition store
+  // serves study proofs only, so a fresh trace neither reads nor publishes
+  // there.
+  TempDir D;
+  server::Server S(baseConfig(D));
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  server::Client C;
+  ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
+
+  server::TraceRequest T;
+  T.Arch = "aarch64";
+  T.Opcode = arch::aarch64::enc::bcond(arch::aarch64::Cond::EQ, 8);
+  server::Client::TraceResult R;
+  ASSERT_TRUE(C.runTrace(T, R, Err)) << Err;
+  ASSERT_TRUE(R.Ok) << R.Done.Error;
+  EXPECT_EQ(R.Done.Source, "fresh");
+  cache::SideCondStats SS = S.sideCondStore()->stats();
+  EXPECT_EQ(SS.Misses, 0u);
+  EXPECT_EQ(SS.Hits + SS.DiskHits, 0u);
+  EXPECT_EQ(SS.Insertions, 0u);
+  S.requestShutdown();
+  S.wait();
 }
 
 TEST(ServerTest, CaseStudyStreamsRowsOverTheWire) {

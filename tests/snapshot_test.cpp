@@ -4,8 +4,8 @@
 // recorded from the original per-path re-executing engine and that pass
 // the §5 validator, while restoring shared prefixes from checkpoints
 // instead of re-executing them; plus the purity classification and
-// pure-helper summary memo that ride on it, and the persistent
-// side-condition store wired into the executor's pruning queries.
+// pure-helper summary memo that ride on it, and the rule that trace
+// generation leaves the side-condition store to the proof engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -430,42 +430,41 @@ TEST(HelperMemoTest, RepeatedPureCallsHitTheMemo) {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistent side-condition store wired into branch pruning.
+// The side-condition store serves proofs alone.
 //===----------------------------------------------------------------------===//
 
-TEST(ExecutorSideCondTest, SecondRunAnswersPruningFromStore) {
-  // In-memory store shared by two fresh (builder, executor) pairs — the
-  // shape of two batch jobs or two processes sharing a cache dir.
+TEST(TraceStoreIsolationTest, TraceGenerationLeavesTheSideCondStoreAlone) {
+  // b.eq on an unconstrained PSTATE.Z forks, so the executor prunes both
+  // sides with its solver.  Those checks stay inside the executor's own
+  // smt::Solver: a trace depends only on the model, the opcode and the
+  // assumptions, never on what a shared store holds.
+  namespace e = arch::aarch64::enc;
   cache::SideCondStore Store{cache::SideCondConfig()};
+  frontend::Verifier V(frontend::aarch64(), {nullptr, &Store, {}});
+  V.addCode({{0x1000, e::bcond(arch::aarch64::Cond::EQ, 8)},
+             {0x1004, e::addImm(0, 0, 1)},
+             {0x1008, e::ret()}});
+  std::string Err;
+  ASSERT_TRUE(V.generateTraces(Err)) << Err;
+  ASSERT_EQ(V.genStats().Executed, 3u);
+  cache::SideCondStats S = Store.stats();
+  EXPECT_EQ(S.Hits + S.DiskHits + S.Misses, 0u); // no lookups
+  EXPECT_EQ(S.Misses, 0u);
+  EXPECT_EQ(S.Insertions, 0u);
 
-  OpcodeSpec Beq = OpcodeSpec::concrete(0x54000000u | (0x7fff0u << 5));
-
-  smt::TermBuilder TB1;
-  Executor E1(models::aarch64Model(), TB1);
-  E1.setSolverCache(&Store);
-  ExecResult R1 = E1.run(Beq, Assumptions());
-  ASSERT_TRUE(R1.Ok) << R1.Error;
-  ASSERT_GT(R1.Stats.SolverQueries, 0u);
-  EXPECT_EQ(R1.Stats.SolverStoreHits, 0u); // cold store
-
-  smt::TermBuilder TB2;
-  Executor E2(models::aarch64Model(), TB2);
-  E2.setSolverCache(&Store);
-  ExecResult R2 = E2.run(Beq, Assumptions());
-  ASSERT_TRUE(R2.Ok) << R2.Error;
-  EXPECT_GT(R2.Stats.SolverStoreHits, 0u);
-  EXPECT_EQ(R1.Trace.toString(), R2.Trace.toString());
-
-  // The salted view keys the same queries differently, so a different
-  // model's fingerprint can never serve these entries.
-  cache::Fingerprint OtherSalt;
-  OtherSalt.Lo = 0x1234;
-  cache::SaltedSolverCache Salted(Store, OtherSalt);
-  smt::TermBuilder TB3;
-  Executor E3(models::aarch64Model(), TB3);
-  E3.setSolverCache(&Salted);
-  ExecResult R3 = E3.run(Beq, Assumptions());
-  ASSERT_TRUE(R3.Ok) << R3.Error;
-  EXPECT_EQ(R3.Stats.SolverStoreHits, 0u);
-  EXPECT_EQ(R3.Trace.toString(), R1.Trace.toString());
+  // The proof engine is the store's one reader: proving a spec over both
+  // arms of the branch looks its side conditions up.
+  seplogic::Spec Post = V.makeSpec("post");
+  Post.reg(Reg("R0"), Post.evar(64, "v"));
+  seplogic::Spec Entry = V.makeSpec("entry");
+  const smt::Term *X = Entry.evar(64, "x");
+  const smt::Term *R = Entry.evar(64, "r");
+  Entry.reg(Reg("R0"), X)
+      .reg(Reg("R30"), R)
+      .reg(Reg("PSTATE", "Z"), Entry.evar(1, "z"))
+      .instrPre(R, &Post, {});
+  V.engine().registerSpec(0x1000, &Entry);
+  ASSERT_TRUE(V.engine().verifyAll()) << V.engine().error();
+  S = Store.stats();
+  EXPECT_GT(S.Hits + S.DiskHits + S.Misses, 0u);
 }

@@ -11,10 +11,14 @@
 // entries, reaps stale temp files, and (with --max-bytes) evicts
 // least-recently-used entries until the store fits.
 //
-// `gc` retires store generations: every model fingerprint outside the N
-// most recently touched (default 2) has its manifest's entries deleted —
-// the entries minted against retired model text that lookups can never hit
-// again.  Also applied to both stores.
+// `gc` retires trace-store generations: every model fingerprint outside
+// the N most recently touched (default 2) has its manifest's entries
+// deleted — the entries minted against retired model text that lookups can
+// never hit again.  The side-condition store has no generations: its keys
+// are model-independent goal closures.  Model-salted entries that older
+// versions published there for the executor's pruning checks are never
+// looked up again; `scrub --max-bytes` reclaims them as least recently
+// used.
 //
 // Exit codes: 0 = clean, 1 = scrub found corruption (quarantined), 2 = bad
 // usage or the pass itself failed.
@@ -128,12 +132,7 @@ static int runGc(int Argc, char **Argv) {
   O.DryRun = DryRun;
 
   O.Dir = Dir;
-  cache::GenerationGcReport Traces = cache::gcGenerations(O);
-  printGcReport("trace store", Traces);
-
-  O.Dir = Dir + "/sidecond";
-  cache::GenerationGcReport SideCond = cache::gcGenerations(O);
-  printGcReport("sidecond store", SideCond);
+  printGcReport("trace store", cache::gcGenerations(O));
   return 0;
 }
 
