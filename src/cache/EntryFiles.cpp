@@ -5,6 +5,7 @@
 #include "cache/Scrub.h" // scrubOnOpen
 #include "support/FaultInjector.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
@@ -274,9 +275,10 @@ void EntryFiles::discard(const Fingerprint &K, const std::string &Why) {
 
 void EntryFiles::quarantine(const std::string &Path, support::ErrorCode Code,
                             const std::string &Why) {
-  // Treat as a miss AND displace the file: publish() is first-writer-wins,
-  // so leaving the corpse in place would shadow every future rewrite of
-  // this key.  The corpse moves to dir()/quarantine/ for post-mortem.
+  // Treat as a miss AND displace the file: trace entries are
+  // first-writer-wins, so leaving the corpse in place would shadow every
+  // future rewrite of this key.  The corpse moves to dir()/quarantine/ for
+  // post-mortem.
   bool Freed = quarantineFile(Dir, Path);
   std::lock_guard<std::mutex> L(Mu);
   Quarantined += Freed;
@@ -285,6 +287,15 @@ void EntryFiles::quarantine(const std::string &Path, support::ErrorCode Code,
 }
 
 bool EntryFiles::publish(const Fingerprint &K, const std::string &Payload) {
+  return write(K, Payload, /*Replace=*/false);
+}
+
+bool EntryFiles::replace(const Fingerprint &K, const std::string &Payload) {
+  return write(K, Payload, /*Replace=*/true);
+}
+
+bool EntryFiles::write(const Fingerprint &K, const std::string &Payload,
+                       bool Replace) {
   if (disabled())
     return false; // degraded mode: serve from memory, stop hammering disk
   std::error_code EC;
@@ -294,10 +305,10 @@ bool EntryFiles::publish(const Fingerprint &K, const std::string &Payload) {
     noteWriteFailure(Path);
     return false;
   }
-  if (fs::exists(Path, EC))
+  if (!Replace && fs::exists(Path, EC))
     return false; // entries are immutable: first writer wins
   // Write-to-temp + rename keeps concurrent writers from exposing partial
-  // files; racing writers produce identical content anyway.
+  // files: a reader sees the old file or the new one, never a mix.
   if (!atomicWriteFile(Path, wrapDurableEntry(Payload))) {
     noteWriteFailure(Path);
     return false;
@@ -397,7 +408,12 @@ support::ErrorCode islaris::cache::verifyEntryFile(const StoreFile &F,
     Why = "corrupt";
     return envelopeErrorCode(V);
   }
-  if (Payload.find(F.Stem) == std::string::npos) {
+  // Both stores open their payload with "(<magic> <version> <keyhex>".
+  std::string_view Header(Payload.data(),
+                          std::min(Payload.find('\n'), Payload.size()));
+  size_t KeyAt = Header.find(' ', Header.find(' ') + 1);
+  if (KeyAt == std::string_view::npos ||
+      Header.substr(KeyAt + 1, F.Stem.size()) != F.Stem) {
     Why = "misnamed";
     return support::ErrorCode::CorruptCacheEntry;
   }

@@ -9,16 +9,19 @@
 /// SideCondStore keep only their in-memory maps and entry (de)serialization;
 /// everything about entry *files* lives here, once:
 ///
-///   - the layout: one file per fingerprint, sharded into 256 fan-out
+///   - the layout: one file per fingerprint (a trace entry, or a proof
+///     bundle of side-condition answers), sharded into 256 fan-out
 ///     subdirectories on the leading fingerprint byte, <dir>/<hex[0:2]>/<hex>
 ///     plus the store's extension;
 ///   - the durability envelope, verified before any payload byte reaches a
 ///     parser:  (islaris-entry <version> <fnv64-hex> <payload-size>)\n<payload>
-///     Both stores embed the full key in their payload header and check
-///     it on read;
+///     Both stores open their payload with "(<magic> <version> <keyhex>"
+///     and check the key on read;
 ///   - quarantine: a file that fails verification is a miss, moves to
 ///     <dir>/quarantine/ and yields one bounded Diag, which frees the path
-///     so first-writer-wins republication heals the entry;
+///     so republication heals the entry;
+///   - publishing: trace entries are first-writer-wins, bundles are
+///     replaced; both by atomic rename, so readers never see a mix;
 ///   - the degraded-mode switch, the disk counters and scrub-on-open;
 ///   - the walk the offline passes (cache/Scrub) use, so they agree with
 ///     readers on what a live entry is.
@@ -123,9 +126,12 @@ public:
   void discard(const Fingerprint &K, const std::string &Why);
 
   /// Publishes \p Payload, enveloped, as \p K's entry unless the file
-  /// already exists (entries are immutable: first writer wins).  Returns
-  /// true when this call wrote the file.
+  /// already exists (trace entries are immutable: first writer wins).
+  /// Returns true when this call wrote the file.
   bool publish(const Fingerprint &K, const std::string &Payload);
+  /// Publishes \p Payload as \p K's entry, atomically replacing any file
+  /// already there (proof bundles: last writer wins).
+  bool replace(const Fingerprint &K, const std::string &Payload);
 
   /// Degraded-mode switch: while disabled, read() and publish() never touch
   /// the disk (see TraceCache::setDiskDisabled).
@@ -145,6 +151,7 @@ public:
   }
 
 private:
+  bool write(const Fingerprint &K, const std::string &Payload, bool Replace);
   void quarantine(const std::string &Path, support::ErrorCode Code,
                   const std::string &Why);
   void noteWriteFailure(const std::string &Path);

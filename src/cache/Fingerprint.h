@@ -18,9 +18,7 @@
 ///   - the ExecOptions knobs, and
 ///   - a fingerprint of the mini-Sail model source.
 ///
-/// The hasher is a small self-contained two-lane FNV-1a variant with a
-/// murmur-style final avalanche — no external dependencies, deterministic
-/// across platforms and runs (it never hashes pointers or addresses).
+/// The hash itself is support::Fingerprinter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,57 +26,16 @@
 #define ISLARIS_CACHE_FINGERPRINT_H
 
 #include "isla/Executor.h"
+#include "support/Fingerprint.h"
 
 #include <cstdint>
 #include <string>
 
 namespace islaris::cache {
 
-/// A 128-bit content fingerprint.
-struct Fingerprint {
-  uint64_t Hi = 0;
-  uint64_t Lo = 0;
-
-  bool operator==(const Fingerprint &O) const {
-    return Hi == O.Hi && Lo == O.Lo;
-  }
-  bool operator!=(const Fingerprint &O) const { return !(*this == O); }
-  bool operator<(const Fingerprint &O) const {
-    return Hi != O.Hi ? Hi < O.Hi : Lo < O.Lo;
-  }
-
-  /// 32 lowercase hex characters (filename-safe).
-  std::string toHex() const;
-  /// Parses the toHex() form; false on malformed input.
-  static bool fromHex(const std::string &Text, Fingerprint &Out);
-};
-
-struct FingerprintHash {
-  size_t operator()(const Fingerprint &F) const {
-    return size_t(F.Hi ^ (F.Lo * 0x9e3779b97f4a7c15ull));
-  }
-};
-
-/// Incremental hasher producing a Fingerprint.  All inputs are
-/// length-prefixed, so adjacent fields cannot alias ("ab"+"c" != "a"+"bc").
-class Fingerprinter {
-public:
-  Fingerprinter &bytes(const void *Data, size_t N);
-  Fingerprinter &str(const std::string &S);
-  Fingerprinter &u64(uint64_t V);
-  Fingerprinter &u32(uint32_t V) { return u64(V); }
-  Fingerprinter &boolean(bool V) { return u64(V ? 1 : 0); }
-  Fingerprinter &bitvec(const BitVec &V);
-
-  /// Finalizes (avalanche mix).  The hasher may keep absorbing afterwards;
-  /// digest() is a pure function of everything absorbed so far.
-  Fingerprint digest() const;
-
-private:
-  uint64_t H1 = 0xcbf29ce484222325ull; // FNV-1a offset basis
-  uint64_t H2 = 0x84222325cbf29ce4ull; // rotated basis for the second lane
-  uint64_t Len = 0;
-};
+using support::Fingerprint;
+using support::FingerprintHash;
+using support::Fingerprinter;
 
 /// Fingerprint of a resolved mini-Sail model, derived from its printed
 /// source (sail::printModel), memoized by model identity.  Thread-safe.

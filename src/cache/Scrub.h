@@ -18,9 +18,9 @@
 ///     eviction is always safe).
 ///
 /// Exposed as a library call for tests and as the `cachectl` mini-tool for
-/// operators.  Scrubbing a live store is safe: entry publishing is
-/// first-writer-wins atomic-rename, so the worst interleaving costs a
-/// recomputation, never a wrong hit.
+/// operators.  Scrubbing a live store is safe: entries are published by
+/// atomic rename and every side-condition answer is checked against its own
+/// key, so the worst interleaving costs a recomputation, never a wrong hit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,9 +70,9 @@ ScrubReport scrubStore(const ScrubOptions &O);
 // in use again — a crash from here leaves it absent) and, when the marker
 // is MISSING, runs a quick scrub first: reap stale writer temps and
 // spot-check a bounded sample of entry envelopes, quarantining corruption
-// before the first read can trip over it.  Entry publishing is atomic
-// first-writer-wins, so an unclean shutdown can only leave temps and torn
-// files — exactly what the quick pass looks for.
+// before the first read can trip over it.  Entry publishing is by atomic
+// rename, so an unclean shutdown can only leave temps and torn files —
+// exactly what the quick pass looks for.
 //===----------------------------------------------------------------------===//
 
 /// Marker file name inside a store directory.

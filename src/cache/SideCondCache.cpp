@@ -3,10 +3,10 @@
 #include "cache/SideCondCache.h"
 
 #include "cache/TraceCache.h"  // resolveCacheDir
-#include "itl/Parser.h"
 #include "support/Parse.h"
 
 #include <sstream>
+#include <string_view>
 
 using namespace islaris;
 using namespace islaris::cache;
@@ -19,80 +19,94 @@ SideCondStore::SideCondStore(SideCondConfig C)
     Files.scrubIfUnclean();
 }
 
-Fingerprint SideCondStore::key(const std::string &Closure) const {
-  Fingerprinter FP;
-  FP.str("islaris-sidecond");
-  FP.str(Closure);
-  // Two fixed zero words keep keys byte-identical to stores persisted while
-  // this slot held a per-store salt (SideCondTest.KeyIsPinned).
-  FP.u64(0);
-  FP.u64(0);
-  return FP.digest();
-}
-
 //===----------------------------------------------------------------------===//
 // Serialization.
 //===----------------------------------------------------------------------===//
 
-std::string SideCondStore::serializeEntry(const Fingerprint &K,
-                                          const CachedResult &R) {
+std::string SideCondStore::serializeBundle(const Fingerprint &K,
+                                           const Answers &A) {
   std::ostringstream OS;
-  OS << "(islaris-sidecond-cache 1 " << K.toHex() << " (result "
-     << (R.Sat ? "sat" : "unsat") << ") (model";
-  for (const auto &[Name, Width, Bits] : R.Model)
-    OS << " (|" << Name << "| " << Width << " " << Bits.toString() << ")";
-  OS << "))\n";
+  OS << "(islaris-sidecond-bundle 1 " << K.toHex() << ")\n";
+  for (const auto &[GK, R] : A) {
+    OS << "(answer " << GK.toHex() << (R.Sat ? " sat" : " unsat")
+       << " (model";
+    for (const auto &[Name, Width, Bits] : R.Model)
+      OS << " (|" << Name << "| " << Width << " " << Bits.toString() << ")";
+    OS << "))\n";
+  }
   return OS.str();
 }
 
-bool SideCondStore::parseEntry(const std::string &Text, const Fingerprint &K,
-                               CachedResult &Out, std::string &Err) {
-  itl::SExprParser P(Text);
-  auto Header = P.parse();
-  if (!Header) {
-    Err = "bad side-condition entry: " + P.error();
+namespace {
+/// A cursor over a bundle payload.  Bundles are read on every warm proof,
+/// so they are parsed in place rather than through a general S-expression
+/// tree; every step is bounds-checked, since the bytes are untrusted.
+struct Cursor {
+  std::string_view S;
+  size_t P = 0;
+
+  bool atEnd() const { return P == S.size(); }
+  /// Consumes \p L if the input continues with it.
+  bool lit(std::string_view L) {
+    if (S.substr(P, L.size()) != L)
+      return false;
+    P += L.size();
+    return true;
+  }
+  /// Consumes the text up to the next \p C (not \p C itself).
+  bool until(char C, std::string_view &Out) {
+    size_t E = S.find(C, P);
+    if (E == std::string_view::npos)
+      return false;
+    Out = S.substr(P, E - P);
+    P = E;
+    return true;
+  }
+  bool key(Fingerprint &K) {
+    if (!Fingerprint::fromHex(S.substr(P, 32), K))
+      return false;
+    P += 32;
+    return true;
+  }
+};
+
+/// One "(answer <key> sat|unsat (model ...))" line of a bundle.
+bool parseAnswer(Cursor &C, Fingerprint &Key,
+                 smt::SolverCache::CachedResult &Out, std::string &Err) {
+  if (!C.lit("(answer ") || !C.key(Key)) {
+    Err = "bad answer clause";
     return false;
   }
-  const std::vector<itl::SExpr> &L = Header->List;
-  if (Header->isAtom() || L.size() != 5 ||
-      L[0].Atom != "islaris-sidecond-cache" || L[1].Atom != "1") {
-    Err = "unrecognized side-condition entry header/version";
+  if (C.lit(" sat")) {
+    Out.Sat = true;
+  } else if (C.lit(" unsat")) {
+    Out.Sat = false;
+  } else {
+    Err = "bad answer verdict";
     return false;
   }
-  Fingerprint FileKey;
-  if (!Fingerprint::fromHex(L[2].Atom, FileKey) || FileKey != K) {
-    Err = "side-condition entry key mismatch";
-    return false;
-  }
-  if (L[3].isAtom() || L[3].List.size() != 2 ||
-      L[3].List[0].Atom != "result" ||
-      (L[3].List[1].Atom != "sat" && L[3].List[1].Atom != "unsat")) {
-    Err = "bad result clause";
-    return false;
-  }
-  Out.Sat = L[3].List[1].Atom == "sat";
-  if (L[4].isAtom() || L[4].List.empty() || L[4].List[0].Atom != "model") {
+  if (!C.lit(" (model")) {
     Err = "bad model clause";
     return false;
   }
   Out.Model.clear();
-  for (size_t I = 1; I < L[4].List.size(); ++I) {
-    const itl::SExpr &V = L[4].List[I];
-    if (V.isAtom() || V.List.size() != 3 || !V.List[0].isAtom() ||
-        !V.List[1].isAtom() || !V.List[2].isAtom()) {
+  while (C.lit(" (|")) {
+    std::string_view Name, WidthText, BitsText;
+    if (!C.until('|', Name) || !C.lit("| ") || !C.until(' ', WidthText) ||
+        !C.lit(" ") || !C.until(')', BitsText) || !C.lit(")")) {
       Err = "bad model binding";
       return false;
     }
     BitVec Bits;
-    if (!BitVec::fromString(V.List[2].Atom, Bits)) {
+    if (!BitVec::fromString(std::string(BitsText), Bits)) {
       Err = "bad model value";
       return false;
     }
     // Untrusted number: reject non-numeric/negative/oversized atoms with a
     // parse error (-> miss + quarantine) instead of throwing or wrapping.
     unsigned Width = 0;
-    if (!support::parseUnsigned(V.List[1].Atom, 1u << 16, Width)) {
-      Err = "bad model binding width '" + V.List[1].Atom + "'";
+    if (!support::parseUnsigned(WidthText, 1u << 16, Width)) {
+      Err = "bad model binding width '" + std::string(WidthText) + "'";
       return false;
     }
     // A declared width 0 marks a boolean (stored as one bit); otherwise the
@@ -101,60 +115,174 @@ bool SideCondStore::parseEntry(const std::string &Text, const Fingerprint &K,
       Err = "model value width mismatch";
       return false;
     }
-    Out.Model.emplace_back(itl::stripBars(V.List[0].Atom), Width,
-                           std::move(Bits));
+    Out.Model.emplace_back(std::string(Name), Width, std::move(Bits));
+  }
+  if (!C.lit("))\n")) {
+    Err = "bad answer clause";
+    return false;
+  }
+  return true;
+}
+} // namespace
+
+bool SideCondStore::parseBundle(const std::string &Text, const Fingerprint &K,
+                                Answers &Out, std::string &Err) {
+  Cursor C{Text};
+  Fingerprint FileKey;
+  if (!C.lit("(islaris-sidecond-bundle 1 ") || !C.key(FileKey) ||
+      !C.lit(")\n")) {
+    Err = "unrecognized side-condition bundle header/version";
+    return false;
+  }
+  if (FileKey != K) {
+    Err = "side-condition bundle key mismatch";
+    return false;
+  }
+  Out.clear();
+  while (!C.atEnd()) {
+    Fingerprint GK;
+    CachedResult R;
+    if (!parseAnswer(C, GK, R, Err))
+      return false;
+    Out.insert_or_assign(GK, std::move(R));
   }
   return true;
 }
 
 //===----------------------------------------------------------------------===//
-// Store interface.
+// Bundles.
 //===----------------------------------------------------------------------===//
 
-std::optional<smt::SolverCache::CachedResult>
-SideCondStore::lookup(const std::string &Closure) {
-  Fingerprint K = key(Closure);
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    auto It = Map.find(K);
-    if (It != Map.end()) {
-      ++St.Hits;
-      return It->second;
+/// The answers one proof engine used.  Persistent stores read the bundle
+/// file at the first lookup and republish it from publish() when some
+/// lookup was not served by the bundle as read; in-memory stores only
+/// forward to the shared map.
+class SideCondStore::Bundle final : public smt::SolverCache::Bundle {
+public:
+  Bundle(SideCondStore &S, const Fingerprint &Key) : S(S), Key(Key) {}
+
+  bool lookup(const Fingerprint &GK, const std::vector<const smt::Term *> &,
+              const Install &I) override {
+    bool Persist = S.Cfg.Persist;
+    if (Persist && !Loaded) {
+      Loaded = true;
+      S.load(Key, Read);
     }
-  }
-  std::string Payload, Err;
-  CachedResult R;
-  if (Cfg.Persist && Files.read(K, Payload)) {
-    if (parseEntry(Payload, K, R, Err)) {
-      std::lock_guard<std::mutex> L(Mu);
-      ++St.DiskHits;
-      if (Map.size() < Cfg.MaxEntries)
-        Map.emplace(K, R); // promote into memory
-      return R;
+    CachedResult R;
+    if (!S.serve(GK, Read, I, R)) {
+      Dirty |= Persist;
+      return false;
     }
-    Files.discard(K, Err);
+    if (Persist)
+      use(GK, std::move(R));
+    return true;
   }
-  std::lock_guard<std::mutex> L(Mu);
-  ++St.Misses;
-  return std::nullopt;
+
+  void store(const Fingerprint &GK, const CachedResult &R) override {
+    S.insert(GK, R);
+    if (S.Cfg.Persist)
+      use(GK, R);
+  }
+
+  void publish() override {
+    if (!Dirty)
+      return;
+    Dirty = false;
+    // Replace, not first-writer-wins: the answers inside are content-keyed,
+    // so whichever writer lands last leaves a bundle that can only hit or
+    // miss, and a stale bundle must be overwritten to heal.
+    if (S.Files.replace(Key, serializeBundle(Key, Used)))
+      Read = Used;
+  }
+
+private:
+  /// Records that the proof used \p R for \p GK.
+  void use(const Fingerprint &GK, CachedResult R) {
+    auto It = Read.find(GK);
+    if (It == Read.end() || !(It->second == R))
+      Dirty = true;
+    Used.insert_or_assign(GK, std::move(R));
+  }
+
+  SideCondStore &S;
+  Fingerprint Key;
+  bool Loaded = false;
+  bool Dirty = false; ///< Some lookup was not served by Read.
+  Answers Read;       ///< The bundle file as last read or written.
+  Answers Used;       ///< Every answer this proof search used.
+};
+
+std::unique_ptr<smt::SolverCache::Bundle>
+SideCondStore::openBundle(const Fingerprint &Key) {
+  return std::make_unique<Bundle>(*this, Key);
 }
 
-void SideCondStore::store(const std::string &Closure,
-                          const CachedResult &R) {
-  Fingerprint K = key(Closure);
-  bool New = false;
+//===----------------------------------------------------------------------===//
+// The shared in-memory map.
+//===----------------------------------------------------------------------===//
+
+void SideCondStore::load(const Fingerprint &K, Answers &Out) {
+  std::string Payload, Err;
+  if (!Files.read(K, Payload))
+    return;
+  if (!parseBundle(Payload, K, Out, Err)) {
+    Out.clear();
+    Files.discard(K, Err);
+    return;
+  }
+  std::lock_guard<std::mutex> L(Mu);
+  for (const auto &[GK, R] : Out)
+    if (Map.size() < Cfg.MaxEntries)
+      Map.try_emplace(GK, Slot{R, true});
+}
+
+bool SideCondStore::serve(const Fingerprint &Key, const Answers &Loaded,
+                          const Install &I, CachedResult &Served) {
+  bool Found = false;
   {
     std::lock_guard<std::mutex> L(Mu);
-    if (Map.size() < Cfg.MaxEntries || Map.count(K)) {
-      New = Map.emplace(K, R).second;
-      if (New)
-        ++St.Insertions;
-    } else {
-      New = true; // over the memory bound; disk still gets the entry
+    auto It = Map.find(Key);
+    if (It != Map.end()) {
+      Served = It->second.R;
+      Found = true;
     }
   }
-  if (New && Cfg.Persist)
-    Files.publish(K, serializeEntry(K, R));
+  if (!Found) {
+    // A bundle answer the memory bound kept out of the map.
+    auto It = Loaded.find(Key);
+    if (It != Loaded.end()) {
+      Served = It->second;
+      Found = true;
+    }
+  }
+  // Installing evaluates the goals: done outside the lock.
+  bool Accepted = Found && I(Served);
+  std::lock_guard<std::mutex> L(Mu);
+  auto It = Map.find(Key);
+  bool InMap = It != Map.end() && It->second.R == Served;
+  if (!Accepted) {
+    if (Found) {
+      ++St.Rejected;
+      if (InMap)
+        Map.erase(It); // a wrong answer: let the solved one replace it
+    }
+    ++St.Misses;
+    return false;
+  }
+  if (!InMap || It->second.OffDisk) {
+    ++St.DiskHits;
+    if (InMap)
+      It->second.OffDisk = false;
+  } else {
+    ++St.Hits;
+  }
+  return true;
+}
+
+void SideCondStore::insert(const Fingerprint &Key, const CachedResult &R) {
+  std::lock_guard<std::mutex> L(Mu);
+  if (Map.size() < Cfg.MaxEntries && Map.try_emplace(Key, Slot{R}).second)
+    ++St.Insertions;
 }
 
 void SideCondStore::clearMemory() {

@@ -5,28 +5,40 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cross-run half of the side-condition solver cache: a
-/// content-addressed store of SMT check() results, implementing the
-/// smt::SolverCache interface so warm re-verification skips SAT entirely.
+/// The cross-run half of the side-condition solver cache: a store of SMT
+/// check() results, implementing the smt::SolverCache interface so warm
+/// re-verification skips SAT entirely.
 ///
-/// Keys are 128-bit fingerprints over the solver's canonical *printed* goal
-/// closure (sorted goals plus sorted free-variable declarations — see
-/// Solver::printGoalClosure).  The printed form is builder-independent, so
-/// a key matches across TermBuilders, processes, and runs.  A closure is a
+/// Answers are keyed by the solver's goal-set digest (Solver::goalSetKey):
+/// a structural digest of the hash-consed goals plus the (name, width)
+/// declarations of their free variables, builder-independent, so a key
+/// matches across TermBuilders, processes, and runs.  A goal set is a
 /// self-contained formula whose verdict does not depend on any ISA model,
-/// so keys carry no model salt.  The store's one reader is the proof
-/// engine (frontend::Verifier::engine); trace generation never consults it,
-/// so a trace depends only on the model, the opcode and the assumptions.
-/// Queries whose printed form would be ambiguous (duplicate variable names)
-/// never reach this store.
+/// so keys carry no model salt.  The store's one reader is the proof engine
+/// (frontend::Verifier::engine); trace generation never consults it, so a
+/// trace depends only on the model, the opcode and the assumptions.  Goal
+/// sets with ambiguous variable names never reach this store.
 ///
-/// Entries record the Sat/Unsat verdict and, for Sat, a full model of the
-/// closure's variables by (name, width, value), so a hit restores
-/// modelValue() behavior identical to a cold solve.  Entry files go through
-/// cache::EntryFiles like the trace cache's: one file per entry under a
-/// directory (default resolveCacheDir() + "/sidecond"), sharded, enveloped,
-/// written atomically, first writer wins, corrupt entries degrade to
-/// quarantined misses.
+/// Answers record the Sat/Unsat verdict and, for Sat, a full model of the
+/// goal set's variables by (name, width, value), so a hit restores
+/// modelValue() behavior identical to a cold solve.  The solver checks a
+/// stored Sat model with the Evaluator before installing it; a refused
+/// answer is dropped from memory and counted (SideCondStats::Rejected).
+///
+/// On disk, answers live in *proof bundles*: one cache::EntryFiles entry per
+/// proof search, named by a bundle key (the program's trace-cache keys and
+/// the registered specs' addresses and names, see ProofEngine).  Lithium's
+/// proof search is deterministic (§4.3), so a re-run asks for the answers
+/// its last run used: a bundle is read once, at its first lookup, and its
+/// answers go into the shared in-memory map, where every solver of the
+/// process finds them.  When proof search ends the bundle is republished
+/// with exactly the answers it used, replacing the file by atomic rename,
+/// if any lookup was not served from the bundle as read.  The bundle key
+/// is only a hint: every answer inside stays keyed by its own goal-set
+/// digest, so a stale bundle (a spec edited under the same names) or one
+/// from a racing writer can only cause misses, never a wrong verdict, and
+/// last writer wins safely.  A torn bundle is a quarantined miss.
+/// In-memory stores (Persist off) keep only the per-goal map.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,37 +50,42 @@
 #include "smt/Solver.h"
 #include "support/Diag.h"
 
+#include <map>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 namespace islaris::cache {
 
-/// Counters of store behavior, surfaced through bench_fig12.
+/// Counters of store behavior, surfaced through bench_fig12.  Lookups are
+/// counted per goal set; the disk counters count bundle files.
 struct SideCondStats {
-  uint64_t Hits = 0;       ///< In-memory lookups that found an entry.
-  uint64_t DiskHits = 0;   ///< Memory misses satisfied from disk.
-  uint64_t Misses = 0;     ///< Lookups satisfied nowhere.
-  uint64_t Insertions = 0; ///< store() calls that added a new entry.
-  uint64_t DiskWrites = 0; ///< Entry files written.
-  /// Corrupt on-disk entries displaced on read (self-repair; see
+  uint64_t Hits = 0;       ///< Lookups served from memory.
+  /// Lookups served by an answer read off disk, the first time it serves.
+  uint64_t DiskHits = 0;
+  uint64_t Misses = 0;     ///< Lookups served nowhere (or refused).
+  uint64_t Insertions = 0; ///< store() calls that added a new answer.
+  uint64_t DiskWrites = 0; ///< Bundle files written.
+  /// Served answers the solver refused (a Sat model that failed the
+  /// Evaluator check); each is dropped and also counted as a miss.
+  uint64_t Rejected = 0;
+  /// Corrupt on-disk bundles displaced on read (self-repair; see
   /// CacheStats::CorruptRemoved).
   uint64_t CorruptRemoved = 0;
-  /// Corrupt entries preserved under dir()/quarantine/ (a subset of
+  /// Corrupt bundles preserved under dir()/quarantine/ (a subset of
   /// CorruptRemoved).
   uint64_t Quarantined = 0;
-  /// Entry publishes that failed (see CacheStats::WriteFailures; islarisd's
-  /// degraded-mode detector watches both stores).
+  /// Bundle publishes that failed (see CacheStats::WriteFailures;
+  /// islarisd's degraded-mode detector watches both stores).
   uint64_t WriteFailures = 0;
 };
 
 struct SideCondConfig {
-  /// Bound on in-memory entries (entries are small: a verdict plus a few
-  /// model values).  Past the bound new results are still written to disk
-  /// (when persistent) but not kept in memory.
+  /// Bound on in-memory answers (answers are small: a verdict plus a few
+  /// model values).  Past the bound new answers still reach their bundles
+  /// (when persistent) but are not kept in the shared map.
   size_t MaxEntries = 1 << 16;
-  /// Also read/write entries under dir() (one file per fingerprint).
+  /// Also read/write proof bundles under dir().
   bool Persist = false;
   /// Store directory; empty means resolveCacheDir() + "/sidecond".
   std::string Dir;
@@ -77,10 +94,9 @@ struct SideCondConfig {
   bool ScrubOnOpen = false;
 };
 
-/// Thread-safe content-addressed store of side-condition results.  One
-/// instance is shared by every solver of a run (frontend::RunContext hands
-/// it to each Verifier); all state sits behind one mutex, disk I/O happens
-/// outside it.
+/// Thread-safe store of side-condition answers.  One instance is shared by
+/// every proof engine of a run (frontend::RunContext hands it to each
+/// Verifier); all state sits behind one mutex, disk I/O happens outside it.
 class SideCondStore : public smt::SolverCache {
 public:
   explicit SideCondStore(SideCondConfig C = SideCondConfig());
@@ -88,10 +104,10 @@ public:
   SideCondStore(const SideCondStore &) = delete;
   SideCondStore &operator=(const SideCondStore &) = delete;
 
-  std::optional<CachedResult> lookup(const std::string &Closure) override;
-  void store(const std::string &Closure, const CachedResult &R) override;
+  std::unique_ptr<smt::SolverCache::Bundle>
+  openBundle(const Fingerprint &Key) override;
 
-  /// Drops all in-memory entries (disk files are kept).  Counters survive.
+  /// Drops all in-memory answers (disk files are kept).  Counters survive.
   /// Lets one process demonstrate a cold-disk warm start.
   void clearMemory();
 
@@ -108,24 +124,42 @@ public:
   /// drains); same contract as TraceCache::drainDiags.
   std::vector<support::Diag> drainDiags() { return Files.drainDiags(); }
 
-  /// The fingerprint \p Closure is stored under.
-  Fingerprint key(const std::string &Closure) const;
+  /// Answers by goal-set key, as a bundle holds them.
+  using Answers = std::map<Fingerprint, CachedResult>;
 
-  /// The on-disk entry format, one line:
-  ///   (islaris-sidecond-cache 1 <keyhex> (result sat|unsat)
-  ///    (model (|name| width #x..|#b..) ...))
-  static std::string serializeEntry(const Fingerprint &K,
-                                    const CachedResult &R);
-  /// Inverse of serializeEntry; checks the embedded key against \p K.
-  static bool parseEntry(const std::string &Text, const Fingerprint &K,
-                         CachedResult &Out, std::string &Err);
+  /// The on-disk bundle format: a header line, then one line per answer
+  /// in key order:
+  ///   (islaris-sidecond-bundle 1 <bundlekeyhex>)
+  ///   (answer <goalkeyhex> sat|unsat (model (|name| width #x..|#b..) ...))
+  static std::string serializeBundle(const Fingerprint &K, const Answers &A);
+  /// Inverse of serializeBundle; checks the embedded key against \p K.
+  static bool parseBundle(const std::string &Text, const Fingerprint &K,
+                          Answers &Out, std::string &Err);
 
 private:
+  class Bundle;
+
+  /// Reads bundle \p K into \p Out and installs its answers in the map
+  /// (those not already there, up to MaxEntries).  A torn or unparsable
+  /// bundle is quarantined and reads as empty.
+  void load(const Fingerprint &K, Answers &Out);
+  /// The answer for \p Key from the map, else from \p Loaded (a bundle's
+  /// answers that did not fit the map), offered to \p I and counted.
+  /// \p Served receives the accepted answer.
+  bool serve(const Fingerprint &Key, const Answers &Loaded, const Install &I,
+             CachedResult &Served);
+  void insert(const Fingerprint &Key, const CachedResult &R);
+
+  struct Slot {
+    CachedResult R;
+    bool OffDisk = false; ///< Read off disk and not yet served.
+  };
+
   SideCondConfig Cfg;
   EntryFiles Files;
 
   mutable std::mutex Mu;
-  std::unordered_map<Fingerprint, CachedResult, FingerprintHash> Map;
+  std::unordered_map<Fingerprint, Slot, FingerprintHash> Map;
   SideCondStats St;
 };
 

@@ -3,7 +3,6 @@
 #include "frontend/Verifier.h"
 
 #include "cache/BatchDriver.h"
-#include "cache/SideCondCache.h"
 #include "models/Models.h"
 
 #include <chrono>
@@ -108,6 +107,12 @@ bool Verifier::generateTraces(std::string &Err) {
   Gen.Retries += Driver.lastStats().Retries;
   Gen.Quarantined += Driver.lastStats().Failed;
 
+  support::Fingerprinter Program;
+  Program.str(Arch.Name).u64(Results.size());
+  for (size_t I = 0; I < Results.size(); ++I)
+    Program.u64(Addrs[I]).fingerprint(Results[I].Key);
+  ProgramKey = Program.digest();
+
   // Materialize results in address order into this verifier's builder.
   // Every path — fresh, deduped, or cached — round-trips through the
   // printed ITL form, so the three are bit-identical by construction and
@@ -192,7 +197,7 @@ seplogic::ProofEngine &Verifier::engine() {
     // "no instruction" diagnostic.
     Engine = std::make_unique<seplogic::ProofEngine>(TB, InstrPtrs,
                                                      Arch.PcName);
-    Engine->setSideCondCache(Ctx.SideCond);
+    Engine->setSideCondCache(Ctx.SideCond, ProgramKey);
     Engine->setLimits(Ctx.Limits);
   }
   return *Engine;

@@ -24,7 +24,6 @@
 
 namespace islaris::cache {
 class TraceCache;
-class SideCondStore;
 }
 
 namespace islaris::frontend {
@@ -37,7 +36,7 @@ namespace islaris::frontend {
 /// in one process.
 struct RunContext {
   cache::TraceCache *Cache = nullptr;
-  cache::SideCondStore *SideCond = nullptr;
+  smt::SolverCache *SideCond = nullptr; ///< A cache::SideCondStore.
   support::RunLimits Limits;
 };
 
@@ -163,6 +162,9 @@ private:
   std::map<uint64_t, const itl::Trace *> InstrPtrs;
   std::map<uint64_t, std::vector<const smt::Term *>> OpcodeVars;
   std::unique_ptr<seplogic::ProofEngine> Engine;
+  /// The arch name and every instruction's address and trace-cache key,
+  /// in address order: the program part of the proof-bundle key.
+  support::Fingerprint ProgramKey;
   GenStats Gen;
   RunContext Ctx;
   unsigned GenThreads = 1;

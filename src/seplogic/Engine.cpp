@@ -729,7 +729,46 @@ bool ProofEngine::applyContract(const Contract &Co, Ctx C, unsigned Budget) {
 // Entry points.
 //===----------------------------------------------------------------------===//
 
+void ProofEngine::setSideCondCache(smt::SolverCache *Store,
+                                   const support::Fingerprint &ProgramKey) {
+  SideCond = Store;
+  this->ProgramKey = ProgramKey;
+  Bundle.reset();
+  Solver.setCache(nullptr);
+}
+
+void ProofEngine::openBundle() {
+  if (!SideCond || Bundle)
+    return;
+  support::Fingerprinter FP;
+  FP.str("islaris-proof-bundle").fingerprint(ProgramKey);
+  FP.u64(Registered.size());
+  for (const auto &[Addr, S] : Registered)
+    FP.u64(Addr).str(S->name());
+  Bundle = SideCond->openBundle(FP.digest());
+  Solver.setCache(Bundle.get());
+}
+
+void ProofEngine::publishBundle() {
+  if (!Bundle)
+    return;
+  auto Start = std::chrono::steady_clock::now();
+  Bundle->publish();
+  double Secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count();
+  Stats.SideCondSeconds += Secs;
+  Stats.TotalSeconds += Secs;
+}
+
 bool ProofEngine::verifySpec(uint64_t Addr, const Spec *S) {
+  openBundle();
+  bool Ok = verifyOne(Addr, S);
+  publishBundle();
+  return Ok;
+}
+
+bool ProofEngine::verifyOne(uint64_t Addr, const Spec *S) {
   Error.clear();
   DiagV = support::Diag();
   GaveUp = false;
@@ -784,8 +823,13 @@ bool ProofEngine::verifySpec(uint64_t Addr, const Spec *S) {
 }
 
 bool ProofEngine::verifyAll() {
+  openBundle();
+  bool Ok = true;
   for (const auto &[Addr, S] : Registered)
-    if (!verifySpec(Addr, S))
-      return false;
-  return true;
+    if (!verifyOne(Addr, S)) {
+      Ok = false;
+      break;
+    }
+  publishBundle();
+  return Ok;
 }

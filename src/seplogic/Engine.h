@@ -101,10 +101,16 @@ public:
     Solver.setLimits(L, std::move(Token));
   }
 
-  /// Attaches a persistent side-condition store (shared, not owned) to the
-  /// engine's solver; every discharged query is looked up in / written back
-  /// to it.  See smt::Solver::setCache.
-  void setSideCondCache(smt::SolverCache *C) { Solver.setCache(C); }
+  /// Attaches a persistent side-condition store (shared, not owned).  The
+  /// first verifySpec/verifyAll opens the store's bundle for this proof
+  /// search, keyed by \p ProgramKey (the program's traces, see
+  /// frontend::Verifier) mixed with the registered specs' addresses and
+  /// names, and attaches it to the engine's solver (smt::Solver::setCache);
+  /// every verifySpec/verifyAll ends by publishing it.  Specs hold code
+  /// and lazy IO-spec nodes that no key can capture, so the bundle key is
+  /// a hint: every answer inside is checked against its own goal-set key.
+  void setSideCondCache(smt::SolverCache *Store,
+                        const support::Fingerprint &ProgramKey);
 
   /// Maximum instructions walked per verification path before giving up
   /// (a missing loop invariant shows up as exhaustion of this budget).
@@ -114,6 +120,9 @@ private:
   struct Ctx;
   enum class Step { Ok, Pruned, Failed };
 
+  bool verifyOne(uint64_t Addr, const Spec *S);
+  void openBundle();
+  void publishBundle();
   void assumeSpec(const Spec &S, Ctx &C);
   bool wpTrace(const itl::Trace &T, Ctx C, unsigned Budget);
   Step wpEvent(const itl::Event &E, Ctx &C);
@@ -139,6 +148,9 @@ private:
   void noteSolverGaveUp(const std::string &Where);
 
   smt::TermBuilder &TB;
+  smt::SolverCache *SideCond = nullptr;
+  support::Fingerprint ProgramKey;
+  std::unique_ptr<smt::SolverCache::Bundle> Bundle;
   smt::Solver Solver;
   smt::Rewriter RW;
   std::map<uint64_t, const itl::Trace *> Instrs;
@@ -170,7 +182,7 @@ private:
   };
   std::unordered_map<std::vector<unsigned>, bool, IdSeqHash> ProveCache;
   /// Monotonic counter making contract-havoc variable names unique, so
-  /// printed goal closures stay unambiguous and cacheable across runs.
+  /// goal-set store keys stay unambiguous and cacheable across runs.
   unsigned HavocCounter = 0;
 };
 

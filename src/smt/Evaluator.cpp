@@ -29,7 +29,7 @@ public:
       std::optional<Value> V = evalNode(T);
       if (!V)
         return std::nullopt;
-      Memo[T] = *V;
+      Memo.emplace(T, std::move(*V));
     }
     return Memo.at(Root);
   }

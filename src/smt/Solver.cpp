@@ -6,13 +6,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <unordered_set>
 
 using namespace islaris;
 using namespace islaris::smt;
 
 SolverCache::~SolverCache() = default;
+SolverCache::Bundle::~Bundle() = default;
 
 Solver::Solver(TermBuilder &TB) : TB(TB), RW(TB) {}
 
@@ -39,18 +38,24 @@ static Value defaultValue(const Term *V) {
   return V->isBool() ? Value(false) : Value(BitVec::zeros(V->width()));
 }
 
-/// The free variables of \p Goals, each once.  One traversal with one
-/// visited set: residual goals share the path condition's subterms.
-static std::vector<const Term *>
-goalVars(const std::vector<const Term *> &Goals) {
+std::vector<const Term *>
+Solver::goalVars(const std::vector<const Term *> &Goals) {
+  // One traversal marking term ids with a per-call epoch: residual goals
+  // share the path condition's subterms.
+  if (VisitMark.size() < TB.numTerms())
+    VisitMark.resize(TB.numTerms(), 0);
+  if (++VisitEpoch == 0) { // wrapped: forget every old mark
+    std::fill(VisitMark.begin(), VisitMark.end(), 0);
+    VisitEpoch = 1;
+  }
   std::vector<const Term *> Vars;
-  std::unordered_set<const Term *> Seen;
   std::vector<const Term *> Stack(Goals.begin(), Goals.end());
   while (!Stack.empty()) {
     const Term *T = Stack.back();
     Stack.pop_back();
-    if (!Seen.insert(T).second)
+    if (VisitMark[T->id()] == VisitEpoch)
       continue;
+    VisitMark[T->id()] = VisitEpoch;
     if (T->isVar())
       Vars.push_back(T);
     for (const Term *Op : T->operands())
@@ -59,38 +64,84 @@ goalVars(const std::vector<const Term *> &Goals) {
   return Vars;
 }
 
-/// printGoalClosure over the goals' free variables \p Vars.
-static std::string printClosure(const std::vector<const Term *> &Goals,
-                                const std::vector<const Term *> &Vars) {
-  // Free-variable declarations, sorted by name.  Two distinct variables
-  // printing the same name would make the closure ambiguous (the printed
-  // formula conflates them); refuse to produce a key in that case.
-  std::map<std::string, const Term *> Decls;
-  for (const Term *V : Vars)
-    if (!Decls.emplace(V->varName(), V).second)
-      return std::string();
-  std::vector<std::string> Printed;
-  Printed.reserve(Goals.size());
-  for (const Term *G : Goals)
-    Printed.push_back(G->toString());
-  std::sort(Printed.begin(), Printed.end());
-  Printed.erase(std::unique(Printed.begin(), Printed.end()), Printed.end());
-
-  std::string Out = "(goal-closure 1";
-  for (const auto &[Name, V] : Decls) {
-    Out += " (|" + Name + "| ";
-    Out += std::to_string(V->isBool() ? 0u : V->width());
-    Out += ")";
+support::Fingerprint Solver::termDigest(const Term *Root) {
+  if (HasDigest.size() <= Root->id()) {
+    HasDigest.resize(TB.numTerms());
+    TermDigests.resize(TB.numTerms());
   }
-  for (const std::string &P : Printed)
-    Out += " (assert " + P + ")";
-  Out += ")";
-  return Out;
+  // Post-order over the not-yet-digested part of the DAG: a node is
+  // digested once all its operands are.
+  std::vector<const Term *> Stack = {Root};
+  while (!Stack.empty()) {
+    const Term *T = Stack.back();
+    if (HasDigest[T->id()]) {
+      Stack.pop_back();
+      continue;
+    }
+    bool Ready = true;
+    for (const Term *Op : T->operands())
+      if (!HasDigest[Op->id()]) {
+        Stack.push_back(Op);
+        Ready = false;
+      }
+    if (!Ready)
+      continue;
+    Stack.pop_back();
+    support::WordHasher H;
+    H.word(uint64_t(T->kind())).word(T->isBool() ? 0 : T->width());
+    switch (T->kind()) {
+    case Kind::ConstBV: {
+      const BitVec &V = T->constBV();
+      for (unsigned I = 0; I < V.numWords(); ++I)
+        H.word(I == 0 ? V.low64() : V.lshr(64 * I).low64());
+      break;
+    }
+    case Kind::Var:
+      // By name and width (hashed above), never by id: the digest must
+      // agree across builders.
+      H.str(T->varName());
+      break;
+    default:
+      // A constant's value, an extract's bounds, an extension's amount.
+      H.word(T->attrA()).word(T->attrB());
+      break;
+    }
+    H.word(T->numOperands());
+    for (const Term *Op : T->operands())
+      H.fingerprint(TermDigests[Op->id()]);
+    TermDigests[T->id()] = H.digest();
+    HasDigest[T->id()] = true;
+  }
+  return TermDigests[Root->id()];
 }
 
-std::string
-Solver::printGoalClosure(const std::vector<const Term *> &Goals) {
-  return printClosure(Goals, goalVars(Goals));
+std::optional<support::Fingerprint>
+Solver::goalSetKey(const std::vector<const Term *> &Goals,
+                   std::vector<const Term *> &Vars) {
+  // Declarations sorted by name.  Two distinct variables of one name would
+  // make the key ambiguous across builders; refuse to produce one.
+  std::sort(Vars.begin(), Vars.end(), [](const Term *A, const Term *B) {
+    return A->varName() < B->varName();
+  });
+  for (size_t I = 1; I < Vars.size(); ++I)
+    if (Vars[I - 1]->varName() == Vars[I]->varName())
+      return std::nullopt;
+  std::vector<support::Fingerprint> Digests;
+  Digests.reserve(Goals.size());
+  for (const Term *G : Goals)
+    Digests.push_back(termDigest(G));
+  std::sort(Digests.begin(), Digests.end());
+  Digests.erase(std::unique(Digests.begin(), Digests.end()), Digests.end());
+
+  support::WordHasher H;
+  H.str("islaris-goal-set").word(2);
+  H.word(Vars.size());
+  for (const Term *V : Vars)
+    H.str(V->varName()).word(V->isBool() ? 0 : V->width());
+  H.word(Digests.size());
+  for (const support::Fingerprint &D : Digests)
+    H.fingerprint(D);
+  return H.digest();
 }
 
 bool Solver::reuseModel(const std::vector<const Term *> &Goals,
@@ -192,26 +243,26 @@ Result Solver::solveGoals(const std::vector<const Term *> &Goals,
   return Result::Sat;
 }
 
-bool Solver::installCached(const std::vector<const Term *> &Vars,
-                           const SolverCache::CachedResult &C, Result &R) {
+bool Solver::installCached(const std::vector<const Term *> &Goals,
+                           const std::vector<const Term *> &Vars,
+                           const SolverCache::CachedResult &C) {
   if (!C.Sat) {
     invalidateModel();
-    R = Result::Unsat;
     return true;
   }
   // Bind the stored (name, width, value) triples back to this builder's
-  // variables.  Any mismatch means the entry does not describe this goal
-  // set (e.g. a different-width variable of the same name): reject it and
-  // fall back to solving.
-  std::unordered_map<std::string, const Term *> ByName;
-  for (const Term *V : Vars)
-    ByName.emplace(V->varName(), V);
+  // variables; both lists are sorted by name.  Any mismatch means the
+  // answer does not describe this goal set (e.g. a different-width
+  // variable of the same name): refuse it and fall back to solving.
+  if (C.Model.size() != Vars.size())
+    return false; // some goal variable is unassigned, or a stray one is
   Env M;
-  for (const auto &[Name, Width, Bits] : C.Model) {
-    auto It = ByName.find(Name);
-    if (It == ByName.end())
+  M.reserve(Vars.size());
+  for (size_t I = 0; I < Vars.size(); ++I) {
+    const auto &[Name, Width, Bits] = C.Model[I];
+    const Term *V = Vars[I];
+    if (Name != V->varName())
       return false;
-    const Term *V = It->second;
     if (V->isBool()) {
       if (Width != 0 || Bits.width() != 1)
         return false;
@@ -222,11 +273,12 @@ bool Solver::installCached(const std::vector<const Term *> &Vars,
       M.emplace(V->varId(), Value(Bits));
     }
   }
-  if (M.size() != ByName.size())
-    return false; // some goal variable is unassigned
+  // The store is outside the trusted base like the core: a Sat answer is
+  // installed only if the goals evaluate to true under its model.
+  if (!satisfiesAll(Goals, M))
+    return false;
   Model = std::move(M);
   HasModel = true;
-  R = Result::Sat;
   return true;
 }
 
@@ -237,16 +289,14 @@ Solver::exportResult(const std::vector<const Term *> &Vars,
   C.Sat = R == Result::Sat;
   if (!C.Sat)
     return C;
-  std::map<std::string, const Term *> ByName;
-  for (const Term *V : Vars)
-    ByName.emplace(V->varName(), V);
-  for (const auto &[Name, V] : ByName) {
+  C.Model.reserve(Vars.size());
+  for (const Term *V : Vars) {
     auto It = Model.find(V->varId());
     Value Val = It != Model.end() ? It->second : defaultValue(V);
     if (V->isBool())
-      C.Model.emplace_back(Name, 0u, BitVec(1, Val.asBool() ? 1 : 0));
+      C.Model.emplace_back(V->varName(), 0u, BitVec(1, Val.asBool()));
     else
-      C.Model.emplace_back(Name, V->width(), Val.asBitVec());
+      C.Model.emplace_back(V->varName(), V->width(), Val.asBitVec());
   }
   return C;
 }
@@ -318,15 +368,21 @@ Result Solver::check(const std::vector<const Term *> &Assumptions) {
       HasModel = R == Result::Sat;
     } else {
       std::vector<const Term *> Vars = goalVars(Goals);
-      std::string Closure =
-          Persist ? printClosure(Goals, Vars) : std::string();
+      std::optional<support::Fingerprint> StoreKey;
+      if (Persist)
+        StoreKey = goalSetKey(Goals, Vars);
       bool Answered = false;
-      if (!Closure.empty())
-        if (auto Cached = Persist->lookup(Closure))
-          if (installCached(Vars, *Cached, R)) {
-            ++Stats.NumStoreHits;
-            Answered = true;
-          }
+      if (StoreKey &&
+          Persist->lookup(*StoreKey, Goals,
+                          [&](const SolverCache::CachedResult &C) {
+                            if (!installCached(Goals, Vars, C))
+                              return false;
+                            R = C.Sat ? Result::Sat : Result::Unsat;
+                            return true;
+                          })) {
+        ++Stats.NumStoreHits;
+        Answered = true;
+      }
       if (!Answered) {
         if (reuseModel(Goals, Vars)) {
           ++Stats.NumReused;
@@ -344,8 +400,8 @@ Result Solver::check(const std::vector<const Term *> &Assumptions) {
         // model that failed its check), not about the formula: memoizing or
         // persisting it would convert a transient condition into a cached
         // wrong-ish answer.
-        if (R != Result::Unknown && !Closure.empty())
-          Persist->store(Closure, exportResult(Vars, R));
+        if (R != Result::Unknown && StoreKey)
+          Persist->store(*StoreKey, exportResult(Vars, R));
       }
       if (R != Result::Unknown)
         Memo.emplace(std::move(Key), MemoEntry{R, Model});

@@ -38,8 +38,10 @@
 /// Every Sat answer's model is Evaluator-checked against the residual
 /// goals before it is used or cached.  A core model that fails the check
 /// is answered Unknown (SolverStats::NumRejectedModels).  Tier and core
-/// answers are memoized and stored alike; store hits are installed
-/// without the check, so the warm path pays nothing for it.
+/// answers are memoized and stored alike.  A Sat answer from the store is
+/// checked the same way before it is installed; one that fails is refused
+/// (the store counts it as a miss) and the goals are solved as if the
+/// store had missed.
 ///
 /// Before the tiers, check() consults two caching layers:
 ///
@@ -47,10 +49,11 @@
 ///    (sorted hash-consed term ids), so a query repeated anywhere within a
 ///    run — across push/pop frames, paths, or specs — returns instantly
 ///    with the same answer and model;
-///  - an optional persistent SolverCache (implemented by
-///    cache::SideCondStore, attached only by the proof engine), keyed on
-///    the *printed* goal closure so results survive across runs and
-///    processes.
+///  - an optional persistent store (SolverCache, implemented by
+///    cache::SideCondStore and attached only by the proof engine), keyed
+///    on a builder-independent structural digest of the goal set (see
+///    goalSetKey) so results survive across runs and processes.  The
+///    digest is computed only when a store is attached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,8 +64,10 @@
 #include "smt/Evaluator.h"
 #include "smt/Rewriter.h"
 #include "smt/TermBuilder.h"
+#include "support/Fingerprint.h"
 #include "support/Guard.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -99,26 +104,57 @@ struct SolverStats {
   double TotalSeconds = 0;
 };
 
-/// Interface to a (typically persistent) store of side-condition results,
-/// keyed by the canonical printed goal closure — see
-/// Solver::printGoalClosure.  Implemented by cache::SideCondStore; declared
-/// here so the smt layer stays free of I/O and fingerprinting concerns.
+/// Interface to a (typically persistent) store of side-condition answers.
+/// Implemented by cache::SideCondStore; declared here so the smt layer
+/// stays free of I/O concerns.  Answers are grouped in bundles, one per
+/// proof search: a Bundle is what a Solver consults, and inside it every
+/// answer stays keyed by its own goal-set digest (Solver::goalSetKey), so a
+/// bundle opened under a stale or colliding bundle key can only miss.
 /// Implementations must be thread-safe (one store is shared by many
-/// solvers).
+/// solvers); a Bundle serves one solver at a time.
 class SolverCache {
 public:
   virtual ~SolverCache();
 
   /// A cached answer.  For Sat results the model assigns every free
-  /// variable of the goal closure by (name, width) — width 0 encodes a
+  /// variable of the goal set by (name, width) — width 0 encodes a
   /// boolean variable whose value is the low bit of a 1-bit vector.
   struct CachedResult {
     bool Sat = false;
     std::vector<std::tuple<std::string, unsigned, BitVec>> Model;
+    bool operator==(const CachedResult &O) const {
+      return Sat == O.Sat && Model == O.Model;
+    }
   };
 
-  virtual std::optional<CachedResult> lookup(const std::string &Closure) = 0;
-  virtual void store(const std::string &Closure, const CachedResult &R) = 0;
+  /// Binds a stored answer to the goals it was looked up for; returns
+  /// false when the answer does not describe them (a Sat model that fails
+  /// the Evaluator check, or one naming other variables).
+  using Install = std::function<bool(const CachedResult &)>;
+
+  /// The answers one proof search uses.
+  class Bundle {
+  public:
+    virtual ~Bundle();
+    /// Offers the answer stored under goal-set key \p Key to \p I.
+    /// \p Goals are the residual goals \p Key digests; the store keys on
+    /// \p Key alone.  True when \p I accepted an answer.  A refused answer
+    /// is dropped from the store and the lookup counts as a miss.
+    virtual bool lookup(const support::Fingerprint &Key,
+                        const std::vector<const Term *> &Goals,
+                        const Install &I) = 0;
+    /// Records the answer the solver found for \p Key.
+    virtual void store(const support::Fingerprint &Key,
+                       const CachedResult &R) = 0;
+    /// Ends the proof search: persists the answers it used if any lookup
+    /// missed.  Further lookups may follow (the bundle stays open).
+    virtual void publish() = 0;
+  };
+
+  /// Opens the bundle of the proof search named by \p Key.  The key is a
+  /// hint for where the answers are kept, not a proof identity.
+  virtual std::unique_ptr<Bundle>
+  openBundle(const support::Fingerprint &Key) = 0;
 };
 
 /// An incremental-interface QF_BV solver over a TermBuilder's terms.
@@ -165,19 +201,23 @@ public:
   /// Asserted terms, innermost scope last (diagnostics).
   const std::vector<const Term *> &assertions() const { return Asserted; }
 
-  /// Attaches \p C as the persistent side-condition store (shared, not
-  /// owned, thread-safe).  Consulted after a memo miss; solved queries are
-  /// written back.  Null detaches.
-  void setCache(SolverCache *C) { Persist = C; }
-  SolverCache *cache() const { return Persist; }
+  /// Attaches \p B as the persistent side-condition store (not owned).
+  /// Consulted after a memo miss; solved queries are written back.  Null
+  /// detaches.
+  void setCache(SolverCache::Bundle *B) { Persist = B; }
+  SolverCache::Bundle *cache() const { return Persist; }
 
-  /// The canonical builder-independent key of a residual goal set: the
-  /// sorted printed goals plus sorted (name, width) declarations of their
-  /// free variables (width 0 = Bool).  Returns "" when two distinct
-  /// variables share a printed name — such a closure would be ambiguous,
-  /// so the query is excluded from cross-run caching (the id-keyed memo
-  /// still applies).
-  static std::string printGoalClosure(const std::vector<const Term *> &Goals);
+  /// The builder-independent store key of a residual goal set: a digest
+  /// of the sorted, deduplicated structural digests of \p Goals plus the
+  /// (name, width) declarations of their free variables \p Vars (width
+  /// 0 = Bool), which it sorts by name.  Variables are hashed by name and
+  /// width, never by id, so the same goals built in two TermBuilders key
+  /// equal.  Returns nullopt when two distinct variables share a name —
+  /// such a goal set would be ambiguous across builders, so it is excluded
+  /// from cross-run caching (the id-keyed memo still applies).
+  std::optional<support::Fingerprint>
+  goalSetKey(const std::vector<const Term *> &Goals,
+             std::vector<const Term *> &Vars);
 
   TermBuilder &builder() { return TB; }
   Rewriter &rewriter() { return RW; }
@@ -189,14 +229,21 @@ public:
   }
 
 private:
+  /// The free variables of \p Goals, each once.
+  std::vector<const Term *> goalVars(const std::vector<const Term *> &Goals);
   // The helpers below take the residual goals' free variables, collected
-  // once per memo miss.
+  // once per memo miss; goalSetKey sorts them by name, and the store
+  // helpers (installCached, exportResult) rely on that order, the order of
+  // a stored model.
   bool reuseModel(const std::vector<const Term *> &Goals,
                   const std::vector<const Term *> &Vars);
   Result solveGoals(const std::vector<const Term *> &Goals,
                     const std::vector<const Term *> &Vars);
-  bool installCached(const std::vector<const Term *> &Vars,
-                     const SolverCache::CachedResult &C, Result &R);
+  bool installCached(const std::vector<const Term *> &Goals,
+                     const std::vector<const Term *> &Vars,
+                     const SolverCache::CachedResult &C);
+  /// The structural digest of \p T, memoized in TermDigests.
+  support::Fingerprint termDigest(const Term *T);
   SolverCache::CachedResult
   exportResult(const std::vector<const Term *> &Vars, Result R) const;
   void invalidateModel() {
@@ -209,7 +256,15 @@ private:
   std::vector<const Term *> Asserted;
   std::vector<size_t> ScopeMarks;
   mutable SolverStats Stats;
-  SolverCache *Persist = nullptr;
+  SolverCache::Bundle *Persist = nullptr;
+  // Structural digests by term id (terms are immutable, ids are dense per
+  // builder); filled only while a store is attached.
+  std::vector<support::Fingerprint> TermDigests;
+  std::vector<bool> HasDigest;
+  // goalVars' visited marks by term id: a term is visited in the current
+  // traversal when its mark equals VisitEpoch.
+  std::vector<unsigned> VisitMark;
+  unsigned VisitEpoch = 0;
   support::RunLimits Limits;
   support::CancelToken Cancel;
 

@@ -364,6 +364,31 @@ struct TempDir {
   ~TempDir() { std::filesystem::remove_all(Path); }
 };
 
+std::string readFileRaw(const std::filesystem::path &P) {
+  std::ifstream In(P, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+void writeFileRaw(const std::filesystem::path &P, const std::string &S) {
+  std::ofstream Out(P, std::ios::binary | std::ios::trunc);
+  Out.write(S.data(), std::streamsize(S.size()));
+}
+
+/// Entry files under \p Root, excluding the quarantine area.
+std::vector<std::filesystem::path>
+entryFiles(const std::filesystem::path &Root) {
+  std::vector<std::filesystem::path> Out;
+  if (!std::filesystem::exists(Root))
+    return Out;
+  for (const auto &F : std::filesystem::recursive_directory_iterator(Root))
+    if (F.is_regular_file() &&
+        F.path().string().find("quarantine") == std::string::npos)
+      Out.push_back(F.path());
+  return Out;
+}
+
 TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
   TempDir Tmp;
   TraceCacheConfig Cfg;
@@ -510,46 +535,94 @@ TEST(SuiteCacheTest, WarmSuiteRegeneratesNothingAndMatchesCold) {
 // Side-condition solver store.
 //===----------------------------------------------------------------------===//
 
-TEST(SideCondTest, EntrySerializationRoundTrips) {
+/// Publishes \p R as the answer for goal-set key \p K in bundle \p B.
+void putAnswer(SideCondStore &S, const Fingerprint &B, const Fingerprint &K,
+               const smt::SolverCache::CachedResult &R) {
+  auto Bn = S.openBundle(B);
+  Bn->store(K, R);
+  Bn->publish();
+}
+
+/// The answer bundle \p B serves for goal-set key \p K, accepted unchecked.
+std::optional<smt::SolverCache::CachedResult>
+getAnswer(SideCondStore &S, const Fingerprint &B, const Fingerprint &K) {
+  std::optional<smt::SolverCache::CachedResult> Out;
+  S.openBundle(B)->lookup(K, {}, [&](const auto &R) {
+    Out = R;
+    return true;
+  });
+  return Out;
+}
+
+Fingerprint bundleKey(const char *Name) {
+  return Fingerprinter().str(Name).digest();
+}
+
+/// x + 3 = 10 over 16 bits: satisfiable by x = 7 only.
+const smt::Term *xPlus3Is10(smt::TermBuilder &TB) {
+  const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
+  return TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)), TB.constBV(16, 10));
+}
+
+/// Checks xPlus3Is10 in a fresh builder against bundle \p B of \p Store,
+/// publishing the bundle afterwards; returns the solver's stats.
+smt::SolverStats checkThroughBundle(SideCondStore &Store,
+                                    const Fingerprint &B) {
+  smt::TermBuilder TB;
+  smt::Solver S(TB);
+  auto Bn = Store.openBundle(B);
+  S.setCache(Bn.get());
+  S.assertTerm(xPlus3Is10(TB));
+  EXPECT_EQ(S.check(), smt::Result::Sat);
+  EXPECT_EQ(S.modelValue(TB.varById(0)).asBitVec().toUInt64(), 7u);
+  Bn->publish();
+  return S.stats();
+}
+
+TEST(SideCondTest, BundleSerializationRoundTrips) {
   smt::SolverCache::CachedResult R;
   R.Sat = true;
   R.Model.emplace_back("b", 0u, BitVec(1, 1));   // boolean (width 0)
   R.Model.emplace_back("x", 16u, BitVec(16, 7)); // bitvector
-  Fingerprint K = Fingerprinter().str("k").digest();
+  smt::SolverCache::CachedResult U; // unsat answers carry no model
+  SideCondStore::Answers A;
+  A[Fingerprinter().str("sat").digest()] = R;
+  A[Fingerprinter().str("unsat").digest()] = U;
+  Fingerprint K = bundleKey("k");
 
-  std::string Text = SideCondStore::serializeEntry(K, R);
-  smt::SolverCache::CachedResult Out;
+  std::string Text = SideCondStore::serializeBundle(K, A);
+  SideCondStore::Answers Out;
   std::string Err;
-  ASSERT_TRUE(SideCondStore::parseEntry(Text, K, Out, Err)) << Err;
-  EXPECT_TRUE(Out.Sat);
-  ASSERT_EQ(Out.Model.size(), 2u);
-  EXPECT_EQ(std::get<0>(Out.Model[0]), "b");
-  EXPECT_EQ(std::get<1>(Out.Model[0]), 0u);
-  EXPECT_EQ(std::get<2>(Out.Model[0]).toUInt64(), 1u);
-  EXPECT_EQ(std::get<0>(Out.Model[1]), "x");
-  EXPECT_EQ(std::get<2>(Out.Model[1]).toUInt64(), 7u);
+  ASSERT_TRUE(SideCondStore::parseBundle(Text, K, Out, Err)) << Err;
+  EXPECT_EQ(Out, A);
+  EXPECT_EQ(std::get<1>(Out[Fingerprinter().str("sat").digest()].Model[0]),
+            0u);
 
   // Key mismatch and truncation degrade to parse failures (misses).
-  Fingerprint K2 = Fingerprinter().str("other").digest();
-  EXPECT_FALSE(SideCondStore::parseEntry(Text, K2, Out, Err));
-  EXPECT_FALSE(
-      SideCondStore::parseEntry(Text.substr(0, Text.size() / 2), K, Out,
-                                Err));
-
-  smt::SolverCache::CachedResult U; // unsat entries carry no model
-  std::string UText = SideCondStore::serializeEntry(K, U);
-  ASSERT_TRUE(SideCondStore::parseEntry(UText, K, Out, Err)) << Err;
-  EXPECT_FALSE(Out.Sat);
-  EXPECT_TRUE(Out.Model.empty());
+  EXPECT_FALSE(SideCondStore::parseBundle(Text, bundleKey("other"), Out, Err));
+  EXPECT_FALSE(SideCondStore::parseBundle(Text.substr(0, Text.size() / 2), K,
+                                          Out, Err));
+  // An empty bundle is a header alone.
+  std::string Empty = SideCondStore::serializeBundle(K, {});
+  ASSERT_TRUE(SideCondStore::parseBundle(Empty, K, Out, Err)) << Err;
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST(SideCondTest, KeyIsPinned) {
-  // Entry files are named by this key: a change to how it is hashed would
-  // silently orphan every persisted store, so one closure's key is pinned.
-  SideCondStore S;
-  EXPECT_EQ(S.key("(goal-closure 1)").toHex(),
-            "78f5acf065aba82a5194471417630690");
-  EXPECT_NE(S.key("(goal-closure 1)"), S.key("(goal-closure 2)"));
+  // Answers are keyed by this digest inside every persisted bundle: a
+  // change to how it is computed silently orphans every persisted store,
+  // so one goal set's key is pinned.
+  smt::TermBuilder TB;
+  smt::Solver S(TB);
+  std::vector<const smt::Term *> Goals = {xPlus3Is10(TB)};
+  std::vector<const smt::Term *> Vars = smt::collectVars(Goals[0]);
+  auto K = S.goalSetKey(Goals, Vars);
+  ASSERT_TRUE(K.has_value());
+  EXPECT_EQ(K->toHex(), "23009ce5e5003ed5fcd61e86444e4fbe");
+  const smt::Term *Y = TB.freshVar(smt::Sort::bitvec(16), "y");
+  std::vector<const smt::Term *> Other = {TB.bvUlt(Y, TB.constBV(16, 3))};
+  Vars = {Y};
+  EXPECT_NE(S.goalSetKey(Other, Vars), K);
 }
 
 TEST(SideCondTest, PersistsAcrossStoreInstances) {
@@ -557,110 +630,126 @@ TEST(SideCondTest, PersistsAcrossStoreInstances) {
   SideCondConfig Cfg;
   Cfg.Persist = true;
   Cfg.Dir = Tmp.Path.string();
+  Fingerprint B = bundleKey("proof");
 
   // Populate through a real solver.
   {
     SideCondStore Store(Cfg);
-    smt::TermBuilder TB;
-    smt::Solver S(TB);
-    S.setCache(&Store);
-    const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
-    S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
-                           TB.constBV(16, 10)));
-    ASSERT_EQ(S.check(), smt::Result::Sat);
-    EXPECT_EQ(S.modelValue(X).asBitVec().toUInt64(), 7u);
+    EXPECT_EQ(checkThroughBundle(Store, B).NumSatCalls, 1u);
     EXPECT_EQ(Store.stats().DiskWrites, 1u);
   }
 
   // A brand-new store instance (a "second process") over the same
-  // directory answers from disk: no SAT call, identical model.
-  SideCondStore Store2(Cfg);
-  smt::TermBuilder TB;
-  smt::Solver S(TB);
-  S.setCache(&Store2);
-  const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
-  S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
-                         TB.constBV(16, 10)));
-  ASSERT_EQ(S.check(), smt::Result::Sat);
-  EXPECT_EQ(S.stats().NumSatCalls, 0u);
-  EXPECT_EQ(S.stats().NumStoreHits, 1u);
-  EXPECT_EQ(S.modelValue(X).asBitVec().toUInt64(), 7u);
-  EXPECT_EQ(Store2.stats().DiskHits, 1u);
+  // directory answers from the bundle: no SAT call, identical model, and
+  // nothing to republish.
+  {
+    SideCondStore Store(Cfg);
+    smt::SolverStats St = checkThroughBundle(Store, B);
+    EXPECT_EQ(St.NumSatCalls, 0u);
+    EXPECT_EQ(St.NumStoreHits, 1u);
+    EXPECT_EQ(Store.stats().DiskHits, 1u);
+    EXPECT_EQ(Store.stats().DiskWrites, 0u);
+  }
 
-  // Corrupt entries degrade to misses, never to wrong verdicts.
+  // Corrupt bundles degrade to misses, never to wrong verdicts.
   SideCondStore Store3(Cfg);
   for (const auto &F :
        std::filesystem::recursive_directory_iterator(Tmp.Path))
     if (F.is_regular_file())
       std::filesystem::resize_file(F.path(), 8);
-  smt::TermBuilder TB2;
-  smt::Solver S2(TB2);
-  S2.setCache(&Store3);
-  const smt::Term *Y = TB2.freshVar(smt::Sort::bitvec(16), "x");
-  S2.assertTerm(TB2.eqTerm(TB2.bvAdd(Y, TB2.constBV(16, 3)),
-                           TB2.constBV(16, 10)));
-  ASSERT_EQ(S2.check(), smt::Result::Sat);
-  EXPECT_EQ(S2.stats().NumSatCalls, 1u);
+  EXPECT_EQ(checkThroughBundle(Store3, B).NumSatCalls, 1u);
   EXPECT_EQ(Store3.stats().Misses, 1u);
+  EXPECT_EQ(Store3.stats().Quarantined, 1u);
 }
 
-// Side-condition entries use the same 256-way sharded layout as the trace
-// cache, and a flat-placed entry is likewise a miss that lookup leaves
-// alone.
+// A stored Sat answer is installed only if its model satisfies the goals.
+// A forged bundle with a valid envelope and key but a wrong model is a
+// counted miss: the goal is solved again and the bundle republished with
+// the right model.
+TEST(SideCondTest, ForgedModelIsRefusedAndTheBundleRepublished) {
+  TempDir Tmp;
+  SideCondConfig Cfg;
+  Cfg.Persist = true;
+  Cfg.Dir = Tmp.Path.string();
+  Fingerprint B = bundleKey("forged");
+  {
+    SideCondStore Store(Cfg);
+    checkThroughBundle(Store, B);
+  }
+  auto Files = entryFiles(Tmp.Path);
+  ASSERT_EQ(Files.size(), 1u);
+  std::string Payload;
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
+            EnvelopeResult::Ok);
+  size_t At = Payload.find("(|x| 16 #x0007)");
+  ASSERT_NE(At, std::string::npos) << Payload;
+  Payload.replace(At, 15, "(|x| 16 #x0008)");
+  writeFileRaw(Files[0], wrapDurableEntry(Payload));
+
+  {
+    SideCondStore Store(Cfg);
+    smt::SolverStats St = checkThroughBundle(Store, B);
+    EXPECT_EQ(St.NumStoreHits, 0u);
+    EXPECT_EQ(St.NumSatCalls, 1u);
+    SideCondStats SS = Store.stats();
+    EXPECT_EQ(SS.Rejected, 1u);
+    EXPECT_EQ(SS.Misses, 1u);
+    EXPECT_EQ(SS.DiskHits, 0u);
+    EXPECT_EQ(SS.Insertions, 1u);
+    EXPECT_EQ(SS.DiskWrites, 1u); // republished
+    EXPECT_EQ(SS.Quarantined, 0u); // the envelope was fine
+  }
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
+            EnvelopeResult::Ok);
+  EXPECT_NE(Payload.find("(|x| 16 #x0007)"), std::string::npos);
+  SideCondStore Store(Cfg);
+  smt::SolverStats St = checkThroughBundle(Store, B);
+  EXPECT_EQ(St.NumStoreHits, 1u);
+  EXPECT_EQ(Store.stats().Rejected, 0u);
+}
+
+// Bundles use the same 256-way sharded layout as the trace cache, and a
+// flat-placed bundle is likewise a miss that lookup leaves alone.
 TEST(SideCondTest, ShardedLayoutAndFlatPlacementIsAMiss) {
   TempDir Tmp;
   SideCondConfig Cfg;
   Cfg.Persist = true;
   Cfg.Dir = Tmp.Path.string();
-
-  auto Check = [](SideCondStore &Store) {
-    smt::TermBuilder TB;
-    smt::Solver S(TB);
-    S.setCache(&Store);
-    const smt::Term *X = TB.freshVar(smt::Sort::bitvec(16), "x");
-    S.assertTerm(TB.eqTerm(TB.bvAdd(X, TB.constBV(16, 3)),
-                           TB.constBV(16, 10)));
-    EXPECT_EQ(S.check(), smt::Result::Sat);
-    return S.stats().NumSatCalls;
-  };
+  Fingerprint B = bundleKey("sharded");
   {
     SideCondStore Store(Cfg);
-    EXPECT_EQ(Check(Store), 1u);
+    EXPECT_EQ(checkThroughBundle(Store, B).NumSatCalls, 1u);
     EXPECT_EQ(Store.stats().DiskWrites, 1u);
   }
 
-  // The entry landed in a two-hex-character shard subdirectory matching
+  // The bundle landed in a two-hex-character shard subdirectory matching
   // its own fingerprint prefix; flatten it to the store root.
-  std::vector<std::filesystem::path> Entries;
-  for (const auto &F :
-       std::filesystem::recursive_directory_iterator(Tmp.Path))
-    if (F.is_regular_file())
-      Entries.push_back(F.path());
+  auto Entries = entryFiles(Tmp.Path);
   ASSERT_EQ(Entries.size(), 1u);
   std::string Name = Entries[0].filename().string();
   std::string Shard = Entries[0].parent_path().filename().string();
-  EXPECT_EQ(Shard.size(), 2u);
+  EXPECT_EQ(Name, B.toHex() + ".scc");
   EXPECT_EQ(Name.substr(0, 2), Shard);
   std::filesystem::path Flat = Tmp.Path / Name;
   std::filesystem::rename(Entries[0], Flat);
 
   SideCondStore Store2(Cfg);
-  EXPECT_EQ(Check(Store2), 1u); // solved again: the flat file is not read
+  // Solved again: the flat file is not read.
+  EXPECT_EQ(checkThroughBundle(Store2, B).NumSatCalls, 1u);
   EXPECT_EQ(Store2.stats().DiskHits, 0u);
   EXPECT_EQ(Store2.stats().Quarantined, 0u);
   EXPECT_TRUE(std::filesystem::exists(Flat));
   EXPECT_TRUE(std::filesystem::exists(Entries[0])); // republished
 }
 
-// Satellite regression: concurrent writers racing on the SAME keys from
-// several store/cache instances sharing one directory (the cross-process
-// scenario the old address-derived temp suffix could corrupt).  Every
-// entry must end up parseable and no ".tmp" litter may survive.
+// Concurrent writers racing on the SAME bundle keys from several store
+// instances sharing one directory (the cross-process scenario).  Every
+// bundle must end up parseable and no ".tmp" litter may survive.
 TEST(SideCondTest, ConcurrentWritersWithCollidingKeys) {
   TempDir Tmp;
   constexpr unsigned Writers = 8, Keys = 16;
 
-  // Side-condition entries...
+  // Side-condition bundles (last writer wins)...
   {
     SideCondConfig Cfg;
     Cfg.Persist = true;
@@ -668,28 +757,28 @@ TEST(SideCondTest, ConcurrentWritersWithCollidingKeys) {
     smt::SolverCache::CachedResult R;
     R.Sat = true;
     R.Model.emplace_back("x", 8u, BitVec(8, 42));
+    Fingerprint GK = Fingerprinter().str("goals").digest();
     std::vector<std::thread> Ts;
     for (unsigned W = 0; W < Writers; ++W)
       Ts.emplace_back([&] {
         SideCondStore Store(Cfg); // each thread = its own "process"
         for (unsigned K = 0; K < Keys; ++K)
-          Store.store("closure-" + std::to_string(K), R);
+          putAnswer(Store, Fingerprinter().u64(K).digest(), GK, R);
       });
     for (auto &T : Ts)
       T.join();
 
-    SideCondStore Reader(Cfg);
     for (unsigned K = 0; K < Keys; ++K) {
-      auto Hit = Reader.lookup("closure-" + std::to_string(K));
+      SideCondStore Reader(Cfg); // fresh memory: each read hits the disk
+      auto Hit = getAnswer(Reader, Fingerprinter().u64(K).digest(), GK);
       ASSERT_TRUE(Hit.has_value()) << K;
-      EXPECT_TRUE(Hit->Sat);
-      ASSERT_EQ(Hit->Model.size(), 1u);
-      EXPECT_EQ(std::get<2>(Hit->Model[0]).toUInt64(), 42u);
+      EXPECT_EQ(*Hit, R);
+      EXPECT_EQ(Reader.stats().DiskHits, 1u);
     }
-    EXPECT_EQ(Reader.stats().DiskHits, Keys);
   }
 
-  // ... and trace-cache entries through the shared atomic writer.
+  // ... and trace-cache entries through the shared atomic writer
+  // (first writer wins).
   {
     TraceCacheConfig Cfg;
     Cfg.Persist = true;
@@ -767,31 +856,6 @@ TEST(SuiteCacheTest, WarmSideCondStoreEliminatesSatCalls) {
 //===----------------------------------------------------------------------===//
 // Durability envelope.
 //===----------------------------------------------------------------------===//
-
-std::string readFileRaw(const std::filesystem::path &P) {
-  std::ifstream In(P, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
-void writeFileRaw(const std::filesystem::path &P, const std::string &S) {
-  std::ofstream Out(P, std::ios::binary | std::ios::trunc);
-  Out.write(S.data(), std::streamsize(S.size()));
-}
-
-/// Entry files under \p Root, excluding the quarantine area.
-std::vector<std::filesystem::path>
-entryFiles(const std::filesystem::path &Root) {
-  std::vector<std::filesystem::path> Out;
-  if (!std::filesystem::exists(Root))
-    return Out;
-  for (const auto &F : std::filesystem::recursive_directory_iterator(Root))
-    if (F.is_regular_file() &&
-        F.path().string().find("quarantine") == std::string::npos)
-      Out.push_back(F.path());
-  return Out;
-}
 
 TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
   std::string Payload = "(islaris-trace-cache 1 00ff) body\nwith newline";
@@ -884,11 +948,135 @@ void corruptFile(const std::filesystem::path &P, unsigned Kind) {
   }
 }
 
+/// The verdict of `add x0, x0, #1; ret` against "x <u 100 on entry, so
+/// x0 <=u Bound on return": true for Bound = 100.  The specs keep their
+/// names whatever the bound, so every bound shares one bundle key.
+struct BoundProof {
+  bool Ok = false;
+  std::string Error;
+  std::string Diag;
+  smt::SolverCache *Store = nullptr;
+  seplogic::ProofStats Stats;
+};
+
+BoundProof proveBound(uint64_t Bound, smt::SolverCache *Store) {
+  namespace e = arch::aarch64::enc;
+  Verifier V(frontend::aarch64(), {nullptr, Store, {}});
+  V.addCode({{0x1000, e::addImm(0, 0, 1)}, {0x1004, e::ret()}});
+  std::string Err;
+  EXPECT_TRUE(V.generateTraces(Err)) << Err;
+  smt::TermBuilder &TB = V.builder();
+  seplogic::Spec Post = V.makeSpec("post");
+  const smt::Term *Out = Post.evar(64, "out");
+  Post.reg(Reg("R0"), Out).pure(TB.bvUle(Out, TB.constBV(64, Bound)));
+  seplogic::Spec Entry = V.makeSpec("entry");
+  const smt::Term *X = Entry.evar(64, "x");
+  const smt::Term *R = Entry.evar(64, "r");
+  Entry.reg(Reg("R0"), X)
+      .reg(Reg("R30"), R)
+      .pure(TB.bvUlt(X, TB.constBV(64, 100)))
+      .instrPre(R, &Post, {});
+  V.engine().registerSpec(0x1000, &Entry);
+  BoundProof P;
+  P.Ok = V.engine().verifyAll();
+  P.Error = V.engine().error();
+  P.Diag = V.engine().diag().render();
+  P.Stats = V.engine().stats();
+  return P;
+}
+
+// A spec edited under the same names opens the same bundle.  Its stale
+// answers are keyed by other goal sets, so they only miss: the verdict and
+// the diagnostic are those of a storeless run.  The answers the stale
+// bundle held went into the store's memory, so the original spec then
+// re-verifies from the store without a miss.
+TEST(SideCondTest, StaleBundleOnlyMisses) {
+  TempDir Tmp;
+  SideCondConfig Cfg;
+  Cfg.Persist = true;
+  Cfg.Dir = Tmp.Path.string();
+  BoundProof Storeless = proveBound(99, nullptr);
+  ASSERT_FALSE(Storeless.Ok);
+  {
+    SideCondStore Cold(Cfg);
+    ASSERT_TRUE(proveBound(100, &Cold).Ok);
+    EXPECT_GT(Cold.stats().Misses, 0u);
+    EXPECT_EQ(Cold.stats().DiskWrites, 1u);
+  }
+
+  SideCondStore Store(Cfg);
+  BoundProof Stale = proveBound(99, &Store);
+  EXPECT_FALSE(Stale.Ok);
+  EXPECT_EQ(Stale.Error, Storeless.Error);
+  EXPECT_EQ(Stale.Diag, Storeless.Diag);
+  SideCondStats After = Store.stats();
+  EXPECT_GT(After.Misses, 0u);
+  EXPECT_EQ(After.Rejected, 0u);
+  EXPECT_EQ(After.DiskWrites, 1u); // the stale proof republished
+
+  BoundProof Again = proveBound(100, &Store);
+  EXPECT_TRUE(Again.Ok) << Again.Error;
+  EXPECT_EQ(Again.Stats.SolverSatCalls, 0u);
+  EXPECT_GT(Again.Stats.SolverStoreHits, 0u);
+  EXPECT_EQ(Store.stats().Misses, After.Misses);
+}
+
+/// A study row without its timings.
+std::string untimedRow(const frontend::CaseResult &R) {
+  std::ostringstream OS;
+  OS << R.Name << " ok=" << R.Ok << " err=" << R.Error
+     << " diag=" << R.D.render() << " asm=" << R.AsmInstrs
+     << " itl=" << R.ItlEvents << " events=" << R.Proof.EventsProcessed
+     << " paths=" << R.Proof.PathsVerified
+     << " entailments=" << R.Proof.Entailments
+     << " queries=" << R.Proof.SolverQueries;
+  return OS.str();
+}
+
+// A torn bundle is a quarantined miss: the proof solves its goals again,
+// the row equals the fault-free one, and the republished bundle serves the
+// next run.
+TEST(SideCondTest, TornBundleIsAQuarantinedMiss) {
+  TempDir Tmp;
+  SideCondConfig Cfg;
+  Cfg.Persist = true;
+  Cfg.Dir = Tmp.Path.string();
+  const frontend::StudyEntry *Uart = frontend::findCaseStudy("uart");
+  ASSERT_NE(Uart, nullptr);
+  frontend::CaseResult Clean;
+  {
+    SideCondStore Store(Cfg);
+    Clean = Uart->Run({nullptr, &Store, {}});
+    ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  }
+  auto Files = entryFiles(Tmp.Path);
+  ASSERT_EQ(Files.size(), 1u);
+  corruptFile(Files[0], 1); // one flipped payload bit
+
+  SideCondStore Store(Cfg);
+  frontend::CaseResult Torn = Uart->Run({nullptr, &Store, {}});
+  EXPECT_EQ(untimedRow(Torn), untimedRow(Clean));
+  EXPECT_EQ(Torn.Proof.SolverStoreHits, 0u);
+  SideCondStats St = Store.stats();
+  EXPECT_EQ(St.Quarantined, 1u);
+  EXPECT_EQ(St.DiskHits, 0u);
+  EXPECT_EQ(St.DiskWrites, 1u);
+  EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
+                                      Files[0].filename()));
+
+  SideCondStore Warm(Cfg);
+  frontend::CaseResult Healed = Uart->Run({nullptr, &Warm, {}});
+  EXPECT_EQ(untimedRow(Healed), untimedRow(Clean));
+  EXPECT_EQ(Warm.stats().Misses, 0u);
+  EXPECT_EQ(Warm.stats().DiskHits, St.Misses);
+}
+
 /// Drives a TraceCache through one fixed key; Value picks one of two
 /// distinguishable entries.
 struct TraceStoreOps {
   using Store = TraceCache;
   static constexpr const char *Name = "TraceCache";
+  static constexpr bool LastWriterWins = false;
   static Fingerprint key(unsigned N = 0) {
     return Fingerprinter().str("contract-key").u64(N).digest();
   }
@@ -911,13 +1099,19 @@ struct TraceStoreOps {
   }
 };
 
-/// The same operations on a SideCondStore: the closure stands in for the
-/// key, the verdict for the value.
+/// The same operations on a SideCondStore: the bundle key stands in for
+/// the key, one answer's verdict for the value.
 struct SideCondStoreOps {
   using Store = SideCondStore;
   static constexpr const char *Name = "SideCondStore";
-  static std::string key(unsigned N = 0) {
-    return "goal-closure-" + std::to_string(N);
+  /// Bundles are replaced on republication; trace entries are immutable.
+  static constexpr bool LastWriterWins = true;
+  static Fingerprint key(unsigned N = 0) {
+    return Fingerprinter().str("contract-bundle").u64(N).digest();
+  }
+  /// The goal-set key of the one answer bundle \p K holds.
+  static Fingerprint goals(const Fingerprint &K) {
+    return Fingerprinter().str("contract-goals").fingerprint(K).digest();
   }
   static std::unique_ptr<SideCondStore>
   open(const std::filesystem::path &Dir) {
@@ -926,15 +1120,15 @@ struct SideCondStoreOps {
     Cfg.Dir = Dir.string();
     return std::make_unique<SideCondStore>(Cfg);
   }
-  static void put(SideCondStore &S, const std::string &K, unsigned Value) {
+  static void put(SideCondStore &S, const Fingerprint &K, unsigned Value) {
     smt::SolverCache::CachedResult R;
     R.Sat = Value != 0;
     if (R.Sat)
       R.Model.emplace_back("x", 8u, BitVec(8, 42));
-    S.store(K, R);
+    putAnswer(S, K, goals(K), R);
   }
-  static int get(SideCondStore &S, const std::string &K) {
-    auto Hit = S.lookup(K);
+  static int get(SideCondStore &S, const Fingerprint &K) {
+    auto Hit = getAnswer(S, K, goals(K));
     return Hit ? int(Hit->Sat) : -1;
   }
 };
@@ -984,7 +1178,7 @@ TYPED_TEST(DiskContractTest, CorruptFilesAreQuarantinedMisses) {
   }
 }
 
-TYPED_TEST(DiskContractTest, FirstWriterWins) {
+TYPED_TEST(DiskContractTest, RepublishingFollowsTheStoreContract) {
   using Ops = TypeParam;
   TempDir Tmp;
   auto K = Ops::key();
@@ -996,13 +1190,16 @@ TYPED_TEST(DiskContractTest, FirstWriterWins) {
   std::string Bytes = readFileRaw(Files[0]);
 
   // A second writer with an empty memory publishes a different value under
-  // the same key: the file already there wins, byte for byte.
+  // the same key.  A trace entry already there wins, byte for byte; a
+  // bundle is replaced (its answers are checked against their own keys,
+  // so the last writer can only make later lookups hit or miss).
   auto S2 = Ops::open(Tmp.Path);
   Ops::put(*S2, K, 0);
-  EXPECT_EQ(S2->stats().DiskWrites, 0u);
+  EXPECT_EQ(S2->stats().DiskWrites, Ops::LastWriterWins ? 1u : 0u);
   EXPECT_EQ(S2->stats().WriteFailures, 0u);
-  EXPECT_EQ(readFileRaw(Files[0]), Bytes);
-  EXPECT_EQ(Ops::get(*Ops::open(Tmp.Path), K), 1);
+  EXPECT_EQ(entryFiles(Tmp.Path).size(), 1u);
+  EXPECT_EQ(readFileRaw(Files[0]) == Bytes, !Ops::LastWriterWins);
+  EXPECT_EQ(Ops::get(*Ops::open(Tmp.Path), K), Ops::LastWriterWins ? 0 : 1);
 }
 
 TYPED_TEST(DiskContractTest, DiskDisabledReadsAndWritesNothing) {
@@ -1132,26 +1329,22 @@ TEST(CorruptionMatrixTest, TraceStoreHostileNumbersMissNeverThrow) {
 TEST(CorruptionMatrixTest, SideCondStoreHostileWidthsMissNeverThrow) {
   for (const char *H : HostileNumbers) {
     TempDir Tmp;
-    SideCondConfig Cfg;
-    Cfg.Persist = true;
-    Cfg.Dir = Tmp.Path.string();
     smt::SolverCache::CachedResult R;
     R.Sat = true;
     R.Model.emplace_back("x", 8u, BitVec(8, 42));
-    {
-      SideCondStore S(Cfg);
-      S.store("hostile-width-goal", R);
-    }
+    Fingerprint B = bundleKey("hostile-width-bundle");
+    Fingerprint GK = Fingerprinter().str("hostile-width-goal").digest();
+    putAnswer(*SideCondStoreOps::open(Tmp.Path), B, GK, R);
     rewriteEntryPayload(Tmp.Path, [&](std::string &P) {
       size_t At = P.find("(|x| 8 ");
       ASSERT_NE(At, std::string::npos);
       P.replace(At, 7, std::string("(|x| ") + H + " ");
     });
 
-    SideCondStore S2(Cfg);
-    EXPECT_FALSE(S2.lookup("hostile-width-goal").has_value()) << H;
-    EXPECT_EQ(S2.stats().Quarantined, 1u) << H;
-    auto Ds = S2.drainDiags();
+    auto S2 = SideCondStoreOps::open(Tmp.Path);
+    EXPECT_FALSE(getAnswer(*S2, B, GK).has_value()) << H;
+    EXPECT_EQ(S2->stats().Quarantined, 1u) << H;
+    auto Ds = S2->drainDiags();
     ASSERT_EQ(Ds.size(), 1u) << H;
     EXPECT_EQ(Ds[0].Code, support::ErrorCode::CorruptCacheEntry) << H;
   }
@@ -1395,6 +1588,45 @@ TEST(ScrubTest, QuarantinesCorruptAndMisnamedEntries) {
                                       (OtherHex + ".itc")));
 }
 
+// Scrub checks side-condition bundles the way a reader does: a bundle
+// names its own key in its header, so one that embeds another bundle's key
+// (or only a goal-set key inside) is misnamed, and a torn one is corrupt.
+TEST(ScrubTest, VerifiesAndQuarantinesBundles) {
+  TempDir Tmp;
+  auto S = SideCondStoreOps::open(Tmp.Path);
+  smt::SolverCache::CachedResult R;
+  R.Sat = true;
+  R.Model.emplace_back("x", 8u, BitVec(8, 42));
+  Fingerprint Good = bundleKey("scrub-good"), Torn = bundleKey("scrub-torn");
+  putAnswer(*S, Good, Fingerprinter().str("g1").digest(), R);
+  putAnswer(*S, Torn, Fingerprinter().str("g2").digest(), R);
+  std::string TornHex = Torn.toHex();
+  std::filesystem::path TornPath =
+      Tmp.Path / TornHex.substr(0, 2) / (TornHex + ".scc");
+  corruptFile(TornPath, 1);
+  // A bundle filed under the key of one of its own answers.
+  Fingerprint Inner = Fingerprinter().str("inner").digest();
+  SideCondStore::Answers A;
+  A[Inner] = R;
+  std::string InnerHex = Inner.toHex();
+  std::filesystem::path Misnamed =
+      Tmp.Path / InnerHex.substr(0, 2) / (InnerHex + ".scc");
+  std::filesystem::create_directories(Misnamed.parent_path());
+  writeFileRaw(Misnamed,
+               wrapDurableEntry(SideCondStore::serializeBundle(Good, A)));
+
+  ScrubOptions O;
+  O.Dir = Tmp.Path.string();
+  ScrubReport Rep = scrubStore(O);
+  EXPECT_EQ(Rep.OkEntries, 1u);
+  EXPECT_EQ(Rep.Quarantined, 2u);
+  EXPECT_FALSE(std::filesystem::exists(TornPath));
+  EXPECT_FALSE(std::filesystem::exists(Misnamed));
+  EXPECT_TRUE(getAnswer(*SideCondStoreOps::open(Tmp.Path), Good,
+                        Fingerprinter().str("g1").digest())
+                  .has_value());
+}
+
 TEST(ScrubTest, CompactionEvictsLruByMtimeUnderBudget) {
   TempDir Tmp;
   TraceCacheConfig Cfg;
@@ -1509,7 +1741,8 @@ TEST(ScrubTest, NestedSiblingStoreIsNotOursToQuarantine) {
   std::filesystem::path Nested =
       Tmp.Path / "sidecond" / SKHex.substr(0, 2) / (SKHex + ".scc");
   std::filesystem::create_directories(Nested.parent_path());
-  writeFileRaw(Nested, wrapDurableEntry("(sidecond-payload " + SKHex + ")"));
+  writeFileRaw(Nested,
+               wrapDurableEntry(SideCondStore::serializeBundle(SK, {})));
 
   ScrubOptions SO;
   SO.Dir = Tmp.Path.string();

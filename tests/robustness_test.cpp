@@ -510,14 +510,17 @@ TEST(CacheFaultTest, CorruptSideCondEntryIsAMissAndIsRemoved) {
   Cfg.Persist = true;
   Cfg.Dir = Dir.Path;
   cache::SideCondStore S(Cfg);
+  cache::Fingerprint Bundle = cache::Fingerprinter().str("proof").digest();
+  cache::Fingerprint Goals = cache::Fingerprinter().str("goals").digest();
 
   smt::SolverCache::CachedResult R;
   R.Sat = false;
-  S.store("(goals (= a b))", R);
+  auto B = S.openBundle(Bundle);
+  B->store(Goals, R);
+  B->publish();
   ASSERT_EQ(S.stats().DiskWrites, 1u);
 
-  std::string Path =
-      shardedPath(Dir.Path, S.key("(goals (= a b))"), ".scc");
+  std::string Path = shardedPath(Dir.Path, Bundle, ".scc");
   ASSERT_TRUE(fs::exists(Path));
   {
     std::ofstream Out(Path, std::ios::trunc);
@@ -525,7 +528,8 @@ TEST(CacheFaultTest, CorruptSideCondEntryIsAMissAndIsRemoved) {
   }
 
   cache::SideCondStore S2(Cfg);
-  EXPECT_FALSE(S2.lookup("(goals (= a b))").has_value());
+  EXPECT_FALSE(S2.openBundle(Bundle)->lookup(
+      Goals, {}, [](const smt::SolverCache::CachedResult &) { return true; }));
   EXPECT_EQ(S2.stats().CorruptRemoved, 1u);
   EXPECT_FALSE(fs::exists(Path));
 }

@@ -1,6 +1,7 @@
 //===- tests/smt_test.cpp - Term/Rewriter/BitBlaster/Solver tests ------------===//
 
 #include "SideCondShapes.h"
+#include "frontend/CaseStudies.h"
 #include "smt/Decide.h"
 #include "smt/Evaluator.h"
 #include "smt/Rewriter.h"
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <random>
 
 using namespace islaris;
@@ -477,17 +479,19 @@ TEST(SolverTest, TrivialCheckPathsStaySyntactic) {
 }
 
 namespace {
-/// In-memory SolverCache capturing store()/lookup() traffic.
-struct FakeSolverCache : SolverCache {
-  std::map<std::string, CachedResult> M;
-  std::optional<CachedResult> lookup(const std::string &C) override {
-    auto It = M.find(C);
-    return It == M.end() ? std::nullopt
-                         : std::optional<CachedResult>(It->second);
+/// In-memory store bundle capturing store()/lookup() traffic.
+struct FakeSolverCache : SolverCache::Bundle {
+  std::map<support::Fingerprint, SolverCache::CachedResult> M;
+  bool lookup(const support::Fingerprint &K, const std::vector<const Term *> &,
+              const SolverCache::Install &I) override {
+    auto It = M.find(K);
+    return It != M.end() && I(It->second);
   }
-  void store(const std::string &C, const CachedResult &R) override {
-    M.emplace(C, R);
+  void store(const support::Fingerprint &K,
+             const SolverCache::CachedResult &R) override {
+    M.emplace(K, R);
   }
+  void publish() override {}
 };
 } // namespace
 
@@ -542,6 +546,78 @@ TEST(SolverTest, AmbiguousNamesSkipPersistentCache) {
   EXPECT_TRUE(Cache.M.empty());
   EXPECT_EQ(S.check(), Result::Sat);
   EXPECT_EQ(S.stats().NumMemoHits, 1u);
+}
+
+/// The printed closure of a goal set, the store key of earlier formats:
+/// sorted (name, width) declarations of the free variables, then the
+/// sorted, deduplicated printed goals.
+std::string printClosure(const std::vector<const Term *> &Goals) {
+  std::map<std::string, unsigned> Decls;
+  std::vector<std::string> Printed;
+  for (const Term *G : Goals) {
+    for (const Term *V : collectVars(G))
+      Decls.emplace(V->varName(), V->isBool() ? 0u : V->width());
+    Printed.push_back(G->toString());
+  }
+  std::sort(Printed.begin(), Printed.end());
+  Printed.erase(std::unique(Printed.begin(), Printed.end()), Printed.end());
+  std::string Out = "(goal-closure 1";
+  for (const auto &[Name, Width] : Decls)
+    Out += " (|" + Name + "| " + std::to_string(Width) + ")";
+  for (const std::string &P : Printed)
+    Out += " (assert " + P + ")";
+  return Out + ")";
+}
+
+/// A store that answers nothing and records each goal set it is asked
+/// for: its key and its printed closure, in lookup order.
+struct RecordingStore : SolverCache {
+  std::mutex Mu;
+  std::vector<std::pair<support::Fingerprint, std::string>> Seen;
+
+  struct Recorder : Bundle {
+    RecordingStore &S;
+    explicit Recorder(RecordingStore &S) : S(S) {}
+    bool lookup(const support::Fingerprint &K,
+                const std::vector<const Term *> &Goals,
+                const Install &) override {
+      std::lock_guard<std::mutex> L(S.Mu);
+      S.Seen.emplace_back(K, printClosure(Goals));
+      return false;
+    }
+    void store(const support::Fingerprint &, const CachedResult &) override {}
+    void publish() override {}
+  };
+  std::unique_ptr<Bundle> openBundle(const support::Fingerprint &) override {
+    return std::make_unique<Recorder>(*this);
+  }
+};
+
+// The store key replaced the printed closure: over every goal set the nine
+// studies send to the store on a cold run, two goal sets get equal keys
+// exactly when their printed closures are equal, and the same studies built
+// again in new TermBuilders ask for the same keys in the same order.
+TEST(SolverTest, GoalSetKeysAgreeWithPrintedClosures) {
+  RecordingStore First, Second;
+  frontend::SuiteOptions Opts;
+  Opts.Threads = 1;
+  for (RecordingStore *R : {&First, &Second}) {
+    Opts.SideCond = R;
+    for (const frontend::CaseResult &C : frontend::runAllCaseStudies(Opts))
+      EXPECT_TRUE(C.Ok) << C.Name << ": " << C.Error;
+  }
+  ASSERT_GT(First.Seen.size(), 400u);
+  EXPECT_EQ(First.Seen, Second.Seen);
+
+  std::map<support::Fingerprint, std::string> ClosureOf;
+  std::map<std::string, support::Fingerprint> KeyOf;
+  for (const auto &[K, C] : First.Seen) {
+    auto [KIt, KNew] = ClosureOf.emplace(K, C);
+    EXPECT_EQ(KIt->second, C) << "one key, two closures";
+    auto [CIt, CNew] = KeyOf.emplace(C, K);
+    EXPECT_EQ(CIt->second, K) << "one closure, two keys: " << C;
+  }
+  EXPECT_EQ(ClosureOf.size(), KeyOf.size());
 }
 
 // The blaster survives across checks: re-solving related goals reuses the

@@ -412,8 +412,9 @@ TEST(PurityTest, ProductionModelsClassifyRegisterAccessAsImpure) {
   const sail::Model &Arm = models::aarch64Model();
   for (const char *N : {"decode", "rget", "rset", "aget_SP", "aset_SP"}) {
     const sail::FunctionDecl *F = findFn(Arm, N);
-    if (F)
+    if (F) {
       EXPECT_FALSE(F->IsPure) << N;
+    }
   }
 }
 

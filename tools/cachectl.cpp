@@ -7,18 +7,22 @@
 //
 // `scrub` works over both stores under DIR (default resolveCacheDir(): the
 // trace store at the root, the side-condition store under DIR/sidecond):
-// verifies every entry checksum, quarantines corrupt and misplaced
-// entries, reaps stale temp files, and (with --max-bytes) evicts
-// least-recently-used entries until the store fits.
+// verifies every entry the way a reader would (the envelope checksum, then
+// the key the payload header embeds: a trace entry's, or a proof bundle's),
+// quarantines torn, misnamed and misplaced entries, reaps stale temp
+// files, and (with --max-bytes) evicts least-recently-used entries until
+// the store fits.
 //
 // `gc` retires trace-store generations: every model fingerprint outside
 // the N most recently touched (default 2) has its manifest's entries
 // deleted — the entries minted against retired model text that lookups can
-// never hit again.  The side-condition store has no generations: its keys
-// are model-independent goal closures.  Model-salted entries that older
-// versions published there for the executor's pruning checks are never
-// looked up again; `scrub --max-bytes` reclaims them as least recently
-// used.
+// never hit again.  The side-condition store has no generations: its
+// answers are keyed by model-independent goal-set digests, one proof
+// bundle file per proof search.  Entries that older versions published
+// there — one .scc file per goal, keyed by a printed goal closure, and the
+// model-salted entries of the executor's pruning checks — are never read
+// again.  They still verify, so `scrub --max-bytes` reclaims them: eviction
+// goes by write time, and they are older than every bundle written since.
 //
 // Exit codes: 0 = clean, 1 = scrub found corruption (quarantined), 2 = bad
 // usage or the pass itself failed.
