@@ -4,14 +4,13 @@
 
 #include "cache/Scrub.h" // scrubOnOpen
 #include "support/FaultInjector.h"
+#include "support/Parse.h"
+#include "support/Record.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -129,69 +128,31 @@ static bool readWholeFile(const std::string &Path, std::string &Out) {
 // Durability envelope.
 //===----------------------------------------------------------------------===//
 
-uint64_t islaris::cache::fnv1a64(std::string_view Data) {
-  uint64_t H = 14695981039346656037ull;
-  for (unsigned char C : Data) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
+static constexpr std::string_view EntryMagic = "islaris-entry";
+
+std::string islaris::cache::wrapDurableEntry(const Fingerprint &K,
+                                             std::string_view Payload) {
+  return support::encodeRecord(EntryMagic, DurableFormatVersion, K.toHex(),
+                               Payload);
 }
 
-static constexpr std::string_view EnvelopeMagic = "(islaris-entry ";
-
-std::string islaris::cache::wrapDurableEntry(const std::string &Payload) {
-  std::ostringstream OS;
-  OS << EnvelopeMagic << DurableFormatVersion << " " << std::hex
-     << std::setfill('0') << std::setw(16) << fnv1a64(Payload) << std::dec
-     << " " << Payload.size() << ")\n"
-     << Payload;
-  return OS.str();
-}
-
-static bool isDigits(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (C < '0' || C > '9')
-      return false;
-  return true;
-}
-
-EnvelopeResult islaris::cache::unwrapDurableEntry(const std::string &File,
+EnvelopeResult islaris::cache::unwrapDurableEntry(std::string_view File,
+                                                  const Fingerprint &K,
                                                   std::string &Payload) {
   if (File.empty())
     return EnvelopeResult::Empty;
-  if (File.compare(0, EnvelopeMagic.size(), EnvelopeMagic) != 0)
-    return EnvelopeResult::Corrupt; // no envelope: never parsed unchecked
-  size_t NL = File.find('\n');
-  if (NL == std::string::npos)
-    return EnvelopeResult::Corrupt; // header torn mid-line
-  // "<version> <fnv64-hex> <size>)" between the magic and the newline.
-  std::string_view Header(File.data() + EnvelopeMagic.size(),
-                          NL - EnvelopeMagic.size());
-  size_t Sp1 = Header.find(' ');
-  if (Sp1 == std::string_view::npos)
+  support::RecordParse R = support::parseRecord(
+      File, EntryMagic, DurableFormatVersion, File.size());
+  if (R.S == support::RecordParse::BadVersion)
+    return EnvelopeResult::BadVersion; // don't guess at other layouts
+  // Exactly one whole record: a torn one, trailing bytes or any malformed
+  // byte is corruption, never parsed unchecked.
+  if (R.S != support::RecordParse::Ok || R.Consumed != File.size())
     return EnvelopeResult::Corrupt;
-  size_t Sp2 = Header.find(' ', Sp1 + 1);
-  if (Sp2 == std::string_view::npos || Header.empty() ||
-      Header.back() != ')')
-    return EnvelopeResult::Corrupt;
-  std::string_view Ver = Header.substr(0, Sp1);
-  std::string_view Sum = Header.substr(Sp1 + 1, Sp2 - Sp1 - 1);
-  std::string_view Size = Header.substr(Sp2 + 1, Header.size() - Sp2 - 2);
-  if (!isDigits(Ver))
-    return EnvelopeResult::Corrupt;
-  if (Ver != std::to_string(DurableFormatVersion))
-    return EnvelopeResult::BadVersion; // don't guess at future layouts
-  if (Sum.size() != 16 || !isDigits(Size))
-    return EnvelopeResult::Corrupt;
-  uint64_t WantSum = std::strtoull(std::string(Sum).c_str(), nullptr, 16);
-  uint64_t WantSize = std::strtoull(std::string(Size).c_str(), nullptr, 10);
-  std::string_view Body(File.data() + NL + 1, File.size() - NL - 1);
-  if (Body.size() != WantSize || fnv1a64(Body) != WantSum)
-    return EnvelopeResult::Corrupt; // truncated or bit-flipped payload
-  Payload.assign(Body);
+  Fingerprint Tag;
+  if (!Fingerprint::fromHex(R.Tag, Tag) || Tag != K)
+    return EnvelopeResult::Misnamed;
+  Payload.assign(R.Payload);
   return EnvelopeResult::Ok;
 }
 
@@ -203,6 +164,7 @@ support::ErrorCode islaris::cache::envelopeErrorCode(EnvelopeResult R) {
     return support::ErrorCode::ChecksumMismatch;
   case EnvelopeResult::Ok:
   case EnvelopeResult::Empty:
+  case EnvelopeResult::Misnamed:
     break;
   }
   return support::ErrorCode::CorruptCacheEntry;
@@ -254,16 +216,18 @@ bool EntryFiles::read(const Fingerprint &K, std::string &Payload) {
   std::string File;
   if (!readWholeFile(Path, File))
     return false;
-  // Verify the durability envelope *before* parsing: a checksum or version
-  // mismatch is attributed precisely instead of surfacing as whatever parse
-  // error the garbage happens to trigger.
-  EnvelopeResult R = unwrapDurableEntry(File, Payload);
+  // Verify the durability envelope *before* parsing: a checksum, version
+  // or key mismatch is attributed precisely instead of surfacing as
+  // whatever parse error the garbage happens to trigger.
+  EnvelopeResult R = unwrapDurableEntry(File, K, Payload);
   if (R == EnvelopeResult::Ok)
     return true;
   quarantine(Path, envelopeErrorCode(R),
              R == EnvelopeResult::Empty ? "zero-length entry file"
              : R == EnvelopeResult::BadVersion
-                 ? "entry written by an unknown format version"
+                 ? "entry written by another format version"
+             : R == EnvelopeResult::Misnamed
+                 ? "entry file holds another key's record"
                  : "entry checksum did not verify (torn or corrupt)");
   return false;
 }
@@ -309,7 +273,7 @@ bool EntryFiles::write(const Fingerprint &K, const std::string &Payload,
     return false; // entries are immutable: first writer wins
   // Write-to-temp + rename keeps concurrent writers from exposing partial
   // files: a reader sees the old file or the new one, never a mix.
-  if (!atomicWriteFile(Path, wrapDurableEntry(Payload))) {
+  if (!atomicWriteFile(Path, wrapDurableEntry(K, Payload))) {
     noteWriteFailure(Path);
     return false;
   }
@@ -345,15 +309,6 @@ std::vector<support::Diag> EntryFiles::drainDiags() {
 // Offline view of a store directory.
 //===----------------------------------------------------------------------===//
 
-static bool isHex(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
-}
-
 bool islaris::cache::scanStore(const std::string &Root,
                                std::vector<StoreFile> &Out,
                                std::string &Err) {
@@ -368,7 +323,7 @@ bool islaris::cache::scanStore(const std::string &Root,
       std::string Name = P.filename().string();
       if (It->is_directory()) {
         // Only shard fan-out directories ("00".."ff") belong to the layout.
-        if (!(Name.size() == 2 && isHex(Name)))
+        if (!(Name.size() == 2 && support::isLowerHex(Name)))
           It.disable_recursion_pending();
         continue;
       }
@@ -381,7 +336,7 @@ bool islaris::cache::scanStore(const std::string &Root,
       if (Name.find(".tmp.") != std::string::npos) {
         F.K = StoreFile::Temp;
       } else if ((Ext == TraceEntryExt || Ext == SideCondEntryExt) &&
-                 Stem.size() == 32 && isHex(Stem)) {
+                 Stem.size() == 32 && support::isLowerHex(Stem)) {
         F.K = StoreFile::Entry;
         F.Misplaced = It.depth() != 1 ||
                       P.parent_path().filename() != Stem.substr(0, 2);
@@ -403,19 +358,12 @@ support::ErrorCode islaris::cache::verifyEntryFile(const StoreFile &F,
     Why = "unreadable";
     return support::ErrorCode::IoError;
   }
-  EnvelopeResult V = unwrapDurableEntry(File, Payload);
+  Fingerprint K;
+  Fingerprint::fromHex(F.Stem, K); // scanStore admits only 32-hex stems
+  EnvelopeResult V = unwrapDurableEntry(File, K, Payload);
   if (V != EnvelopeResult::Ok) {
-    Why = "corrupt";
+    Why = V == EnvelopeResult::Misnamed ? "misnamed" : "corrupt";
     return envelopeErrorCode(V);
-  }
-  // Both stores open their payload with "(<magic> <version> <keyhex>".
-  std::string_view Header(Payload.data(),
-                          std::min(Payload.find('\n'), Payload.size()));
-  size_t KeyAt = Header.find(' ', Header.find(' ') + 1);
-  if (KeyAt == std::string_view::npos ||
-      Header.substr(KeyAt + 1, F.Stem.size()) != F.Stem) {
-    Why = "misnamed";
-    return support::ErrorCode::CorruptCacheEntry;
   }
   if (F.Misplaced) {
     Why = "misplaced";

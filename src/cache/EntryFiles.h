@@ -14,9 +14,9 @@
 ///     subdirectories on the leading fingerprint byte, <dir>/<hex[0:2]>/<hex>
 ///     plus the store's extension;
 ///   - the durability envelope, verified before any payload byte reaches a
-///     parser:  (islaris-entry <version> <fnv64-hex> <payload-size>)\n<payload>
-///     Both stores open their payload with "(<magic> <version> <keyhex>"
-///     and check the key on read;
+///     parser: each file is exactly one record of the shared grammar
+///     (support/Record.h) whose tag is the entry's key, so this module
+///     alone decides whether a file is the entry of key K;
 ///   - quarantine: a file that fails verification is a miss, moves to
 ///     <dir>/quarantine/ and yields one bounded Diag, which frees the path
 ///     so republication heals the entry;
@@ -33,6 +33,7 @@
 
 #include "cache/Fingerprint.h"
 #include "support/Diag.h"
+#include "support/Record.h"
 
 #include <atomic>
 #include <cstdint>
@@ -63,31 +64,39 @@ bool atomicWriteFile(const std::string &Path, const std::string &Content);
 /// toggle it at runtime).
 bool fsyncEnabled();
 
-/// Current on-disk entry format version.  Files without the envelope (the
-/// version-1 format) are corrupt: a miss, quarantined.
-inline constexpr unsigned DurableFormatVersion = 2;
+/// Current on-disk entry format version.  Files of an older version read
+/// as BadVersion (version 2's envelope put the checksum before the size
+/// and named no key) or Corrupt (version 1 had no envelope): a miss,
+/// quarantined.
+inline constexpr unsigned DurableFormatVersion = 3;
 
-/// 64-bit FNV-1a over \p Data (the envelope checksum).
-uint64_t fnv1a64(std::string_view Data);
+/// The record checksum (support/Record.h), under its older name.
+using support::fnv1a64;
 
-/// Outcome of validating a store file's durability envelope.
+/// Outcome of validating a store file as the entry record of one key.
 enum class EnvelopeResult {
   Ok,         ///< checksum verified; payload extracted.
-  BadVersion, ///< header present but written by an unknown format version.
-  Corrupt,    ///< no envelope, truncated header/payload or checksum mismatch.
+  BadVersion, ///< header present but written by another format version.
+  Corrupt,    ///< not exactly one record: no envelope, truncated
+              ///< header/payload, trailing bytes or checksum mismatch.
   Empty,      ///< zero-length file (e.g. crash between create and write).
+  Misnamed,   ///< a valid record whose tag names another key (a renamed
+              ///< or cross-linked file would otherwise serve the wrong key).
 };
 
-/// Wraps \p Payload in the versioned, checksummed envelope.
-std::string wrapDurableEntry(const std::string &Payload);
+/// Wraps \p Payload as \p K's entry: one record of the shared grammar
+/// (support/Record.h), tagged with K's hex,
+///   (islaris-entry 3 <keyhex> <payload-len> <fnv64-hex>)\n<payload>\n
+std::string wrapDurableEntry(const Fingerprint &K, std::string_view Payload);
 
-/// Validates \p File's envelope; on Ok, \p Payload receives the entry
-/// payload.  Never throws; any malformed input maps to a non-Ok result.
-EnvelopeResult unwrapDurableEntry(const std::string &File,
+/// Validates \p File as exactly one entry record for \p K; on Ok,
+/// \p Payload receives the entry payload.  Never throws; any malformed
+/// input maps to a non-Ok result.
+EnvelopeResult unwrapDurableEntry(std::string_view File, const Fingerprint &K,
                                   std::string &Payload);
 
 /// Maps a non-Ok envelope verdict onto the Diag error code suite
-/// aggregation reports (Empty -> CorruptCacheEntry, Corrupt ->
+/// aggregation reports (Empty and Misnamed -> CorruptCacheEntry, Corrupt ->
 /// ChecksumMismatch, BadVersion -> CacheVersionMismatch).
 support::ErrorCode envelopeErrorCode(EnvelopeResult R);
 
@@ -189,9 +198,8 @@ struct StoreFile {
 bool scanStore(const std::string &Root, std::vector<StoreFile> &Out,
                std::string &Err);
 
-/// Checks an Entry found by scanStore the way a reader would: envelope,
-/// the fingerprint its name promises inside the payload (a renamed or
-/// cross-linked file would otherwise serve the wrong key), and placement.
+/// Checks an Entry found by scanStore the way a reader would: the envelope
+/// for the key its name promises, then placement.
 /// Returns ErrorCode::Ok for a live entry, IoError when the file cannot be
 /// read, otherwise the failure's code with \p Why set to "corrupt",
 /// "misnamed" or "misplaced".

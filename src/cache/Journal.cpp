@@ -2,15 +2,15 @@
 
 #include "cache/Journal.h"
 
-#include "cache/EntryFiles.h" // fnv1a64, fsync policy shared with the stores
+#include "cache/EntryFiles.h" // atomicWriteFile, fsyncEnabled
 #include "support/FaultInjector.h"
+#include "support/Record.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <vector>
 
@@ -22,7 +22,8 @@ using namespace islaris::cache;
 
 namespace fs = std::filesystem;
 
-static constexpr std::string_view JournalMagic = "(islaris-journal 1 ";
+static constexpr std::string_view JournalMagic = "islaris-journal";
+static constexpr uint64_t JournalVersion = 1;
 
 RunJournal::RunJournal(std::string Path) : FilePath(std::move(Path)) {}
 
@@ -38,31 +39,8 @@ void RunJournal::noteDiag(support::Diag D) {
 
 std::string RunJournal::encodeRecord(const Fingerprint &K,
                                      const std::string &Payload) {
-  std::ostringstream OS;
-  OS << JournalMagic << K.toHex() << " " << Payload.size() << " "
-     << std::hex << std::setfill('0') << std::setw(16) << fnv1a64(Payload)
-     << ")\n"
-     << Payload << "\n";
-  return OS.str();
-}
-
-static bool isHex(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f') ||
-          (C >= 'A' && C <= 'F')))
-      return false;
-  return true;
-}
-
-static bool isDigits(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (C < '0' || C > '9')
-      return false;
-  return true;
+  return support::encodeRecord(JournalMagic, JournalVersion, K.toHex(),
+                               Payload);
 }
 
 bool RunJournal::open() {
@@ -89,47 +67,21 @@ bool RunJournal::open() {
   }
   size_t Pos = 0;
   while (Pos < Text.size()) {
-    size_t Start = Pos;
-    if (Text.compare(Pos, JournalMagic.size(), JournalMagic) != 0)
-      break;
-    size_t NL = Text.find('\n', Pos);
-    if (NL == std::string::npos)
-      break;
-    // "<keyhex> <len> <fnv64-hex>)" between the magic and the newline.
-    std::string_view Header(Text.data() + Pos + JournalMagic.size(),
-                            NL - Pos - JournalMagic.size());
-    size_t Sp1 = Header.find(' ');
-    size_t Sp2 = Sp1 == std::string_view::npos
-                     ? std::string_view::npos
-                     : Header.find(' ', Sp1 + 1);
-    if (Sp2 == std::string_view::npos || Header.empty() ||
-        Header.back() != ')')
-      break;
-    std::string_view KeyHex = Header.substr(0, Sp1);
-    std::string_view Len = Header.substr(Sp1 + 1, Sp2 - Sp1 - 1);
-    std::string_view Sum = Header.substr(Sp2 + 1, Header.size() - Sp2 - 2);
+    // An incomplete, foreign-version or malformed record all end the valid
+    // prefix alike.
+    support::RecordParse R =
+        support::parseRecord(std::string_view(Text).substr(Pos), JournalMagic,
+                             JournalVersion, UINT64_MAX);
     Fingerprint K;
-    if (!isHex(KeyHex) || !Fingerprint::fromHex(std::string(KeyHex), K) ||
-        !isDigits(Len) || Sum.size() != 16 || !isHex(Sum))
+    if (R.S != support::RecordParse::Ok || !Fingerprint::fromHex(R.Tag, K))
       break;
-    uint64_t WantLen = std::strtoull(std::string(Len).c_str(), nullptr, 10);
-    uint64_t WantSum = std::strtoull(std::string(Sum).c_str(), nullptr, 16);
-    size_t PayloadStart = NL + 1;
-    // The payload plus its trailing newline must be fully present.
-    if (PayloadStart + WantLen + 1 > Text.size())
-      break;
-    std::string_view Payload(Text.data() + PayloadStart, WantLen);
-    if (Text[PayloadStart + WantLen] != '\n' || fnv1a64(Payload) != WantSum)
-      break;
-    size_t RecordSize = PayloadStart + WantLen + 1 - Pos;
     auto It = Map.find(K);
     if (It == Map.end())
-      LiveBytes += RecordSize;
+      LiveBytes += R.Consumed;
     else
-      LiveBytes += RecordSize - encodeRecord(K, It->second).size();
-    Map[K] = std::string(Payload); // last record for a key wins
-    Pos = PayloadStart + WantLen + 1;
-    (void)Start;
+      LiveBytes += R.Consumed - encodeRecord(K, It->second).size();
+    Map[K] = std::string(R.Payload); // last record for a key wins
+    Pos += R.Consumed;
   }
   FileBytes = Pos;
   if (Pos < Text.size()) {

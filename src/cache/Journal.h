@@ -12,15 +12,18 @@
 /// with the same options and skip every job whose record survived, while
 /// reproducing bit-identical aggregate results.
 ///
-/// Records are self-delimiting and individually checksummed:
+/// Each record is one record of the shared grammar (support/Record.h),
+/// self-delimiting and individually checksummed, tagged with the job key:
 ///
 ///   (islaris-journal 1 <keyhex> <payload-len> <fnv64-hex>)\n<payload>\n
 ///
 /// The file is append-only; recovery is a single forward scan that accepts
-/// the longest valid prefix and truncates anything after it (a crash mid-
-/// append leaves at most one torn tail record, which carries no completed
-/// work by definition — the job's effects on the entry stores are idempotent
-/// first-writer-wins publishes, so replaying it is safe).  Appends are
+/// the longest valid prefix and truncates anything after it: an incomplete
+/// record, a hostile length, another version or a bad checksum all end the
+/// prefix alike.  A crash mid-append leaves at most one torn tail record,
+/// which carries no completed work by definition — the job's effects on
+/// the entry stores are idempotent first-writer-wins publishes, so
+/// replaying it is safe.  Appends are
 /// fsync'd (ISLARIS_NO_FSYNC opt-out shared with atomicWriteFile) so a
 /// record observed by the dying process is observed by its successor.
 /// Duplicate keys can occur when a crash lands between a job finishing and

@@ -125,17 +125,13 @@ bool parseAnswer(Cursor &C, Fingerprint &Key,
 }
 } // namespace
 
-bool SideCondStore::parseBundle(const std::string &Text, const Fingerprint &K,
-                                Answers &Out, std::string &Err) {
+bool SideCondStore::parseBundle(const std::string &Text, Answers &Out,
+                                std::string &Err) {
   Cursor C{Text};
   Fingerprint FileKey;
   if (!C.lit("(islaris-sidecond-bundle 1 ") || !C.key(FileKey) ||
       !C.lit(")\n")) {
     Err = "unrecognized side-condition bundle header/version";
-    return false;
-  }
-  if (FileKey != K) {
-    Err = "side-condition bundle key mismatch";
     return false;
   }
   Out.clear();
@@ -225,7 +221,7 @@ void SideCondStore::load(const Fingerprint &K, Answers &Out) {
   std::string Payload, Err;
   if (!Files.read(K, Payload))
     return;
-  if (!parseBundle(Payload, K, Out, Err)) {
+  if (!parseBundle(Payload, Out, Err)) {
     Out.clear();
     Files.discard(K, Err);
     return;

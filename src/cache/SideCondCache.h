@@ -132,9 +132,10 @@ public:
   ///   (islaris-sidecond-bundle 1 <bundlekeyhex>)
   ///   (answer <goalkeyhex> sat|unsat (model (|name| width #x..|#b..) ...))
   static std::string serializeBundle(const Fingerprint &K, const Answers &A);
-  /// Inverse of serializeBundle; checks the embedded key against \p K.
-  static bool parseBundle(const std::string &Text, const Fingerprint &K,
-                          Answers &Out, std::string &Err);
+  /// Inverse of serializeBundle.  The embedded key is not checked: the
+  /// bundle file's envelope names the key (cache/EntryFiles.h).
+  static bool parseBundle(const std::string &Text, Answers &Out,
+                          std::string &Err);
 
 private:
   class Bundle;

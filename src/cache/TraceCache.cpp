@@ -79,8 +79,8 @@ std::string TraceCache::serializeEntry(const Fingerprint &K,
   return OS.str();
 }
 
-bool TraceCache::parseEntry(const std::string &Text, const Fingerprint &K,
-                            CacheEntry &Out, std::string &Err) {
+bool TraceCache::parseEntry(const std::string &Text, CacheEntry &Out,
+                            std::string &Err) {
   itl::SExprParser P(Text);
   auto Header = P.parse();
   if (!Header) {
@@ -91,11 +91,6 @@ bool TraceCache::parseEntry(const std::string &Text, const Fingerprint &K,
   if (Header->isAtom() || L.size() != 5 ||
       L[0].Atom != "islaris-trace-cache" || L[1].Atom != "1") {
     Err = "unrecognized cache entry header/version";
-    return false;
-  }
-  Fingerprint FileKey;
-  if (!Fingerprint::fromHex(L[2].Atom, FileKey) || FileKey != K) {
-    Err = "cache entry key mismatch";
     return false;
   }
   if (L[3].isAtom() || L[3].List.empty() ||
@@ -188,7 +183,7 @@ std::optional<CacheEntry> TraceCache::lookup(const Fingerprint &K) {
   std::string Payload, Err;
   CacheEntry E;
   if (Cfg.Persist && Files.read(K, Payload)) {
-    if (parseEntry(Payload, K, E, Err)) {
+    if (parseEntry(Payload, E, Err)) {
       std::lock_guard<std::mutex> L(Mu);
       ++St.DiskHits;
       if (!Map.count(K))

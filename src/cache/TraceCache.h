@@ -157,9 +157,10 @@ public:
   /// followed by the trace text verbatim.
   static std::string serializeEntry(const Fingerprint &K,
                                     const CacheEntry &E);
-  /// Inverse of serializeEntry; checks the embedded key against \p K.
-  static bool parseEntry(const std::string &Text, const Fingerprint &K,
-                         CacheEntry &Out, std::string &Err);
+  /// Inverse of serializeEntry.  The embedded key is not checked: the
+  /// entry file's envelope names the key (cache/EntryFiles.h).
+  static bool parseEntry(const std::string &Text, CacheEntry &Out,
+                         std::string &Err);
 
 private:
   /// Adds \p K (absent) as most recently used, evicting past the bound;

@@ -95,7 +95,6 @@ bool ProofEngine::prove(const Term *Goal, Ctx &C) {
   }
   std::vector<const Term *> Query = C.Pure;
   Query.push_back(TB.notTerm(G));
-  ++Stats.SolverQueries;
   smt::Result CR = Solver.check(Query);
   if (CR == smt::Result::Unknown) {
     // "Not proven" is the sound answer, but it must not be memoized (a
@@ -110,7 +109,6 @@ bool ProofEngine::prove(const Term *Goal, Ctx &C) {
 }
 
 bool ProofEngine::pureSatisfiable(Ctx &C) {
-  ++Stats.SolverQueries;
   smt::Result CR = Solver.check(C.Pure);
   if (CR == smt::Result::Unknown) {
     // Answering "unsatisfiable" here would PRUNE a possibly-feasible path —
@@ -128,7 +126,6 @@ std::optional<BitVec> ProofEngine::concretize(const Term *T, Ctx &C) {
     return S->constBV();
   // Ask the solver for a model of the path condition, evaluate a candidate
   // value, then confirm it is the only one.
-  ++Stats.SolverQueries;
   smt::Result CR = Solver.check(C.Pure);
   if (CR == smt::Result::Unknown) {
     noteSolverGaveUp("concretization of " + S->toString().substr(0, 120));

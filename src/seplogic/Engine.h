@@ -40,6 +40,7 @@
 #include "seplogic/Spec.h"
 #include "smt/Solver.h"
 #include "support/Diag.h"
+#include "support/Fingerprint.h"
 
 #include <map>
 
@@ -170,17 +171,8 @@ private:
   /// recurs many times across paths and loop iterations.  Keyed on the id
   /// vector itself, not a folded hash: a hash collision here would silently
   /// misprove a goal.
-  struct IdSeqHash {
-    size_t operator()(const std::vector<unsigned> &V) const {
-      uint64_t H = 0xcbf29ce484222325ull;
-      for (unsigned Id : V) {
-        H ^= Id;
-        H *= 1099511628211ull;
-      }
-      return size_t(H ^ (H >> 31));
-    }
-  };
-  std::unordered_map<std::vector<unsigned>, bool, IdSeqHash> ProveCache;
+  std::unordered_map<std::vector<unsigned>, bool, support::IdSeqHash>
+      ProveCache;
   /// Monotonic counter making contract-havoc variable names unique, so
   /// goal-set store keys stay unambiguous and cacheable across runs.
   unsigned HavocCounter = 0;

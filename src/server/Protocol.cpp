@@ -2,13 +2,10 @@
 
 #include "server/Protocol.h"
 
-#include "cache/TraceCache.h" // fnv1a64, shared with the journal codec
+#include "support/Record.h"
 #include "support/Wire.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <iomanip>
+#include <iterator>
 #include <sstream>
 
 using namespace islaris;
@@ -17,73 +14,34 @@ using islaris::support::wire::Cursor;
 using islaris::support::wire::putStr;
 using islaris::support::wire::putU64;
 
-static constexpr std::string_view FrameMagic = "(islaris-frame 1 ";
+static constexpr std::string_view FrameMagic = "islaris-frame";
+static constexpr uint64_t FrameVersion = 1;
+
+/// Wire tokens, in FrameType order.
+static constexpr const char *FrameNames[] = {
+    "hello",    "request", "ping",  "shutdown",  "welcome", "accepted",
+    "rejected", "trace",   "row",   "diag",      "stats",   "done",
+    "pong",     "bye",     "error", "heartbeat", "health",
+};
+static_assert(std::size(FrameNames) == size_t(FrameType::Health) + 1);
 
 const char *islaris::server::frameTypeName(FrameType T) {
-  switch (T) {
-  case FrameType::Hello:
-    return "hello";
-  case FrameType::Request:
-    return "request";
-  case FrameType::Ping:
-    return "ping";
-  case FrameType::Shutdown:
-    return "shutdown";
-  case FrameType::Welcome:
-    return "welcome";
-  case FrameType::Accepted:
-    return "accepted";
-  case FrameType::Rejected:
-    return "rejected";
-  case FrameType::Trace:
-    return "trace";
-  case FrameType::Row:
-    return "row";
-  case FrameType::Diag:
-    return "diag";
-  case FrameType::Stats:
-    return "stats";
-  case FrameType::Done:
-    return "done";
-  case FrameType::Pong:
-    return "pong";
-  case FrameType::Bye:
-    return "bye";
-  case FrameType::Error:
-    return "error";
-  case FrameType::Heartbeat:
-    return "heartbeat";
-  case FrameType::Health:
-    return "health";
-  }
-  return "error";
+  return size_t(T) < std::size(FrameNames) ? FrameNames[size_t(T)] : "error";
 }
 
-bool islaris::server::frameTypeFromName(const std::string &Name,
+bool islaris::server::frameTypeFromName(std::string_view Name,
                                         FrameType &Out) {
-  static const FrameType All[] = {
-      FrameType::Hello,    FrameType::Request, FrameType::Ping,
-      FrameType::Shutdown, FrameType::Welcome, FrameType::Accepted,
-      FrameType::Rejected, FrameType::Trace,   FrameType::Row,
-      FrameType::Diag,     FrameType::Stats,   FrameType::Done,
-      FrameType::Pong,     FrameType::Bye,     FrameType::Error,
-      FrameType::Heartbeat, FrameType::Health,
-  };
-  for (FrameType T : All)
-    if (Name == frameTypeName(T)) {
-      Out = T;
+  for (size_t I = 0; I < std::size(FrameNames); ++I)
+    if (Name == FrameNames[I]) {
+      Out = FrameType(I);
       return true;
     }
   return false;
 }
 
 std::string islaris::server::encodeFrame(const Frame &F) {
-  std::ostringstream OS;
-  OS << FrameMagic << frameTypeName(F.Type) << " " << F.Payload.size() << " "
-     << std::hex << std::setfill('0') << std::setw(16)
-     << cache::fnv1a64(F.Payload) << ")\n"
-     << F.Payload << "\n";
-  return OS.str();
+  return support::encodeRecord(FrameMagic, FrameVersion,
+                               frameTypeName(F.Type), F.Payload);
 }
 
 void FrameReader::feed(const char *Data, size_t N) {
@@ -94,25 +52,6 @@ void FrameReader::feed(const char *Data, size_t N) {
     Pos = 0;
   }
   Buf.append(Data, N);
-}
-
-static bool isHexSV(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f') ||
-          (C >= 'A' && C <= 'F')))
-      return false;
-  return true;
-}
-
-static bool isDigitsSV(std::string_view S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (C < '0' || C > '9')
-      return false;
-  return true;
 }
 
 FrameReader::Status FrameReader::next(Frame &Out, std::string *Err) {
@@ -126,59 +65,29 @@ FrameReader::Status FrameReader::next(Frame &Out, std::string *Err) {
     return Die("frame stream already dead");
 
   std::string_view Rest(Buf.data() + Pos, Buf.size() - Pos);
-  if (Rest.empty())
-    return Status::NeedMore;
-
-  // Magic.  A partial prefix of the magic is NeedMore; a byte that can
-  // never extend to the magic is Malformed.
-  size_t CmpLen = std::min(Rest.size(), FrameMagic.size());
-  if (Rest.compare(0, CmpLen, FrameMagic.substr(0, CmpLen)) != 0)
-    return Die("bad frame magic");
-  if (Rest.size() < FrameMagic.size())
-    return Status::NeedMore;
-
-  size_t NL = Rest.find('\n');
-  if (NL == std::string_view::npos) {
+  support::RecordParse R =
+      support::parseRecord(Rest, FrameMagic, FrameVersion, MaxFramePayload);
+  switch (R.S) {
+  case support::RecordParse::NeedMore:
     // Headers are short; a kilobyte without a newline is corruption, not a
     // slow sender.
-    if (Rest.size() > 1024)
+    if (Rest.size() > 1024 && Rest.substr(0, 1024).find('\n') ==
+                                  std::string_view::npos)
       return Die("unterminated frame header");
     return Status::NeedMore;
+  case support::RecordParse::BadVersion:
+    return Die("unsupported frame format version");
+  case support::RecordParse::Malformed:
+    return Die(R.Why);
+  case support::RecordParse::Ok:
+    break;
   }
-
-  // "<type> <len> <fnv64-hex>)" between the magic and the newline.
-  std::string_view Header =
-      Rest.substr(FrameMagic.size(), NL - FrameMagic.size());
-  size_t Sp1 = Header.find(' ');
-  size_t Sp2 = Sp1 == std::string_view::npos ? std::string_view::npos
-                                             : Header.find(' ', Sp1 + 1);
-  if (Sp2 == std::string_view::npos || Header.empty() || Header.back() != ')')
-    return Die("malformed frame header");
-  std::string TypeName(Header.substr(0, Sp1));
-  std::string_view Len = Header.substr(Sp1 + 1, Sp2 - Sp1 - 1);
-  std::string_view Sum = Header.substr(Sp2 + 1, Header.size() - Sp2 - 2);
   FrameType T;
-  if (!frameTypeFromName(TypeName, T))
+  if (!frameTypeFromName(R.Tag, T))
     return Die("unknown frame type");
-  if (!isDigitsSV(Len) || Sum.size() != 16 || !isHexSV(Sum))
-    return Die("malformed frame header");
-  uint64_t WantLen = std::strtoull(std::string(Len).c_str(), nullptr, 10);
-  uint64_t WantSum = std::strtoull(std::string(Sum).c_str(), nullptr, 16);
-  if (WantLen > MaxFramePayload)
-    return Die("frame payload exceeds protocol bound");
-
-  size_t PayloadStart = NL + 1;
-  if (PayloadStart + WantLen + 1 > Rest.size())
-    return Status::NeedMore; // payload + trailing newline not all here yet
-  std::string_view Payload = Rest.substr(PayloadStart, WantLen);
-  if (Rest[PayloadStart + WantLen] != '\n')
-    return Die("missing frame terminator");
-  if (cache::fnv1a64(Payload) != WantSum)
-    return Die("frame checksum mismatch");
-
   Out.Type = T;
-  Out.Payload = std::string(Payload);
-  Pos += PayloadStart + WantLen + 1;
+  Out.Payload.assign(R.Payload);
+  Pos += R.Consumed;
   return Status::Frame;
 }
 

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The framing and request/response payloads of the islarisd protocol: a
-/// byte stream of self-delimiting, individually checksummed frames in the
-/// run-journal record grammar,
+/// byte stream of self-delimiting, individually checksummed frames, each
+/// one record of the shared grammar (support/Record.h) with the frame type
+/// as its tag,
 ///
 ///   (islaris-frame 1 <type> <payload-len> <fnv64-hex>)\n<payload>\n
 ///
@@ -56,6 +57,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace islaris::server {
@@ -97,14 +99,14 @@ enum class FrameType : uint8_t {
 
 /// Stable wire token ("hello", "request", ...).
 const char *frameTypeName(FrameType T);
-bool frameTypeFromName(const std::string &Name, FrameType &Out);
+bool frameTypeFromName(std::string_view Name, FrameType &Out);
 
 struct Frame {
   FrameType Type = FrameType::Error;
   std::string Payload;
 };
 
-/// Serializes one frame in the journal-record grammar above.
+/// Serializes one frame in the record grammar above.
 std::string encodeFrame(const Frame &F);
 
 /// Incremental frame decoder over a byte stream.  Feed bytes as they
@@ -117,7 +119,8 @@ public:
   enum class Status {
     Frame,    ///< \p Out holds the next frame.
     NeedMore, ///< No complete frame buffered yet.
-    Malformed, ///< Unrecoverable framing error; the stream is dead.
+    Malformed, ///< Unrecoverable framing error (including another frame
+               ///< format version); the stream is dead.
   };
   Status next(Frame &Out, std::string *Err = nullptr);
 

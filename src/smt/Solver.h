@@ -286,21 +286,12 @@ private:
 
   // In-run memo: canonical goal-id set -> result + model.  Terms are
   // hash-consed, so ids identify goals and the key is builder-stable.
-  struct GoalKeyHash {
-    size_t operator()(const std::vector<unsigned> &K) const {
-      uint64_t H = 0xcbf29ce484222325ull;
-      for (unsigned Id : K) {
-        H ^= Id;
-        H *= 1099511628211ull;
-      }
-      return size_t(H ^ (H >> 31));
-    }
-  };
   struct MemoEntry {
     Result R;
     Env Model;
   };
-  std::unordered_map<std::vector<unsigned>, MemoEntry, GoalKeyHash> Memo;
+  std::unordered_map<std::vector<unsigned>, MemoEntry, support::IdSeqHash>
+      Memo;
 };
 
 } // namespace islaris::smt

@@ -2,6 +2,8 @@
 
 #include "support/Fingerprint.h"
 
+#include "support/Parse.h"
+
 using namespace islaris;
 using namespace islaris::support;
 
@@ -22,22 +24,11 @@ std::string Fingerprint::toHex() const {
 }
 
 bool Fingerprint::fromHex(std::string_view Text, Fingerprint &Out) {
-  if (Text.size() != 32)
+  uint64_t Hi = 0, Lo = 0;
+  if (Text.size() != 32 || !parseHex64(Text.substr(0, 16), Hi) ||
+      !parseHex64(Text.substr(16), Lo))
     return false;
-  uint64_t Parts[2] = {0, 0};
-  for (unsigned I = 0; I < 32; ++I) {
-    char C = Text[I];
-    uint64_t D;
-    if (C >= '0' && C <= '9')
-      D = uint64_t(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = uint64_t(C - 'a' + 10);
-    else
-      return false;
-    Parts[I / 16] = (Parts[I / 16] << 4) | D;
-  }
-  Out.Hi = Parts[0];
-  Out.Lo = Parts[1];
+  Out = {Hi, Lo};
   return true;
 }
 

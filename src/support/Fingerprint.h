@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace islaris::support {
 
@@ -112,6 +113,20 @@ private:
   uint64_t A = 0x9e3779b97f4a7c15ull;
   uint64_t B = 0xc2b2ae3d27d4eb4full;
   uint64_t N = 0; ///< Words absorbed.
+};
+
+/// Hash of a sequence of hash-consed term ids (FNV-1a over the ids), for
+/// the in-run memos keyed on the id vector itself: smt::Solver's goal-set
+/// memo and seplogic::ProofEngine's side-condition memo.
+struct IdSeqHash {
+  size_t operator()(const std::vector<unsigned> &V) const {
+    uint64_t H = 0xcbf29ce484222325ull;
+    for (unsigned Id : V) {
+      H ^= Id;
+      H *= 1099511628211ull;
+    }
+    return size_t(H ^ (H >> 31));
+  }
 };
 
 } // namespace islaris::support

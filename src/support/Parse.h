@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Validating decimal parser for numbers that arrive as untrusted bytes —
-/// on-disk cache entries, the islarisd wire, objdump text.  `std::stoul`
+/// Validating parsers for numbers that arrive as untrusted bytes — record
+/// headers (support/Record), the fields inside wire and journal payloads
+/// (support/Wire), store entry payloads, ITL trace text.  `std::stoul`
 /// throws on non-numeric input and silently wraps "-1" to 4294967295; both
 /// behaviours violate the durability contract (a corrupt entry degrades to
 /// a miss / parse error, never a crash or a wrong value).  Every number
@@ -51,6 +52,27 @@ inline bool parseUnsigned(std::string_view S, uint64_t Max, unsigned &Out) {
   if (!parseUnsigned(S, Max < 0xFFFFFFFFu ? Max : 0xFFFFFFFFu, V))
     return false;
   Out = unsigned(V);
+  return true;
+}
+
+/// True when \p S is non-empty and only lowercase hex digits, the one form
+/// keys, checksums and shard names are written in.
+inline bool isLowerHex(std::string_view S) {
+  if (S.empty())
+    return false;
+  for (char C : S)
+    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
+      return false;
+  return true;
+}
+
+/// Parses exactly 16 lowercase hex digits (a 64-bit checksum).
+inline bool parseHex64(std::string_view S, uint64_t &Out) {
+  if (S.size() != 16 || !isLowerHex(S))
+    return false;
+  Out = 0;
+  for (char C : S)
+    Out = Out << 4 | uint64_t(C <= '9' ? C - '0' : C - 'a' + 10);
   return true;
 }
 

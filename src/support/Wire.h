@@ -6,25 +6,31 @@
 ///
 /// \file
 /// The field-level codec shared by the run-journal CaseResult rows and the
-/// islarisd wire protocol.  Values are space-separated tokens; strings are
-/// length-prefixed ("<len>:<bytes>") so embedded spaces, parens and newlines
-/// survive; doubles travel as hexfloats so a decoded value is bit-for-bit
-/// the encoded one, not a decimal approximation.
+/// islarisd wire protocol: the fields inside a record's payload, once
+/// support/Record.h has checked the record around them.  Values are
+/// space-separated tokens; strings are length-prefixed ("<len>:<bytes>") so
+/// embedded spaces, parens and newlines survive; doubles travel as
+/// hexfloats so a decoded value is bit-for-bit the encoded one, not a
+/// decimal approximation.
 ///
-/// Decoding is fail-soft: any malformed field trips Cursor::Fail and every
-/// later read degrades to a zero value, so callers validate once at the end
-/// instead of threading error returns through every field.
+/// Decoding is fail-soft: any malformed field (a number support/Parse.h
+/// refuses, a string longer than the bytes left) trips Cursor::Fail and
+/// every later read degrades to a zero value, so callers validate once at
+/// the end instead of threading error returns through every field.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISLARIS_SUPPORT_WIRE_H
 #define ISLARIS_SUPPORT_WIRE_H
 
+#include "support/Parse.h"
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace islaris::support::wire {
 
@@ -41,7 +47,9 @@ inline void putF(std::ostringstream &OS, double D) {
 }
 
 /// Sequential token reader over the encoded form; any malformed field trips
-/// Fail and every later read degrades to a zero value.
+/// Fail and every later read degrades to a zero value.  Every number goes
+/// through support/Parse.h, so "-1" or "abc" fails instead of wrapping or
+/// reading as 0, and a string length must fit the bytes that remain.
 struct Cursor {
   const std::string &T;
   size_t P = 0;
@@ -53,35 +61,39 @@ struct Cursor {
     while (P < T.size() && T[P] == ' ')
       ++P;
   }
-  std::string tok() {
+  std::string_view tok() {
     skip();
     size_t S = P;
     while (P < T.size() && T[P] != ' ')
       ++P;
     if (P == S)
       Fail = true;
-    return T.substr(S, P - S);
+    return std::string_view(T).substr(S, P - S);
   }
-  uint64_t u64() { return std::strtoull(tok().c_str(), nullptr, 10); }
-  double f() { return std::strtod(tok().c_str(), nullptr); }
+  uint64_t u64() {
+    uint64_t V = 0;
+    Fail |= !parseUnsigned(tok(), UINT64_MAX, V);
+    return V;
+  }
+  double f() {
+    std::string S(tok());
+    char *End = nullptr;
+    double D = std::strtod(S.c_str(), &End);
+    Fail |= End != S.c_str() + S.size();
+    return D;
+  }
   std::string str() {
     skip();
-    size_t S = P;
-    while (P < T.size() && T[P] >= '0' && T[P] <= '9')
-      ++P;
-    if (P == S || P >= T.size() || T[P] != ':') {
+    size_t Colon = T.find(':', P);
+    uint64_t Len = 0;
+    if (Colon == std::string::npos ||
+        !parseUnsigned(std::string_view(T).substr(P, Colon - P),
+                       T.size() - Colon - 1, Len)) {
       Fail = true;
       return "";
     }
-    size_t Len = std::strtoull(T.substr(S, P - S).c_str(), nullptr, 10);
-    ++P; // ':'
-    if (P + Len > T.size()) {
-      Fail = true;
-      return "";
-    }
-    std::string Out = T.substr(P, Len);
-    P += Len;
-    return Out;
+    P = Colon + 1 + size_t(Len);
+    return T.substr(Colon + 1, size_t(Len));
   }
 };
 

@@ -168,18 +168,16 @@ TEST(TraceCacheTest, EntryFileFormatRoundTrips) {
 
   CacheEntry E2;
   std::string Err;
-  ASSERT_TRUE(TraceCache::parseEntry(Text, K, E2, Err)) << Err;
+  ASSERT_TRUE(TraceCache::parseEntry(Text, E2, Err)) << Err;
   EXPECT_EQ(E2.TraceText, E.TraceText); // byte-identical, not just similar
   EXPECT_EQ(E2.OpcodeVars, E.OpcodeVars);
   EXPECT_EQ(E2.Stats.Events, E.Stats.Events);
   EXPECT_EQ(E2.Stats.SolverQueries, E.Stats.SolverQueries);
 
-  // A mismatched key or mangled header is rejected, not misattributed.
-  Fingerprint Other = K;
-  Other.Lo ^= 1;
-  EXPECT_FALSE(TraceCache::parseEntry(Text, Other, E2, Err));
-  EXPECT_FALSE(TraceCache::parseEntry("(bogus)", K, E2, Err));
-  EXPECT_FALSE(TraceCache::parseEntry(Text.substr(0, 40), K, E2, Err));
+  // A mangled header is rejected, not misattributed.  (A file filed under
+  // another key is the envelope's to refuse: EnvelopeTest.)
+  EXPECT_FALSE(TraceCache::parseEntry("(bogus)", E2, Err));
+  EXPECT_FALSE(TraceCache::parseEntry(Text.substr(0, 40), E2, Err));
 }
 
 //===----------------------------------------------------------------------===//
@@ -374,6 +372,13 @@ std::string readFileRaw(const std::filesystem::path &P) {
 void writeFileRaw(const std::filesystem::path &P, const std::string &S) {
   std::ofstream Out(P, std::ios::binary | std::ios::trunc);
   Out.write(S.data(), std::streamsize(S.size()));
+}
+
+/// The key an entry file's name promises.
+Fingerprint entryKey(const std::filesystem::path &P) {
+  Fingerprint K;
+  EXPECT_TRUE(Fingerprint::fromHex(P.stem().string(), K)) << P;
+  return K;
 }
 
 /// Entry files under \p Root, excluding the quarantine area.
@@ -593,18 +598,18 @@ TEST(SideCondTest, BundleSerializationRoundTrips) {
   std::string Text = SideCondStore::serializeBundle(K, A);
   SideCondStore::Answers Out;
   std::string Err;
-  ASSERT_TRUE(SideCondStore::parseBundle(Text, K, Out, Err)) << Err;
+  ASSERT_TRUE(SideCondStore::parseBundle(Text, Out, Err)) << Err;
   EXPECT_EQ(Out, A);
   EXPECT_EQ(std::get<1>(Out[Fingerprinter().str("sat").digest()].Model[0]),
             0u);
 
-  // Key mismatch and truncation degrade to parse failures (misses).
-  EXPECT_FALSE(SideCondStore::parseBundle(Text, bundleKey("other"), Out, Err));
-  EXPECT_FALSE(SideCondStore::parseBundle(Text.substr(0, Text.size() / 2), K,
+  // Truncation degrades to a parse failure (a miss).  (A bundle filed
+  // under another key is the envelope's to refuse: EnvelopeTest.)
+  EXPECT_FALSE(SideCondStore::parseBundle(Text.substr(0, Text.size() / 2),
                                           Out, Err));
   // An empty bundle is a header alone.
   std::string Empty = SideCondStore::serializeBundle(K, {});
-  ASSERT_TRUE(SideCondStore::parseBundle(Empty, K, Out, Err)) << Err;
+  ASSERT_TRUE(SideCondStore::parseBundle(Empty, Out, Err)) << Err;
   EXPECT_TRUE(Out.empty());
 }
 
@@ -679,12 +684,12 @@ TEST(SideCondTest, ForgedModelIsRefusedAndTheBundleRepublished) {
   auto Files = entryFiles(Tmp.Path);
   ASSERT_EQ(Files.size(), 1u);
   std::string Payload;
-  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), B, Payload),
             EnvelopeResult::Ok);
   size_t At = Payload.find("(|x| 16 #x0007)");
   ASSERT_NE(At, std::string::npos) << Payload;
   Payload.replace(At, 15, "(|x| 16 #x0008)");
-  writeFileRaw(Files[0], wrapDurableEntry(Payload));
+  writeFileRaw(Files[0], wrapDurableEntry(B, Payload));
 
   {
     SideCondStore Store(Cfg);
@@ -699,7 +704,7 @@ TEST(SideCondTest, ForgedModelIsRefusedAndTheBundleRepublished) {
     EXPECT_EQ(SS.DiskWrites, 1u); // republished
     EXPECT_EQ(SS.Quarantined, 0u); // the envelope was fine
   }
-  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), B, Payload),
             EnvelopeResult::Ok);
   EXPECT_NE(Payload.find("(|x| 16 #x0007)"), std::string::npos);
   SideCondStore Store(Cfg);
@@ -858,31 +863,55 @@ TEST(SuiteCacheTest, WarmSideCondStoreEliminatesSatCalls) {
 //===----------------------------------------------------------------------===//
 
 TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
+  Fingerprint K = Fingerprinter().str("envelope").digest();
   std::string Payload = "(islaris-trace-cache 1 00ff) body\nwith newline";
-  std::string File = wrapDurableEntry(Payload);
-  ASSERT_EQ(File.compare(0, 15, "(islaris-entry "), 0);
+  std::string File = wrapDurableEntry(K, Payload);
+  ASSERT_EQ(File.compare(0, 17, "(islaris-entry 3 "), 0);
   std::string Out;
-  EXPECT_EQ(unwrapDurableEntry(File, Out), EnvelopeResult::Ok);
+  EXPECT_EQ(unwrapDurableEntry(File, K, Out), EnvelopeResult::Ok);
   EXPECT_EQ(Out, Payload);
 
   // A headerless file (the pre-envelope format) is corrupt: it is never
   // handed to a parser without a checksum.
   Out.clear();
-  EXPECT_EQ(unwrapDurableEntry(Payload, Out), EnvelopeResult::Corrupt);
+  EXPECT_EQ(unwrapDurableEntry(Payload, K, Out), EnvelopeResult::Corrupt);
   EXPECT_TRUE(Out.empty());
-  EXPECT_EQ(unwrapDurableEntry("", Out), EnvelopeResult::Empty);
+  EXPECT_EQ(unwrapDurableEntry("", K, Out), EnvelopeResult::Empty);
 
   // Every corruption shape is detected before any parser sees the bytes.
   std::string Flip = File;
-  Flip.back() = char(Flip.back() ^ 0x40);
-  EXPECT_EQ(unwrapDurableEntry(Flip, Out), EnvelopeResult::Corrupt);
-  EXPECT_EQ(unwrapDurableEntry(File.substr(0, File.size() - 1), Out),
+  Flip[Flip.size() - 2] = char(Flip[Flip.size() - 2] ^ 0x40);
+  EXPECT_EQ(unwrapDurableEntry(Flip, K, Out), EnvelopeResult::Corrupt);
+  EXPECT_EQ(unwrapDurableEntry(File.substr(0, File.size() - 1), K, Out),
             EnvelopeResult::Corrupt); // truncated payload
-  EXPECT_EQ(unwrapDurableEntry(File.substr(0, 20), Out),
+  EXPECT_EQ(unwrapDurableEntry(File.substr(0, 20), K, Out),
             EnvelopeResult::Corrupt); // header torn mid-line
+  EXPECT_EQ(unwrapDurableEntry(File + File, K, Out),
+            EnvelopeResult::Corrupt); // not exactly one record
   std::string BadVer = File;
   BadVer[15] = '7'; // an unknown-but-well-formed version is NOT guessed at
-  EXPECT_EQ(unwrapDurableEntry(BadVer, Out), EnvelopeResult::BadVersion);
+  EXPECT_EQ(unwrapDurableEntry(BadVer, K, Out), EnvelopeResult::BadVersion);
+  // What version 2 wrote: checksum before size, no key.
+  EXPECT_EQ(unwrapDurableEntry("(islaris-entry 2 " +
+                                   std::string(16, '0') + " 0)\n",
+                               K, Out),
+            EnvelopeResult::BadVersion);
+  // Hostile lengths never index past the file: 20 digits overflow, and
+  // 2^64-1 is beyond the bytes that remain.
+  std::string Hex = K.toHex();
+  for (const char *Len : {"99999999999999999999", "18446744073709551615"})
+    EXPECT_EQ(unwrapDurableEntry("(islaris-entry 3 " + Hex + " " + Len +
+                                     " 0000000000000000)\n" + Payload + "\n",
+                                 K, Out),
+              EnvelopeResult::Corrupt)
+        << Len;
+
+  // A verified record filed under another key is refused, not served.
+  Fingerprint Other = K;
+  Other.Lo ^= 1;
+  EXPECT_EQ(unwrapDurableEntry(File, Other, Out), EnvelopeResult::Misnamed);
+  EXPECT_EQ(envelopeErrorCode(EnvelopeResult::Misnamed),
+            support::ErrorCode::CorruptCacheEntry);
 
   EXPECT_EQ(fnv1a64(""), 14695981039346656037ull); // FNV-1a offset basis
   EXPECT_EQ(fnv1a64("islaris"), fnv1a64("islaris"));
@@ -941,7 +970,7 @@ void corruptFile(const std::filesystem::path &P, unsigned Kind) {
     break;
   case 4: {
     std::string Payload;
-    ASSERT_EQ(unwrapDurableEntry(T, Payload), EnvelopeResult::Ok);
+    ASSERT_EQ(unwrapDurableEntry(T, entryKey(P), Payload), EnvelopeResult::Ok);
     writeFileRaw(P, Payload); // what a pre-envelope version wrote
     break;
   }
@@ -1278,10 +1307,11 @@ void rewriteEntryPayload(
   auto Files = entryFiles(Root);
   ASSERT_EQ(Files.size(), 1u);
   std::string Payload;
-  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), Payload),
+  Fingerprint K = entryKey(Files[0]);
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), K, Payload),
             EnvelopeResult::Ok);
   Mutate(Payload);
-  writeFileRaw(Files[0], wrapDurableEntry(Payload));
+  writeFileRaw(Files[0], wrapDurableEntry(K, Payload));
 }
 
 TEST(CorruptionMatrixTest, TraceStoreHostileNumbersMissNeverThrow) {
@@ -1411,6 +1441,13 @@ TEST(RunJournalTest, AppendsSurviveReopenAndLastRecordWins) {
   EXPECT_EQ(J2.tornBytesDiscarded(), 0u);
   ASSERT_NE(J2.find(jkey("a")), nullptr);
   EXPECT_EQ(*J2.find(jkey("a")), "row one (rewrite)"); // last record wins
+
+  // The bytes on disk are pinned: existing journals keep resuming.
+  EXPECT_EQ(RunJournal::encodeRecord(
+                Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull},
+                "row one"),
+            "(islaris-journal 1 0123456789abcdeffedcba9876543210 7 "
+            "65fdb5866363846b)\nrow one\n");
   ASSERT_NE(J2.find(jkey("b")), nullptr);
   EXPECT_EQ(*J2.find(jkey("b")), "row two");
   EXPECT_EQ(J2.find(jkey("c")), nullptr);
@@ -1440,38 +1477,46 @@ TEST(RunJournalTest, PayloadsAreBinarySafe) {
 }
 
 TEST(RunJournalTest, TornTailIsTruncatedAndAppendsContinue) {
-  TempDir Tmp;
-  std::string Path = (Tmp.Path / "suite.journal").string();
-  {
-    RunJournal J(Path);
-    ASSERT_TRUE(J.open());
-    EXPECT_TRUE(J.append(jkey("a"), "alpha"));
-    EXPECT_TRUE(J.append(jkey("b"), "beta"));
-  }
-  // A crash mid-append leaves half a record at the tail.
-  std::string Torn = RunJournal::encodeRecord(jkey("c"), "gamma");
-  {
-    std::ofstream Out(Path, std::ios::binary | std::ios::app);
-    Out.write(Torn.data(), std::streamsize(Torn.size() / 2));
-  }
-  RunJournal J2(Path);
-  ASSERT_TRUE(J2.open());
-  EXPECT_EQ(J2.records(), 2u); // the two durable records survive
-  EXPECT_EQ(J2.tornBytesDiscarded(), Torn.size() / 2);
-  auto Ds = J2.drainDiags();
-  ASSERT_EQ(Ds.size(), 1u);
-  EXPECT_EQ(Ds[0].Code, support::ErrorCode::ChecksumMismatch);
-  EXPECT_EQ(Ds[0].Sev, support::Severity::Warning);
-  EXPECT_EQ(J2.find(jkey("c")), nullptr); // the torn job just re-runs
+  std::string Full = RunJournal::encodeRecord(jkey("c"), "gamma");
+  // A crash mid-append leaves half a record at the tail; a hostile length
+  // (20 digits overflow, 2^64-1 would wrap the payload offset) is a torn
+  // tail too, never an out-of-bounds read.
+  std::string Hostile = "(islaris-journal 1 " + jkey("c").toHex() + " ";
+  for (std::string Torn :
+       {Full.substr(0, Full.size() / 2),
+        Hostile + "99999999999999999999 229176bd1f6ba96a)\ngamma\n",
+        Hostile + "18446744073709551615 229176bd1f6ba96a)\ngamma\n"}) {
+    TempDir Tmp;
+    std::string Path = (Tmp.Path / "suite.journal").string();
+    {
+      RunJournal J(Path);
+      ASSERT_TRUE(J.open());
+      EXPECT_TRUE(J.append(jkey("a"), "alpha"));
+      EXPECT_TRUE(J.append(jkey("b"), "beta"));
+    }
+    {
+      std::ofstream Out(Path, std::ios::binary | std::ios::app);
+      Out.write(Torn.data(), std::streamsize(Torn.size()));
+    }
+    RunJournal J2(Path);
+    ASSERT_TRUE(J2.open());
+    EXPECT_EQ(J2.records(), 2u) << Torn; // the two durable records survive
+    EXPECT_EQ(J2.tornBytesDiscarded(), Torn.size());
+    auto Ds = J2.drainDiags();
+    ASSERT_EQ(Ds.size(), 1u);
+    EXPECT_EQ(Ds[0].Code, support::ErrorCode::ChecksumMismatch);
+    EXPECT_EQ(Ds[0].Sev, support::Severity::Warning);
+    EXPECT_EQ(J2.find(jkey("c")), nullptr); // the torn job just re-runs
 
-  // The truncation restored a clean tail: appends and reopens continue.
-  EXPECT_TRUE(J2.append(jkey("c"), "gamma"));
-  RunJournal J3(Path);
-  ASSERT_TRUE(J3.open());
-  EXPECT_EQ(J3.records(), 3u);
-  EXPECT_EQ(J3.tornBytesDiscarded(), 0u);
-  ASSERT_NE(J3.find(jkey("c")), nullptr);
-  EXPECT_EQ(*J3.find(jkey("c")), "gamma");
+    // The truncation restored a clean tail: appends and reopens continue.
+    EXPECT_TRUE(J2.append(jkey("c"), "gamma"));
+    RunJournal J3(Path);
+    ASSERT_TRUE(J3.open());
+    EXPECT_EQ(J3.records(), 3u);
+    EXPECT_EQ(J3.tornBytesDiscarded(), 0u);
+    ASSERT_NE(J3.find(jkey("c")), nullptr);
+    EXPECT_EQ(*J3.find(jkey("c")), "gamma");
+  }
 }
 
 TEST(RunJournalTest, UnopenablePathFailsCleanly) {
@@ -1571,8 +1616,9 @@ TEST(ScrubTest, QuarantinesCorruptAndMisnamedEntries) {
   std::filesystem::path Misnamed = Tmp.Path / "ff" / (OtherHex + ".itc");
   std::filesystem::create_directories(Misnamed.parent_path());
   writeFileRaw(Misnamed,
-               wrapDurableEntry("(islaris-trace-cache 1 " + K.toHex() +
-                                " (opcode-vars) (stats 1 0 0 0))\n(trace)\n"));
+               wrapDurableEntry(K, "(islaris-trace-cache 1 " + K.toHex() +
+                                       " (opcode-vars) (stats 1 0 0 0))\n"
+                                       "(trace)\n"));
 
   ScrubOptions O;
   O.Dir = Tmp.Path.string();
@@ -1613,7 +1659,7 @@ TEST(ScrubTest, VerifiesAndQuarantinesBundles) {
       Tmp.Path / InnerHex.substr(0, 2) / (InnerHex + ".scc");
   std::filesystem::create_directories(Misnamed.parent_path());
   writeFileRaw(Misnamed,
-               wrapDurableEntry(SideCondStore::serializeBundle(Good, A)));
+               wrapDurableEntry(Good, SideCondStore::serializeBundle(Good, A)));
 
   ScrubOptions O;
   O.Dir = Tmp.Path.string();
@@ -1693,7 +1739,8 @@ TEST(ScrubTest, DryRunReportsWithoutMutating) {
   Fingerprint Misplaced = Fingerprinter().str("dry-misplaced").digest();
   std::filesystem::path Flat = Tmp.Path / (Misplaced.toHex() + ".itc");
   writeFileRaw(Flat,
-               wrapDurableEntry(TraceCache::serializeEntry(Misplaced, E)));
+               wrapDurableEntry(Misplaced,
+                                TraceCache::serializeEntry(Misplaced, E)));
 
   ScrubOptions Dry;
   Dry.Dir = Tmp.Path.string();
@@ -1742,7 +1789,7 @@ TEST(ScrubTest, NestedSiblingStoreIsNotOursToQuarantine) {
       Tmp.Path / "sidecond" / SKHex.substr(0, 2) / (SKHex + ".scc");
   std::filesystem::create_directories(Nested.parent_path());
   writeFileRaw(Nested,
-               wrapDurableEntry(SideCondStore::serializeBundle(SK, {})));
+               wrapDurableEntry(SK, SideCondStore::serializeBundle(SK, {})));
 
   ScrubOptions SO;
   SO.Dir = Tmp.Path.string();

@@ -104,6 +104,9 @@ TEST(FrameCodecTest, RoundTripByteAtATime) {
   std::string Wire;
   for (const server::Frame &F : In)
     Wire += server::encodeFrame(F);
+  // The bytes on the wire are pinned: a frame is a protocol-3 frame.
+  EXPECT_EQ(server::encodeFrame(In[0]),
+            "(islaris-frame 1 hello 2 08ba5f07b55ec3da)\nhi\n");
 
   // Deliver one byte per feed: every split point must be survivable.
   server::FrameReader R;
@@ -156,15 +159,18 @@ TEST(FrameCodecTest, ChecksumCorruptionIsMalformed) {
 
 TEST(FrameCodecTest, OversizedPayloadLengthIsMalformed) {
   // A header advertising more than MaxFramePayload must die at the header,
-  // before any allocation on behalf of the corrupt length.
-  std::ostringstream OS;
-  OS << "(islaris-frame 1 trace " << (server::MaxFramePayload + 1)
-     << " 0000000000000000)\n";
-  std::string Wire = OS.str();
-  server::FrameReader R;
-  R.feed(Wire.data(), Wire.size());
-  server::Frame F;
-  EXPECT_EQ(R.next(F), server::FrameReader::Status::Malformed);
+  // before any allocation on behalf of the corrupt length; so must lengths
+  // that overflow (20 digits) or would wrap an offset (2^64-1).
+  for (std::string Len : {std::to_string(server::MaxFramePayload + 1),
+                          std::string("99999999999999999999"),
+                          std::string("18446744073709551615")}) {
+    std::string Wire =
+        "(islaris-frame 1 trace " + Len + " 0000000000000000)\n";
+    server::FrameReader R;
+    R.feed(Wire.data(), Wire.size());
+    server::Frame F;
+    EXPECT_EQ(R.next(F), server::FrameReader::Status::Malformed) << Len;
+  }
 }
 
 TEST(FrameCodecTest, PartialHeaderNeedsMore) {
@@ -230,6 +236,30 @@ TEST(PayloadCodecTest, MalformedRequestRejected) {
   server::Request Out;
   EXPECT_FALSE(server::decodeRequest("", Out));
   EXPECT_FALSE(server::decodeRequest("not a request", Out));
+  // Numbers are parsed strictly: a "-1" width must not wrap to 2^64-1 and
+  // an "abc" id must not read as 0.
+  server::Request In = traceRequest(1, 7);
+  In.Trace.Assumes.push_back({"PSTATE", "EL", 2, 2});
+  std::string Good = server::encodeRequest(In);
+  ASSERT_TRUE(server::decodeRequest(Good, Out));
+  std::string NegWidth = Good;
+  size_t At = NegWidth.find("2:EL 2 ");
+  ASSERT_NE(At, std::string::npos) << Good;
+  NegWidth.replace(At, 7, "2:EL -1 ");
+  EXPECT_FALSE(server::decodeRequest(NegWidth, Out));
+  std::string BadId = Good;
+  BadId.replace(0, 1, "abc");
+  EXPECT_FALSE(server::decodeRequest(BadId, Out));
+  // A string length near 2^64 must not wrap the cursor backwards.
+  std::string HugeLen = "18446744073709551615:x";
+  support::wire::Cursor C(HugeLen);
+  C.str();
+  EXPECT_TRUE(C.Fail);
+  // Nor may a double that is not one read as 0.
+  std::string NotADouble = "abc";
+  support::wire::Cursor D(NotADouble);
+  D.f();
+  EXPECT_TRUE(D.Fail);
 }
 
 TEST(PayloadCodecTest, DoneRoundTrip) {
@@ -566,7 +596,9 @@ TEST(ServerTest, PoisonedCacheEntryIsAMissNotACrash) {
     Raw = SS.str();
   }
   std::string Payload;
-  ASSERT_EQ(cache::unwrapDurableEntry(Raw, Payload),
+  cache::Fingerprint Key;
+  ASSERT_TRUE(cache::Fingerprint::fromHex(Entries[0].stem().string(), Key));
+  ASSERT_EQ(cache::unwrapDurableEntry(Raw, Key, Payload),
             cache::EnvelopeResult::Ok);
   size_t At = Payload.find("(stats ");
   ASSERT_NE(At, std::string::npos);
@@ -576,7 +608,7 @@ TEST(ServerTest, PoisonedCacheEntryIsAMissNotACrash) {
   Payload.replace(NumBegin, NumEnd - NumBegin, "18446744073709551616");
   {
     std::ofstream Out(Entries[0], std::ios::binary | std::ios::trunc);
-    Out << cache::wrapDurableEntry(Payload);
+    Out << cache::wrapDurableEntry(Key, Payload);
   }
 
   server::Server S(baseConfig(D));

@@ -7,11 +7,13 @@
 //
 // `scrub` works over both stores under DIR (default resolveCacheDir(): the
 // trace store at the root, the side-condition store under DIR/sidecond):
-// verifies every entry the way a reader would (the envelope checksum, then
-// the key the payload header embeds: a trace entry's, or a proof bundle's),
-// quarantines torn, misnamed and misplaced entries, reaps stale temp
-// files, and (with --max-bytes) evicts least-recently-used entries until
-// the store fits.
+// verifies every entry the way a reader would (the envelope's checksum and
+// the key its tag names, against the file's name), quarantines torn,
+// misnamed and misplaced entries, reaps stale temp files, and (with
+// --max-bytes) evicts least-recently-used entries until the store fits.
+// Entries in the version-2 envelope (written before entries named their
+// key in the envelope) read as BadVersion and are quarantined, as
+// version-1 files were when version 2 came in: the stores republish them.
 //
 // `gc` retires trace-store generations: every model fingerprint outside
 // the N most recently touched (default 2) has its manifest's entries
