@@ -174,7 +174,7 @@ BatchDriver::run(const std::vector<TraceJob> &Jobs, TraceCache *Cache) {
   for (auto &[K, G] : Groups) {
     if (Cache) {
       if (auto E = Cache->lookup(K)) {
-        G.Entry = std::move(*E);
+        G.Entry = *E;
         G.Ok = true;
         G.FromCache = true;
         // A warm hit keeps its model's generation current, so steady-state

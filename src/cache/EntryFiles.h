@@ -65,12 +65,12 @@ bool atomicWriteFile(const std::string &Path, const std::string &Content);
 bool fsyncEnabled();
 
 /// Current on-disk entry format version.  Files of an older version read
-/// as BadVersion (version 2's envelope put the checksum before the size
-/// and named no key) or Corrupt (version 1 had no envelope): a miss,
-/// quarantined.
-inline constexpr unsigned DurableFormatVersion = 3;
+/// as BadVersion (version 3 summed its records with byte-wise FNV-1a;
+/// version 2's envelope put the checksum before the size and named no key)
+/// or Corrupt (version 1 had no envelope): a miss, quarantined.
+inline constexpr unsigned DurableFormatVersion = 4;
 
-/// The record checksum (support/Record.h), under its older name.
+/// Byte-wise FNV-1a (support/Record.h), a digest of entry bytes.
 using support::fnv1a64;
 
 /// Outcome of validating a store file as the entry record of one key.
@@ -86,7 +86,7 @@ enum class EnvelopeResult {
 
 /// Wraps \p Payload as \p K's entry: one record of the shared grammar
 /// (support/Record.h), tagged with K's hex,
-///   (islaris-entry 3 <keyhex> <payload-len> <fnv64-hex>)\n<payload>\n
+///   (islaris-entry 4 <keyhex> <payload-len> <sum-hex>)\n<payload>\n
 std::string wrapDurableEntry(const Fingerprint &K, std::string_view Payload);
 
 /// Validates \p File as exactly one entry record for \p K; on Ok,

@@ -23,7 +23,7 @@ using namespace islaris::cache;
 namespace fs = std::filesystem;
 
 static constexpr std::string_view JournalMagic = "islaris-journal";
-static constexpr uint64_t JournalVersion = 1;
+static constexpr uint64_t JournalVersion = 2;
 
 RunJournal::RunJournal(std::string Path) : FilePath(std::move(Path)) {}
 

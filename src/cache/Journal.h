@@ -15,7 +15,7 @@
 /// Each record is one record of the shared grammar (support/Record.h),
 /// self-delimiting and individually checksummed, tagged with the job key:
 ///
-///   (islaris-journal 1 <keyhex> <payload-len> <fnv64-hex>)\n<payload>\n
+///   (islaris-journal 2 <keyhex> <payload-len> <sum-hex>)\n<payload>\n
 ///
 /// The file is append-only; recovery is a single forward scan that accepts
 /// the longest valid prefix and truncates anything after it: an incomplete

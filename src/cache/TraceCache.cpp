@@ -7,7 +7,6 @@
 #include "support/Parse.h"
 
 #include <cstdlib>
-#include <sstream>
 
 using namespace islaris;
 using namespace islaris::cache;
@@ -69,14 +68,24 @@ bool TraceCache::decode(const CacheEntry &E, smt::TermBuilder &TB,
 
 std::string TraceCache::serializeEntry(const Fingerprint &K,
                                        const CacheEntry &E) {
-  std::ostringstream OS;
-  OS << "(islaris-trace-cache 1 " << K.toHex() << " (opcode-vars";
+  std::string Out;
+  appendEntry(Out, K, E);
+  return Out;
+}
+
+void TraceCache::appendEntry(std::string &Out, const Fingerprint &K,
+                             const CacheEntry &E) {
+  Out.reserve(Out.size() + E.TraceText.size() + 128);
+  Out.append("(islaris-trace-cache 1 ").append(K.toHex());
+  Out.append(" (opcode-vars");
   for (const auto &[Name, Width] : E.OpcodeVars)
-    OS << " (|" << Name << "| " << Width << ")";
-  OS << ") (stats " << E.Stats.Paths << " " << E.Stats.PrunedBranches << " "
-     << E.Stats.SolverQueries << " " << E.Stats.Events << "))\n";
-  OS << E.TraceText << "\n";
-  return OS.str();
+    Out.append(" (|").append(Name).append("| ").append(std::to_string(Width))
+        .append(")");
+  Out.append(") (stats ").append(std::to_string(E.Stats.Paths)).append(" ");
+  Out.append(std::to_string(E.Stats.PrunedBranches)).append(" ");
+  Out.append(std::to_string(E.Stats.SolverQueries)).append(" ");
+  Out.append(std::to_string(E.Stats.Events)).append("))\n");
+  Out.append(E.TraceText).append("\n");
 }
 
 bool TraceCache::parseEntry(const std::string &Text, CacheEntry &Out,
@@ -170,7 +179,7 @@ bool TraceCache::parseEntry(const std::string &Text, CacheEntry &Out,
 // In-memory LRU map.
 //===----------------------------------------------------------------------===//
 
-std::optional<CacheEntry> TraceCache::lookup(const Fingerprint &K) {
+std::shared_ptr<const CacheEntry> TraceCache::lookup(const Fingerprint &K) {
   {
     std::lock_guard<std::mutex> L(Mu);
     auto It = Map.find(K);
@@ -184,20 +193,22 @@ std::optional<CacheEntry> TraceCache::lookup(const Fingerprint &K) {
   CacheEntry E;
   if (Cfg.Persist && Files.read(K, Payload)) {
     if (parseEntry(Payload, E, Err)) {
+      auto Shared = std::make_shared<const CacheEntry>(std::move(E));
       std::lock_guard<std::mutex> L(Mu);
       ++St.DiskHits;
       if (!Map.count(K))
-        addLocked(K, E); // promote into memory
-      return E;
+        addLocked(K, Shared); // promote into memory
+      return Shared;
     }
     Files.discard(K, Err);
   }
   std::lock_guard<std::mutex> L(Mu);
   ++St.Misses;
-  return std::nullopt;
+  return nullptr;
 }
 
 void TraceCache::insert(const Fingerprint &K, CacheEntry E) {
+  auto Shared = std::make_shared<const CacheEntry>(std::move(E));
   bool Fresh = false;
   {
     std::lock_guard<std::mutex> L(Mu);
@@ -206,18 +217,19 @@ void TraceCache::insert(const Fingerprint &K, CacheEntry E) {
       // Entries are immutable by content-addressing; refresh recency only.
       Lru.splice(Lru.begin(), Lru, It->second.LruIt);
     } else {
-      addLocked(K, E);
+      addLocked(K, Shared);
       ++St.Insertions;
       Fresh = true;
     }
   }
   if (Fresh && Cfg.Persist)
-    Files.publish(K, serializeEntry(K, E));
+    Files.publish(K, serializeEntry(K, *Shared));
 }
 
-void TraceCache::addLocked(const Fingerprint &K, const CacheEntry &E) {
+void TraceCache::addLocked(const Fingerprint &K,
+                           std::shared_ptr<const CacheEntry> E) {
   Lru.push_front(K);
-  Map.emplace(K, Slot{E, Lru.begin()});
+  Map.emplace(K, Slot{std::move(E), Lru.begin()});
   while (Map.size() > Cfg.MaxEntries) {
     Map.erase(Lru.back());
     Lru.pop_back();

@@ -32,8 +32,8 @@
 #include "support/Diag.h"
 
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -106,8 +106,9 @@ public:
   TraceCache &operator=(const TraceCache &) = delete;
 
   /// Looks up \p K in memory, then (when persistent) on disk.  A disk hit
-  /// is promoted into memory.
-  std::optional<CacheEntry> lookup(const Fingerprint &K);
+  /// is promoted into memory.  The entry is shared, not copied: it stays
+  /// valid after eviction for as long as the caller holds it.
+  std::shared_ptr<const CacheEntry> lookup(const Fingerprint &K);
 
   /// Stores \p E under \p K (most-recently-used position).  Re-inserting an
   /// existing key refreshes recency but keeps the first entry.
@@ -157,6 +158,9 @@ public:
   /// followed by the trace text verbatim.
   static std::string serializeEntry(const Fingerprint &K,
                                     const CacheEntry &E);
+  /// Appends the bytes of serializeEntry(K, E) to \p Out.
+  static void appendEntry(std::string &Out, const Fingerprint &K,
+                          const CacheEntry &E);
   /// Inverse of serializeEntry.  The embedded key is not checked: the
   /// entry file's envelope names the key (cache/EntryFiles.h).
   static bool parseEntry(const std::string &Text, CacheEntry &Out,
@@ -165,14 +169,14 @@ public:
 private:
   /// Adds \p K (absent) as most recently used, evicting past the bound;
   /// requires Mu.
-  void addLocked(const Fingerprint &K, const CacheEntry &E);
+  void addLocked(const Fingerprint &K, std::shared_ptr<const CacheEntry> E);
 
   TraceCacheConfig Cfg;
   EntryFiles Files;
 
   mutable std::mutex Mu;
   struct Slot {
-    CacheEntry Entry;
+    std::shared_ptr<const CacheEntry> Entry;
     std::list<Fingerprint>::iterator LruIt;
   };
   std::unordered_map<Fingerprint, Slot, FingerprintHash> Map;

@@ -84,7 +84,7 @@ struct CaseResult {
 /// excepted — the decoder's caller decides that); doubles travel as
 /// hexfloats so a resumed row is bit-identical to the recorded one.
 std::string encodeCaseResult(const CaseResult &R);
-bool decodeCaseResult(const std::string &Text, CaseResult &Out);
+bool decodeCaseResult(std::string_view Text, CaseResult &Out);
 
 /// The context a runner uses when its caller passes none: the stores set
 /// with cache::setAmbientTraceCache / setAmbientSideCondCache (null unless

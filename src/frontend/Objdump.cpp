@@ -2,8 +2,9 @@
 
 #include "frontend/Objdump.h"
 
+#include "support/Parse.h"
+
 #include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 using namespace islaris;
@@ -43,8 +44,13 @@ islaris::frontend::parseObjdump(const std::string &Text, std::string &Error) {
       if (LS >> AddrTok >> SymTok && isHexString(AddrTok) &&
           SymTok.size() > 3 && SymTok.front() == '<' &&
           SymTok.back() == ':' && SymTok[SymTok.size() - 2] == '>') {
-        Img.Symbols[SymTok.substr(1, SymTok.size() - 3)] =
-            std::strtoull(AddrTok.c_str(), nullptr, 16);
+        uint64_t Addr = 0;
+        if (!support::parseHex(AddrTok, UINT64_MAX, Addr)) {
+          Error = "line " + std::to_string(LineNo) + ": symbol address '" +
+                  AddrTok + "' does not fit 64 bits";
+          return std::nullopt;
+        }
+        Img.Symbols[SymTok.substr(1, SymTok.size() - 3)] = Addr;
         continue;
       }
     }
@@ -60,20 +66,24 @@ islaris::frontend::parseObjdump(const std::string &Text, std::string &Error) {
     std::string OpTok;
     if (!(LS >> OpTok))
       continue;
-    if (!isHexString(OpTok) || OpTok.size() > 8) {
+    uint64_t Addr = 0, Op = 0;
+    if (!support::parseHex(AddrTok, UINT64_MAX, Addr)) {
+      Error = "line " + std::to_string(LineNo) + ": address '" + AddrTok +
+              "' does not fit 64 bits";
+      return std::nullopt;
+    }
+    if (!support::parseHex(OpTok, 0xffffffffu, Op)) {
       Error = "line " + std::to_string(LineNo) +
               ": expected a 32-bit opcode after the address, got '" + OpTok +
               "'";
       return std::nullopt;
     }
-    uint64_t Addr = std::strtoull(AddrTok.c_str(), nullptr, 16);
-    uint32_t Op = uint32_t(std::strtoul(OpTok.c_str(), nullptr, 16));
     if (Img.Code.count(Addr)) {
       Error = "line " + std::to_string(LineNo) + ": duplicate address " +
               AddrTok;
       return std::nullopt;
     }
-    Img.Code[Addr] = Op;
+    Img.Code[Addr] = uint32_t(Op);
   }
   return Img;
 }

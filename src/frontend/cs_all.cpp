@@ -59,7 +59,7 @@ std::string islaris::frontend::encodeCaseResult(const CaseResult &R) {
   return OS.str();
 }
 
-bool islaris::frontend::decodeCaseResult(const std::string &Text,
+bool islaris::frontend::decodeCaseResult(std::string_view Text,
                                          CaseResult &Out) {
   Cursor C(Text);
   if (C.tok() != "case" || C.tok() != "4")

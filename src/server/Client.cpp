@@ -304,7 +304,7 @@ bool Client::recv(Frame &Out, std::string &Err) {
   }
 }
 
-bool Client::awaitFrame(Frame &Out, const net::Deadline &Overall,
+bool Client::awaitFrame(FrameView &Out, const net::Deadline &Overall,
                         std::string &Err, bool &Transient) {
   Transient = false;
   if (Fd < 0) {
@@ -469,17 +469,17 @@ net::Deadline Client::overallDeadline() const {
 Client::Outcome Client::exchange(Request &Req, const net::Deadline &Overall,
                                  Reply &Rep, std::string &Err,
                                  double &RetryAfterSeconds, FrameType Result,
-                                 const std::function<bool(std::string &)>
+                                 const std::function<bool(std::string_view)>
                                      &OnResult) {
   Req.DeadlineMs =
       Overall.infinite() ? 0 : uint64_t(Overall.secondsLeft() * 1000) + 1;
   if (!send(Frame{FrameType::Request, encodeRequest(Req)}, Err))
     return Outcome::Transient;
-  Frame F;
+  FrameView F;
   bool Transient = false;
   while (awaitFrame(F, Overall, Err, Transient)) {
     if (F.Type == FrameType::Error) {
-      Err = "server error: " + F.Payload;
+      Err = "server error: " + std::string(F.Payload);
       return Outcome::Transient;
     }
     if (F.Type == FrameType::Bye) {
@@ -497,7 +497,7 @@ Client::Outcome Client::exchange(Request &Req, const net::Deadline &Overall,
     // Everything else that matters is id-tagged: `accepted`, `diag` and
     // frames for other ids are skipped.
     uint64_t Id = 0;
-    std::string Body;
+    std::string_view Body;
     if ((F.Type != Result && F.Type != FrameType::Rejected) ||
         !decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
       continue;
@@ -544,8 +544,8 @@ bool Client::runTrace(const TraceRequest &R, TraceResult &Out,
                             double &RetryAfterSeconds) {
     Out = TraceResult();
     return exchange(Req, Overall, Out, E, RetryAfterSeconds, FrameType::Trace,
-                    [&](std::string &Body) {
-                      Out.EntryText = std::move(Body);
+                    [&](std::string_view Body) {
+                      Out.EntryText.assign(Body);
                       return true;
                     });
   });
@@ -562,7 +562,7 @@ bool Client::runStudy(
                             double &RetryAfterSeconds) {
     Out = StudyResult(); // a retry restarts the row stream from scratch
     return exchange(Req, Overall, Out, E, RetryAfterSeconds, FrameType::Row,
-                    [&](std::string &Body) {
+                    [&](std::string_view Body) {
                       frontend::CaseResult R;
                       if (!frontend::decodeCaseResult(Body, R))
                         return false;
@@ -577,13 +577,13 @@ bool Client::runStudy(
 bool Client::ping(std::string &Err) {
   if (!send(Frame{FrameType::Ping, ""}, Err))
     return false;
-  Frame F;
+  FrameView F;
   bool Transient = false;
   while (awaitFrame(F, overallDeadline(), Err, Transient)) {
     if (F.Type == FrameType::Pong)
       return true;
     if (F.Type == FrameType::Error || F.Type == FrameType::Bye) {
-      Err = "server error: " + F.Payload;
+      Err = "server error: " + std::string(F.Payload);
       return false;
     }
   }
@@ -599,8 +599,8 @@ bool Client::getStats(std::string &Out, std::string &Err) {
     Reply Rep;
     bool Got = false;
     Outcome O = exchange(Req, Overall, Rep, E, RetryAfterSeconds,
-                         FrameType::Stats, [&](std::string &Body) {
-                           Out = std::move(Body);
+                         FrameType::Stats, [&](std::string_view Body) {
+                           Out.assign(Body);
                            return Got = true;
                          });
     return answered(O, Rep, Got, "stats", E);
@@ -617,7 +617,7 @@ Client::Outcome Client::healthOnce(HealthInfo &Out,
   Reply Rep;
   bool Got = false;
   Outcome O = exchange(Req, Overall, Rep, Err, RetryAfterSeconds,
-                       FrameType::Health, [&](std::string &Body) {
+                       FrameType::Health, [&](std::string_view Body) {
                          return Got = decodeHealth(Body, Out);
                        });
   return answered(O, Rep, Got, "health", Err);

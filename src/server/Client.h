@@ -238,9 +238,10 @@ private:
   bool sendHello(std::string &Err);
   /// Waits for the next non-heartbeat frame, ticking heartbeats out and
   /// enforcing silence/overall deadlines.  False with \p Transient telling
-  /// the caller whether a retry could help.
-  bool awaitFrame(Frame &Out, const net::Deadline &Overall, std::string &Err,
-                  bool &Transient);
+  /// the caller whether a retry could help.  \p Out views the reader's
+  /// buffer until the next read from the connection.
+  bool awaitFrame(FrameView &Out, const net::Deadline &Overall,
+                  std::string &Err, bool &Transient);
   /// One attempt of an id-carrying request: sends \p Req carrying the
   /// patience left in \p Overall and consumes frames until its answer.
   /// The body of each \p Result frame for Req's id goes to \p OnResult,
@@ -251,7 +252,7 @@ private:
   Outcome exchange(Request &Req, const net::Deadline &Overall, Reply &Rep,
                    std::string &Err, double &RetryAfterSeconds,
                    FrameType Result = FrameType::Done,
-                   const std::function<bool(std::string &)> &OnResult =
+                   const std::function<bool(std::string_view)> &OnResult =
                        nullptr);
   /// For the helpers that must get an answer (stats, health, reload): a
   /// finished exchange that was rejected, or that ended without \p Got,

@@ -5,6 +5,7 @@
 #include "support/Record.h"
 #include "support/Wire.h"
 
+#include <algorithm>
 #include <iterator>
 #include <sstream>
 
@@ -15,7 +16,7 @@ using islaris::support::wire::putStr;
 using islaris::support::wire::putU64;
 
 static constexpr std::string_view FrameMagic = "islaris-frame";
-static constexpr uint64_t FrameVersion = 1;
+static constexpr uint64_t FrameVersion = 2;
 
 /// Wire tokens, in FrameType order.
 static constexpr const char *FrameNames[] = {
@@ -24,6 +25,13 @@ static constexpr const char *FrameNames[] = {
     "pong",     "bye",     "error", "heartbeat", "health",
 };
 static_assert(std::size(FrameNames) == size_t(FrameType::Health) + 1);
+// sealIdFrame's room: the longest header plus "<20 digits> <20 digits>:".
+static_assert(IdFrameRoom >= 42 + [] {
+  size_t Most = 0;
+  for (std::string_view N : FrameNames)
+    Most = std::max(Most, support::recordHeaderRoom(FrameMagic, N));
+  return Most;
+}());
 
 const char *islaris::server::frameTypeName(FrameType T) {
   return size_t(T) < std::size(FrameNames) ? FrameNames[size_t(T)] : "error";
@@ -44,6 +52,19 @@ std::string islaris::server::encodeFrame(const Frame &F) {
                                frameTypeName(F.Type), F.Payload);
 }
 
+std::string_view islaris::server::sealIdFrame(std::string &Buf, FrameType T,
+                                              uint64_t Id) {
+  size_t End = Buf.size() - 2; // the payload's closing space goes here
+  std::string Prefix =
+      std::to_string(Id) + " " + std::to_string(End - IdFrameRoom) + ":";
+  size_t Begin = IdFrameRoom - Prefix.size();
+  Buf.replace(Begin, Prefix.size(), Prefix);
+  Buf[End] = ' ';
+  size_t Start = support::sealRecord(Buf, Begin, End + 1, FrameMagic,
+                                     FrameVersion, frameTypeName(T));
+  return std::string_view(Buf).substr(Start);
+}
+
 void FrameReader::feed(const char *Data, size_t N) {
   // Compact lazily: once the consumed prefix dominates, shift it off so a
   // long-lived connection does not grow its buffer without bound.
@@ -55,6 +76,16 @@ void FrameReader::feed(const char *Data, size_t N) {
 }
 
 FrameReader::Status FrameReader::next(Frame &Out, std::string *Err) {
+  FrameView V;
+  Status S = next(V, Err);
+  if (S == Status::Frame) {
+    Out.Type = V.Type;
+    Out.Payload.assign(V.Payload);
+  }
+  return S;
+}
+
+FrameReader::Status FrameReader::next(FrameView &Out, std::string *Err) {
   auto Die = [&](const char *Why) {
     Dead = true;
     if (Err)
@@ -86,7 +117,7 @@ FrameReader::Status FrameReader::next(Frame &Out, std::string *Err) {
   if (!frameTypeFromName(R.Tag, T))
     return Die("unknown frame type");
   Out.Type = T;
-  Out.Payload.assign(R.Payload);
+  Out.Payload = R.Payload;
   Pos += R.Consumed;
   return Status::Frame;
 }
@@ -223,7 +254,7 @@ std::string islaris::server::encodeHealth(const HealthInfo &H) {
   return OS.str();
 }
 
-bool islaris::server::decodeHealth(const std::string &Payload,
+bool islaris::server::decodeHealth(std::string_view Payload,
                                    HealthInfo &Out) {
   Cursor C(Payload);
   Out = HealthInfo();
@@ -264,7 +295,7 @@ std::string islaris::server::encodeRejectBody(const std::string &Reason,
   return OS.str();
 }
 
-bool islaris::server::decodeRejectBody(const std::string &Body,
+bool islaris::server::decodeRejectBody(std::string_view Body,
                                        std::string &Reason,
                                        uint64_t &RetryAfterMs) {
   Cursor C(Body);
@@ -288,7 +319,7 @@ std::string islaris::server::encodeDone(const DoneInfo &D) {
   return OS.str();
 }
 
-bool islaris::server::decodeDone(const std::string &Payload, DoneInfo &Out) {
+bool islaris::server::decodeDone(std::string_view Payload, DoneInfo &Out) {
   Cursor C(Payload);
   Out = DoneInfo();
   Out.Id = C.u64();
@@ -308,10 +339,10 @@ std::string islaris::server::encodeIdPayload(uint64_t Id,
   return OS.str();
 }
 
-bool islaris::server::decodeIdPayload(const std::string &Payload, uint64_t &Id,
-                                      std::string &Body) {
+bool islaris::server::decodeIdPayload(std::string_view Payload, uint64_t &Id,
+                                      std::string_view &Body) {
   Cursor C(Payload);
   Id = C.u64();
-  Body = C.str();
+  Body = C.strView();
   return !C.Fail;
 }

@@ -10,7 +10,7 @@
 /// one record of the shared grammar (support/Record.h) with the frame type
 /// as its tag,
 ///
-///   (islaris-frame 1 <type> <payload-len> <fnv64-hex>)\n<payload>\n
+///   (islaris-frame 2 <type> <payload-len> <sum-hex>)\n<payload>\n
 ///
 /// so the same recovery property holds on the wire as in the journal: a
 /// reader accepts the longest valid prefix of the stream and attributes the
@@ -38,7 +38,7 @@
 ///          ◀─────────────────────────────    still gets its done)
 ///          ◀─────────────────────────────  bye
 ///
-/// Versioning: the frame header carries the format version (1); `hello`
+/// Versioning: the frame header carries the format version (2); `hello`
 /// and `welcome` carry the protocol version.  A server that cannot speak
 /// the client's protocol answers with an `error` frame and closes.
 ///
@@ -106,8 +106,26 @@ struct Frame {
   std::string Payload;
 };
 
+/// A frame decoded in place: Payload views the FrameReader's buffer and is
+/// valid until the reader's next feed().
+struct FrameView {
+  FrameType Type = FrameType::Error;
+  std::string_view Payload;
+};
+
 /// Serializes one frame in the record grammar above.
 std::string encodeFrame(const Frame &F);
+
+/// Room sealIdFrame needs in front of the body: the most a frame header
+/// and an "<id> <len>:" prefix can take.
+inline constexpr size_t IdFrameRoom = 128;
+
+/// encodeFrame({T, encodeIdPayload(Id, Body)}) without copying the body,
+/// for large bodies sent to one id after another: \p Buf is IdFrameRoom
+/// bytes of room, then the body, then two spare bytes.  Writes the frame
+/// around the body in place, touching only the room and the spare bytes,
+/// and returns it as a view into \p Buf.
+std::string_view sealIdFrame(std::string &Buf, FrameType T, uint64_t Id);
 
 /// Incremental frame decoder over a byte stream.  Feed bytes as they
 /// arrive; next() yields complete frames until the buffer runs dry or a
@@ -123,6 +141,8 @@ public:
                ///< format version); the stream is dead.
   };
   Status next(Frame &Out, std::string *Err = nullptr);
+  /// next() without copying the payload out of the reader's buffer.
+  Status next(FrameView &Out, std::string *Err = nullptr);
 
   /// Bytes buffered but not yet consumed by next().
   size_t buffered() const { return Buf.size() - Pos; }
@@ -205,7 +225,7 @@ bool decodeHello(const std::string &Payload, HelloInfo &Out);
 /// refuses a body without both fields (false, outputs untouched).
 std::string encodeRejectBody(const std::string &Reason,
                              uint64_t RetryAfterMs);
-bool decodeRejectBody(const std::string &Body, std::string &Reason,
+bool decodeRejectBody(std::string_view Body, std::string &Reason,
                       uint64_t &RetryAfterMs);
 
 /// `health` frame payload (protocol 3): the readiness snapshot a probe or
@@ -235,7 +255,7 @@ struct HealthInfo {
 inline constexpr uint64_t HealthDegradedCacheOff = 1;
 
 std::string encodeHealth(const HealthInfo &H);
-bool decodeHealth(const std::string &Payload, HealthInfo &Out);
+bool decodeHealth(std::string_view Payload, HealthInfo &Out);
 
 /// `done` frame payload: terminal status of one request id.
 struct DoneInfo {
@@ -250,13 +270,14 @@ struct DoneInfo {
 };
 
 std::string encodeDone(const DoneInfo &D);
-bool decodeDone(const std::string &Payload, DoneInfo &Out);
+bool decodeDone(std::string_view Payload, DoneInfo &Out);
 
 /// Payload helpers for the id-tagged streaming frames (trace / row / stats
-/// / accepted / rejected): "<id> <len>:<body>".
+/// / accepted / rejected): "<id> <len>:<body>".  The decoded body is a view
+/// into \p Payload.
 std::string encodeIdPayload(uint64_t Id, const std::string &Body);
-bool decodeIdPayload(const std::string &Payload, uint64_t &Id,
-                     std::string &Body);
+bool decodeIdPayload(std::string_view Payload, uint64_t &Id,
+                     std::string_view &Body);
 
 } // namespace islaris::server
 

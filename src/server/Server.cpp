@@ -211,7 +211,7 @@ struct Server::Impl {
   /// failed send declares the connection dead and wakes its reader so the
   /// accept loop reaps it — a stalled peer costs one WriteTimeoutSeconds
   /// window, never a wedged worker or drain.
-  bool sendAll(Conn &C, const std::string &Bytes) {
+  bool sendAll(Conn &C, std::string_view Bytes) {
     std::lock_guard<std::mutex> WL(C.WriteMu);
     if (!C.Open.load(std::memory_order_relaxed))
       return false;
@@ -875,7 +875,8 @@ struct Server::Impl {
     TraceGroup &G = *J.Group;
     bool Ok = false;
     bool Fresh = false;
-    std::string EntryText, Error;
+    // The reply: sealIdFrame's room, the serialized entry, two spare bytes.
+    std::string Reply, Error;
     unsigned Attempts = 0;
     unsigned Status = 0;
 
@@ -920,9 +921,16 @@ struct Server::Impl {
     if (Abandoned)
       return;
 
+    auto SetReply = [&Reply](const cache::Fingerprint &K,
+                             const cache::CacheEntry &E) {
+      Reply.reserve(IdFrameRoom + E.TraceText.size() + 256);
+      Reply.assign(IdFrameRoom, ' ');
+      cache::TraceCache::appendEntry(Reply, K, E);
+      Reply.append(2, ' ');
+    };
     if (auto E = Cache->lookup(G.Key)) {
       Ok = true;
-      EntryText = cache::TraceCache::serializeEntry(G.Key, *E);
+      SetReply(G.Key, *E);
       bump(&ServerStats::WarmHits);
     } else {
       if (Cfg.ExecDelaySeconds > 0)
@@ -951,7 +959,7 @@ struct Server::Impl {
       Ok = TR.Ok;
       Attempts = TR.Attempts;
       if (Ok) {
-        EntryText = cache::TraceCache::serializeEntry(TR.Key, TR.Entry);
+        SetReply(TR.Key, TR.Entry);
         if (TR.Source == cache::ResultSource::CacheHit) {
           // Another worker published the key between our lookup and the
           // driver's: a warm hit after all.
@@ -978,8 +986,7 @@ struct Server::Impl {
     for (size_t I = 0; I < Waiters.size(); ++I) {
       Waiter &W = Waiters[I];
       if (Ok)
-        sendFrame(*W.C, FrameType::Trace,
-                  encodeIdPayload(W.ReqId, EntryText));
+        sendAll(*W.C, sealIdFrame(Reply, FrameType::Trace, W.ReqId));
       finish(W, Status,
              !Ok ? "failed" : (I == 0 ? (Fresh ? "fresh" : "warm") : "dedup"),
              Error, Attempts);

@@ -70,11 +70,7 @@ Fingerprint Fingerprinter::digest() const {
 
 WordHasher &WordHasher::str(const std::string &S) {
   word(S.size());
-  for (size_t I = 0; I < S.size(); I += 8) {
-    uint64_t W = 0;
-    for (size_t J = I; J < S.size() && J < I + 8; ++J)
-      W |= uint64_t((unsigned char)S[J]) << (8 * (J - I));
-    word(W);
-  }
+  for (size_t I = 0; I < S.size(); I += 8)
+    word(loadLE64(S.data() + I, S.size() - I));
   return *this;
 }

@@ -20,7 +20,9 @@
 
 #include "support/BitVec.h"
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,6 +88,20 @@ inline uint64_t fmix64(uint64_t K) {
   return K;
 }
 
+/// The word at \p P as a little-endian number, whatever the host's byte
+/// order or the pointer's alignment, so durable hashes agree across hosts.
+/// Only the first \p N bytes are read when \p N < 8; the rest of the word is
+/// zero.
+inline uint64_t loadLE64(const char *P, size_t N = 8) {
+  unsigned char B[8] = {};
+  std::memcpy(B, P, N < 8 ? N : 8);
+  uint64_t W = 0;
+  std::memcpy(&W, B, 8);
+  if constexpr (std::endian::native == std::endian::big)
+    W = __builtin_bswap64(W);
+  return W;
+}
+
 /// A 128-bit hasher over 64-bit words: two independently seeded and mixed
 /// lanes.  It absorbs a word at a time, several times faster than
 /// Fingerprinter's bytes, for keys computed on hot paths (smt::Solver's
@@ -100,7 +116,7 @@ public:
     ++N;
     return *this;
   }
-  /// The length, then the bytes, 8 to a word.
+  /// The length, then the bytes, 8 to a word (loadLE64).
   WordHasher &str(const std::string &S);
   WordHasher &fingerprint(const Fingerprint &F) {
     return word(F.Hi).word(F.Lo);

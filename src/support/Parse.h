@@ -7,11 +7,11 @@
 /// \file
 /// Validating parsers for numbers that arrive as untrusted bytes — record
 /// headers (support/Record), the fields inside wire and journal payloads
-/// (support/Wire), store entry payloads, ITL trace text.  `std::stoul`
-/// throws on non-numeric input and silently wraps "-1" to 4294967295; both
-/// behaviours violate the durability contract (a corrupt entry degrades to
-/// a miss / parse error, never a crash or a wrong value).  Every number
-/// parsed out of input data must come through here.
+/// (support/Wire), store entry payloads, ITL trace text, objdump listings.
+/// `std::stoul` throws on non-numeric input and silently wraps "-1" to
+/// 4294967295; both behaviours violate the durability contract (a corrupt
+/// entry degrades to a miss / parse error, never a crash or a wrong value).
+/// Every number parsed out of input data must come through here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,14 +66,36 @@ inline bool isLowerHex(std::string_view S) {
   return true;
 }
 
+/// Parses a hexadecimal integer in [0, Max]: one or more hex digits of
+/// either case and nothing else.  Rejects the empty string, a "0x" prefix,
+/// anything that overflows uint64_t and anything above Max.
+inline bool parseHex(std::string_view S, uint64_t Max, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    unsigned D = 0;
+    if (C >= '0' && C <= '9')
+      D = unsigned(C - '0');
+    else if (C >= 'a' && C <= 'f')
+      D = unsigned(C - 'a' + 10);
+    else if (C >= 'A' && C <= 'F')
+      D = unsigned(C - 'A' + 10);
+    else
+      return false;
+    if (V >> 60)
+      return false;
+    V = V << 4 | D;
+  }
+  if (V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
 /// Parses exactly 16 lowercase hex digits (a 64-bit checksum).
 inline bool parseHex64(std::string_view S, uint64_t &Out) {
-  if (S.size() != 16 || !isLowerHex(S))
-    return false;
-  Out = 0;
-  for (char C : S)
-    Out = Out << 4 | uint64_t(C <= '9' ? C - '0' : C - 'a' + 10);
-  return true;
+  return S.size() == 16 && isLowerHex(S) && parseHex(S, UINT64_MAX, Out);
 }
 
 } // namespace islaris::support

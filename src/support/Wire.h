@@ -51,11 +51,11 @@ inline void putF(std::ostringstream &OS, double D) {
 /// through support/Parse.h, so "-1" or "abc" fails instead of wrapping or
 /// reading as 0, and a string length must fit the bytes that remain.
 struct Cursor {
-  const std::string &T;
+  std::string_view T;
   size_t P = 0;
   bool Fail = false;
 
-  explicit Cursor(const std::string &T) : T(T) {}
+  explicit Cursor(std::string_view T) : T(T) {}
 
   void skip() {
     while (P < T.size() && T[P] == ' ')
@@ -68,7 +68,7 @@ struct Cursor {
       ++P;
     if (P == S)
       Fail = true;
-    return std::string_view(T).substr(S, P - S);
+    return T.substr(S, P - S);
   }
   uint64_t u64() {
     uint64_t V = 0;
@@ -82,19 +82,20 @@ struct Cursor {
     Fail |= End != S.c_str() + S.size();
     return D;
   }
-  std::string str() {
+  /// A length-prefixed string, as a view into the encoded form.
+  std::string_view strView() {
     skip();
     size_t Colon = T.find(':', P);
     uint64_t Len = 0;
-    if (Colon == std::string::npos ||
-        !parseUnsigned(std::string_view(T).substr(P, Colon - P),
-                       T.size() - Colon - 1, Len)) {
+    if (Colon == std::string_view::npos ||
+        !parseUnsigned(T.substr(P, Colon - P), T.size() - Colon - 1, Len)) {
       Fail = true;
-      return "";
+      return {};
     }
     P = Colon + 1 + size_t(Len);
     return T.substr(Colon + 1, size_t(Len));
   }
+  std::string str() { return std::string(strView()); }
 };
 
 } // namespace islaris::support::wire

@@ -21,12 +21,16 @@
 #include "frontend/CaseStudies.h"
 #include "frontend/Verifier.h"
 #include "models/Models.h"
+#include "server/Protocol.h"
 #include "support/FaultInjector.h"
+#include "support/Record.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -200,12 +204,12 @@ TEST(TraceCacheTest, LruEvictionAndCounters) {
 
   C.insert(key(1), E);
   C.insert(key(2), E);
-  EXPECT_TRUE(C.lookup(key(1)).has_value()); // 1 becomes most recent
+  EXPECT_TRUE(C.lookup(key(1)) != nullptr); // 1 becomes most recent
   C.insert(key(3), E);                       // evicts 2, the LRU entry
   EXPECT_EQ(C.size(), 2u);
-  EXPECT_FALSE(C.lookup(key(2)).has_value());
-  EXPECT_TRUE(C.lookup(key(1)).has_value());
-  EXPECT_TRUE(C.lookup(key(3)).has_value());
+  EXPECT_FALSE(C.lookup(key(2)) != nullptr);
+  EXPECT_TRUE(C.lookup(key(1)) != nullptr);
+  EXPECT_TRUE(C.lookup(key(3)) != nullptr);
 
   CacheStats St = C.stats();
   EXPECT_EQ(St.Insertions, 3u);
@@ -803,7 +807,7 @@ TEST(SideCondTest, ConcurrentWritersWithCollidingKeys) {
     TraceCache Reader(Cfg);
     for (unsigned K = 0; K < Keys; ++K)
       EXPECT_TRUE(
-          Reader.lookup(Fingerprinter().u64(K).digest()).has_value())
+          Reader.lookup(Fingerprinter().u64(K).digest()) != nullptr)
           << K;
   }
 
@@ -866,7 +870,7 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
   Fingerprint K = Fingerprinter().str("envelope").digest();
   std::string Payload = "(islaris-trace-cache 1 00ff) body\nwith newline";
   std::string File = wrapDurableEntry(K, Payload);
-  ASSERT_EQ(File.compare(0, 17, "(islaris-entry 3 "), 0);
+  ASSERT_EQ(File.compare(0, 17, "(islaris-entry 4 "), 0);
   std::string Out;
   EXPECT_EQ(unwrapDurableEntry(File, K, Out), EnvelopeResult::Ok);
   EXPECT_EQ(Out, Payload);
@@ -896,11 +900,20 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
                                    std::string(16, '0') + " 0)\n",
                                K, Out),
             EnvelopeResult::BadVersion);
+  // What version 3 wrote: the same layout, summed by byte-wise FNV-1a.
+  char V3Sum[17];
+  std::snprintf(V3Sum, sizeof V3Sum, "%016llx",
+                (unsigned long long)fnv1a64(Payload));
+  EXPECT_EQ(unwrapDurableEntry("(islaris-entry 3 " + K.toHex() + " " +
+                                   std::to_string(Payload.size()) + " " +
+                                   V3Sum + ")\n" + Payload + "\n",
+                               K, Out),
+            EnvelopeResult::BadVersion);
   // Hostile lengths never index past the file: 20 digits overflow, and
   // 2^64-1 is beyond the bytes that remain.
   std::string Hex = K.toHex();
   for (const char *Len : {"99999999999999999999", "18446744073709551615"})
-    EXPECT_EQ(unwrapDurableEntry("(islaris-entry 3 " + Hex + " " + Len +
+    EXPECT_EQ(unwrapDurableEntry("(islaris-entry 4 " + Hex + " " + Len +
                                      " 0000000000000000)\n" + Payload + "\n",
                                  K, Out),
               EnvelopeResult::Corrupt)
@@ -924,6 +937,96 @@ TEST(EnvelopeTest, WrapUnwrapAndFailureTaxonomy) {
             ErrorCode::CacheVersionMismatch);
   EXPECT_EQ(envelopeErrorCode(EnvelopeResult::Empty),
             ErrorCode::CorruptCacheEntry);
+}
+
+//===----------------------------------------------------------------------===//
+// The record codec under corruption: one wire frame, one journal record and
+// one store entry, each checked by the code that reads it.
+//===----------------------------------------------------------------------===//
+
+TEST(RecordCorruptionTest, ChecksumIsPinned) {
+  // The word-at-a-time checksum is a durable format: a drift would strand
+  // every store entry and journal on disk.  The inputs cover the empty
+  // payload, a lone tail word, and whole 32-byte stripes plus a tail.
+  EXPECT_EQ(support::recordChecksum(""), 0x0da92de544bbfe58ull);
+  EXPECT_EQ(support::recordChecksum("islaris"), 0xd5fdf2328e10138full);
+  EXPECT_EQ(support::recordChecksum(
+                "The quick brown fox jumps over the lazy dog"),
+            0x9186a353debe553bull);
+  // The length is summed too: a zero-padded tail word is not its padding.
+  EXPECT_NE(support::recordChecksum("islaris"),
+            support::recordChecksum(std::string_view("islaris\0", 8)));
+}
+
+TEST(RecordCorruptionTest, EverySingleBitFlipAndStrictPrefixIsRejected) {
+  Fingerprint K{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  struct Case {
+    const char *Magic;
+    uint64_t Version;
+    std::string Record;
+    /// Whether the record's own reader takes \p Bytes as this record.
+    std::function<bool(const std::string &)> Accepts;
+  };
+  std::vector<Case> Cases = {
+      {"islaris-frame", 2,
+       server::encodeFrame({server::FrameType::Trace,
+                            server::encodeIdPayload(7, "(trace (cycle))")}),
+       [](const std::string &Bytes) {
+         server::FrameReader R;
+         R.feed(Bytes.data(), Bytes.size());
+         server::Frame F;
+         return R.next(F) == server::FrameReader::Status::Frame;
+       }},
+      {"islaris-journal", 2, RunJournal::encodeRecord(K, "case 4 row\n"),
+       [&K](const std::string &Bytes) {
+         support::RecordParse R = support::parseRecord(
+             Bytes, "islaris-journal", 2, UINT64_MAX);
+         return R.S == support::RecordParse::Ok && R.Tag == K.toHex();
+       }},
+      {"islaris-entry", DurableFormatVersion,
+       wrapDurableEntry(K, "(islaris-trace-cache 1 x)\n(trace)\n"),
+       [&K](const std::string &Bytes) {
+         std::string Out;
+         return unwrapDurableEntry(Bytes, K, Out) == EnvelopeResult::Ok;
+       }},
+  };
+  for (const Case &C : Cases) {
+    const std::string &Rec = C.Record;
+    SCOPED_TRACE(Rec);
+    ASSERT_TRUE(C.Accepts(Rec));
+    auto Parse = [&](std::string_view Bytes) {
+      return support::parseRecord(Bytes, C.Magic, C.Version, Rec.size());
+    };
+    size_t Body = Rec.find('\n') + 1, Term = Rec.size() - 1;
+    size_t SumSp = Rec.rfind(' ', Body), LenSp = Rec.rfind(' ', SumSp - 1);
+    for (size_t I = 0; I < Rec.size(); ++I)
+      for (unsigned Bit = 0; Bit < 8; ++Bit) {
+        std::string Bad = Rec;
+        Bad[I] = char(Bad[I] ^ (1u << Bit));
+        SCOPED_TRACE("byte " + std::to_string(I) + " bit " +
+                     std::to_string(Bit));
+        EXPECT_FALSE(C.Accepts(Bad));
+        support::RecordParse R = Parse(Bad);
+        if (I >= Body && I < Term) {
+          EXPECT_EQ(R.S, support::RecordParse::Malformed);
+          EXPECT_STREQ(R.Why, "record checksum mismatch");
+        } else if (I == Term) {
+          EXPECT_EQ(R.S, support::RecordParse::Malformed);
+        } else if (R.S == support::RecordParse::NeedMore) {
+          // Only a length that grew past the bytes there waits for more.
+          EXPECT_TRUE(I > LenSp && I < SumSp);
+        } else {
+          EXPECT_TRUE(R.S == support::RecordParse::Malformed ||
+                      R.S == support::RecordParse::BadVersion);
+        }
+      }
+    for (size_t Cut = 0; Cut < Rec.size(); ++Cut) {
+      EXPECT_EQ(Parse(std::string_view(Rec).substr(0, Cut)).S,
+                support::RecordParse::NeedMore)
+          << Cut;
+      EXPECT_FALSE(C.Accepts(Rec.substr(0, Cut))) << Cut;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -1344,7 +1447,7 @@ TEST(CorruptionMatrixTest, TraceStoreHostileNumbersMissNeverThrow) {
 
       TraceCache C2(Cfg);
       // The pre-fix code threw std::invalid_argument / out_of_range here.
-      EXPECT_FALSE(C2.lookup(K).has_value()) << H;
+      EXPECT_FALSE(C2.lookup(K) != nullptr) << H;
       EXPECT_EQ(C2.stats().Quarantined, 1u) << H;
       auto Ds = C2.drainDiags();
       ASSERT_EQ(Ds.size(), 1u) << H;
@@ -1401,7 +1504,7 @@ TEST(CorruptionMatrixTest, StaleTempFilesNeverServeReadsAndScrubReaps) {
 
   // Readers never even look at temps: full hit, no diagnostics.
   TraceCache C2(Cfg);
-  ASSERT_TRUE(C2.lookup(K).has_value());
+  ASSERT_TRUE(C2.lookup(K) != nullptr);
   EXPECT_EQ(C2.stats().CorruptRemoved, 0u);
   EXPECT_TRUE(C2.drainDiags().empty());
 
@@ -1446,8 +1549,8 @@ TEST(RunJournalTest, AppendsSurviveReopenAndLastRecordWins) {
   EXPECT_EQ(RunJournal::encodeRecord(
                 Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull},
                 "row one"),
-            "(islaris-journal 1 0123456789abcdeffedcba9876543210 7 "
-            "65fdb5866363846b)\nrow one\n");
+            "(islaris-journal 2 0123456789abcdeffedcba9876543210 7 "
+            "d6b547c17a7ec1f3)\nrow one\n");
   ASSERT_NE(J2.find(jkey("b")), nullptr);
   EXPECT_EQ(*J2.find(jkey("b")), "row two");
   EXPECT_EQ(J2.find(jkey("c")), nullptr);
@@ -1461,7 +1564,7 @@ TEST(RunJournalTest, PayloadsAreBinarySafe) {
   // the recovery scan: records are length-directed, not delimiter-directed.
   std::string Tricky =
       "line one\n" + RunJournal::encodeRecord(jkey("inner"), "decoy") +
-      "(islaris-journal 1 trailing garbage";
+      "(islaris-journal 2 trailing garbage";
   {
     RunJournal J(Path);
     ASSERT_TRUE(J.open());
@@ -1481,11 +1584,18 @@ TEST(RunJournalTest, TornTailIsTruncatedAndAppendsContinue) {
   // A crash mid-append leaves half a record at the tail; a hostile length
   // (20 digits overflow, 2^64-1 would wrap the payload offset) is a torn
   // tail too, never an out-of-bounds read.
-  std::string Hostile = "(islaris-journal 1 " + jkey("c").toHex() + " ";
+  std::string Hostile = "(islaris-journal 2 " + jkey("c").toHex() + " ";
+  // A record written before records were summed by words (version 1,
+  // byte-wise FNV-1a) is a torn tail as well, so --resume re-runs its job.
+  char V1Sum[17];
+  std::snprintf(V1Sum, sizeof V1Sum, "%016llx",
+                (unsigned long long)fnv1a64("gamma"));
+  std::string V1 = "(islaris-journal 1 " + jkey("c").toHex() + " 5 " + V1Sum +
+                   ")\ngamma\n";
   for (std::string Torn :
        {Full.substr(0, Full.size() / 2),
         Hostile + "99999999999999999999 229176bd1f6ba96a)\ngamma\n",
-        Hostile + "18446744073709551615 229176bd1f6ba96a)\ngamma\n"}) {
+        Hostile + "18446744073709551615 229176bd1f6ba96a)\ngamma\n", V1}) {
     TempDir Tmp;
     std::string Path = (Tmp.Path / "suite.journal").string();
     {

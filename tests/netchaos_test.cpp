@@ -190,7 +190,7 @@ TEST(FrameAdversaryTest, SplitAtEveryBoundary) {
   // split can land inside the magic, the header, the payload, and the
   // terminator.  Every split point must decode identically.
   server::Frame In{server::FrameType::Request,
-                   "(islaris-frame 1 fake 3 0000000000000000)\nxyz\n"};
+                   "(islaris-frame 2 fake 3 0000000000000000)\nxyz\n"};
   std::string Wire = server::encodeFrame(In);
   for (size_t Split = 0; Split <= Wire.size(); ++Split) {
     server::FrameReader R;
@@ -493,7 +493,8 @@ TEST(ShedTest, FloodIsShedWithRetryAfterWhilePoliteClientSucceeds) {
       ++Accepted;
     else if (F.Type == server::FrameType::Rejected) {
       uint64_t Id = 0;
-      std::string Body, Reason;
+      std::string_view Body;
+      std::string Reason;
       uint64_t RetryMs = 0;
       ASSERT_TRUE(server::decodeIdPayload(F.Payload, Id, Body));
       ASSERT_TRUE(server::decodeRejectBody(Body, Reason, RetryMs));
@@ -551,7 +552,8 @@ TEST(ShedTest, PerClientQuotaIsolatesTheFlooder) {
       ++Dones;
     else if (F.Type == server::FrameType::Rejected) {
       uint64_t Id = 0;
-      std::string Body, Reason;
+      std::string_view Body;
+      std::string Reason;
       uint64_t RetryMs = 0;
       ASSERT_TRUE(server::decodeIdPayload(F.Payload, Id, Body));
       ASSERT_TRUE(server::decodeRejectBody(Body, Reason, RetryMs));

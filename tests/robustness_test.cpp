@@ -20,6 +20,7 @@
 #include "itl/Parser.h"
 #include "models/Models.h"
 #include "support/FaultInjector.h"
+#include "support/Parse.h"
 
 #include <gtest/gtest.h>
 
@@ -392,6 +393,37 @@ TEST(MalformedInputTest, MalformedObjdumpLinesAreRejected) {
   EXPECT_NE(Err.find("duplicate"), std::string::npos);
 }
 
+TEST(MalformedInputTest, ParseHexIsOverflowCheckedAndBounded) {
+  uint64_t V = 7;
+  EXPECT_TRUE(support::parseHex("00000000fFfFfFfF", 0xffffffffu, V));
+  EXPECT_EQ(V, 0xffffffffu);
+  EXPECT_FALSE(support::parseHex("100000000", 0xffffffffu, V));
+  EXPECT_TRUE(support::parseHex("ffffffffffffffff", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  for (const char *Bad : {"", "0x10", "ffffffffffffffff0", "1 ", "-1", "g"})
+    EXPECT_FALSE(support::parseHex(Bad, UINT64_MAX, V)) << Bad;
+  EXPECT_EQ(V, UINT64_MAX); // untouched by a refusal
+}
+
+TEST(MalformedInputTest, OverlongObjdumpAddressesAreRejected) {
+  // Seventeen and nineteen hex digits do not fit 64 bits; neither may
+  // saturate to 0xffffffffffffffff and parse as a real address.
+  std::string Err;
+  EXPECT_FALSE(frontend::parseObjdump("ffffffffffffffff0 <a>:\n", Err));
+  EXPECT_NE(Err.find("does not fit 64 bits"), std::string::npos) << Err;
+  Err.clear();
+  EXPECT_FALSE(
+      frontend::parseObjdump("1000000000000400000:\td503201f\n", Err));
+  EXPECT_NE(Err.find("does not fit 64 bits"), std::string::npos) << Err;
+  // Sixteen digits is the widest address, and still parses.
+  Err.clear();
+  auto Img = frontend::parseObjdump(
+      "ffffffffffffffff <top>:\n  fffffffffffffffc:\td503201f \tnop\n", Err);
+  ASSERT_TRUE(Img.has_value()) << Err;
+  EXPECT_EQ(*Img->lookup("top"), 0xffffffffffffffffull);
+  EXPECT_EQ(Img->Code.at(0xfffffffffffffffcull), 0xd503201fu);
+}
+
 TEST(MalformedInputTest, SymbolLookupIsReleaseSafe) {
   std::string Err;
   auto Img = frontend::parseObjdump(
@@ -461,7 +493,7 @@ TEST(CacheFaultTest, CorruptTraceEntryIsAMissAndSelfRepairs) {
   }
 
   cache::TraceCache C2(Cfg);
-  EXPECT_FALSE(C2.lookup(Key).has_value()); // miss, not a crash
+  EXPECT_FALSE(C2.lookup(Key) != nullptr); // miss, not a crash
   EXPECT_EQ(C2.stats().CorruptRemoved, 1u);
   EXPECT_FALSE(fs::exists(Path)); // corpse deleted...
 
@@ -471,7 +503,7 @@ TEST(CacheFaultTest, CorruptTraceEntryIsAMissAndSelfRepairs) {
   ASSERT_TRUE(Rs2[0].Ok);
   EXPECT_TRUE(fs::exists(Path));
   cache::TraceCache C3(Cfg);
-  EXPECT_TRUE(C3.lookup(Key).has_value());
+  EXPECT_TRUE(C3.lookup(Key) != nullptr);
 }
 
 TEST(CacheFaultTest, TornWriteIsDetectedOnRead) {
@@ -499,7 +531,7 @@ TEST(CacheFaultTest, TornWriteIsDetectedOnRead) {
   ASSERT_TRUE(fs::exists(Path));
 
   cache::TraceCache C2(Cfg);
-  EXPECT_FALSE(C2.lookup(Key).has_value()); // detected, degraded to a miss
+  EXPECT_FALSE(C2.lookup(Key) != nullptr); // detected, degraded to a miss
   EXPECT_EQ(C2.stats().CorruptRemoved, 1u);
   EXPECT_FALSE(fs::exists(Path));
 }

@@ -106,7 +106,7 @@ TEST(FrameCodecTest, RoundTripByteAtATime) {
     Wire += server::encodeFrame(F);
   // The bytes on the wire are pinned: a frame is a protocol-3 frame.
   EXPECT_EQ(server::encodeFrame(In[0]),
-            "(islaris-frame 1 hello 2 08ba5f07b55ec3da)\nhi\n");
+            "(islaris-frame 2 hello 2 ffc6a682a123ab06)\nhi\n");
 
   // Deliver one byte per feed: every split point must be survivable.
   server::FrameReader R;
@@ -157,6 +157,32 @@ TEST(FrameCodecTest, ChecksumCorruptionIsMalformed) {
   EXPECT_NE(Err.find("checksum"), std::string::npos) << Err;
 }
 
+TEST(FrameCodecTest, OldFrameFormatVersionKillsTheStream) {
+  // A frame-format-1 peer (records summed by byte-wise FNV-1a) is refused
+  // at its first frame, not misread.
+  std::string Wire = "(islaris-frame 1 hello 2 08ba5f07b55ec3da)\nhi\n";
+  server::FrameReader R;
+  R.feed(Wire.data(), Wire.size());
+  server::Frame F;
+  std::string Err;
+  EXPECT_EQ(R.next(F, &Err), server::FrameReader::Status::Malformed);
+  EXPECT_EQ(Err, "unsupported frame format version");
+}
+
+TEST(FrameCodecTest, SealedIdFrameMatchesEncodedFrame) {
+  // One body buffer serves several ids in turn, byte-identical to the
+  // copying encoder each time.
+  std::string Body = "(islaris-trace-cache 1 00)\n(trace (cycle))\n";
+  std::string Buf(server::IdFrameRoom, ' ');
+  Buf += Body;
+  Buf.append(2, ' ');
+  for (uint64_t Id : {uint64_t(7), uint64_t(123456789), UINT64_MAX})
+    EXPECT_EQ(server::sealIdFrame(Buf, server::FrameType::Trace, Id),
+              server::encodeFrame({server::FrameType::Trace,
+                                   server::encodeIdPayload(Id, Body)}))
+        << Id;
+}
+
 TEST(FrameCodecTest, OversizedPayloadLengthIsMalformed) {
   // A header advertising more than MaxFramePayload must die at the header,
   // before any allocation on behalf of the corrupt length; so must lengths
@@ -165,7 +191,7 @@ TEST(FrameCodecTest, OversizedPayloadLengthIsMalformed) {
                           std::string("99999999999999999999"),
                           std::string("18446744073709551615")}) {
     std::string Wire =
-        "(islaris-frame 1 trace " + Len + " 0000000000000000)\n";
+        "(islaris-frame 2 trace " + Len + " 0000000000000000)\n";
     server::FrameReader R;
     R.feed(Wire.data(), Wire.size());
     server::Frame F;
@@ -282,10 +308,10 @@ TEST(PayloadCodecTest, DoneRoundTrip) {
 
 TEST(PayloadCodecTest, IdPayloadRoundTrip) {
   uint64_t Id = 0;
-  std::string Body;
-  ASSERT_TRUE(server::decodeIdPayload(
-      server::encodeIdPayload(77, "body with spaces\nand newlines"), Id,
-      Body));
+  std::string_view Body;
+  std::string Payload =
+      server::encodeIdPayload(77, "body with spaces\nand newlines");
+  ASSERT_TRUE(server::decodeIdPayload(Payload, Id, Body));
   EXPECT_EQ(Id, 77u);
   EXPECT_EQ(Body, "body with spaces\nand newlines");
   EXPECT_FALSE(server::decodeIdPayload("77", Id, Body));
@@ -912,7 +938,7 @@ TEST(ServerTest, AdmissionControlRejectsPastQueueBound) {
          Done.size() < Accepted.size()) {
     ASSERT_TRUE(C.recv(F, Err)) << Err;
     uint64_t Id = 0;
-    std::string Body;
+    std::string_view Body;
     if (F.Type == server::FrameType::Accepted) {
       ASSERT_TRUE(server::decodeIdPayload(F.Payload, Id, Body));
       Accepted.insert(Id);
@@ -964,7 +990,7 @@ TEST(ServerTest, DrainDeliversEveryAcceptedDoneThenMarksClean) {
   server::Frame F;
   while (C.recv(F, Err)) {
     uint64_t Id = 0;
-    std::string Body;
+    std::string_view Body;
     if (F.Type == server::FrameType::Accepted) {
       ASSERT_TRUE(server::decodeIdPayload(F.Payload, Id, Body));
       if (Id != 0) // id 0 is the shutdown ack

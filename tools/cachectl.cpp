@@ -11,9 +11,11 @@
 // the key its tag names, against the file's name), quarantines torn,
 // misnamed and misplaced entries, reaps stale temp files, and (with
 // --max-bytes) evicts least-recently-used entries until the store fits.
-// Entries in the version-2 envelope (written before entries named their
-// key in the envelope) read as BadVersion and are quarantined, as
-// version-1 files were when version 2 came in: the stores republish them.
+// Entries in the version-3 envelope (summed by byte-wise FNV-1a, before
+// the word-at-a-time record checksum) and the version-2 envelope (written
+// before entries named their key) read as BadVersion and are quarantined,
+// as version-1 files were when version 2 came in: the stores republish
+// them.
 //
 // `gc` retires trace-store generations: every model fingerprint outside
 // the N most recently touched (default 2) has its manifest's entries
