@@ -3,6 +3,7 @@
 #include "cache/Generations.h"
 
 #include "cache/EntryFiles.h"
+#include "support/Wire.h"
 
 #include <algorithm>
 #include <atomic>
@@ -84,14 +85,13 @@ islaris::cache::readGenerations(const std::string &Dir) {
   std::ifstream In(registryPath(Dir));
   std::string Line;
   while (std::getline(In, Line)) {
-    std::istringstream LS(Line);
-    std::string FpHex;
+    support::wire::Cursor C(Line);
     GenerationRecord R;
-    if (!(LS >> FpHex >> R.Seq >> R.TouchedUnix))
-      continue;
-    if (!Fingerprint::fromHex(FpHex, R.ModelFp))
-      continue;
-    Rows.push_back(R);
+    bool Known = Fingerprint::fromHex(C.tok(), R.ModelFp);
+    R.Seq = C.u64();
+    R.TouchedUnix = C.u64();
+    if (Known && !C.Fail)
+      Rows.push_back(R);
   }
   std::sort(Rows.begin(), Rows.end(),
             [](const GenerationRecord &A, const GenerationRecord &B) {

@@ -4,7 +4,6 @@
 
 #include "support/Parse.h"
 
-#include <cctype>
 #include <sstream>
 
 using namespace islaris;
@@ -13,12 +12,8 @@ using namespace islaris::frontend;
 namespace {
 
 bool isHexString(const std::string &S) {
-  if (S.empty())
-    return false;
-  for (char C : S)
-    if (!std::isxdigit(static_cast<unsigned char>(C)))
-      return false;
-  return true;
+  return !S.empty() &&
+         S.find_first_not_of("0123456789abcdefABCDEF") == std::string::npos;
 }
 
 } // namespace

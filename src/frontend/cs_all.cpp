@@ -152,12 +152,30 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
   // injector, a process-wide test hook, is installed for the run and
   // restored after the pool joins.
   const RunContext Ctx = O;
+  std::vector<CaseResult> Results(N);
+  // A row that failed outside its study: an escaped exception, or a
+  // malformed ISLARIS_FAULTS.
+  auto Fail = [&](size_t I, ErrorCode Code, std::string Msg) {
+    Results[I].Name = Studies[I].Row;
+    Results[I].Ok = false;
+    Results[I].D = Diag::error(Code, "suite", std::move(Msg));
+    Results[I].Error = Results[I].D.Message;
+  };
   support::FaultInjector *SavedFaults = support::FaultInjector::active();
   // Explicit SuiteOptions::Faults wins; otherwise honor ISLARIS_FAULTS so
   // any suite binary can be chaos-tested from the shell without a rebuild.
+  // A malformed ISLARIS_FAULTS fails every row as an infrastructure error
+  // (exit 2) rather than running the suite with fewer faults than asked.
   std::unique_ptr<support::FaultInjector> EnvFaults;
-  if (!O.Faults && !SavedFaults)
-    EnvFaults = support::FaultInjector::fromEnv();
+  if (!O.Faults && !SavedFaults) {
+    std::string Err;
+    EnvFaults = support::FaultInjector::fromEnv(Err);
+    if (!Err.empty()) {
+      for (size_t I = 0; I < N; ++I)
+        Fail(I, ErrorCode::InjectedFault, Err);
+      return Results;
+    }
+  }
   support::FaultInjector *Installed =
       O.Faults ? O.Faults : EnvFaults.get();
   if (Installed)
@@ -193,7 +211,6 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
     return FP.digest();
   };
 
-  std::vector<CaseResult> Results(N);
   cache::BatchDriver::parallelFor(
       N, O.Threads == 0 ? cache::BatchDriver().threads() : O.Threads,
       [&](size_t I) {
@@ -216,19 +233,11 @@ islaris::frontend::runAllCaseStudies(const SuiteOptions &O) {
         try {
           Results[I] = Studies[I].Run(Ctx);
         } catch (const std::exception &E) {
-          Results[I].Name = Studies[I].Row;
-          Results[I].Ok = false;
-          Results[I].D = Diag::error(
-              ErrorCode::JobException, "suite",
-              std::string("exception escaped case study: ") + E.what());
-          Results[I].Error = Results[I].D.Message;
+          Fail(I, ErrorCode::JobException,
+               std::string("exception escaped case study: ") + E.what());
         } catch (...) {
-          Results[I].Name = Studies[I].Row;
-          Results[I].Ok = false;
-          Results[I].D = Diag::error(ErrorCode::JobException, "suite",
-                                     "non-standard exception escaped "
-                                     "case study");
-          Results[I].Error = Results[I].D.Message;
+          Fail(I, ErrorCode::JobException,
+               "non-standard exception escaped case study");
         }
         if (Journal)
           Journal->append(JobKey(I), encodeCaseResult(Results[I]));

@@ -79,7 +79,6 @@ struct OpcodeSpec {
       Mask = Mask.insertSlice(I, BitVec(1, 1));
     return {BitVec(32, Op), Mask};
   }
-  bool isConcrete() const { return SymMask.isZero(); }
 };
 
 /// Knobs for the E4/E5 ablation benchmarks, plus the per-run resource

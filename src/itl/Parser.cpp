@@ -92,19 +92,6 @@ std::optional<SExpr> SExprParser::parseOne() {
 
 std::optional<SExpr> SExprParser::parse() { return parseOne(); }
 
-std::optional<std::vector<SExpr>> SExprParser::parseAll() {
-  std::vector<SExpr> Result;
-  while (true) {
-    skipWhitespace();
-    if (atEnd())
-      return Result;
-    auto S = parseOne();
-    if (!S)
-      return std::nullopt;
-    Result.push_back(std::move(*S));
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Trace building.
 //===----------------------------------------------------------------------===//
@@ -153,6 +140,23 @@ std::optional<Sort> TraceParser::buildSort(const SExpr &S) {
   return std::nullopt;
 }
 
+// Operand sorts are checked here: TermBuilder only asserts them, and the
+// text is untrusted.  Results wider than MaxTraceNumber bits are refused,
+// so nested extensions and concats cannot build an allocation bomb.
+static bool isBV(const Term *T) { return T->sort().isBitVec(); }
+static bool bothBool(const Term *A, const Term *B) {
+  return A->isBool() && B->isBool();
+}
+static bool sameSort(const Term *A, const Term *B) {
+  return A->sort() == B->sort();
+}
+static bool sameBV(const Term *A, const Term *B) {
+  return sameSort(A, B) && isBV(A);
+}
+static bool concatable(const Term *A, const Term *B) {
+  return isBV(A) && isBV(B) && A->width() + B->width() <= MaxTraceNumber;
+}
+
 const Term *TraceParser::buildTermExpr(const SExpr &S) {
   if (S.isAtom()) {
     const std::string &A = S.Atom;
@@ -199,6 +203,8 @@ const Term *TraceParser::buildTermExpr(const SExpr &S) {
       const Term *E = buildTermExpr(L[1]);
       if (!E)
         return nullptr;
+      if (!isBV(E) || E->width() + N > MaxTraceNumber)
+        return fail("bad extension operand in " + S.toString());
       return Op == "zero_extend" ? TB.zeroExtend(N, E) : TB.signExtend(N, E);
     }
     return fail("unknown indexed operator " + S.toString());
@@ -206,80 +212,89 @@ const Term *TraceParser::buildTermExpr(const SExpr &S) {
 
   const std::string &Op = L[0].Atom;
   auto arg = [&](size_t I) { return buildTermExpr(L[I]); };
+  auto illSorted = [&] {
+    return fail("ill-sorted operands in " + S.toString());
+  };
 
   if (Op == "not" && L.size() == 2) {
     const Term *A = arg(1);
-    return A ? TB.notTerm(A) : nullptr;
+    return !A ? nullptr : A->isBool() ? TB.notTerm(A) : illSorted();
   }
   if (Op == "bvnot" && L.size() == 2) {
     const Term *A = arg(1);
-    return A ? TB.bvNot(A) : nullptr;
+    return !A ? nullptr : isBV(A) ? TB.bvNot(A) : illSorted();
   }
   if (Op == "bvneg" && L.size() == 2) {
     const Term *A = arg(1);
-    return A ? TB.bvNeg(A) : nullptr;
+    return !A ? nullptr : isBV(A) ? TB.bvNeg(A) : illSorted();
   }
   if (Op == "ite" && L.size() == 4) {
     const Term *C = arg(1), *T = arg(2), *E = arg(3);
-    return (C && T && E) ? TB.iteTerm(C, T, E) : nullptr;
+    if (!C || !T || !E)
+      return nullptr;
+    return C->isBool() && sameSort(T, E) ? TB.iteTerm(C, T, E) : illSorted();
   }
 
-  // Left-associative n-ary for and/or; binary otherwise.
-  auto nary = [&](auto F) -> const Term * {
+  // Left-associative n-ary for and/or; binary otherwise.  Ok checks each
+  // pair of operands before TermBuilder sees it.
+  auto nary = [&](auto F, bool (*Ok)(const Term *, const Term *)) {
     if (L.size() < 3)
       return fail("operator " + Op + " needs arguments");
     const Term *Acc = arg(1);
     for (size_t I = 2; Acc && I < L.size(); ++I) {
       const Term *Next = arg(I);
+      if (Next && !Ok(Acc, Next))
+        return illSorted();
       Acc = Next ? (TB.*F)(Acc, Next) : nullptr;
     }
     return Acc;
   };
 
+  using smt::TermBuilder;
   if (Op == "and")
-    return nary(&smt::TermBuilder::andTerm);
+    return nary(&TermBuilder::andTerm, bothBool);
   if (Op == "or")
-    return nary(&smt::TermBuilder::orTerm);
+    return nary(&TermBuilder::orTerm, bothBool);
   if (Op == "=>")
-    return nary(&smt::TermBuilder::impliesTerm);
+    return nary(&TermBuilder::impliesTerm, bothBool);
   if (Op == "=")
-    return nary(&smt::TermBuilder::eqTerm);
+    return nary(&TermBuilder::eqTerm, sameSort);
   if (Op == "bvadd")
-    return nary(&smt::TermBuilder::bvAdd);
+    return nary(&TermBuilder::bvAdd, sameBV);
   if (Op == "bvsub")
-    return nary(&smt::TermBuilder::bvSub);
+    return nary(&TermBuilder::bvSub, sameBV);
   if (Op == "bvmul")
-    return nary(&smt::TermBuilder::bvMul);
+    return nary(&TermBuilder::bvMul, sameBV);
   if (Op == "bvudiv")
-    return nary(&smt::TermBuilder::bvUDiv);
+    return nary(&TermBuilder::bvUDiv, sameBV);
   if (Op == "bvurem")
-    return nary(&smt::TermBuilder::bvURem);
+    return nary(&TermBuilder::bvURem, sameBV);
   if (Op == "bvsdiv")
-    return nary(&smt::TermBuilder::bvSDiv);
+    return nary(&TermBuilder::bvSDiv, sameBV);
   if (Op == "bvsrem")
-    return nary(&smt::TermBuilder::bvSRem);
+    return nary(&TermBuilder::bvSRem, sameBV);
   if (Op == "bvand")
-    return nary(&smt::TermBuilder::bvAnd);
+    return nary(&TermBuilder::bvAnd, sameBV);
   if (Op == "bvor")
-    return nary(&smt::TermBuilder::bvOr);
+    return nary(&TermBuilder::bvOr, sameBV);
   if (Op == "bvxor")
-    return nary(&smt::TermBuilder::bvXor);
+    return nary(&TermBuilder::bvXor, sameBV);
   if (Op == "bvshl")
-    return nary(&smt::TermBuilder::bvShl);
+    return nary(&TermBuilder::bvShl, sameBV);
   if (Op == "bvlshr")
-    return nary(&smt::TermBuilder::bvLShr);
+    return nary(&TermBuilder::bvLShr, sameBV);
   if (Op == "bvashr")
-    return nary(&smt::TermBuilder::bvAShr);
+    return nary(&TermBuilder::bvAShr, sameBV);
   if (Op == "bvult")
-    return nary(&smt::TermBuilder::bvUlt);
+    return nary(&TermBuilder::bvUlt, sameBV);
   if (Op == "bvule")
-    return nary(&smt::TermBuilder::bvUle);
+    return nary(&TermBuilder::bvUle, sameBV);
   if (Op == "bvslt")
-    return nary(&smt::TermBuilder::bvSlt);
+    return nary(&TermBuilder::bvSlt, sameBV);
   if (Op == "bvsle")
-    return nary(&smt::TermBuilder::bvSle);
+    return nary(&TermBuilder::bvSle, sameBV);
   if (Op == "concat")
-    return nary(&smt::TermBuilder::concat);
+    return nary(&TermBuilder::concat, concatable);
 
   return fail("unknown operator " + Op);
 }
@@ -348,6 +363,8 @@ std::optional<Event> TraceParser::buildEvent(const SExpr &S) {
     const Term *A = buildTermExpr(S.List[2]);
     if (!D || !A)
       return std::nullopt;
+    if (!isBV(D) || !isBV(A) || D->width() != N * 8)
+      return err("read-mem operand sorts");
     return Event::readMem(D, A, N);
   }
   if (Head == "write-mem") {
@@ -360,6 +377,8 @@ std::optional<Event> TraceParser::buildEvent(const SExpr &S) {
     const Term *D = buildTermExpr(S.List[2]);
     if (!A || !D)
       return std::nullopt;
+    if (!isBV(D) || !isBV(A) || D->width() != N * 8)
+      return err("write-mem operand sorts");
     return Event::writeMem(A, D, N);
   }
   if (Head == "declare-const") {
@@ -394,6 +413,8 @@ std::optional<Event> TraceParser::buildEvent(const SExpr &S) {
     const Term *E = buildTermExpr(S.List[1]);
     if (!E)
       return std::nullopt;
+    if (!E->isBool())
+      return err("assert/assume of a non-boolean");
     return Head == "assert" ? Event::assertE(E) : Event::assumeE(E);
   }
   return err("unknown event kind " + Head);

@@ -42,8 +42,6 @@ class SExprParser {
 public:
   explicit SExprParser(std::string Text) : Text(std::move(Text)) {}
   std::optional<SExpr> parse();
-  /// Parses all top-level S-expressions until end of input.
-  std::optional<std::vector<SExpr>> parseAll();
   const std::string &error() const { return Error; }
   /// Offset just past the last consumed token.  Lets callers parse a
   /// leading S-expression header and keep the remainder of the input

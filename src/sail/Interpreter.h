@@ -43,9 +43,8 @@ public:
                           const std::vector<smt::Value> &Args,
                           itl::MachineState &State);
 
-  /// Visible MMIO labels accumulated since construction / clearLabels().
+  /// Visible MMIO labels accumulated since construction.
   const std::vector<itl::Label> &labels() const { return Labels; }
-  void clearLabels() { Labels.clear(); }
 
 private:
   struct Frame {

@@ -2,6 +2,8 @@
 
 #include "sail/Lexer.h"
 
+#include "support/Parse.h"
+
 #include <unordered_map>
 
 using namespace islaris;
@@ -121,7 +123,9 @@ Lexer::Lexer(const std::string &Src) {
       Token T;
       T.Kind = Tok::IntLit;
       T.Line = Line;
-      T.Int = std::stoull(Src.substr(Start, I - Start));
+      std::string_view Digits = std::string_view(Src).substr(Start, I - Start);
+      if (!support::parseUnsigned(Digits, UINT64_MAX, T.Int))
+        { fail("integer literal out of range"); return; }
       Tokens.push_back(std::move(T));
       continue;
     }

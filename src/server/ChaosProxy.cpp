@@ -3,6 +3,8 @@
 #include "server/ChaosProxy.h"
 
 #include "server/Net.h"
+#include "support/FaultInjector.h"
+#include "support/Parse.h"
 
 #include <atomic>
 #include <cerrno>
@@ -25,40 +27,29 @@ using namespace islaris::server;
 // Config from the environment.
 //===----------------------------------------------------------------------===//
 
-ChaosConfig ChaosConfig::fromEnv() {
-  ChaosConfig C;
-  if (const char *S = std::getenv("ISLARIS_FAULT_SEED"))
-    C.Seed = std::strtoull(S, nullptr, 10);
+bool ChaosConfig::fromEnv(ChaosConfig &C, std::string &Err) {
+  C = ChaosConfig();
+  if (!support::faultSeedFromEnv(C.Seed, Err))
+    return false;
   const char *Spec = std::getenv("ISLARIS_NETCHAOS");
   if (!Spec)
-    return C;
-  std::string Str(Spec);
-  size_t Pos = 0;
-  while (Pos < Str.size()) {
-    size_t Comma = Str.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Str.size();
-    std::string Entry = Str.substr(Pos, Comma - Pos);
-    Pos = Comma + 1;
-    size_t Eq = Entry.find('=');
-    if (Eq == std::string::npos)
-      continue; // malformed entry: ignored, like ISLARIS_FAULTS
-    std::string Key = Entry.substr(0, Eq);
-    double Val = std::strtod(Entry.c_str() + Eq + 1, nullptr);
-    if (Key == "delay")
-      C.DelayProb = Val;
-    else if (Key == "delay-max-ms")
-      C.DelayMaxMs = Val;
-    else if (Key == "split")
-      C.SplitProb = Val;
-    else if (Key == "corrupt")
-      C.CorruptProb = Val;
-    else if (Key == "drop")
-      C.DropProb = Val;
-    else if (Key == "reset")
-      C.ResetProb = Val;
-  }
-  return C;
+    return true;
+  auto Set = [&C](std::string_view Key, std::string_view Val) {
+    double *Field = Key == "delay"          ? &C.DelayProb
+                    : Key == "delay-max-ms" ? &C.DelayMaxMs
+                    : Key == "split"        ? &C.SplitProb
+                    : Key == "corrupt"      ? &C.CorruptProb
+                    : Key == "drop"         ? &C.DropProb
+                    : Key == "reset"        ? &C.ResetProb
+                                            : nullptr;
+    double V = 0;
+    if (!Field || !support::parseDouble(Val, V) || V < 0 ||
+        (Field != &C.DelayMaxMs && V > 1))
+      return false;
+    *Field = V;
+    return true;
+  };
+  return support::forEachKeyValue(Spec, "ISLARIS_NETCHAOS", Set, Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -61,8 +61,9 @@ struct ChaosConfig {
   /// Builds a config from the environment: ISLARIS_FAULT_SEED for the
   /// seed, ISLARIS_NETCHAOS for the mix, e.g.
   ///   ISLARIS_NETCHAOS="delay=0.2,split=0.3,corrupt=0.02,drop=0.02,reset=0.01"
-  /// Unset/malformed entries keep their defaults.
-  static ChaosConfig fromEnv();
+  /// Unset entries keep their defaults; an unknown key or a bad number
+  /// returns false with \p Err naming it.
+  static bool fromEnv(ChaosConfig &Out, std::string &Err);
 };
 
 /// Monotonic injection counters, for the "faults actually fired" half of

@@ -476,15 +476,18 @@ Client::Outcome Client::exchange(Request &Req, const net::Deadline &Overall,
   if (!send(Frame{FrameType::Request, encodeRequest(Req)}, Err))
     return Outcome::Transient;
   FrameView F;
-  bool Transient = false;
+  bool Transient = false, Accepted = false;
   while (awaitFrame(F, Overall, Err, Transient)) {
     if (F.Type == FrameType::Error) {
       Err = "server error: " + std::string(F.Payload);
       return Outcome::Transient;
     }
     if (F.Type == FrameType::Bye) {
+      // A drained server will not come back.  It owed an accepted request
+      // its result before the goodbye; one it never accepted may still be
+      // served by another endpoint.
       Err = "server shut down before the result arrived";
-      return Outcome::Done; // a drained server will not come back
+      return Accepted ? Outcome::Done : Outcome::Transient;
     }
     if (F.Type == FrameType::Done) {
       DoneInfo D;
@@ -494,12 +497,14 @@ Client::Outcome Client::exchange(Request &Req, const net::Deadline &Overall,
       Rep.Ok = D.Status == 0;
       return Outcome::Done;
     }
-    // Everything else that matters is id-tagged: `accepted`, `diag` and
-    // frames for other ids are skipped.
+    // Everything else that matters is id-tagged: `diag` and frames for
+    // other ids are skipped.
     uint64_t Id = 0;
     std::string_view Body;
-    if ((F.Type != Result && F.Type != FrameType::Rejected) ||
-        !decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
+    if (!decodeIdPayload(F.Payload, Id, Body) || Id != Req.Id)
+      continue;
+    Accepted |= F.Type == FrameType::Accepted;
+    if (F.Type != Result && F.Type != FrameType::Rejected)
       continue;
     if (F.Type == Result) {
       if (OnResult(Body))

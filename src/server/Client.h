@@ -117,8 +117,6 @@ public:
   Client(const Client &) = delete;
   Client &operator=(const Client &) = delete;
 
-  /// Adjust options (takes effect on the next call; set before connect()).
-  void setOptions(ClientOptions O) { Opt = std::move(O); }
   const ClientOptions &options() const { return Opt; }
   ClientNetStats netStats() const { return Net; }
 

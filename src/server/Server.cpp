@@ -31,6 +31,7 @@
 #include <vector>
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -136,6 +137,9 @@ struct Server::Impl {
   Clock::time_point StartedAt;
 
   Listener Lsn;
+  /// Polled by the accept loop beside the listener; requestShutdown
+  /// signals it so a drain does not wait out the loop's poll tick.
+  int WakeFd = -1;
   std::atomic<bool> Running{false};
   std::atomic<bool> Draining{false};
   bool TornDown = false;
@@ -342,15 +346,15 @@ struct Server::Impl {
 
   void acceptLoop() {
     while (!Draining.load(std::memory_order_relaxed)) {
-      pollfd P{Lsn.fd(), POLLIN, 0};
-      int R = ::poll(&P, 1, 200);
+      pollfd P[2] = {{Lsn.fd(), POLLIN, 0}, {WakeFd, POLLIN, 0}};
+      int R = ::poll(P, 2, 200);
       // Housekeeping rides the same tick.  The degraded probe and the idle
       // check pace themselves by wall time, so a busy accept loop runs
       // them no more often than an idle one.
       reapConns();
       probeDegraded();
       evictIfIdle();
-      if (R <= 0)
+      if (R <= 0 || P[0].revents == 0)
         continue;
       int Fd = Lsn.acceptOne();
       if (Fd < 0)
@@ -1102,6 +1106,12 @@ struct Server::Impl {
     // worker concurrently and daemons in one process stay independent.
     Ctx = {Cache.get(), SideCond.get(), Cfg.Limits};
 
+    WakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (WakeFd < 0) {
+      Err = std::string("eventfd: ") + std::strerror(errno);
+      return false;
+    }
+
     StartedAt = Clock::now();
     Running.store(true, std::memory_order_relaxed);
     AcceptTh = std::thread([this] { acceptLoop(); });
@@ -1121,6 +1131,10 @@ struct Server::Impl {
       std::lock_guard<std::mutex> QL(QMu);
       if (!Draining.compare_exchange_strong(Expected, true))
         return;
+      if (WakeFd >= 0) {
+        uint64_t One = 1;
+        [[maybe_unused]] ssize_t W = ::write(WakeFd, &One, sizeof One);
+      }
       QCv.notify_all();
       ShutCv.notify_all();
     }
@@ -1142,6 +1156,8 @@ struct Server::Impl {
 
     if (AcceptTh.joinable())
       AcceptTh.join();
+    ::close(WakeFd);
+    WakeFd = -1;
     QCv.notify_all();
     for (std::thread &T : WorkerThs)
       T.join(); // workers drain every queued job before exiting

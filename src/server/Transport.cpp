@@ -3,6 +3,7 @@
 #include "server/Transport.h"
 
 #include "server/Net.h"
+#include "support/Parse.h"
 
 #include <cerrno>
 #include <cstring>
@@ -38,14 +39,10 @@ bool islaris::server::parseEndpoint(const std::string &Spec, Endpoint &Out,
   size_t Colon = Spec.rfind(':');
   if (Spec[0] != '/' && Spec[0] != '.' && Colon != std::string::npos &&
       Colon + 1 < Spec.size()) {
-    std::string PortStr = Spec.substr(Colon + 1);
-    bool AllDigits = true;
-    for (char C : PortStr)
-      if (C < '0' || C > '9')
-        AllDigits = false;
-    if (AllDigits) {
-      unsigned long P = std::strtoul(PortStr.c_str(), nullptr, 10);
-      if (P > 65535) {
+    std::string_view PortStr = std::string_view(Spec).substr(Colon + 1);
+    if (PortStr.find_first_not_of("0123456789") == std::string_view::npos) {
+      uint64_t P = 0;
+      if (!support::parseUnsigned(PortStr, 65535, P)) {
         Err = "port out of range: " + Spec;
         return false;
       }

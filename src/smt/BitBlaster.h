@@ -49,9 +49,6 @@ public:
   /// Reads back a model value for \p T after a Sat answer.
   Value modelValue(const Term *T);
 
-  /// The always-true literal.
-  sat::Lit trueLit() const { return TrueLit; }
-
   const BlastStats &stats() const { return BStats; }
 
 private:

@@ -86,10 +86,6 @@ public:
   const Term *bvUle(const Term *L, const Term *R);
   const Term *bvSlt(const Term *L, const Term *R);
   const Term *bvSle(const Term *L, const Term *R);
-  const Term *bvUgt(const Term *L, const Term *R) { return bvUlt(R, L); }
-  const Term *bvUge(const Term *L, const Term *R) { return bvUle(R, L); }
-  const Term *bvSgt(const Term *L, const Term *R) { return bvSlt(R, L); }
-  const Term *bvSge(const Term *L, const Term *R) { return bvSle(R, L); }
 
   const Term *extract(unsigned Hi, unsigned Lo, const Term *T);
   const Term *concat(const Term *Hi, const Term *Lo);

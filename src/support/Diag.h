@@ -97,9 +97,6 @@ struct Diag {
   static Diag error(ErrorCode Code, std::string Stage, std::string Message) {
     return Diag(Code, std::move(Stage), std::move(Message));
   }
-  static Diag fatal(ErrorCode Code, std::string Stage, std::string Message) {
-    return Diag(Code, std::move(Stage), std::move(Message), Severity::Fatal);
-  }
 };
 
 /// True if a failure with this code is worth re-running: transient

@@ -2,38 +2,17 @@
 
 #include "support/FaultInjector.h"
 
+#include "support/Parse.h"
+
 #include <cstdlib>
-#include <cstring>
 
 using namespace islaris::support;
 
-const char *islaris::support::faultSiteName(FaultSite S) {
-  switch (S) {
-  case FaultSite::CacheRead:
-    return "cache-read";
-  case FaultSite::CacheWrite:
-    return "cache-write";
-  case FaultSite::CacheRename:
-    return "cache-rename";
-  case FaultSite::CacheTornWrite:
-    return "cache-torn-write";
-  case FaultSite::SolverUnknown:
-    return "solver-unknown";
-  case FaultSite::ExecStep:
-    return "exec-step";
-  case FaultSite::ExecThrow:
-    return "exec-throw";
-  case FaultSite::CrashPublish:
-    return "crash-publish";
-  case FaultSite::CrashJournal:
-    return "crash-journal";
-  case FaultSite::DiskFull:
-    return "disk-full";
-  case FaultSite::SolverModel:
-    return "solver-model";
-  }
-  return "unknown";
-}
+/// The ISLARIS_FAULTS name of each site, in FaultSite order.
+static const char *const SiteNames[NumFaultSites] = {
+    "cache-read",    "cache-write", "cache-rename", "cache-torn-write",
+    "solver-unknown", "exec-step",  "exec-throw",   "crash-publish",
+    "crash-journal", "disk-full",   "solver-model"};
 
 FaultInjector::FaultInjector(uint64_t Seed) : Seed(Seed) {}
 
@@ -97,45 +76,64 @@ static FaultInjector *ActiveInjector = nullptr;
 FaultInjector *FaultInjector::active() { return ActiveInjector; }
 void FaultInjector::setActive(FaultInjector *F) { ActiveInjector = F; }
 
-std::unique_ptr<FaultInjector> FaultInjector::fromEnv() {
+bool islaris::support::forEachKeyValue(
+    std::string_view Spec, const char *Var,
+    const std::function<bool(std::string_view, std::string_view)> &Set,
+    std::string &Err) {
+  while (!Spec.empty()) {
+    size_t Comma = Spec.find(',');
+    std::string_view Item = Spec.substr(0, Comma);
+    Spec.remove_prefix(Comma == std::string_view::npos ? Spec.size()
+                                                       : Comma + 1);
+    if (Item.empty())
+      continue;
+    size_t Eq = Item.find('=');
+    if (Eq == std::string_view::npos ||
+        !Set(Item.substr(0, Eq), Item.substr(Eq + 1))) {
+      Err = std::string(Var) + ": bad entry '" + std::string(Item) + "'";
+      return false;
+    }
+  }
+  return true;
+}
+
+bool islaris::support::faultSeedFromEnv(uint64_t &Seed, std::string &Err) {
+  const char *S = std::getenv("ISLARIS_FAULT_SEED");
+  if (!S || parseInteger(S, UINT64_MAX, Seed))
+    return true;
+  Err = std::string("ISLARIS_FAULT_SEED: bad value '") + S + "'";
+  return false;
+}
+
+std::unique_ptr<FaultInjector> FaultInjector::fromEnv(std::string &Err) {
   const char *Spec = std::getenv("ISLARIS_FAULTS");
   if (!Spec || !*Spec)
     return nullptr;
   uint64_t Seed = 0;
-  if (const char *S = std::getenv("ISLARIS_FAULT_SEED"))
-    Seed = std::strtoull(S, nullptr, 0);
+  if (!faultSeedFromEnv(Seed, Err))
+    return nullptr;
   auto F = std::make_unique<FaultInjector>(Seed);
-
-  // "site=rate,site=first:n,..." — malformed entries are skipped.
-  std::string Text(Spec);
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t Comma = Text.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Text.size();
-    std::string Item = Text.substr(Pos, Comma - Pos);
-    Pos = Comma + 1;
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos)
-      continue;
-    std::string Name = Item.substr(0, Eq);
-    std::string Val = Item.substr(Eq + 1);
-    FaultSite Site = FaultSite::CacheRead;
-    bool Known = false;
-    for (unsigned I = 0; I < NumFaultSites; ++I)
-      if (Name == faultSiteName(FaultSite(I))) {
-        Site = FaultSite(I);
-        Known = true;
-        break;
-      }
-    if (!Known || Val.empty())
-      continue;
-    if (Val.rfind("first:", 0) == 0)
-      F->failFirst(Site, std::strtoull(Val.c_str() + 6, nullptr, 0));
-    else if (Val.rfind("at:", 0) == 0)
-      F->failAt(Site, std::strtoull(Val.c_str() + 3, nullptr, 0));
+  auto Set = [&F](std::string_view Name, std::string_view Val) {
+    unsigned I = 0;
+    while (I < NumFaultSites && Name != SiteNames[I])
+      ++I;
+    if (I == NumFaultSites)
+      return false;
+    FaultSite Site = FaultSite(I);
+    uint64_t N = 0;
+    double P = 0;
+    if (Val.starts_with("first:") && parseInteger(Val.substr(6), UINT64_MAX, N))
+      F->failFirst(Site, N);
+    else if (Val.starts_with("at:") &&
+             parseInteger(Val.substr(3), UINT64_MAX, N))
+      F->failAt(Site, N);
+    else if (parseDouble(Val, P) && P >= 0 && P <= 1)
+      F->setRate(Site, P);
     else
-      F->setRate(Site, std::strtod(Val.c_str(), nullptr));
-  }
+      return false;
+    return true;
+  };
+  if (!forEachKeyValue(Spec, "ISLARIS_FAULTS", Set, Err))
+    return nullptr;
   return F;
 }

@@ -46,11 +46,11 @@
 ///   ISLARIS_FAULT_SEED=42
 ///   ISLARIS_FAULTS="cache-read=0.2,solver-unknown=0.01,exec-throw=first:3"
 ///
-/// where `site=p` injects with probability p, `site=first:n` fails exactly
-/// the first n probes of that site (the deterministic shape the retry tests
-/// use), and `site=at:k` fails exactly the probe with zero-based index k
-/// (the shape the crash-storm harness uses to pick one abort point per
-/// run).
+/// where `site=p` injects with probability p in [0, 1], `site=first:n`
+/// fails exactly the first n probes of that site (the deterministic shape
+/// the retry tests use), and `site=at:k` fails exactly the probe with
+/// zero-based index k (the shape the crash-storm harness uses to pick one
+/// abort point per run).  n, k and the seed are decimal or 0x-hex.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,9 +58,11 @@
 #define ISLARIS_SUPPORT_FAULTINJECTOR_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace islaris::support {
 
@@ -78,9 +80,6 @@ enum class FaultSite : unsigned {
   SolverModel,
 };
 inline constexpr unsigned NumFaultSites = 11;
-
-/// Stable site name ("cache-read", ...); the ISLARIS_FAULTS syntax.
-const char *faultSiteName(FaultSite S);
 
 class FaultInjector {
 public:
@@ -125,8 +124,9 @@ public:
   }
 
   /// Builds an injector from ISLARIS_FAULT_SEED / ISLARIS_FAULTS; null when
-  /// ISLARIS_FAULTS is unset or empty.  Malformed entries are ignored.
-  static std::unique_ptr<FaultInjector> fromEnv();
+  /// ISLARIS_FAULTS is unset or empty.  A malformed entry or seed is an
+  /// error, never a run with fewer faults: null with \p Err naming it.
+  static std::unique_ptr<FaultInjector> fromEnv(std::string &Err);
 
 private:
   struct SiteState {
@@ -141,6 +141,19 @@ private:
   mutable std::mutex Mu;
   SiteState Sites[NumFaultSites];
 };
+
+/// Hands each entry of a "key=value,..." spec read from \p Var to \p Set.
+/// Returns false, with \p Err naming \p Var and the entry, at the first
+/// entry that has no '=' or that \p Set refuses (an unknown key, a bad
+/// value).  Empty entries are skipped.
+bool forEachKeyValue(
+    std::string_view Spec, const char *Var,
+    const std::function<bool(std::string_view, std::string_view)> &Set,
+    std::string &Err);
+
+/// Reads ISLARIS_FAULT_SEED into \p Seed when it is set; false with \p Err
+/// when it is malformed.
+bool faultSeedFromEnv(uint64_t &Seed, std::string &Err);
 
 } // namespace islaris::support
 

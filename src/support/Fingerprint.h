@@ -61,7 +61,6 @@ public:
   Fingerprinter &bytes(const void *Data, size_t N);
   Fingerprinter &str(const std::string &S);
   Fingerprinter &u64(uint64_t V);
-  Fingerprinter &u32(uint32_t V) { return u64(V); }
   Fingerprinter &boolean(bool V) { return u64(V ? 1 : 0); }
   Fingerprinter &bitvec(const BitVec &V);
   Fingerprinter &fingerprint(const Fingerprint &F) {

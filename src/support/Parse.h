@@ -5,19 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Validating parsers for numbers that arrive as untrusted bytes — record
-/// headers (support/Record), the fields inside wire and journal payloads
-/// (support/Wire), store entry payloads, ITL trace text, objdump listings.
-/// `std::stoul` throws on non-numeric input and silently wraps "-1" to
-/// 4294967295; both behaviours violate the durability contract (a corrupt
-/// entry degrades to a miss / parse error, never a crash or a wrong value).
-/// Every number parsed out of input data must come through here.
+/// Every number the program reads comes through here: tool flags, the
+/// environment, model text, and untrusted bytes — record headers, wire and
+/// journal payload fields, store entries, ITL trace text, objdump listings.
+/// Each parser takes the whole token and returns false instead of throwing,
+/// wrapping, truncating or reading junk as 0 (as strtoul, atoi, atof and
+/// std::stoul do; CI greps src/ and tools/ for them).  There is no octal.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISLARIS_SUPPORT_PARSE_H
 #define ISLARIS_SUPPORT_PARSE_H
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <string_view>
 
@@ -90,6 +91,35 @@ inline bool parseHex(std::string_view S, uint64_t Max, uint64_t &Out) {
   if (V > Max)
     return false;
   Out = V;
+  return true;
+}
+
+/// Parses an integer in [0, Max] written in decimal ("010" is ten), or as
+/// "0x"/"0X" and hex digits: the form of seeds and sizes.
+inline bool parseInteger(std::string_view S, uint64_t Max, uint64_t &Out) {
+  if (S.size() > 2 && S[0] == '0' && (S[1] == 'x' || S[1] == 'X'))
+    return parseHex(S.substr(2), Max, Out);
+  return parseUnsigned(S, Max, Out);
+}
+
+/// Parses a finite double: decimal ("0.25", "1e-3") or a hexfloat as "%a"
+/// prints it ("0x1.8p+1"), with an optional '-'.  Rejects '+', whitespace,
+/// "inf", "nan" and "1e999".  Does not allocate.
+inline bool parseDouble(std::string_view S, double &Out) {
+  bool Neg = !S.empty() && S[0] == '-';
+  S.remove_prefix(Neg ? 1 : 0);
+  std::chars_format Fmt = std::chars_format::general;
+  if (S.size() > 2 && S[0] == '0' && (S[1] == 'x' || S[1] == 'X')) {
+    S.remove_prefix(2);
+    Fmt = std::chars_format::hex;
+  }
+  if (S.empty() || S[0] == '-')
+    return false;
+  double V = 0;
+  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), V, Fmt);
+  if (Ec != std::errc() || End != S.data() + S.size() || !std::isfinite(V))
+    return false;
+  Out = Neg ? -V : V;
   return true;
 }
 

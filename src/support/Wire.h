@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -76,10 +75,8 @@ struct Cursor {
     return V;
   }
   double f() {
-    std::string S(tok());
-    char *End = nullptr;
-    double D = std::strtod(S.c_str(), &End);
-    Fail |= End != S.c_str() + S.size();
+    double D = 0;
+    Fail |= !parseDouble(tok(), D);
     return D;
   }
   /// A length-prefixed string, as a view into the encoded form.

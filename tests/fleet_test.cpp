@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <unistd.h>
 
 using namespace islaris;
@@ -611,4 +612,60 @@ TEST(FleetDegradedTest, DiskFullEntersCacheOffModeAndSelfHeals) {
   EXPECT_EQ(S.stats().DegradedEntered, 1u);
   EXPECT_EQ(S.stats().DegradedHealed, 1u);
   EXPECT_GE(S.stats().PublishFailures, 1u);
+}
+
+TEST(FleetFailoverTest, GoodbyeBeforeAdmissionFailsOverToTheNextDaemon) {
+  // A daemon that drains between a request's send and its admission says
+  // goodbye without accepting the request.  The request never entered
+  // that daemon, so the client must carry it to the next endpoint rather
+  // than fail it.  A stand-in daemon plays that race deterministically:
+  // it welcomes the client, then answers its first request with `bye`.
+  TempDir D;
+  std::string Err;
+  server::Endpoint GoneEp;
+  ASSERT_TRUE(server::parseEndpoint(D.Path + "/gone.sock", GoneEp, Err));
+  server::Listener Gone;
+  ASSERT_TRUE(Gone.listenOn(GoneEp, Err)) << Err;
+  std::thread Fake([&Gone] {
+    pollfd P{Gone.fd(), POLLIN, 0};
+    if (::poll(&P, 1, 10000) != 1)
+      return;
+    int Fd = Gone.acceptOne();
+    server::FrameReader FR;
+    server::Frame F;
+    char Buf[4096];
+    for (bool Done = false; !Done;) {
+      pollfd Q{Fd, POLLIN, 0};
+      ssize_t N = ::poll(&Q, 1, 10000) == 1 ? ::read(Fd, Buf, sizeof Buf) : 0;
+      if (N <= 0)
+        break;
+      FR.feed(Buf, size_t(N));
+      while (!Done && FR.next(F) == server::FrameReader::Status::Frame) {
+        std::string Reply;
+        if (F.Type == server::FrameType::Hello)
+          Reply = server::encodeFrame(
+              {server::FrameType::Welcome,
+               std::to_string(server::ProtocolVersion) + " "});
+        else if ((Done = F.Type == server::FrameType::Request))
+          Reply = server::encodeFrame({server::FrameType::Bye, "drained"});
+        if (!Reply.empty() &&
+            ::write(Fd, Reply.data(), Reply.size()) != ssize_t(Reply.size()))
+          Done = true;
+      }
+    }
+    ::close(Fd);
+  });
+
+  server::Server Live(daemonConfig(D, "live.sock"));
+  ASSERT_TRUE(Live.start(Err)) << Err;
+  server::Client C(fleetClientOptions());
+  ASSERT_TRUE(C.connect(D.Path + "/gone.sock," + D.Path + "/live.sock", Err))
+      << Err;
+  server::Client::TraceResult TR;
+  EXPECT_TRUE(C.runTrace(addImm(5), TR, Err)) << Err;
+  EXPECT_TRUE(TR.Ok);
+  EXPECT_EQ(C.activeEndpoint(), D.Path + "/live.sock");
+  Fake.join();
+  Live.requestShutdown();
+  Live.wait();
 }

@@ -19,14 +19,19 @@
 #include "frontend/Verifier.h"
 #include "itl/Parser.h"
 #include "models/Models.h"
+#include "sail/Parser.h"
 #include "support/FaultInjector.h"
 #include "support/Parse.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 
 using namespace islaris;
 using islaris::itl::Reg;
@@ -364,10 +369,19 @@ TEST(MalformedInputTest, TruncatedAndGarbageTracesAreRejected) {
   ASSERT_TRUE(R.Ok) << R.Error;
   std::string Good = R.Trace.toString();
 
+  // Ill-sorted terms too: TermBuilder only asserts operand sorts.
   for (const std::string &Bad :
        {Good.substr(0, Good.size() / 2), std::string("(trace (xyz"),
         std::string("\x01\x02garbage\xff"), std::string("()"),
-        std::string()}) {
+        std::string(),
+        std::string("(trace (assert (= #x01 (bvadd #x01 #b1))))"),
+        std::string("(trace (assert (and true #x01)))"),
+        std::string("(trace (assert (ite #b1 true false)))"),
+        std::string("(trace (assert (bvult #x01 #x02 #x03)))"),
+        std::string("(trace (assert (not #x01)))"),
+        std::string("(trace (assert #x01))"),
+        std::string("(trace (read-mem #x01 #x0000000000000000 8))"),
+        std::string("(trace (define-const v ((_ zero_extend 65536) #x01)))")}) {
     smt::TermBuilder TB2;
     itl::TraceParser P(TB2);
     auto T = P.parseTrace(Bad);
@@ -403,6 +417,72 @@ TEST(MalformedInputTest, ParseHexIsOverflowCheckedAndBounded) {
   for (const char *Bad : {"", "0x10", "ffffffffffffffff0", "1 ", "-1", "g"})
     EXPECT_FALSE(support::parseHex(Bad, UINT64_MAX, V)) << Bad;
   EXPECT_EQ(V, UINT64_MAX); // untouched by a refusal
+}
+
+TEST(MalformedInputTest, ParseIntegerIsDecimalOrHexAndNeverOctal) {
+  uint64_t V = 7;
+  EXPECT_TRUE(support::parseInteger("010", UINT64_MAX, V));
+  EXPECT_EQ(V, 10u); // no octal
+  EXPECT_TRUE(support::parseInteger("0x10", UINT64_MAX, V));
+  EXPECT_EQ(V, 16u);
+  EXPECT_TRUE(support::parseInteger("0XfF", UINT64_MAX, V));
+  EXPECT_EQ(V, 255u);
+  EXPECT_TRUE(support::parseInteger("18446744073709551615", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_FALSE(support::parseInteger("256", 255, V));
+  EXPECT_FALSE(support::parseInteger("0x100", 255, V));
+  for (const char *Bad :
+       {"", "-1", "+1", " 1", "1 ", "abc", "12abc", "1e999", "1.5", "0x",
+        "0x-1", "0xg", "x10", "18446744073709551616", "0x10000000000000000",
+        "99999999999999999999999999999999999999999999999999"})
+    EXPECT_FALSE(support::parseInteger(Bad, UINT64_MAX, V)) << Bad;
+  EXPECT_EQ(V, UINT64_MAX); // untouched by a refusal
+}
+
+TEST(MalformedInputTest, ParseDoubleTakesTheWholeTokenAndOnlyFiniteValues) {
+  double D = 7;
+  EXPECT_TRUE(support::parseDouble("0.25", D));
+  EXPECT_EQ(D, 0.25);
+  EXPECT_TRUE(support::parseDouble("1e-3", D));
+  EXPECT_EQ(D, 1e-3);
+  EXPECT_TRUE(support::parseDouble("10", D));
+  EXPECT_EQ(D, 10.0);
+  EXPECT_TRUE(support::parseDouble("-1", D)); // callers bound the sign
+  EXPECT_EQ(D, -1.0);
+  EXPECT_TRUE(support::parseDouble("0x1.8p+1", D));
+  EXPECT_EQ(D, 3.0);
+  EXPECT_TRUE(support::parseDouble("-0x1p-2", D));
+  EXPECT_EQ(D, -0.25);
+  std::string Long(400, '9');
+  for (std::string Bad :
+       {std::string(), std::string("1e999"), std::string("-1e999"),
+        std::string("abc"), std::string("0.5x"), std::string("1 "),
+        std::string(" 1"), std::string("+1"), std::string("-"),
+        std::string("--1"), std::string("0x"), std::string("0x-1p0"),
+        std::string("inf"), std::string("nan"), std::string("-inf"),
+        std::string("1,5"), Long})
+    EXPECT_FALSE(support::parseDouble(Bad, D)) << Bad;
+  EXPECT_EQ(D, -0.25); // untouched by a refusal
+  // Every double the wire prints with "%a" reads back bit for bit.
+  for (double X : {0.0, -0.0, 1.0 / 3, 1e-310, 1.7976931348623157e308,
+                   12345.678, -2.5e-7}) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof Buf, "%a", X);
+    double Y = 0;
+    ASSERT_TRUE(support::parseDouble(Buf, Y)) << Buf;
+    EXPECT_EQ(std::memcmp(&X, &Y, sizeof X), 0) << Buf;
+  }
+}
+
+TEST(MalformedInputTest, OverlongSailIntegerLiteralIsALexError) {
+  std::string Err;
+  std::unique_ptr<sail::Model> M;
+  EXPECT_NO_THROW(
+      M = sail::parseModel("val x = 99999999999999999999999999\n", Err));
+  EXPECT_EQ(M, nullptr);
+  EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("integer literal out of range"), std::string::npos)
+      << Err;
 }
 
 TEST(MalformedInputTest, OverlongObjdumpAddressesAreRejected) {
@@ -602,6 +682,91 @@ TEST(CacheFaultTest, WriteAndRenameFaultsOnlySuppressTheEntry) {
     ++Files;
   }
   EXPECT_EQ(Files, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Fault specs from the environment.
+//===----------------------------------------------------------------------===//
+
+/// Sets (or, for null, unsets) an environment variable for one scope.
+struct ScopedEnv {
+  std::string Name;
+  std::optional<std::string> Saved;
+  ScopedEnv(const char *N, const char *Value) : Name(N) {
+    if (const char *Old = std::getenv(N))
+      Saved = Old;
+    if (Value)
+      ::setenv(N, Value, 1);
+    else
+      ::unsetenv(N);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      ::setenv(Name.c_str(), Saved->c_str(), 1);
+    else
+      ::unsetenv(Name.c_str());
+  }
+};
+
+TEST(FaultSpecTest, WellFormedSpecsArmEverySite) {
+  ScopedEnv Seed("ISLARIS_FAULT_SEED", "010");
+  ScopedEnv Spec("ISLARIS_FAULTS",
+                 "cache-read=0.25,exec-throw=first:3,crash-publish=at:0x10,");
+  std::string Err;
+  std::unique_ptr<FaultInjector> F = FaultInjector::fromEnv(Err);
+  ASSERT_TRUE(F) << Err;
+  EXPECT_TRUE(Err.empty());
+  EXPECT_EQ(F->seed(), 10u); // decimal, not octal 8
+  for (int I = 0; I < 3; ++I)
+    EXPECT_TRUE(F->shouldFail(FaultSite::ExecThrow));
+  EXPECT_FALSE(F->shouldFail(FaultSite::ExecThrow));
+  for (int I = 0; I < 16; ++I)
+    EXPECT_FALSE(F->shouldFail(FaultSite::CrashPublish));
+  EXPECT_TRUE(F->shouldFail(FaultSite::CrashPublish)); // probe 0x10
+}
+
+TEST(FaultSpecTest, UnsetOrEmptySpecIsNoInjectorAndNoError) {
+  for (const char *V : {(const char *)nullptr, ""}) {
+    ScopedEnv Spec("ISLARIS_FAULTS", V);
+    ScopedEnv Seed("ISLARIS_FAULT_SEED", "not-a-seed"); // unread
+    std::string Err;
+    EXPECT_FALSE(FaultInjector::fromEnv(Err));
+    EXPECT_TRUE(Err.empty()) << Err;
+  }
+}
+
+TEST(FaultSpecTest, MalformedSpecIsAnErrorNamingTheEntry) {
+  ScopedEnv Seed("ISLARIS_FAULT_SEED", nullptr);
+  for (const char *Bad :
+       {"cache-reed=0.1", "cache-read=1.5", "cache-read=-0.1",
+        "cache-read=abc", "cache-read=0.1x", "cache-read", "=0.1",
+        "exec-throw=first:", "exec-throw=first:x", "exec-throw=first:-1",
+        "crash-publish=at:99999999999999999999", "cache-read=0.1,bogus=1"}) {
+    ScopedEnv Spec("ISLARIS_FAULTS", Bad);
+    std::string Err;
+    EXPECT_FALSE(FaultInjector::fromEnv(Err)) << Bad;
+    EXPECT_NE(Err.find("ISLARIS_FAULTS"), std::string::npos) << Err;
+  }
+  ScopedEnv Spec("ISLARIS_FAULTS", "cache-read=0.1");
+  for (const char *Bad : {"abc", "-1", "12abc", "0x", ""}) {
+    ScopedEnv BadSeed("ISLARIS_FAULT_SEED", Bad);
+    std::string Err;
+    EXPECT_FALSE(FaultInjector::fromEnv(Err)) << Bad;
+    EXPECT_NE(Err.find("ISLARIS_FAULT_SEED"), std::string::npos) << Err;
+  }
+}
+
+TEST(FaultSpecTest, MalformedSpecFailsTheSuiteAsInfrastructure) {
+  ASSERT_EQ(FaultInjector::active(), nullptr);
+  ScopedEnv Spec("ISLARIS_FAULTS", "cache-reed=0.1");
+  std::vector<frontend::CaseResult> Rows = frontend::runAllCaseStudies();
+  ASSERT_EQ(Rows.size(), frontend::caseStudies().size());
+  for (const frontend::CaseResult &R : Rows) {
+    EXPECT_FALSE(R.Ok) << R.Name;
+    EXPECT_NE(R.Error.find("cache-reed"), std::string::npos) << R.Error;
+  }
+  EXPECT_EQ(frontend::suiteExitCode(Rows), 2);
+  EXPECT_EQ(FaultInjector::active(), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -1012,4 +1013,61 @@ TEST(ServerTest, DrainDeliversEveryAcceptedDoneThenMarksClean) {
   // A clean drain attests both stores, so the next open can skip its scrub.
   EXPECT_TRUE(cache::hasCleanShutdownMarker(Cfg.CacheDir));
   EXPECT_TRUE(cache::hasCleanShutdownMarker(Cfg.CacheDir + "/sidecond"));
+}
+
+TEST(ServerTest, ShutdownDoesNotWaitOutTheAcceptPollTick) {
+  // The accept loop polls the listener in 200 ms ticks; requestShutdown
+  // must wake it instead of leaving wait() to sit out the rest of a tick.
+  // Each cycle connects a client first (restarting the poll) and shuts
+  // down over that connection, the way `islaris-cli shutdown` does.
+  TempDir D;
+  std::vector<double> WaitMs;
+  for (int I = 0; I < 5; ++I) {
+    server::ServerConfig Cfg = baseConfig(D);
+    Cfg.Persist = false;
+    server::Server S(Cfg);
+    std::string Err;
+    ASSERT_TRUE(S.start(Err)) << Err;
+    server::Client C;
+    ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
+    ASSERT_TRUE(C.shutdownServer(Err)) << Err;
+    Clock::time_point T0 = Clock::now();
+    S.wait();
+    WaitMs.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - T0).count());
+  }
+  std::sort(WaitMs.begin(), WaitMs.end());
+  // Typically a few milliseconds; the bound leaves a loaded runner ample
+  // room and still sits well under the 200 ms tick.
+  EXPECT_LT(WaitMs[WaitMs.size() / 2], 100.0)
+      << "median wait() " << WaitMs[WaitMs.size() / 2] << " ms";
+}
+
+TEST(ServerTest, OverlongModelLiteralFailsTheReloadNotTheDaemon) {
+  TempDir D;
+  fs::create_directories(D.Path + "/models");
+  server::ServerConfig Cfg = baseConfig(D);
+  Cfg.ModelDir = D.Path + "/models"; // empty now: builtins serve
+  server::Server S(Cfg);
+  std::string Err;
+  ASSERT_TRUE(S.start(Err)) << Err;
+  {
+    std::ofstream Bad(D.Path + "/models/aarch64.sail");
+    Bad << "val x = 99999999999999999999999999\n";
+  }
+  // The watcher thread that runs a SIGHUP reload has no catch: the parse
+  // must return an error, never throw.
+  std::string RErr;
+  EXPECT_FALSE(S.reloadModels(RErr));
+  EXPECT_NE(RErr.find("integer literal out of range"), std::string::npos)
+      << RErr;
+  EXPECT_EQ(S.stats().ReloadFailures, 1u);
+
+  server::Client C;
+  ASSERT_TRUE(C.connect(S.socketPath(), Err)) << Err;
+  server::Client::TraceResult TR;
+  ASSERT_TRUE(C.runTrace(addImm(3), TR, Err)) << Err;
+  EXPECT_TRUE(TR.Ok);
+  S.requestShutdown();
+  S.wait();
 }

@@ -37,10 +37,11 @@
 #include "cache/Scrub.h"
 #include "cache/TraceCache.h"
 
+#include "Flags.h"
+
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 using namespace islaris;
 
@@ -84,12 +85,14 @@ static int runScrub(int Argc, char **Argv) {
   std::string Dir;
   uint64_t MaxBytes = 0;
   bool DryRun = false;
-  for (int I = 2; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--dir") == 0 && I + 1 < Argc)
-      Dir = Argv[++I];
-    else if (std::strcmp(Argv[I], "--max-bytes") == 0 && I + 1 < Argc)
-      MaxBytes = std::strtoull(Argv[++I], nullptr, 0);
-    else if (std::strcmp(Argv[I], "--dry-run") == 0)
+  tools::Flags F("cachectl", Argc, Argv, 2);
+  while (F.more()) {
+    std::string_view A = F.next();
+    if (A == "--dir")
+      Dir = F.str();
+    else if (A == "--max-bytes")
+      MaxBytes = F.integer();
+    else if (A == "--dry-run")
       DryRun = true;
     else
       return usage();
@@ -118,12 +121,14 @@ static int runGc(int Argc, char **Argv) {
   std::string Dir;
   unsigned Keep = 2;
   bool DryRun = false;
-  for (int I = 2; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--dir") == 0 && I + 1 < Argc)
-      Dir = Argv[++I];
-    else if (std::strcmp(Argv[I], "--keep-generations") == 0 && I + 1 < Argc)
-      Keep = unsigned(std::strtoul(Argv[++I], nullptr, 0));
-    else if (std::strcmp(Argv[I], "--dry-run") == 0)
+  tools::Flags F("cachectl", Argc, Argv, 2);
+  while (F.more()) {
+    std::string_view A = F.next();
+    if (A == "--dir")
+      Dir = F.str();
+    else if (A == "--keep-generations")
+      Keep = unsigned(F.integer(UINT32_MAX));
+    else if (A == "--dry-run")
       DryRun = true;
     else
       return usage();
@@ -145,11 +150,10 @@ static int runGc(int Argc, char **Argv) {
 }
 
 int main(int Argc, char **Argv) {
-  if (Argc < 2)
-    return usage();
-  if (std::strcmp(Argv[1], "scrub") == 0)
+  std::string_view Cmd = Argc < 2 ? "" : Argv[1];
+  if (Cmd == "scrub")
     return runScrub(Argc, Argv);
-  if (std::strcmp(Argv[1], "gc") == 0)
+  if (Cmd == "gc")
     return runGc(Argc, Argv);
   return usage();
 }

@@ -22,6 +22,8 @@
 // Sheds and transient transport failures are retried transparently; the
 // exit code reflects only the final outcome.
 //
+// OPCODE-HEX and --sym-mask are bare hex; a malformed value exits 2.
+//
 // Exit codes follow the suite convention: 0 verified/ok, 1 proof failure,
 // 2 infrastructure error (connection failure, rejection, malformed reply).
 //
@@ -29,10 +31,11 @@
 
 #include "server/Client.h"
 
+#include "Flags.h"
+
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace islaris;
@@ -60,22 +63,21 @@ int usage() {
   return 2;
 }
 
-/// "BASE[.FIELD]=WIDTH:VALUE" (value decimal or 0x-hex).
-bool parseAssume(const std::string &S, server::TraceRequest::Assume &Out) {
+/// "BASE[.FIELD]=WIDTH:VALUE": width decimal, value decimal or 0x-hex.
+bool parseAssume(std::string_view S, server::TraceRequest::Assume &Out) {
   size_t Eq = S.find('=');
-  if (Eq == std::string::npos)
+  size_t Colon = S.find(':', Eq);
+  if (Eq == std::string_view::npos || Colon == std::string_view::npos)
     return false;
-  std::string Reg = S.substr(0, Eq);
-  std::string Val = S.substr(Eq + 1);
+  std::string_view Reg = S.substr(0, Eq);
   size_t Dot = Reg.find('.');
   Out.Base = Reg.substr(0, Dot);
-  Out.Field = Dot == std::string::npos ? "" : Reg.substr(Dot + 1);
-  size_t Colon = Val.find(':');
-  if (Colon == std::string::npos || Out.Base.empty())
-    return false;
-  Out.Width = unsigned(std::strtoul(Val.substr(0, Colon).c_str(), nullptr, 10));
-  Out.Value = std::strtoull(Val.substr(Colon + 1).c_str(), nullptr, 0);
-  return Out.Width > 0;
+  Out.Field = Dot == std::string_view::npos ? "" : Reg.substr(Dot + 1);
+  return !Out.Base.empty() &&
+         support::parseUnsigned(S.substr(Eq + 1, Colon - Eq - 1), UINT32_MAX,
+                                Out.Width) &&
+         Out.Width > 0 &&
+         support::parseInteger(S.substr(Colon + 1), UINT64_MAX, Out.Value);
 }
 
 } // namespace
@@ -85,30 +87,46 @@ int main(int argc, char **argv) {
   server::ClientOptions Opt;
   Opt.Name = "islaris-cli";
   std::vector<std::string> Args;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "islaris-cli: %s needs a value\n", A.c_str());
-        std::exit(2);
-      }
-      return argv[++I];
-    };
+  server::TraceRequest T;
+  tools::Flags F("islaris-cli", argc, argv);
+  while (F.more()) {
+    std::string_view A = F.next();
     if (A == "--socket")
-      Socket = Next();
+      Socket = F.str();
     else if (A == "--deadline-ms")
-      Opt.DeadlineMs = std::strtoull(Next(), nullptr, 10);
+      Opt.DeadlineMs = F.count();
     else if (A == "--retries")
-      Opt.MaxAttempts = unsigned(std::atoi(Next()));
+      Opt.MaxAttempts = unsigned(F.count(UINT32_MAX));
     else if (A == "--retry-seed")
-      Opt.Seed = std::strtoull(Next(), nullptr, 10);
+      Opt.Seed = F.integer();
     else if (A == "--least-loaded")
       Opt.PreferLeastLoaded = true;
-    else
-      Args.push_back(A);
+    else if (A == "--sym-mask")
+      T.SymMask = uint32_t(F.hex(UINT32_MAX));
+    else if (A == "--assume") {
+      server::TraceRequest::Assume As;
+      const char *V = F.str();
+      if (!parseAssume(V, As))
+        F.bad(V);
+      T.Assumes.push_back(As);
+    } else
+      Args.emplace_back(A);
   }
   if (Socket.empty() || Args.empty())
     return usage();
+  const std::string &Cmd = Args[0];
+  if (Cmd == "trace") {
+    uint64_t Opcode = 0;
+    if (Args.size() != 3)
+      return usage();
+    if (!support::parseHex(Args[2], UINT32_MAX, Opcode)) {
+      std::fprintf(stderr, "islaris-cli: OPCODE-HEX: bad value '%s'\n",
+                   Args[2].c_str());
+      return 2;
+    }
+    T.Arch = Args[1];
+    T.Opcode = uint32_t(Opcode);
+  }
 
   server::Client C(Opt);
   std::string Err;
@@ -117,7 +135,6 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  const std::string &Cmd = Args[0];
   if (Cmd == "ping") {
     if (!C.ping(Err)) {
       std::fprintf(stderr, "islaris-cli: ping failed: %s\n", Err.c_str());
@@ -215,26 +232,6 @@ int main(int argc, char **argv) {
   }
 
   if (Cmd == "trace") {
-    if (Args.size() < 3)
-      return usage();
-    server::TraceRequest T;
-    T.Arch = Args[1];
-    T.Opcode = uint32_t(std::strtoul(Args[2].c_str(), nullptr, 16));
-    for (size_t I = 3; I < Args.size(); ++I) {
-      if (Args[I] == "--sym-mask" && I + 1 < Args.size()) {
-        T.SymMask = uint32_t(std::strtoul(Args[++I].c_str(), nullptr, 16));
-      } else if (Args[I] == "--assume" && I + 1 < Args.size()) {
-        server::TraceRequest::Assume A;
-        if (!parseAssume(Args[++I], A)) {
-          std::fprintf(stderr, "islaris-cli: bad --assume %s\n",
-                       Args[I].c_str());
-          return 2;
-        }
-        T.Assumes.push_back(A);
-      } else {
-        return usage();
-      }
-    }
     server::Client::TraceResult R;
     if (!C.runTrace(T, R, Err)) {
       std::fprintf(stderr, "islaris-cli: trace failed: %s\n", Err.c_str());

@@ -21,26 +21,31 @@
 // bumped generation.  SIGINT/SIGTERM drain; a third signal kills hard.
 //
 // ISLARIS_FAULTS / ISLARIS_FAULT_SEED arm the fault injector (chaos and
-// degraded-mode testing — e.g. ISLARIS_FAULTS=disk-full:1 simulates a full
-// device and flips the daemon into cache-off degraded mode).
+// degraded-mode testing — e.g. ISLARIS_FAULTS=disk-full=first:5 simulates a
+// full device and flips the daemon into cache-off degraded mode).  A
+// malformed flag value or fault spec exits 2 before the daemon starts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
 #include "support/FaultInjector.h"
 
+#include "Flags.h"
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 using namespace islaris;
 
 namespace {
+
+/// Bounds --workers, so that a typo cannot spawn thousands of threads.
+constexpr uint64_t MaxWorkers = 256;
 
 std::atomic<int> SignalsSeen{0};
 std::atomic<uint64_t> ReloadsSeen{0};
@@ -83,49 +88,42 @@ int main(int argc, char **argv) {
   server::ServerConfig Cfg;
   Cfg.Limits.JobRetries = 1;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto Next = [&](const char *Flag) -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "islarisd: %s needs a value\n", Flag);
-        std::exit(2);
-      }
-      return argv[++I];
-    };
-    if (A == "--socket")
-      Cfg.SocketPath = Next("--socket");
-    else if (A == "--listen")
-      Cfg.SocketPath = Next("--listen"); // same endpoint grammar
+  tools::Flags F("islarisd", argc, argv);
+  while (F.more()) {
+    std::string_view A = F.next();
+    if (A == "--socket" || A == "--listen") // same endpoint grammar
+      Cfg.SocketPath = F.str();
     else if (A == "--max-inflight")
-      Cfg.MaxInflightPerClient = size_t(std::atoll(Next("--max-inflight")));
+      Cfg.MaxInflightPerClient = F.count();
     else if (A == "--write-timeout")
-      Cfg.WriteTimeoutSeconds = std::atof(Next("--write-timeout"));
+      Cfg.WriteTimeoutSeconds = F.real();
     else if (A == "--heartbeat")
-      Cfg.HeartbeatSeconds = std::atof(Next("--heartbeat"));
+      Cfg.HeartbeatSeconds = F.real();
     else if (A == "--half-open-reap")
-      Cfg.HalfOpenReapSeconds = std::atof(Next("--half-open-reap"));
+      Cfg.HalfOpenReapSeconds = F.real();
     else if (A == "--workers")
-      Cfg.Workers = unsigned(std::atoi(Next("--workers")));
+      Cfg.Workers = unsigned(F.count(MaxWorkers));
     else if (A == "--queue-depth")
-      Cfg.MaxQueueDepth = size_t(std::atoll(Next("--queue-depth")));
+      Cfg.MaxQueueDepth = F.count();
     else if (A == "--idle-evict")
-      Cfg.IdleEvictSeconds = std::atof(Next("--idle-evict"));
+      Cfg.IdleEvictSeconds = F.real();
     else if (A == "--cache-dir")
-      Cfg.CacheDir = Next("--cache-dir");
+      Cfg.CacheDir = F.str();
     else if (A == "--no-persist")
       Cfg.Persist = false;
     else if (A == "--job-timeout")
-      Cfg.Limits.JobTimeoutSeconds = std::atof(Next("--job-timeout"));
+      Cfg.Limits.JobTimeoutSeconds = F.real();
     else if (A == "--exec-delay")
-      Cfg.ExecDelaySeconds = std::atof(Next("--exec-delay"));
+      Cfg.ExecDelaySeconds = F.real();
     else if (A == "--model-dir")
-      Cfg.ModelDir = Next("--model-dir");
+      Cfg.ModelDir = F.str();
     else if (A == "--degraded-probe")
-      Cfg.DegradedProbeSeconds = std::atof(Next("--degraded-probe"));
+      Cfg.DegradedProbeSeconds = F.real();
     else if (A == "--help" || A == "-h")
       return usage(argv[0]);
     else {
-      std::fprintf(stderr, "islarisd: unknown flag %s\n", A.c_str());
+      std::fprintf(stderr, "islarisd: unknown flag %.*s\n", int(A.size()),
+                   A.data());
       return usage(argv[0]);
     }
   }
@@ -135,13 +133,17 @@ int main(int argc, char **argv) {
   // Arm the fault injector from the environment before any store I/O so
   // chaos harnesses (CI's disk-full round, netchaos) can fault the daemon
   // from outside.  The unique_ptr outlives the server.
+  std::string Err;
   std::unique_ptr<support::FaultInjector> Faults =
-      support::FaultInjector::fromEnv();
+      support::FaultInjector::fromEnv(Err);
+  if (!Err.empty()) {
+    std::fprintf(stderr, "islarisd: %s\n", Err.c_str());
+    return 2;
+  }
   if (Faults)
     support::FaultInjector::setActive(Faults.get());
 
   server::Server S(Cfg);
-  std::string Err;
   if (!S.start(Err)) {
     std::fprintf(stderr, "islarisd: %s\n", Err.c_str());
     return 2;

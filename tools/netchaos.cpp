@@ -8,7 +8,8 @@
 //            [--drop P] [--reset P]
 //
 // Flags default from the environment (ISLARIS_FAULT_SEED, ISLARIS_NETCHAOS
-// — the FaultInjector convention) and override it.  Prints
+// — the FaultInjector convention) and override it; a malformed value in
+// either exits 2.  Prints
 // "netchaos: listening on <endpoint> (seed N)" once live, echoing the seed
 // so a failing chaos run is replayable from its log, then runs until
 // SIGINT/SIGTERM, printing injection counters on the way out.
@@ -20,12 +21,12 @@
 
 #include "server/ChaosProxy.h"
 
+#include "Flags.h"
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -51,40 +52,40 @@ int usage() {
 } // namespace
 
 int main(int argc, char **argv) {
-  server::ChaosConfig Cfg = server::ChaosConfig::fromEnv();
+  server::ChaosConfig Cfg;
+  std::string Err;
+  if (!server::ChaosConfig::fromEnv(Cfg, Err)) {
+    std::fprintf(stderr, "netchaos: %s\n", Err.c_str());
+    return 2;
+  }
   std::string Listen, Upstream;
 
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "netchaos: %s needs a value\n", A.c_str());
-        std::exit(2);
-      }
-      return argv[++I];
-    };
+  tools::Flags F("netchaos", argc, argv);
+  while (F.more()) {
+    std::string_view A = F.next();
     if (A == "--listen")
-      Listen = Next();
+      Listen = F.str();
     else if (A == "--upstream")
-      Upstream = Next();
+      Upstream = F.str();
     else if (A == "--seed")
-      Cfg.Seed = std::strtoull(Next(), nullptr, 10);
+      Cfg.Seed = F.integer();
     else if (A == "--delay")
-      Cfg.DelayProb = std::atof(Next());
+      Cfg.DelayProb = F.real(1);
     else if (A == "--delay-max-ms")
-      Cfg.DelayMaxMs = std::atof(Next());
+      Cfg.DelayMaxMs = F.real();
     else if (A == "--split")
-      Cfg.SplitProb = std::atof(Next());
+      Cfg.SplitProb = F.real(1);
     else if (A == "--corrupt")
-      Cfg.CorruptProb = std::atof(Next());
+      Cfg.CorruptProb = F.real(1);
     else if (A == "--drop")
-      Cfg.DropProb = std::atof(Next());
+      Cfg.DropProb = F.real(1);
     else if (A == "--reset")
-      Cfg.ResetProb = std::atof(Next());
+      Cfg.ResetProb = F.real(1);
     else if (A == "--help" || A == "-h")
       return usage();
     else {
-      std::fprintf(stderr, "netchaos: unknown flag %s\n", A.c_str());
+      std::fprintf(stderr, "netchaos: unknown flag %.*s\n", int(A.size()),
+                   A.data());
       return usage();
     }
   }
@@ -92,7 +93,6 @@ int main(int argc, char **argv) {
     return usage();
 
   server::ChaosProxy P(Cfg);
-  std::string Err;
   if (!P.start(Listen, Upstream, Err)) {
     std::fprintf(stderr, "netchaos: %s\n", Err.c_str());
     return 2;
