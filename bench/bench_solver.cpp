@@ -213,14 +213,16 @@ void BM_OrderChain(benchmark::State &State) {
 }
 BENCHMARK(BM_OrderChain);
 
-/// Branch pruning as Executor::feasibleSides does it: a path condition
-/// grown by one literal per step, with both sides of each step's branch
-/// checked on one Solver.  The path is an unrolled loop over a length the
-/// precondition pins (`len + N = 3N`), so the loop-exit side `len <= k` is
-/// pruned; every third step instead branches on a fresh byte `d < 128`,
-/// with both sides feasible.  The then side is taken.  Counters per
-/// iteration: checks that reached the SAT core and checks answered by a
-/// reused model.
+/// Branch pruning with both sides of each branch checked on one Solver, as
+/// Executor::feasibleSides does only on a path without a witness model
+/// (after a constraint preamble); a path with one settles the side its
+/// witness satisfies by evaluation and checks only the other.  The path
+/// condition grows by one literal per step.  The path is an unrolled loop
+/// over a length the precondition pins (`len + N = 3N`), so the loop-exit
+/// side `len <= k` is pruned; every third step instead branches on a fresh
+/// byte `d < 128`, with both sides feasible.  The then side is taken.
+/// Counters per iteration: checks that reached the SAT core and checks
+/// answered by a reused model.
 void BM_BranchFeasibility(benchmark::State &State) {
   unsigned Steps = unsigned(State.range(0));
   uint64_t SatCalls = 0, Reused = 0;

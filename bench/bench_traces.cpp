@@ -9,8 +9,11 @@
 // runs against those it restores from fork checkpoints (their
 // sum is what re-running the model once per path would execute), and
 // cache temperature (cold execution vs. a warm read from the persistent
-// trace cache, which is on by default here).  It emits the results as
-// machine-readable JSON into BENCH_trace_gen.json.
+// trace cache, which is on by default here), and the solver checks behind
+// the branch decisions: a path carrying a witness model settles one side
+// of a branch by evaluation, so a run issues at most one check per branch
+// decision (plus one per discharged model assertion).  It emits the
+// results as machine-readable JSON into BENCH_trace_gen.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +58,9 @@ struct Measurement {
   unsigned Paths = 0, Events = 0;
   uint64_t SnapStmts = 0, SnapSkipped = 0;
   unsigned HelperMemoHits = 0;
+  /// Branch decisions (forks + prunes) and the solver work behind them.
+  unsigned Decisions = 0, Queries = 0, Checks = 0, WitnessSides = 0,
+           CoreCalls = 0;
   double ColdWall = 0, WarmWall = 0;
   bool WarmFromDisk = false; ///< The warm lookup hit disk and decoded.
 };
@@ -118,6 +124,12 @@ int main() {
        isla::OpcodeSpec::symbolicField(arch::aarch64::enc::addImm(0, 0, 1),
                                        4, 0),
        El1});
+  // The fresh trace request of the server benchmarks: add x<rd>, x<rn>, #0
+  // with rd and the low rn bit symbolic, 64 paths over 95 branch
+  // decisions.
+  Studies.push_back({"add-sub-64-path",
+                     {BitVec(32, 0x910003e0u), BitVec(32, 0x3fu)},
+                     el2Assumptions()});
 
   // Cache persistence is on by default: a scratch directory wiped up front
   // keeps the cold pass honestly cold while the warm pass round-trips
@@ -136,9 +148,10 @@ int main() {
 
   std::printf("=== Trace generation: checkpointed statements, cold vs warm "
               "===\n\n");
-  std::printf("%-22s | %5s %6s | %9s -> %9s stmts | %8s | %8s %8s\n",
+  std::printf("%-22s | %5s %6s | %9s -> %9s stmts | %8s | %5s %6s %4s | "
+              "%8s %8s\n",
               "study", "paths", "events", "per-path", "executed", "skipped",
-              "cold s", "warm s");
+              "decis", "checks", "core", "cold s", "warm s");
 
   std::vector<Measurement> Ms;
   bool Ok = true;
@@ -165,6 +178,11 @@ int main() {
     Mm.SnapStmts = RS.Stats.StmtsExecuted;
     Mm.SnapSkipped = RS.Stats.StmtsSkippedBySnapshot;
     Mm.HelperMemoHits = RS.Stats.HelperMemoHits;
+    Mm.Decisions = RS.Stats.Paths - 1 + RS.Stats.PrunedBranches;
+    Mm.Queries = RS.Stats.SolverQueries;
+    Mm.Checks = RS.Stats.SolverChecks;
+    Mm.WitnessSides = RS.Stats.WitnessSides;
+    Mm.CoreCalls = RS.Stats.SolverCoreCalls;
 
     // Warm: a disk read through a cold in-memory map.
     Cache.clearMemory();
@@ -177,12 +195,12 @@ int main() {
     Mm.WarmFromDisk = E && cache::TraceCache::decode(*E, TBw, RW, Err);
     Ok = Ok && Mm.WarmFromDisk && RW.Trace.toString() == RS.Trace.toString();
     std::printf("%-22s | %5u %6u | %9llu -> %9llu stmts | %8llu | "
-                "%8.4f %8.4f\n",
+                "%5u %6u %4u | %8.4f %8.4f\n",
                 S.Name.c_str(), Mm.Paths, Mm.Events,
                 (unsigned long long)(Mm.SnapStmts + Mm.SnapSkipped),
                 (unsigned long long)Mm.SnapStmts,
-                (unsigned long long)Mm.SnapSkipped, Mm.ColdWall,
-                Mm.WarmWall);
+                (unsigned long long)Mm.SnapSkipped, Mm.Decisions, Mm.Checks,
+                Mm.CoreCalls, Mm.ColdWall, Mm.WarmWall);
     Ms.push_back(Mm);
   }
   std::filesystem::remove_all(CacheDir, EC);
@@ -193,10 +211,18 @@ int main() {
   bool Halved = false;
   for (const Measurement &Mm : Ms)
     Halved = Halved || (Mm.Paths > 1 && Mm.SnapSkipped >= Mm.SnapStmts);
+  // No study issues more than one solver check per branch decision and
+  // discharged model assertion.  SolverQueries counts two per decision
+  // and one per assertion, whatever was issued.
+  bool OneCheck = true;
+  for (const Measurement &Mm : Ms)
+    OneCheck = OneCheck && Mm.Checks + Mm.Decisions <= Mm.Queries;
   std::printf("\n  warm disk traces byte-identical to cold .......... %s\n",
               Ok ? "yes" : "NO");
   std::printf("  >=2x statement reduction on a multi-path study ... %s\n",
               Halved ? "yes" : "NO");
+  std::printf("  at most one solver check per branch decision ..... %s\n",
+              OneCheck ? "yes" : "NO");
 
   // Machine-readable summary for downstream tooling.
   FILE *J = std::fopen("BENCH_trace_gen.json", "w");
@@ -211,13 +237,16 @@ int main() {
           "     \"snapshot_cold\": {\"stmts_executed\": %llu, "
           "\"stmts_skipped\": %llu, \"helper_memo_hits\": %u, "
           "\"wall_s\": %.6f},\n"
+          "     \"solver\": {\"branch_decisions\": %u, \"queries\": %u, "
+          "\"checks\": %u, \"witness_sides\": %u, \"core_calls\": %u},\n"
           "     \"warm\": {\"source\": \"disk\", \"hit\": %s, "
           "\"wall_s\": %.6f},\n"
           "     \"stmts_reduction\": %.3f}%s\n",
           Studies[I].Name.c_str(), Mm.Paths, Mm.Events,
           (unsigned long long)Mm.SnapStmts,
           (unsigned long long)Mm.SnapSkipped, Mm.HelperMemoHits,
-          Mm.ColdWall, Mm.WarmFromDisk ? "true" : "false", Mm.WarmWall,
+          Mm.ColdWall, Mm.Decisions, Mm.Queries, Mm.Checks, Mm.WitnessSides,
+          Mm.CoreCalls, Mm.WarmFromDisk ? "true" : "false", Mm.WarmWall,
           Mm.SnapStmts ? double(Mm.SnapStmts + Mm.SnapSkipped) /
                              double(Mm.SnapStmts)
                        : 0.0,
@@ -226,11 +255,13 @@ int main() {
     std::fprintf(J, "  ],\n");
     std::fprintf(J, "  \"multi_path_halved\": %s,\n",
                  Halved ? "true" : "false");
+    std::fprintf(J, "  \"one_check_per_branch\": %s,\n",
+                 OneCheck ? "true" : "false");
     std::fprintf(J, "  \"all_identical\": %s\n", Ok ? "true" : "false");
     std::fprintf(J, "}\n");
     std::fclose(J);
     std::printf("  wrote BENCH_trace_gen.json\n");
   }
 
-  return Ok && Halved ? 0 : 1;
+  return Ok && Halved && OneCheck ? 0 : 1;
 }

@@ -13,11 +13,12 @@
 #include "frontend/Verifier.h"
 #include "isla/Executor.h"
 #include "models/Models.h"
+#include "support/Parse.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 using namespace islaris;
 
@@ -32,7 +33,15 @@ int main(int argc, char **argv) {
   bool Arm = std::strcmp(argv[1], "arm") == 0;
   const sail::Model &M =
       Arm ? models::aarch64Model() : models::rv64Model();
-  uint32_t Opcode = uint32_t(std::strtoul(argv[2], nullptr, 16));
+  std::string_view OpText = argv[2];
+  if (OpText.substr(0, 2) == "0x" || OpText.substr(0, 2) == "0X")
+    OpText.remove_prefix(2);
+  uint64_t Opcode = 0;
+  if (!support::parseHex(OpText, UINT32_MAX, Opcode)) {
+    std::fprintf(stderr, "bad opcode '%s' (want up to 8 hex digits)\n",
+                 argv[2]);
+    return 2;
+  }
 
   isla::Assumptions A;
   for (int I = 3; I < argc; ++I) {
@@ -44,7 +53,13 @@ int main(int argc, char **argv) {
       return 2;
     }
     std::string RegName = Arg.substr(0, Eq);
-    uint64_t Val = std::strtoull(Arg.c_str() + Eq + 1, nullptr, 0);
+    uint64_t Val = 0;
+    if (!support::parseInteger(std::string_view(Arg).substr(Eq + 1),
+                               UINT64_MAX, Val)) {
+      std::fprintf(stderr, "bad value in '%s' (want decimal or 0x hex)\n",
+                   argv[I]);
+      return 2;
+    }
     itl::Reg R;
     size_t Dot = RegName.find('.');
     if (Dot == std::string::npos)
@@ -57,12 +72,18 @@ int main(int argc, char **argv) {
       return 2;
     }
     unsigned W = R.hasField() ? RD->fieldWidth(R.Field) : RD->Width;
+    if (W < 64 && Val >> W) {
+      std::fprintf(stderr, "value in '%s' does not fit %u bits\n", argv[I],
+                   W);
+      return 2;
+    }
     A.assume(R, BitVec(W, Val));
   }
 
   smt::TermBuilder TB;
   isla::Executor Ex(M, TB);
-  isla::ExecResult R = Ex.run(isla::OpcodeSpec::concrete(Opcode), A);
+  isla::ExecResult R =
+      Ex.run(isla::OpcodeSpec::concrete(uint32_t(Opcode)), A);
   if (!R.Ok) {
     std::fprintf(stderr, "symbolic execution failed: %s\n",
                  R.Error.c_str());

@@ -11,9 +11,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/CaseStudies.h"
+#include "support/Parse.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using islaris::frontend::CaseResult;
 
@@ -35,8 +35,17 @@ static void report(const CaseResult &R) {
               (unsigned long long)R.Proof.SolverQueries);
 }
 
+/// Bounds the byte count: each byte is a symbolic value in the proof.
+constexpr uint64_t MaxBytes = 1024;
+
 int main(int argc, char **argv) {
-  unsigned N = argc > 1 ? unsigned(std::atoi(argv[1])) : 4;
+  unsigned N = 4;
+  if (argc > 1 && !islaris::support::parseUnsigned(argv[1], MaxBytes, N)) {
+    std::fprintf(stderr,
+                 "bad byte count '%s' (want a decimal number up to %llu)\n",
+                 argv[1], (unsigned long long)MaxBytes);
+    return 2;
+  }
   std::printf("Verifying memcpy over %u symbolic bytes with symbolic "
               "source/destination addresses.\n\n",
               N);

@@ -11,62 +11,6 @@ unsigned islaris::arch::aarch64::regWidth(const itl::Reg &R) {
   return 64;
 }
 
-const char *islaris::arch::aarch64::sysRegName(SysReg R) {
-  switch (R) {
-  case SysReg::VBAR_EL1:
-    return "VBAR_EL1";
-  case SysReg::VBAR_EL2:
-    return "VBAR_EL2";
-  case SysReg::HCR_EL2:
-    return "HCR_EL2";
-  case SysReg::SPSR_EL1:
-    return "SPSR_EL1";
-  case SysReg::SPSR_EL2:
-    return "SPSR_EL2";
-  case SysReg::ELR_EL1:
-    return "ELR_EL1";
-  case SysReg::ELR_EL2:
-    return "ELR_EL2";
-  case SysReg::SCTLR_EL1:
-    return "SCTLR_EL1";
-  case SysReg::SCTLR_EL2:
-    return "SCTLR_EL2";
-  case SysReg::ESR_EL1:
-    return "ESR_EL1";
-  case SysReg::ESR_EL2:
-    return "ESR_EL2";
-  case SysReg::FAR_EL1:
-    return "FAR_EL1";
-  case SysReg::FAR_EL2:
-    return "FAR_EL2";
-  case SysReg::TPIDR_EL2:
-    return "TPIDR_EL2";
-  case SysReg::MAIR_EL2:
-    return "MAIR_EL2";
-  case SysReg::TCR_EL2:
-    return "TCR_EL2";
-  case SysReg::TTBR0_EL2:
-    return "TTBR0_EL2";
-  case SysReg::MDCR_EL2:
-    return "MDCR_EL2";
-  case SysReg::CPTR_EL2:
-    return "CPTR_EL2";
-  case SysReg::HSTR_EL2:
-    return "HSTR_EL2";
-  case SysReg::VTTBR_EL2:
-    return "VTTBR_EL2";
-  case SysReg::VTCR_EL2:
-    return "VTCR_EL2";
-  case SysReg::CNTHCTL_EL2:
-    return "CNTHCTL_EL2";
-  case SysReg::CNTVOFF_EL2:
-    return "CNTVOFF_EL2";
-  case SysReg::CurrentEL:
-    return "CurrentEL";
-  }
-  return "<sysreg>";
-}
-
 namespace {
 uint32_t field(uint32_t V, unsigned Hi, unsigned Lo) {
   assert(Hi >= Lo && Hi < 32 && "bad field bounds");
@@ -124,9 +68,6 @@ uint32_t addImm(unsigned Rd, unsigned Rn, uint16_t Imm12, bool Shift12) {
 }
 uint32_t subImm(unsigned Rd, unsigned Rn, uint16_t Imm12, bool Shift12) {
   return addSubImm(1, 0, Rd, Rn, Imm12, Shift12);
-}
-uint32_t addsImm(unsigned Rd, unsigned Rn, uint16_t Imm12) {
-  return addSubImm(0, 1, Rd, Rn, Imm12, false);
 }
 uint32_t subsImm(unsigned Rd, unsigned Rn, uint16_t Imm12) {
   return addSubImm(1, 1, Rd, Rn, Imm12, false);
@@ -322,19 +263,3 @@ uint32_t mrs(unsigned Rt, SysReg R) {
 
 } // namespace islaris::arch::aarch64::enc
 
-void Asm::movImm64(unsigned Rd, uint64_t V) {
-  bool First = true;
-  for (unsigned Hw = 0; Hw < 4; ++Hw) {
-    uint16_t Chunk = uint16_t(V >> (16 * Hw));
-    if (Chunk == 0 && !(First && Hw == 3))
-      continue;
-    if (First) {
-      put(enc::movz(Rd, Chunk, Hw));
-      First = false;
-    } else {
-      put(enc::movk(Rd, Chunk, Hw));
-    }
-  }
-  if (First)
-    put(enc::movz(Rd, 0, 0));
-}

@@ -60,9 +60,6 @@ enum class SysReg : uint16_t {
   CurrentEL = 0xc212,
 };
 
-/// Model register name for a system register.
-const char *sysRegName(SysReg R);
-
 /// Condition codes for B.cond.
 enum class Cond : uint8_t {
   EQ = 0x0,
@@ -93,7 +90,6 @@ uint32_t movn(unsigned Rd, uint16_t Imm16, unsigned Hw = 0);
 uint32_t movk(unsigned Rd, uint16_t Imm16, unsigned Hw = 0);
 uint32_t addImm(unsigned Rd, unsigned Rn, uint16_t Imm12, bool Shift12 = false);
 uint32_t subImm(unsigned Rd, unsigned Rn, uint16_t Imm12, bool Shift12 = false);
-uint32_t addsImm(unsigned Rd, unsigned Rn, uint16_t Imm12);
 uint32_t subsImm(unsigned Rd, unsigned Rn, uint16_t Imm12);
 inline uint32_t cmpImm(unsigned Rn, uint16_t Imm12) {
   return subsImm(31, Rn, Imm12);
@@ -176,8 +172,6 @@ public:
   void bl(const std::string &L) {
     putRel(L, [](int64_t Off) { return enc::bl(Off); });
   }
-  /// Loads an arbitrary 64-bit constant via movz/movk (1-4 instructions).
-  void movImm64(unsigned Rd, uint64_t V);
 };
 
 } // namespace islaris::arch::aarch64

@@ -37,6 +37,10 @@ struct Executor::RunState {
   std::unordered_map<Reg, bool, RegHash> ReadEmitted;
   std::unordered_map<Reg, bool, RegHash> Written;
   std::vector<const Term *> PathCond;
+  /// A model of PathCond (variables it does not assign read as zero/false,
+  /// as in every model completion), or none yet: a path starting after a
+  /// constraint preamble has none until its first branch.
+  std::optional<smt::Env> Witness;
 
   std::vector<const Term *> *VarPool = nullptr;
   size_t VarCursor = 0;
@@ -312,20 +316,41 @@ const Term *Executor::applyBuiltin(const Expr &E,
 
 enum class Executor::Sides : uint8_t { Failed, Then, Else, Both };
 
-Executor::Sides Executor::feasibleSides(const Term *S, RunState &RS) {
-  // Ask the solver which sides are reachable under the current path
-  // condition (this is Isla's branch pruning).  An Unknown on either side
-  // means we cannot *soundly* prune or fork — treating it as Sat would fork
-  // on a possibly-infeasible side, treating it as Unsat would prune a
-  // possibly-feasible one — so the run fails with an attributed
-  // solver-budget diagnostic instead.
-  std::vector<const Term *> Base = RS.PathCond;
-  Base.push_back(S);
+Executor::Sides Executor::feasibleSides(const Term *S, RunState &RS,
+                                        std::optional<smt::Env> &ElseWitness) {
+  // Which sides are reachable under the current path condition (this is
+  // Isla's branch pruning).  The path's witness satisfies PC, so S's value
+  // under it makes one side Sat at the cost of an evaluation, and only the
+  // other side goes to the solver, whose Sat model (Evaluator-checked
+  // there) becomes that side's witness.  An Unknown means we cannot
+  // *soundly* prune or fork — treating it as Sat would fork on a possibly-
+  // infeasible side, treating it as Unsat would prune a possibly-feasible
+  // one — so the run fails with an attributed solver-budget diagnostic.
+  std::vector<const Term *> Query = RS.PathCond;
+  Query.push_back(S);
   RS.Stats->SolverQueries += 2;
-  smt::Result TrueRes = Solver.check(Base);
-  Base.back() = TB.notTerm(S);
-  smt::Result FalseRes = Solver.check(Base);
-  if (TrueRes == smt::Result::Unknown || FalseRes == smt::Result::Unknown) {
+  std::optional<smt::Env> Witness[2]; // [Then], per side
+  smt::Result Res[2];
+  auto check = [&](bool Then) {
+    Query.back() = Then ? S : TB.notTerm(S);
+    ++RS.Stats->SolverChecks;
+    Res[Then] = Solver.check(Query);
+    if (Res[Then] == smt::Result::Sat)
+      Witness[Then] = Solver.model();
+  };
+  if (RS.Witness) {
+    bool Holds = Solver.evaluator()
+                     .evaluate(S, *RS.Witness, smt::Evaluator::Unassigned::Zero)
+                     ->asBool();
+    ++RS.Stats->WitnessSides;
+    Res[Holds] = smt::Result::Sat;
+    Witness[Holds] = std::move(RS.Witness);
+    check(!Holds);
+  } else {
+    check(true);
+    check(false);
+  }
+  if (Res[true] == smt::Result::Unknown || Res[false] == smt::Result::Unknown) {
     RS.failGuard(RS.CancelFlag &&
                          RS.CancelFlag->load(std::memory_order_relaxed)
                      ? support::ErrorCode::Cancelled
@@ -333,8 +358,8 @@ Executor::Sides Executor::feasibleSides(const Term *S, RunState &RS) {
                  "solver gave up deciding a branch condition");
     return Sides::Failed;
   }
-  bool TrueSat = TrueRes == smt::Result::Sat;
-  bool FalseSat = FalseRes == smt::Result::Sat;
+  bool TrueSat = Res[true] == smt::Result::Sat;
+  bool FalseSat = Res[false] == smt::Result::Sat;
   if (!TrueSat && !FalseSat) {
     // The path condition itself became unsatisfiable — an executor
     // invariant violation (paths only ever enter feasible sides).
@@ -342,8 +367,11 @@ Executor::Sides Executor::feasibleSides(const Term *S, RunState &RS) {
                  "internal: path condition became unsatisfiable");
     return Sides::Failed;
   }
-  if (TrueSat && FalseSat)
+  RS.Witness = std::move(Witness[TrueSat]);
+  if (TrueSat && FalseSat) {
+    ElseWitness = std::move(Witness[false]);
     return Sides::Both;
+  }
   ++RS.Stats->PrunedBranches;
   return TrueSat ? Sides::Then : Sides::Else;
 }
@@ -364,6 +392,7 @@ void Executor::dischargeAssert(const Stmt &S, const Term *C, RunState &RS) {
   std::vector<const Term *> Query = RS.PathCond;
   Query.push_back(TB.notTerm(CS));
   ++RS.Stats->SolverQueries;
+  ++RS.Stats->SolverChecks;
   smt::Result QR = Solver.check(Query);
   if (QR == smt::Result::Unknown)
     RS.failGuard(support::ErrorCode::SolverBudgetExceeded,
@@ -467,6 +496,7 @@ struct Executor::Machine {
     const Stmt *IfStmt = nullptr;
     const Term *Cond = nullptr;  ///< Simplified condition (path-cond form).
     const Term *Named = nullptr; ///< Named condition (event form).
+    std::optional<smt::Env> Witness; ///< The else side's witness model.
   };
 
   Executor &X;
@@ -606,7 +636,8 @@ struct Executor::Machine {
       pushBlock(CS->constBool() ? S.Body : S.Else);
       return;
     }
-    Sides Sd = X.feasibleSides(CS, RS);
+    std::optional<smt::Env> ElseWitness;
+    Sides Sd = X.feasibleSides(CS, RS, ElseWitness);
     if (Sd == Sides::Failed)
       return;
     if (Sd != Sides::Both) {
@@ -620,7 +651,7 @@ struct Executor::Machine {
     // outlives a shallower one whose restore would truncate its shared
     // prefix.
     const Term *Named = X.nameValue(CS, RS);
-    Work.push_back({save(), &S, CS, Named});
+    Work.push_back({save(), &S, CS, Named, std::move(ElseWitness)});
     X.takeSide(CS, Named, true, RS);
     pushBlock(S.Body);
   }
@@ -632,6 +663,7 @@ struct Executor::Machine {
     Fork F = std::move(Work.back());
     Work.pop_back();
     restore(std::move(F.At));
+    RS.Witness = std::move(F.Witness);
     X.takeSide(F.Cond, F.Named, false, RS);
     pushBlock(F.IfStmt->Else);
   }
@@ -987,6 +1019,7 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
 
   ExecStats Stats;
   uint64_t MemoHitsBefore = Solver.stats().NumMemoHits;
+  uint64_t CoreCallsBefore = Solver.stats().NumSatCalls;
   uint64_t CapHitsBefore =
       RW.fixpointCapHits() + Solver.stats().FixpointCapHits;
 
@@ -1021,8 +1054,14 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
 
     if (!PathEvents.empty())
       Mc.resumeWork();
-    else if (const Term *Opcode = emitPreamble(Op, A, Mc.RS, Res.OpcodeVars))
+    else if (const Term *Opcode =
+                 emitPreamble(Op, A, Mc.RS, Res.OpcodeVars)) {
+      // The empty assignment models an empty path condition; a constraint
+      // preamble's path starts without a witness.
+      if (Mc.RS.PathCond.empty())
+        Mc.RS.Witness.emplace();
       Mc.enterFunction(*Decode, {Opcode});
+    }
     Mc.run();
     if (Mc.RS.failed())
       return failRun(Mc.RS.Code == support::ErrorCode::Ok
@@ -1043,6 +1082,8 @@ ExecResult Executor::run(const OpcodeSpec &Op, const Assumptions &A,
   Stats.Events = Res.Trace.countEvents();
   Stats.SolverMemoHits =
       unsigned(Solver.stats().NumMemoHits - MemoHitsBefore);
+  Stats.SolverCoreCalls =
+      unsigned(Solver.stats().NumSatCalls - CoreCallsBefore);
   Stats.FixpointCapHits = RW.fixpointCapHits() +
                           Solver.stats().FixpointCapHits - CapHitsBefore;
   Res.Stats = Stats;

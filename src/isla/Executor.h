@@ -8,7 +8,9 @@
 /// The Isla component (§2.1, §3): given an opcode (possibly with symbolic
 /// immediate fields) and assumptions on the machine configuration, evaluate
 /// the mini-Sail model symbolically, pruning branches that are unreachable
-/// under the assumptions with the SMT solver, and emit an ITL trace.
+/// under the assumptions with the SMT solver, and emit an ITL trace.  Each
+/// path carries a witness model of its path condition, which settles one
+/// side of a branch by evaluation, so a branch costs one solver check.
 ///
 /// Path exploration runs one frame-stack machine.  At each both-feasible
 /// symbolic branch it checkpoints the run state (control and value stacks,
@@ -113,12 +115,24 @@ struct ExecOptions {
 struct ExecStats {
   unsigned Paths = 0;          ///< Linear paths in the final trace.
   unsigned PrunedBranches = 0; ///< Branches cut by the solver.
+  /// Two per decided branch plus one per discharged model assertion: the
+  /// count the trace-cache entry format serializes, whatever the checks
+  /// actually issued (SolverChecks).
   unsigned SolverQueries = 0;
   unsigned Events = 0; ///< Total events in the merged trace.
   /// Queries of this run answered by the solver's memo table instead of a
   /// SAT call (flipped-branch re-checks repeat heavily).  Derived, not part
   /// of the serialized trace-cache entry format.
   unsigned SolverMemoHits = 0;
+  /// Solver checks this run issued: one per branch whose path carries a
+  /// witness model, two per branch without one, one per discharged model
+  /// assertion.  Derived.
+  unsigned SolverChecks = 0;
+  /// Branch sides found feasible by evaluating the condition under the
+  /// path's witness model instead of a solver check.  Derived.
+  unsigned WitnessSides = 0;
+  /// Solver checks of this run that reached the SAT core.  Derived.
+  unsigned SolverCoreCalls = 0;
   /// Model statements actually dispatched across all paths of this run.
   /// Shared prefixes execute once; only divergent suffixes are re-run.
   /// Derived.
@@ -187,8 +201,12 @@ private:
                                 RunState &RS);
   /// Which sides of the simplified, non-constant branch condition \p S are
   /// feasible under the path condition; counts a pruned branch, and fails
-  /// the run if the solver cannot decide.
-  Sides feasibleSides(const smt::Term *S, RunState &RS);
+  /// the run if the solver cannot decide.  The side \p RS's witness model
+  /// satisfies needs no solver check.  Leaves \p RS a witness of the side
+  /// it continues on (the then side of a fork) and, at a fork, the else
+  /// side's in \p ElseWitness.
+  Sides feasibleSides(const smt::Term *S, RunState &RS,
+                      std::optional<smt::Env> &ElseWitness);
   /// Enters one side of a both-feasible fork: the Assert heading its
   /// divergent suffix (Fig. 6) and the path-condition conjunct.
   void takeSide(const smt::Term *Cond, const smt::Term *Named, bool Then,

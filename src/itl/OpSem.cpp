@@ -41,8 +41,9 @@ struct EvalOut {
   Value V;
 };
 
-EvalOut tryEval(const smt::Term *T, const smt::Env &Env) {
-  auto R = smt::evaluate(T, Env);
+EvalOut tryEval(smt::Evaluator &Eval, const smt::Term *T,
+                const smt::Env &Env) {
+  auto R = Eval.evaluate(T, Env);
   if (!R)
     return {};
   return {true, *R};
@@ -102,7 +103,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
 
     case EventKind::DefineConst: {
       // step-define-const: e must evaluate (no forward references).
-      EvalOut V = tryEval(E.Expr, Env);
+      EvalOut V = tryEval(Eval, E.Expr, Env);
       if (!V.Ok)
         return stuck("define-const of an undetermined expression");
       Env[E.Var->varId()] = V.V;
@@ -120,7 +121,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
         Env[E.Val->varId()] = *RV;
         break;
       }
-      EvalOut V = tryEval(E.Val, Env);
+      EvalOut V = tryEval(Eval, E.Val, Env);
       if (!V.Ok)
         return stuck("read-reg with undetermined value pattern");
       if (V.V != *RV)
@@ -132,7 +133,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
       // step-assume-reg-true, else step-fail (this is how Isla's
       // assumptions become proof obligations).
       const Value *RV = Sigma.getReg(E.R);
-      EvalOut V = tryEval(E.Val, Env);
+      EvalOut V = tryEval(Eval, E.Val, Env);
       if (!V.Ok)
         return stuck("assume-reg with undetermined value");
       if (!RV || V.V != *RV)
@@ -141,7 +142,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
     }
 
     case EventKind::WriteReg: {
-      EvalOut V = tryEval(E.Val, Env);
+      EvalOut V = tryEval(Eval, E.Val, Env);
       if (!V.Ok)
         return stuck("write-reg of undetermined value");
       Sigma.setReg(E.R, V.V);
@@ -149,7 +150,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
     }
 
     case EventKind::ReadMem: {
-      EvalOut A = tryEval(E.Addr, Env);
+      EvalOut A = tryEval(Eval, E.Addr, Env);
       if (!A.Ok)
         return stuck("read-mem with undetermined address");
       if (!A.V.asBitVec().fitsUInt64())
@@ -161,7 +162,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
           Env[E.Val->varId()] = Value(Stored);
           break; // step-read-mem-eq via the only non-TOP binding
         }
-        EvalOut V = tryEval(E.Val, Env);
+        EvalOut V = tryEval(Eval, E.Val, Env);
         if (!V.Ok)
           return stuck("read-mem with undetermined value pattern");
         if (V.V != Value(Stored))
@@ -178,7 +179,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
         assert(Data.width() == E.NBytes * 8 && "oracle width mismatch");
         Env[E.Val->varId()] = Value(Data);
       } else {
-        EvalOut V = tryEval(E.Val, Env);
+        EvalOut V = tryEval(Eval, E.Val, Env);
         if (!V.Ok)
           return stuck("MMIO read with undetermined value pattern");
         Data = V.V.asBitVec();
@@ -188,8 +189,8 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
     }
 
     case EventKind::WriteMem: {
-      EvalOut A = tryEval(E.Addr, Env);
-      EvalOut V = tryEval(E.Val, Env);
+      EvalOut A = tryEval(Eval, E.Addr, Env);
+      EvalOut V = tryEval(Eval, E.Val, Env);
       if (!A.Ok || !V.Ok)
         return stuck("write-mem with undetermined operands");
       if (!A.V.asBitVec().fitsUInt64())
@@ -207,7 +208,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
     }
 
     case EventKind::Assert: {
-      EvalOut V = tryEval(E.Expr, Env);
+      EvalOut V = tryEval(Eval, E.Expr, Env);
       if (!V.Ok)
         return stuck("assert of undetermined expression");
       if (!V.V.asBool())
@@ -216,7 +217,7 @@ void Interpreter::execTrace(const Trace &T, size_t EventIdx,
     }
 
     case EventKind::Assume: {
-      EvalOut V = tryEval(E.Expr, Env);
+      EvalOut V = tryEval(Eval, E.Expr, Env);
       if (!V.Ok)
         return stuck("assume of undetermined expression");
       if (!V.V.asBool())

@@ -133,6 +133,7 @@ private:
 
   smt::TermBuilder &TB;
   MmioOracle *Oracle;
+  smt::Evaluator Eval;
 };
 
 } // namespace islaris::itl

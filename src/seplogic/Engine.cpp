@@ -133,16 +133,13 @@ std::optional<BitVec> ProofEngine::concretize(const Term *T, Ctx &C) {
   }
   if (CR != smt::Result::Sat)
     return std::nullopt; // vacuous path; caller prunes via asserts
-  smt::Env E;
-  for (const Term *V : smt::collectVars(S))
-    E[V->varId()] = Solver.modelValue(V);
-  auto Val = smt::evaluate(S, E);
-  if (!Val || !Val->isBitVec())
+  smt::Value Val = Solver.modelValue(S);
+  if (!Val.isBitVec())
     return std::nullopt;
-  const Term *Eq = TB.eqTerm(S, TB.constBV(Val->asBitVec()));
+  const Term *Eq = TB.eqTerm(S, TB.constBV(Val.asBitVec()));
   if (!prove(Eq, C))
     return std::nullopt;
-  return Val->asBitVec();
+  return Val.asBitVec();
 }
 
 IoSpecPtr ProofEngine::resolveIoState(IoSpecPtr S, Ctx &C) {

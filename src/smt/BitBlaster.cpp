@@ -431,10 +431,6 @@ const BitBlaster::Bits &BitBlaster::blastBV(const Term *T) {
   return BVCache.emplace(T, std::move(R)).first->second;
 }
 
-void BitBlaster::assertTrue(const Term *T) {
-  S.addClause(blastBool(T));
-}
-
 Value BitBlaster::modelValue(const Term *T) {
   if (T->isBool()) {
     auto It = BoolCache.find(T);

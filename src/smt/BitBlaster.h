@@ -37,9 +37,6 @@ class BitBlaster {
 public:
   explicit BitBlaster(sat::Solver &S);
 
-  /// Asserts that the boolean term \p T holds.
-  void assertTrue(const Term *T);
-
   /// Returns the literal representing boolean term \p T.
   sat::Lit blastBool(const Term *T);
 

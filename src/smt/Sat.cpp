@@ -500,7 +500,6 @@ SatResult Solver::solve(const std::vector<Lit> &Assumptions) {
         cancelUntil(0);
         return SatResult::Sat;
       }
-      ++Decisions;
     }
     TrailLim.push_back(int(Trail.size()));
     uncheckedEnqueue(Next, NoReason);

@@ -109,8 +109,6 @@ public:
 
   /// Statistics.
   uint64_t numConflicts() const { return Conflicts; }
-  uint64_t numDecisions() const { return Decisions; }
-  uint64_t numPropagations() const { return Propagations; }
 
 private:
   struct Clause {
@@ -175,7 +173,7 @@ private:
   bool Unsat = false;
   SatBudget Budget;
 
-  uint64_t Conflicts = 0, Decisions = 0, Propagations = 0;
+  uint64_t Conflicts = 0, Propagations = 0;
   size_t NumOrigClauses = 0;
 };
 

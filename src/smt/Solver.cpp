@@ -167,7 +167,7 @@ bool Solver::reuseModel(const std::vector<const Term *> &Goals,
     }
     if (From == &LastModel && !Differs)
       continue; // identical to the next candidate
-    if (satisfiesAll(Newest, Cand)) {
+    if (Eval.satisfiesAll(Newest, Cand)) {
       Model = std::move(Cand);
       HasModel = true;
       return true;
@@ -233,7 +233,7 @@ Result Solver::solveGoals(const std::vector<const Term *> &Goals,
   // Certify the model against the goals before it is used or cached.  A
   // model that fails is a solver bug, not a statement about the formula:
   // answer Unknown, which is never cached, so callers fail soundly.
-  if (!satisfiesAll(Goals, Model)) {
+  if (!Eval.satisfiesAll(Goals, Model)) {
     ++Stats.NumRejectedModels;
     ++Stats.NumUnknown;
     invalidateModel();
@@ -275,7 +275,7 @@ bool Solver::installCached(const std::vector<const Term *> &Goals,
   }
   // The store is outside the trusted base like the core: a Sat answer is
   // installed only if the goals evaluate to true under its model.
-  if (!satisfiesAll(Goals, M))
+  if (!Eval.satisfiesAll(Goals, M))
     return false;
   Model = std::move(M);
   HasModel = true;
@@ -446,9 +446,5 @@ Value Solver::modelValue(const Term *Var) {
   }
   // Compound term: evaluate under the model, defaulting variables the
   // model does not constrain.
-  Env E = Model;
-  for (const Term *V : collectVars(S))
-    E.emplace(V->varId(), defaultValue(V));
-  auto Val = evaluate(S, E);
-  return Val ? *Val : defaultValue(S);
+  return *Eval.evaluate(S, Model, Evaluator::Unassigned::Zero);
 }

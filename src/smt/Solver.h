@@ -36,12 +36,18 @@
 ///  - the core, on the original goals (SolverStats::NumSatCalls).
 ///
 /// Every Sat answer's model is Evaluator-checked against the residual
-/// goals before it is used or cached.  A core model that fails the check
-/// is answered Unknown (SolverStats::NumRejectedModels).  Tier and core
-/// answers are memoized and stored alike.  A Sat answer from the store is
-/// checked the same way before it is installed; one that fails is refused
-/// (the store counts it as a miss) and the goals are solved as if the
-/// store had missed.
+/// goals before it is used or cached, by the Solver's own smt::Evaluator
+/// (memo slots indexed by this builder's term ids).  A core model that
+/// fails the check is answered Unknown (SolverStats::NumRejectedModels).
+/// Tier and core answers are memoized and stored alike.  A Sat answer from
+/// the store is checked the same way before it is installed; one that
+/// fails is refused (the store counts it as a miss) and the goals are
+/// solved as if the store had missed.
+///
+/// Callers read a Sat answer's model through model() and modelValue().
+/// The symbolic executor keeps it as the witness of the branch side it
+/// decided, so at the next branch it evaluates the condition under that
+/// witness and checks only the side the witness does not satisfy.
 ///
 /// Before the tiers, check() consults two caching layers:
 ///
@@ -198,6 +204,19 @@ public:
   /// assignment rather than silently reporting a retracted scope's model.
   Value modelValue(const Term *Var);
 
+  /// After a Sat answer from check(): the model itself, assigning the free
+  /// variables of the residual goals (others read as zero/false).  Like
+  /// modelValue(), invalidated by assertTerm()/pop().
+  const Env &model() const {
+    assert(HasModel && "model() without a Sat answer newer than the last "
+                       "assertTerm()/pop()");
+    return Model;
+  }
+
+  /// The evaluator this solver checks models with, for callers evaluating
+  /// terms of this solver's builder.
+  Evaluator &evaluator() { return Eval; }
+
   /// Asserted terms, innermost scope last (diagnostics).
   const std::vector<const Term *> &assertions() const { return Asserted; }
 
@@ -267,6 +286,9 @@ private:
   unsigned VisitEpoch = 0;
   support::RunLimits Limits;
   support::CancelToken Cancel;
+  // Checks every model before it is used or cached; its memo slots are
+  // indexed by this builder's term ids.
+  Evaluator Eval;
 
   // The persistent SAT core and Tseitin translation, created on the first
   // check that needs them and reused for the Solver's lifetime.  Goals are

@@ -240,8 +240,8 @@ ValidationResult islaris::validation::validateInstruction(
     }
     bool Consistent = true;
     for (size_t I = 0; I < MemReads.size(); ++I) {
-      auto AV = smt::evaluate(MemReads[I].second, Env);
-      auto DV = smt::evaluate(MemReads[I].first, Env);
+      auto AV = Solver.evaluator().evaluate(MemReads[I].second, Env);
+      auto DV = Solver.evaluator().evaluate(MemReads[I].first, Env);
       if (!AV || !DV || !AV->asBitVec().fitsUInt64()) {
         Consistent = false;
         break;

@@ -19,6 +19,7 @@
 #include "cache/SideCondCache.h"
 #include "cache/TraceCache.h"
 #include "frontend/CaseStudies.h"
+#include "support/Parse.h"
 
 #include <gtest/gtest.h>
 
@@ -130,19 +131,22 @@ bool readResults(const std::string &Dir,
   std::ostringstream Buf;
   Buf << In.rdbuf();
   std::string Text = Buf.str();
-  if (std::sscanf(Text.c_str(), "resumed %u", &Resumed) != 1)
-    return false;
+  std::string_view Prefix = "resumed ";
   size_t P = Text.find('\n');
-  if (P == std::string::npos)
+  if (P == std::string::npos || Text.compare(0, Prefix.size(), Prefix) != 0 ||
+      !support::parseUnsigned(
+          std::string_view(Text).substr(Prefix.size(), P - Prefix.size()),
+          UINT32_MAX, Resumed))
     return false;
   ++P;
   while (P < Text.size()) {
     size_t Colon = Text.find(':', P);
     if (Colon == std::string::npos)
       return false;
-    size_t Len =
-        std::strtoull(Text.substr(P, Colon - P).c_str(), nullptr, 10);
-    if (Colon + 1 + Len > Text.size())
+    uint64_t Len = 0;
+    if (!support::parseUnsigned(std::string_view(Text).substr(P, Colon - P),
+                                Text.size(), Len) ||
+        Colon + 1 + Len > Text.size())
       return false;
     frontend::CaseResult R;
     if (!frontend::decodeCaseResult(Text.substr(Colon + 1, Len), R))

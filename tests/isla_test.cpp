@@ -1,9 +1,12 @@
 //===- tests/isla_test.cpp - Symbolic executor tests ---------------------------===//
 
+#include "cache/TraceCache.h"
 #include "isla/Executor.h"
 #include "itl/OpSem.h"
+#include "models/Models.h"
 #include "sail/Interpreter.h"
 #include "sail/Parser.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -185,6 +188,101 @@ TEST(ExecutorTest, UnsimplifiedBaselineHasMoreEvents) {
   ASSERT_TRUE(Simplified.Ok && Unsimplified.Ok)
       << Simplified.Error << Unsimplified.Error;
   EXPECT_GT(Unsimplified.Stats.Events, Simplified.Stats.Events);
+}
+
+//===----------------------------------------------------------------------===//
+// Witness models: a path that carries a model of its path condition settles
+// one side of each branch by evaluation and asks the solver about the other.
+//===----------------------------------------------------------------------===//
+
+/// add x<rd>, x<rn>, #0 on the Armv8-A model with rd and the low rn bit
+/// symbolic: 64 paths, the fresh trace request of the server benchmarks.
+ExecResult runSixtyFourPathKey(Executor &Ex) {
+  Assumptions A;
+  A.assume(Reg("PSTATE", "EL"), BitVec(2, 0b10));
+  A.assume(Reg("PSTATE", "SP"), BitVec(1, 1));
+  return Ex.run({BitVec(32, 0x910003e0u), BitVec(32, 0x3fu)}, A);
+}
+
+unsigned branchDecisions(const ExecStats &S) {
+  return S.Paths - 1 + S.PrunedBranches; // forks + prunes
+}
+
+std::string digestOf(const std::string &Bytes) {
+  return support::WordHasher().str(Bytes).digest().toHex();
+}
+
+TEST(WitnessTest, SixtyFourPathKeyChecksOncePerBranch) {
+  smt::TermBuilder TB;
+  Executor Ex(models::aarch64Model(), TB);
+  ExecResult R = runSixtyFourPathKey(Ex);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  const ExecStats &S = R.Stats;
+  EXPECT_EQ(S.Paths, 64u);
+  unsigned Decisions = branchDecisions(S);
+  EXPECT_EQ(Decisions, 95u);
+  // The serialized count stays two per decided branch ...
+  EXPECT_EQ(S.SolverQueries, 2 * Decisions);
+  // ... while every branch is settled on one side by the witness: the
+  // empty assignment models the empty path condition of the first.
+  EXPECT_EQ(S.WitnessSides, Decisions);
+  EXPECT_LE(S.SolverChecks, Decisions);
+  EXPECT_LE(S.SolverCoreCalls, S.SolverChecks);
+  // The entry bytes of the engine that checked both sides of every branch
+  // (trace text and serialized stats), recorded before witnesses existed.
+  std::string Entry = cache::TraceCache::serializeEntry(
+      cache::Fingerprint{}, cache::TraceCache::encode(R));
+  EXPECT_EQ(digestOf(Entry), "71c59e12f0c42f282917aa0eafb5f23b");
+}
+
+TEST(WitnessTest, ConstrainedPreambleStartsWithoutAWitness) {
+  // A constraint makes the first path condition non-empty, so the first
+  // branch is checked on both sides; its model then serves the rest.
+  auto M = parseArch();
+  ASSERT_TRUE(M);
+  smt::TermBuilder TB;
+  Executor Ex(*M, TB);
+  Assumptions A;
+  A.assume(Reg("PSTATE", "SP"), BitVec(1, 1));
+  A.constrain(Reg("PSTATE", "EL"),
+              [](smt::TermBuilder &B, const Term *V) {
+                return B.orTerm(B.eqTerm(V, B.constBV(2, 1)),
+                                B.eqTerm(V, B.constBV(2, 2)));
+              });
+  ExecResult R = Ex.run(OpcodeSpec::concrete(AddSp64), A);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Trace.countPaths(), 2u); // EL1 and EL2
+  unsigned Decisions = branchDecisions(R.Stats);
+  EXPECT_EQ(R.Stats.WitnessSides, Decisions - 1);
+  EXPECT_EQ(R.Stats.SolverChecks, Decisions + 1);
+  EXPECT_EQ(R.Stats.SolverQueries, 2 * Decisions);
+  // The trace of the engine that checked both sides of every branch.
+  EXPECT_EQ(digestOf(R.Trace.toString()), "ea403f8b32bcccaa6f2c063a828b0aa6")
+      << R.Trace.toString();
+}
+
+TEST(WitnessTest, CorruptCoreModelFailsTheRun) {
+  // Every model the SAT core returns is corrupted.  One that no longer
+  // satisfies its goals is rejected by the solver's Evaluator check and
+  // answered Unknown, which fails the run at that branch: it is never a
+  // witness, so no path continues, or forks, from a model no one checked.
+  support::FaultInjector FI;
+  FI.setRate(support::FaultSite::SolverModel, 1.0);
+  support::FaultInjector *Saved = support::FaultInjector::active();
+  support::FaultInjector::setActive(&FI);
+  smt::TermBuilder TB;
+  Executor Ex(models::aarch64Model(), TB);
+  ExecResult R = runSixtyFourPathKey(Ex);
+  support::FaultInjector::setActive(Saved);
+  EXPECT_GE(FI.injected(support::FaultSite::SolverModel), 1u);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.D.Code, support::ErrorCode::SolverBudgetExceeded)
+      << support::errorCodeName(R.D.Code);
+  EXPECT_NE(R.Error.find("solver gave up deciding a branch condition"),
+            std::string::npos)
+      << R.Error;
+  EXPECT_TRUE(R.Trace.Events.empty());
+  EXPECT_EQ(R.Stats.Paths, 0u);
 }
 
 //===----------------------------------------------------------------------===//

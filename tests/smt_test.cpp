@@ -61,9 +61,9 @@ TEST(EvaluatorTest, BasicEvaluation) {
   const Term *X = TB.freshVar(Sort::bitvec(16), "x");
   const Term *E = TB.bvMul(TB.bvAdd(X, TB.constBV(16, 1)), TB.constBV(16, 3));
   Env En;
-  EXPECT_FALSE(evaluate(E, En).has_value());
+  EXPECT_FALSE(Evaluator().evaluate(E, En).has_value());
   En[X->varId()] = Value(BitVec(16, 10));
-  auto V = evaluate(E, En);
+  auto V = Evaluator().evaluate(E, En);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->asBitVec().toUInt64(), 33u);
 }
@@ -75,9 +75,9 @@ TEST(EvaluatorTest, IteAndBool) {
       TB.iteTerm(B, TB.constBV(8, 1), TB.constBV(8, 2));
   Env En;
   En[B->varId()] = Value(true);
-  EXPECT_EQ(evaluate(E, En)->asBitVec().toUInt64(), 1u);
+  EXPECT_EQ(Evaluator().evaluate(E, En)->asBitVec().toUInt64(), 1u);
   En[B->varId()] = Value(false);
-  EXPECT_EQ(evaluate(E, En)->asBitVec().toUInt64(), 2u);
+  EXPECT_EQ(Evaluator().evaluate(E, En)->asBitVec().toUInt64(), 2u);
 }
 
 TEST(EvaluatorTest, SatisfiesAllNeedsEveryGoalTrue) {
@@ -87,15 +87,74 @@ TEST(EvaluatorTest, SatisfiesAllNeedsEveryGoalTrue) {
   std::vector<const Term *> G = {TB.bvUlt(X, TB.constBV(8, 10)),
                                  TB.notTerm(TB.eqTerm(X, TB.constBV(8, 3)))};
   Env En;
-  EXPECT_FALSE(satisfiesAll(G, En)); // x unassigned
+  EXPECT_FALSE(Evaluator().satisfiesAll(G, En)); // x unassigned
   En[X->varId()] = Value(BitVec(8, 5));
-  EXPECT_TRUE(satisfiesAll(G, En));
-  EXPECT_TRUE(satisfiesAll({}, En));
+  EXPECT_TRUE(Evaluator().satisfiesAll(G, En));
+  EXPECT_TRUE(Evaluator().satisfiesAll({}, En));
   En[X->varId()] = Value(BitVec(8, 3));
-  EXPECT_FALSE(satisfiesAll(G, En));
+  EXPECT_FALSE(Evaluator().satisfiesAll(G, En));
   En[X->varId()] = Value(BitVec(8, 5));
   G.push_back(TB.bvUlt(X, Y));
-  EXPECT_FALSE(satisfiesAll(G, En)); // y unassigned
+  EXPECT_FALSE(Evaluator().satisfiesAll(G, En)); // y unassigned
+}
+
+TEST(EvaluatorTest, InterleavedBuildersWithOverlappingIds) {
+  // Two builders hand out the same ids to different terms; one Evaluator
+  // alternating between them must never read the other's slots.
+  TermBuilder A, B;
+  const Term *X = A.freshVar(Sort::bitvec(8), "x");
+  const Term *Y = B.freshVar(Sort::bitvec(8), "y");
+  const Term *EA = A.bvAdd(X, A.constBV(8, 1));
+  const Term *EB = B.bvMul(Y, B.constBV(8, 3));
+  ASSERT_EQ(X->id(), Y->id());
+  ASSERT_EQ(EA->id(), EB->id());
+  Env En;
+  En[X->varId()] = Value(BitVec(8, 10)); // X and Y share var id 0
+  ASSERT_EQ(X->varId(), Y->varId());
+  Evaluator Ev;
+  for (int Round = 0; Round < 3; ++Round) {
+    EXPECT_EQ(Ev.evaluate(EA, En)->asBitVec().toUInt64(), 11u);
+    EXPECT_EQ(Ev.evaluate(EB, En)->asBitVec().toUInt64(), 30u);
+  }
+  EXPECT_TRUE(Ev.satisfiesAll({A.eqTerm(EA, A.constBV(8, 11))}, En));
+  EXPECT_TRUE(Ev.satisfiesAll({B.eqTerm(EB, B.constBV(8, 30))}, En));
+}
+
+TEST(EvaluatorTest, EpochWrapForgetsOldSlots) {
+  TermBuilder TB;
+  const Term *X = TB.freshVar(Sort::bitvec(16), "x");
+  const Term *E = TB.bvAdd(TB.bvMul(X, X), TB.constBV(16, 1));
+  Evaluator Ev;
+  Env En;
+  // Well past one wrap of the 16-bit epoch, with x changing every call so
+  // a slot surviving from an earlier call would show as a wrong value.
+  for (uint64_t I = 0; I < 70000; ++I) {
+    En[X->varId()] = Value(BitVec(16, I));
+    uint64_t Want = (I * I + 1) & 0xffff;
+    std::optional<Value> V = Ev.evaluate(E, En);
+    ASSERT_TRUE(V.has_value());
+    ASSERT_EQ(V->asBitVec().toUInt64(), Want) << "call " << I;
+  }
+}
+
+TEST(EvaluatorTest, SatisfiesAllStopsAtTheFirstFalseGoal) {
+  TermBuilder TB;
+  const Term *X = TB.freshVar(Sort::bitvec(8), "x");
+  const Term *False = TB.bvUlt(X, TB.constBV(8, 1)); // x = 5: false
+  // A goal over a long chain of its own nodes.
+  const Term *Chain = X;
+  for (unsigned I = 0; I < 50; ++I)
+    Chain = TB.bvAdd(TB.bvMul(Chain, TB.constBV(8, 3)), TB.constBV(8, I));
+  const Term *Long = TB.notTerm(TB.eqTerm(Chain, TB.constBV(8, 0)));
+  Env En;
+  En[X->varId()] = Value(BitVec(8, 5));
+  Evaluator Ev;
+  uint64_t Before = Ev.nodesEvaluated();
+  EXPECT_FALSE(Ev.satisfiesAll({False, Long}, En));
+  EXPECT_EQ(Ev.nodesEvaluated() - Before, 3u); // x, #x01, (bvult x #x01)
+  Before = Ev.nodesEvaluated();
+  Ev.satisfiesAll({Long, False}, En);
+  EXPECT_GT(Ev.nodesEvaluated() - Before, 100u);
 }
 
 TEST(RewriterTest, Fig3PatternCollapses) {
@@ -245,8 +304,8 @@ TEST_P(RewriterSoundnessTest, SimplifyPreservesSemantics) {
     const Term *S = RW.simplify(T);
     for (int Trial = 0; Trial < 10; ++Trial) {
       Env E = Gen.randomEnv();
-      auto V1 = evaluate(T, E);
-      auto V2 = evaluate(S, E);
+      auto V1 = Evaluator().evaluate(T, E);
+      auto V2 = Evaluator().evaluate(S, E);
       ASSERT_TRUE(V1 && V2);
       EXPECT_EQ(*V1, *V2) << "original: " << T->toString()
                           << "\nsimplified: " << S->toString();
@@ -368,14 +427,14 @@ TEST_P(SolverVsEvalTest, SatModelsSatisfyFormulaAndUnsatHasNoWitness) {
       Env E;
       for (const Term *V : collectVars(F))
         E[V->varId()] = S.modelValue(V);
-      auto V = evaluate(F, E);
+      auto V = Evaluator().evaluate(F, E);
       ASSERT_TRUE(V.has_value());
       EXPECT_TRUE(V->asBool()) << F->toString();
     } else {
       // Randomized refutation check: no sampled assignment may satisfy F.
       for (int Trial = 0; Trial < 200; ++Trial) {
         Env E = Gen.randomEnv();
-        auto V = evaluate(F, E);
+        auto V = Evaluator().evaluate(F, E);
         if (V) {
           EXPECT_FALSE(V->asBool()) << F->toString();
         }
@@ -659,7 +718,7 @@ void expectModelSatisfies(Solver &S, const std::vector<const Term *> &Goals,
     for (const Term *V : collectVars(G))
       E[V->varId()] = S.modelValue(V);
   for (const Term *G : Goals) {
-    auto V = evaluate(G, E);
+    auto V = Evaluator().evaluate(G, E);
     ASSERT_TRUE(V.has_value()) << Where;
     EXPECT_TRUE(V->asBool()) << Where << ": " << G->toString();
   }
@@ -968,7 +1027,7 @@ TEST_P(DecideSoundnessTest, UnsatVerdictsHaveNoModel) {
       for (size_t I = 0; I < Vars.size(); ++I)
         E[Vars[I]->varId()] = Value(BitVec(W, A >> (W * I)));
       bool Model = std::all_of(G.begin(), G.end(), [&](const Term *Goal) {
-        auto V = evaluate(Goal, E);
+        auto V = Evaluator().evaluate(Goal, E);
         return V && V->asBool();
       });
       ASSERT_FALSE(Model) << "refuted but satisfiable at assignment " << A;
@@ -1011,7 +1070,7 @@ TEST_P(ModelReuseSoundnessTest, AnswersAgreeWithEnumeration) {
       for (size_t I = 0; I < Vars.size(); ++I)
         E[Vars[I]->varId()] = Value(BitVec(W, A >> (W * I)));
       Satisfiable = std::all_of(G.begin(), G.end(), [&](const Term *Goal) {
-        auto V = evaluate(Goal, E);
+        auto V = Evaluator().evaluate(Goal, E);
         return V && V->asBool();
       });
       if (Satisfiable)

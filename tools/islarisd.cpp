@@ -33,12 +33,16 @@
 #include "Flags.h"
 
 #include <atomic>
-#include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace islaris;
 
@@ -50,23 +54,36 @@ constexpr uint64_t MaxWorkers = 256;
 std::atomic<int> SignalsSeen{0};
 std::atomic<uint64_t> ReloadsSeen{0};
 
+/// Self-pipe from the signal handlers (and main, at exit) to the watcher
+/// thread, which blocks reading it.
+int WakePipe[2] = {-1, -1};
+
+void wakeWatcher(char C) {
+  int Saved = errno;
+  // A full pipe already holds a wakeup; the write end is non-blocking.
+  [[maybe_unused]] ssize_t N = ::write(WakePipe[1], &C, 1);
+  errno = Saved;
+}
+
 void onSignal(int) {
   // Only async-signal-safe work here: requestShutdown takes mutexes and
   // notifies condition variables, which can deadlock if the signal lands
-  // on a thread already inside cv/mutex internals.  A watcher thread polls
-  // the flag and drains from normal thread context.
+  // on a thread already inside cv/mutex internals.  The watcher thread,
+  // woken through the pipe, drains from normal thread context.
   //
   // First signal: graceful drain.  Third: something is wedged, die hard
   // (_Exit is signal-safe).
   int N = SignalsSeen.fetch_add(1, std::memory_order_relaxed) + 1;
   if (N >= 3)
     std::_Exit(2);
+  wakeWatcher('s');
 }
 
 void onHup(int) {
-  // Same discipline: just bump a counter; the watcher thread performs the
-  // reload (parsing, mutexes, I/O — none of it signal-safe).
+  // Same discipline: bump a counter and wake the watcher, which performs
+  // the reload (parsing, mutexes, I/O — none of it signal-safe).
   ReloadsSeen.fetch_add(1, std::memory_order_relaxed);
+  wakeWatcher('h');
 }
 
 int usage(const char *Argv0) {
@@ -149,16 +166,27 @@ int main(int argc, char **argv) {
     return 2;
   }
 
+  if (::pipe2(WakePipe, O_CLOEXEC) != 0 ||
+      ::fcntl(WakePipe[1], F_SETFL, O_NONBLOCK) != 0) {
+    std::fprintf(stderr, "islarisd: pipe: %s\n", std::strerror(errno));
+    return 2;
+  }
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
   std::signal(SIGHUP, onHup);
 
   // Translate the signal flags into drains/reloads from regular thread
-  // context.  Exits on its own once the server drains for any other reason
-  // (e.g. a client shutdown frame): wait() flips running() after teardown.
+  // context.  Blocks on the wake pipe; main writes 'q' to it once the
+  // server has drained for any reason (e.g. a client shutdown frame).
   std::thread SigWatch([&S] {
     uint64_t ReloadsDone = 0;
-    while (S.running()) {
+    for (;;) {
+      char Buf[64];
+      ssize_t N = ::read(WakePipe[0], Buf, sizeof Buf);
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0 || std::memchr(Buf, 'q', size_t(N)))
+        return;
       if (SignalsSeen.load(std::memory_order_relaxed) > 0) {
         S.requestShutdown();
         return;
@@ -175,7 +203,6 @@ int main(int argc, char **argv) {
           std::fprintf(stderr, "islarisd: reload failed: %s\n",
                        RErr.c_str());
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   });
 
@@ -184,6 +211,7 @@ int main(int argc, char **argv) {
   std::fflush(stdout);
 
   S.wait();
+  wakeWatcher('q');
   SigWatch.join();
 
   server::ServerStats St = S.stats();
