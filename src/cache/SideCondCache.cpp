@@ -6,7 +6,6 @@
 #include "support/Parse.h"
 
 #include <sstream>
-#include <string_view>
 
 using namespace islaris;
 using namespace islaris::cache;
@@ -38,42 +37,12 @@ std::string SideCondStore::serializeBundle(const Fingerprint &K,
 }
 
 namespace {
-/// A cursor over a bundle payload.  Bundles are read on every warm proof,
-/// so they are parsed in place rather than through a general S-expression
-/// tree; every step is bounds-checked, since the bytes are untrusted.
-struct Cursor {
-  std::string_view S;
-  size_t P = 0;
-
-  bool atEnd() const { return P == S.size(); }
-  /// Consumes \p L if the input continues with it.
-  bool lit(std::string_view L) {
-    if (S.substr(P, L.size()) != L)
-      return false;
-    P += L.size();
-    return true;
-  }
-  /// Consumes the text up to the next \p C (not \p C itself).
-  bool until(char C, std::string_view &Out) {
-    size_t E = S.find(C, P);
-    if (E == std::string_view::npos)
-      return false;
-    Out = S.substr(P, E - P);
-    P = E;
-    return true;
-  }
-  bool key(Fingerprint &K) {
-    if (!Fingerprint::fromHex(S.substr(P, 32), K))
-      return false;
-    P += 32;
-    return true;
-  }
-};
+using support::Cursor;
 
 /// One "(answer <key> sat|unsat (model ...))" line of a bundle.
 bool parseAnswer(Cursor &C, Fingerprint &Key,
                  smt::SolverCache::CachedResult &Out, std::string &Err) {
-  if (!C.lit("(answer ") || !C.key(Key)) {
+  if (!C.lit("(answer ") || !Fingerprint::fromHex(C.take(32), Key)) {
     Err = "bad answer clause";
     return false;
   }
@@ -98,7 +67,7 @@ bool parseAnswer(Cursor &C, Fingerprint &Key,
       return false;
     }
     BitVec Bits;
-    if (!BitVec::fromString(std::string(BitsText), Bits)) {
+    if (!BitVec::fromString(BitsText, Bits)) {
       Err = "bad model value";
       return false;
     }
@@ -129,8 +98,8 @@ bool SideCondStore::parseBundle(const std::string &Text, Answers &Out,
                                 std::string &Err) {
   Cursor C{Text};
   Fingerprint FileKey;
-  if (!C.lit("(islaris-sidecond-bundle 1 ") || !C.key(FileKey) ||
-      !C.lit(")\n")) {
+  if (!C.lit("(islaris-sidecond-bundle 1 ") ||
+      !Fingerprint::fromHex(C.take(32), FileKey) || !C.lit(")\n")) {
     Err = "unrecognized side-condition bundle header/version";
     return false;
   }

@@ -47,19 +47,19 @@ bool TraceCache::decode(const CacheEntry &E, smt::TermBuilder &TB,
     Err = "cached trace does not re-parse (ITL adequacy bug): " + P.error();
     return false;
   }
-  Out.Trace = std::move(*T);
   Out.OpcodeVars.clear();
   for (const auto &[Name, Width] : E.OpcodeVars) {
-    auto It = P.vars().find(Name);
-    if (It != P.vars().end()) {
-      Out.OpcodeVars.push_back(It->second);
-      continue;
+    // The executor declares opcode variables first, at the top level
+    // (Executor::emitPreamble).
+    const smt::Term *V = P.var(Name);
+    if (!V || !V->sort().isBitVec() || V->width() != Width) {
+      Err = "cache entry's opcode variable " + Name + " (width " +
+            std::to_string(Width) + ") is not declared at the trace's top level";
+      return false;
     }
-    // Opcode variables are always declared inside the trace; tolerate a
-    // missing one (e.g. a hand-written entry) with a fresh stand-in.
-    Out.OpcodeVars.push_back(
-        TB.freshVar(smt::Sort::bitvec(Width ? Width : 1), Name));
+    Out.OpcodeVars.push_back(V);
   }
+  Out.Trace = std::move(*T);
   Out.Stats = E.Stats;
   Out.Error.clear();
   Out.Ok = true;
@@ -90,88 +90,57 @@ void TraceCache::appendEntry(std::string &Out, const Fingerprint &K,
 
 bool TraceCache::parseEntry(const std::string &Text, CacheEntry &Out,
                             std::string &Err) {
-  itl::SExprParser P(Text);
-  auto Header = P.parse();
-  if (!Header) {
-    Err = "bad cache entry header: " + P.error();
-    return false;
-  }
-  const std::vector<itl::SExpr> &L = Header->List;
-  if (Header->isAtom() || L.size() != 5 ||
-      L[0].Atom != "islaris-trace-cache" || L[1].Atom != "1") {
+  // The header is matched literally, byte for byte as appendEntry writes
+  // it.  Torn writes are the envelope checksum's to catch, and a trace that
+  // does not parse is decode()'s.
+  support::Cursor C{Text};
+  Fingerprint Key; // not checked: the entry file's envelope names the key
+  if (!C.lit("(islaris-trace-cache 1 ") ||
+      !Fingerprint::fromHex(C.take(32), Key) || !C.lit(" (opcode-vars")) {
     Err = "unrecognized cache entry header/version";
     return false;
   }
-  if (L[3].isAtom() || L[3].List.empty() ||
-      L[3].List[0].Atom != "opcode-vars") {
-    Err = "bad opcode-vars list";
-    return false;
-  }
+  // Untrusted numbers: a checksum-valid but hand-written/fuzzed entry can
+  // carry "abc", "-1" or 2^64-scale atoms; each is a parse error (-> miss +
+  // quarantine), never a throw or a silent wrap.
   Out.OpcodeVars.clear();
-  for (size_t I = 1; I < L[3].List.size(); ++I) {
-    const itl::SExpr &V = L[3].List[I];
-    if (V.isAtom() || V.List.size() != 2 || !V.List[0].isAtom() ||
-        !V.List[1].isAtom()) {
+  while (C.lit(" (|")) {
+    std::string_view Name, WidthText;
+    unsigned Width = 0;
+    if (!C.until('|', Name) || !C.lit("| ") || !C.until(')', WidthText) ||
+        !C.lit(")")) {
       Err = "bad opcode-var entry";
       return false;
     }
-    // Untrusted number: a checksum-valid but hand-written/fuzzed entry can
-    // carry "abc", "-1" or 2^64-scale atoms here; degrade to a parse error
-    // (-> miss + quarantine), never a throw or a silent wrap.
-    unsigned Width = 0;
-    if (!support::parseUnsigned(V.List[1].Atom, 1u << 16, Width)) {
-      Err = "bad opcode-var width '" + V.List[1].Atom + "'";
+    if (!support::parseUnsigned(WidthText, 1u << 16, Width)) {
+      Err = "bad opcode-var width '" + std::string(WidthText) + "'";
       return false;
     }
-    Out.OpcodeVars.emplace_back(itl::stripBars(V.List[0].Atom), Width);
-  }
-  if (L[4].isAtom() || L[4].List.size() != 5 ||
-      L[4].List[0].Atom != "stats") {
-    Err = "bad stats list";
-    return false;
+    Out.OpcodeVars.emplace_back(std::string(Name), Width);
   }
   unsigned *StatFields[4] = {&Out.Stats.Paths, &Out.Stats.PrunedBranches,
                              &Out.Stats.SolverQueries, &Out.Stats.Events};
-  for (size_t I = 0; I < 4; ++I)
-    if (!support::parseUnsigned(L[4].List[I + 1].Atom, 0xFFFFFFFFu,
-                                *StatFields[I])) {
-      Err = "bad stats atom '" + L[4].List[I + 1].Atom + "'";
+  bool Ok = C.lit(") (stats");
+  for (size_t I = 0; Ok && I < 4; ++I) {
+    std::string_view Field;
+    Ok = C.lit(" ") && C.until(I < 3 ? ' ' : ')', Field);
+    if (Ok && !support::parseUnsigned(Field, 0xFFFFFFFFu, *StatFields[I])) {
+      Err = "bad stats atom '" + std::string(Field) + "'";
       return false;
     }
-
-  // The remainder of the file is the trace text, kept verbatim so that a
-  // disk round-trip is byte-identical with the in-memory entry.
-  size_t Start = P.position();
-  while (Start < Text.size() &&
-         (Text[Start] == '\n' || Text[Start] == '\r' || Text[Start] == ' ' ||
-          Text[Start] == '\t'))
-    ++Start;
-  size_t End = Text.size();
-  while (End > Start && (Text[End - 1] == '\n' || Text[End - 1] == '\r'))
-    --End;
-  Out.TraceText = Text.substr(Start, End - Start);
-  if (Out.TraceText.empty()) {
+  }
+  if (!Ok || !C.lit("))\n")) {
+    Err = "bad stats list";
+    return false;
+  }
+  // The rest is the trace text and a newline, kept verbatim so that a disk
+  // round-trip is byte-identical with the in-memory entry.
+  std::string_view Rest = C.S.substr(C.P);
+  if (Rest.size() < 2 || Rest.back() != '\n') {
     Err = "cache entry has no trace";
     return false;
   }
-  // Structural torn-write check: the trace text must be one balanced
-  // S-expression.  A write cut short mid-entry (crash, full disk) leaves
-  // dangling parens; catching it here lets lookup() treat the file as
-  // corrupt (miss + self-repair) instead of handing decode() garbage.
-  long Depth = 0;
-  bool InBars = false;
-  for (char Ch : Out.TraceText) {
-    if (Ch == '|')
-      InBars = !InBars;
-    else if (!InBars && Ch == '(')
-      ++Depth;
-    else if (!InBars && Ch == ')' && --Depth < 0)
-      break;
-  }
-  if (Depth != 0 || InBars) {
-    Err = "truncated trace text (torn write?)";
-    return false;
-  }
+  Out.TraceText = Rest.substr(0, Rest.size() - 1);
   return true;
 }
 
@@ -235,6 +204,19 @@ void TraceCache::addLocked(const Fingerprint &K,
     Lru.pop_back();
     ++St.Evictions;
   }
+}
+
+void TraceCache::discard(const Fingerprint &K, const std::string &Why) {
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    auto It = Map.find(K);
+    if (It != Map.end()) {
+      Lru.erase(It->second.LruIt);
+      Map.erase(It);
+    }
+  }
+  if (Cfg.Persist && !Files.disabled())
+    Files.discard(K, Why);
 }
 
 void TraceCache::clearMemory() {

@@ -114,6 +114,11 @@ public:
   /// existing key refreshes recency but keeps the first entry.
   void insert(const Fingerprint &K, CacheEntry E);
 
+  /// Forgets \p K: drops it from memory and, when persistent, quarantines
+  /// its file with \p Why.  For an entry whose envelope verifies but which
+  /// fails decode(), so that the next lookup misses and re-executes.
+  void discard(const Fingerprint &K, const std::string &Why);
+
   /// Drops all in-memory entries (disk files are kept).  Counters survive.
   void clearMemory();
 
@@ -148,14 +153,17 @@ public:
   /// Materializes \p E into \p TB: parses the trace text (creating fresh
   /// variables in \p TB) and resolves the opcode variables by name.
   /// Returns false and sets \p Err if the text does not re-parse — which
-  /// would mean the ITL grammar lost information (an adequacy bug).
+  /// would mean the ITL grammar lost information (an adequacy bug) — or
+  /// if an opcode variable is not declared, at its width, at the trace's
+  /// top level.
   static bool decode(const CacheEntry &E, smt::TermBuilder &TB,
                      isla::ExecResult &Out, std::string &Err);
 
-  /// The on-disk entry format: a single-line header S-expression
-  ///   (islaris-trace-cache 1 <keyhex> (opcode-vars (|v| w) ...)
-  ///    (stats paths pruned queries events))
-  /// followed by the trace text verbatim.
+  /// The on-disk entry format: the one-line header
+  ///   (islaris-trace-cache 1 <keyhex> (opcode-vars (|v| w) ...) (stats
+  ///   paths pruned queries events))\n
+  /// with single spaces exactly as shown (parseEntry matches it literally),
+  /// then the trace text verbatim and a newline.
   static std::string serializeEntry(const Fingerprint &K,
                                     const CacheEntry &E);
   /// Appends the bytes of serializeEntry(K, E) to \p Out.

@@ -131,9 +131,13 @@ bool Verifier::generateTraces(std::string &Err) {
     }
     isla::ExecResult Exec;
     if (!cache::TraceCache::decode(R.Entry, TB, Exec, Err)) {
+      // A cached entry that parses as an entry but whose trace does not
+      // decode is either a corrupt cache payload or an ITL adequacy bug.
+      // This run fails either way; forgetting the entry lets the next one
+      // execute afresh instead of failing on it again.
+      if (Ctx.Cache)
+        Ctx.Cache->discard(R.Key, Err);
       Err = "instruction at " + BitVec(64, Addr).toHexString() + ": " + Err;
-      // A cached entry that parses as an entry but whose trace text does not
-      // re-parse is either a corrupt cache payload or an ITL adequacy bug.
       LastDiag = support::Diag::error(
           R.Source == cache::ResultSource::CacheHit
               ? support::ErrorCode::CorruptCacheEntry

@@ -1,4 +1,4 @@
-//===- itl/Parser.h - S-expression parser for ITL traces --------*- C++ -*-===//
+//===- itl/Parser.h - Reader for printed ITL traces -------------*- C++ -*-===//
 //
 // Part of Islaris-CPP (PLDI 2022 "Islaris" reproduction).
 //
@@ -6,8 +6,13 @@
 ///
 /// \file
 /// Parses the concrete trace syntax of Figs. 3 and 6 back into Trace values
-/// (the inverse of Trace::toString()).  Used by golden tests and by the
-/// frontend's trace cache.
+/// (the inverse of Trace::toString()).  One pass: tokens (atoms, |barred
+/// symbols|, parens; whitespace and ';' comments between them) are read
+/// from a bounds-checked cursor and hash-consed into terms as they arrive,
+/// with no intermediate tree.  Every trace the verifier uses, fresh or
+/// cached, goes through here, and cached text is untrusted: numbers,
+/// operand sorts and nesting depth are checked, and the whole input must
+/// be one trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,72 +21,78 @@
 
 #include "itl/Trace.h"
 #include "smt/TermBuilder.h"
+#include "support/Parse.h"
 
-#include <memory>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace islaris::itl {
 
-/// A parsed S-expression: an atom or a list.
-struct SExpr {
-  std::string Atom; ///< Non-empty iff this is an atom.
-  std::vector<SExpr> List;
-  bool isAtom() const { return !Atom.empty(); }
-  std::string toString() const;
-};
-
-/// \p S without its |quoting bars|, if it has them.
-std::string stripBars(const std::string &S);
-
-/// Tokenizes and parses S-expressions.  Returns nullopt and sets the error
-/// string on malformed input.
-class SExprParser {
-public:
-  explicit SExprParser(std::string Text) : Text(std::move(Text)) {}
-  std::optional<SExpr> parse();
-  const std::string &error() const { return Error; }
-  /// Offset just past the last consumed token.  Lets callers parse a
-  /// leading S-expression header and keep the remainder of the input
-  /// verbatim (the trace-cache entry format does this).
-  size_t position() const { return Pos; }
-
-private:
-  void skipWhitespace();
-  bool atEnd() const { return Pos >= Text.size(); }
-  std::optional<SExpr> parseOne();
-
-  std::string Text;
-  size_t Pos = 0;
-  std::string Error;
-};
-
 /// Parses ITL traces, creating SMT variables in \p TB as declare-consts are
-/// encountered.  Variables are scoped to one parser instance.
+/// encountered.  Variables are scoped to one parse.
 class TraceParser {
 public:
   explicit TraceParser(smt::TermBuilder &TB) : TB(TB) {}
 
-  /// Parses "(trace ...)" text.  Returns nullopt on error.
-  std::optional<Trace> parseTrace(const std::string &Text);
+  /// Parses "(trace ...)" text, which must be the whole input apart from
+  /// whitespace and comments.  Returns nullopt on error.
+  std::optional<Trace> parseTrace(std::string_view Text);
   const std::string &error() const { return Error; }
 
-  /// Variables created while parsing, by source name.
-  const std::unordered_map<std::string, const smt::Term *> &vars() const {
-    return Vars;
+  /// The variable in scope as \p Name, or null.  After a parse, those are
+  /// the ones the trace declares or defines at its top level, outside any
+  /// cases.
+  const smt::Term *var(std::string_view Name) const {
+    auto It = Vars.find(Name);
+    return It == Vars.end() ? nullptr : It->second;
   }
 
 private:
-  std::optional<Trace> buildTrace(const SExpr &S);
-  std::optional<Event> buildEvent(const SExpr &S);
-  const smt::Term *buildTermExpr(const SExpr &S);
-  std::optional<smt::Sort> buildSort(const SExpr &S);
-  const smt::Term *fail(const std::string &Msg);
+  // Tokens.
+  void skipSpace();
+  bool atOpen();
+  bool atClose();
+  bool enter();
+  bool leave();
+  std::string_view atom();
+  std::string_view symbol();
+  bool number(unsigned &Out);
+
+  // Grammar.
+  bool trace(Trace &T);
+  bool event(std::string_view Head, size_t Start, Trace &T);
+  bool regAccessor(Reg &R);
+  const smt::Term *regValue();
+  const smt::Term *term();
+  const smt::Term *operation(size_t Start);
+  const smt::Term *indexedTerm(size_t Start);
+  std::optional<smt::Sort> sort();
+  const smt::Term *declare(std::string_view Name, smt::Sort S, size_t Start);
+
+  const smt::Term *fail(size_t Start, const std::string &Msg);
+
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
 
   smt::TermBuilder &TB;
-  std::unordered_map<std::string, const smt::Term *> Vars;
+  support::Cursor C;
+  unsigned Depth = 0; ///< Open parens around the cursor.
+  std::unordered_map<std::string, const smt::Term *, NameHash,
+                     std::equal_to<>>
+      Vars;
+  /// Names in Vars in declaration order, as views of the text being
+  /// parsed, so a subtrace's own names can be dropped when it ends: sibling
+  /// cases are separate scopes (Isla reuses names across branches, e.g. v38
+  /// in both arms of Fig. 6).
+  std::vector<std::string_view> Declared;
   std::string Error;
 };
 

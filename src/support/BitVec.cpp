@@ -25,7 +25,7 @@ void BitVec::clearUnusedBits() {
     Words.back() &= (~uint64_t(0)) >> (64 - Rem);
 }
 
-bool BitVec::fromString(const std::string &Text, BitVec &Out) {
+bool BitVec::fromString(std::string_view Text, BitVec &Out) {
   if (Text.size() < 3)
     return false;
   unsigned DigitBits;
@@ -40,7 +40,7 @@ bool BitVec::fromString(const std::string &Text, BitVec &Out) {
   } else {
     return false;
   }
-  std::string Digits = Text.substr(2);
+  std::string_view Digits = Text.substr(2);
   if (Digits.empty())
     return false;
   unsigned Width = Digits.size() * DigitBits;

@@ -20,6 +20,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace islaris {
@@ -51,7 +52,7 @@ public:
   /// Parses "#x<hex>", "#b<bits>", "0x<hex>", or "0b<bits>" (SMT-LIB and C
   /// style).  The width is the number of digits times 4 (hex) or 1 (binary).
   /// Returns false and leaves \p Out untouched on malformed input.
-  static bool fromString(const std::string &Text, BitVec &Out);
+  static bool fromString(std::string_view Text, BitVec &Out);
 
   /// Builds a vector from raw little-endian bytes; width is 8 * size.
   static BitVec fromBytes(const std::vector<uint8_t> &Bytes);

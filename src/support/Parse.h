@@ -11,6 +11,9 @@
 /// Each parser takes the whole token and returns false instead of throwing,
 /// wrapping, truncating or reading junk as 0 (as strtoul, atoi, atof and
 /// std::stoul do; CI greps src/ and tools/ for them).  There is no octal.
+/// Cursor is the read position the text formats share: store entry headers
+/// and side-condition bundles match it literally, and itl::TraceParser
+/// tokenizes through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,6 +130,46 @@ inline bool parseDouble(std::string_view S, double &Out) {
 inline bool parseHex64(std::string_view S, uint64_t &Out) {
   return S.size() == 16 && isLowerHex(S) && parseHex(S, UINT64_MAX, Out);
 }
+
+/// A read position in untrusted text.  Every step is bounds-checked: a
+/// failed match consumes nothing, and nothing reads past the end.
+struct Cursor {
+  std::string_view S;
+  size_t P = 0;
+
+  bool atEnd() const { return P == S.size(); }
+  /// True if the input continues with \p C.
+  bool at(char C) const { return P < S.size() && S[P] == C; }
+  /// Consumes \p L if the input continues with it.
+  bool lit(std::string_view L) {
+    if (S.substr(P, L.size()) != L)
+      return false;
+    P += L.size();
+    return true;
+  }
+  /// Consumes the text up to the next \p C (not \p C itself).
+  bool until(char C, std::string_view &Out) {
+    size_t E = S.find(C, P);
+    if (E == std::string_view::npos)
+      return false;
+    Out = S.substr(P, E - P);
+    P = E;
+    return true;
+  }
+  /// Consumes and returns the longest run of characters satisfying \p Pred.
+  template <typename PredT> std::string_view span(PredT Pred) {
+    size_t B = P;
+    while (P < S.size() && Pred(S[P]))
+      ++P;
+    return S.substr(B, P - B);
+  }
+  /// Consumes and returns the next \p N characters (fewer at the end).
+  std::string_view take(size_t N) {
+    std::string_view R = S.substr(P, N);
+    P += R.size();
+    return R;
+  }
+};
 
 } // namespace islaris::support
 

@@ -184,6 +184,43 @@ TEST(TraceCacheTest, EntryFileFormatRoundTrips) {
   EXPECT_FALSE(TraceCache::parseEntry(Text.substr(0, 40), E2, Err));
 }
 
+TEST(TraceCacheTest, DecodeRefusesOpcodeVarsNotDeclaredAtTheTopLevel) {
+  // Executor::emitPreamble declares every opcode variable at the top level
+  // of its trace.  A hand-written entry naming one the trace does not
+  // declare there, or declares there at another width, is refused.
+  const char *Declared = "(trace\n  (declare-const v0 (_ BitVec 5))\n"
+                         "  (assert (= v0 #b00001)))";
+  struct Case {
+    const char *Trace;
+    unsigned Width;
+    bool Ok;
+  } Cases[] = {
+      {Declared, 5, true},
+      {Declared, 6, false}, // another width
+      {Declared, 0, false}, // the stand-in's old width-0 case
+      {"(trace (declare-const v1 (_ BitVec 5)))", 5, false}, // missing
+      // Declared only inside one case: not in scope at the top level.
+      {"(trace (cases (trace (declare-const v0 (_ BitVec 5))) (trace)))", 5,
+       false},
+      {"(trace (declare-const v0 Bool))", 1, false}, // not a bitvector
+  };
+  for (const Case &C : Cases) {
+    CacheEntry E;
+    E.TraceText = C.Trace;
+    E.OpcodeVars.emplace_back("v0", C.Width);
+    smt::TermBuilder TB;
+    isla::ExecResult R;
+    std::string Err;
+    EXPECT_EQ(TraceCache::decode(E, TB, R, Err), C.Ok) << C.Trace << " " << Err;
+    if (C.Ok) {
+      ASSERT_EQ(R.OpcodeVars.size(), 1u);
+      EXPECT_EQ(R.OpcodeVars[0]->width(), C.Width);
+    } else {
+      EXPECT_NE(Err.find("v0"), std::string::npos) << Err;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // LRU bounding and counters.
 //===----------------------------------------------------------------------===//
@@ -434,6 +471,52 @@ TEST(TraceCacheTest, PersistsAcrossCacheInstances) {
   setupVerifier(V3);
   ASSERT_TRUE(V3.generateTraces(Err)) << Err;
   EXPECT_EQ(V3.genStats().Executed, 2u);
+}
+
+// An entry whose envelope verifies but whose trace does not decode fails
+// the run that reads it, and is forgotten: dropped from memory and
+// quarantined on disk, so the next run executes afresh and verifies.
+TEST(TraceCacheTest, UndecodableEntryIsDiscardedSoTheNextRunVerifies) {
+  TempDir Tmp;
+  TraceCacheConfig Cfg;
+  Cfg.Persist = true;
+  Cfg.Dir = Tmp.Path.string();
+  std::string Err;
+  {
+    TraceCache C(Cfg);
+    Verifier V(frontend::aarch64(), {&C, nullptr, {}});
+    setupVerifier(V);
+    ASSERT_TRUE(V.generateTraces(Err)) << Err;
+  }
+  std::vector<std::filesystem::path> Files;
+  for (const auto &F : entryFiles(Tmp.Path))
+    if (F.extension() == TraceEntryExt)
+      Files.push_back(F);
+  ASSERT_EQ(Files.size(), 2u);
+  // Trailing input after the trace, re-enveloped: the checksum is valid
+  // and cachectl scrub would call the file OK.
+  Fingerprint K = entryKey(Files[0]);
+  std::string Payload;
+  ASSERT_EQ(unwrapDurableEntry(readFileRaw(Files[0]), K, Payload),
+            EnvelopeResult::Ok);
+  writeFileRaw(Files[0], wrapDurableEntry(K, Payload + "(trace)\n"));
+
+  TraceCache C(Cfg);
+  Verifier V1(frontend::aarch64(), {&C, nullptr, {}});
+  setupVerifier(V1);
+  EXPECT_FALSE(V1.generateTraces(Err));
+  EXPECT_EQ(V1.diag().Code, support::ErrorCode::CorruptCacheEntry);
+  EXPECT_FALSE(std::filesystem::exists(Files[0]));
+  EXPECT_TRUE(std::filesystem::exists(Tmp.Path / "quarantine" /
+                                      Files[0].filename()));
+  EXPECT_EQ(C.stats().Quarantined, 1u);
+  EXPECT_EQ(C.size(), 1u); // the good entry stays
+
+  Verifier V2(frontend::aarch64(), {&C, nullptr, {}});
+  setupVerifier(V2);
+  ASSERT_TRUE(V2.generateTraces(Err)) << Err;
+  EXPECT_EQ(V2.genStats().Executed, 1u);
+  EXPECT_TRUE(std::filesystem::exists(Files[0])); // republished
 }
 
 // Entries are sharded into 256 fan-out subdirectories keyed on the leading

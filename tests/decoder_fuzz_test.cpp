@@ -10,8 +10,8 @@
 //  - the stores: RunJournal::open, the entry envelope, parseBundle and
 //    TraceCache::parseEntry (with the trace re-parse TraceCache::decode
 //    does on a hit);
-//  - text: the ITL S-expression and trace parsers, the objdump reader, the
-//    Sail lexer and parser, and BitVec::fromString.
+//  - text: the ITL trace parser, the objdump reader, the Sail lexer and
+//    parser, and BitVec::fromString.
 //
 // Mutations are bit flips, truncation, duplication of a slice, splicing
 // two corpus entries, and over-long digit runs, stacked one to three deep.
@@ -429,10 +429,6 @@ TEST(DecoderFuzzTest, TraceCacheEntry) {
 //===----------------------------------------------------------------------===//
 
 TEST(DecoderFuzzTest, ItlText) {
-  fuzz("itl::SExprParser", traceCorpus().Traces, [](const std::string &In) {
-    itl::SExprParser P(In);
-    return P.parse().has_value();
-  });
   fuzz("itl::TraceParser", traceCorpus().Traces, [](const std::string &In) {
     smt::TermBuilder TB;
     itl::TraceParser P(TB);

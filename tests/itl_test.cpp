@@ -111,6 +111,24 @@ TEST(TraceTest, ParseCasesTrace) {
   EXPECT_EQ(T2->toString(), T->toString());
 }
 
+TEST(TraceTest, ParserSkipsCommentsAndScopesCases) {
+  // ';' comments run to the end of a line, and may follow the trace.
+  // Sibling cases may reuse a name; after the parse only the top level's
+  // names are in scope.
+  const char *Text = "; a comment\n(trace ; another\n"
+                     "  (declare-const v0 (_ BitVec 1))\n"
+                     "  (cases (trace (declare-const v1 Bool) (assume v1))\n"
+                     "    (trace (declare-const v1 Bool) (assert v1))))\n"
+                     "; trailing comment\n\t\n";
+  smt::TermBuilder TB;
+  TraceParser P(TB);
+  auto T = P.parseTrace(Text);
+  ASSERT_TRUE(T.has_value()) << P.error();
+  EXPECT_EQ(T->Cases.size(), 2u);
+  EXPECT_NE(P.var("v0"), nullptr);
+  EXPECT_EQ(P.var("v1"), nullptr);
+}
+
 TEST(TraceTest, ParserRejectsMalformedInput) {
   smt::TermBuilder TB;
   TraceParser P(TB);

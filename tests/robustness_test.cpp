@@ -32,6 +32,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <thread>
 
 using namespace islaris;
 using islaris::itl::Reg;
@@ -381,12 +382,41 @@ TEST(MalformedInputTest, TruncatedAndGarbageTracesAreRejected) {
         std::string("(trace (assert (not #x01)))"),
         std::string("(trace (assert #x01))"),
         std::string("(trace (read-mem #x01 #x0000000000000000 8))"),
-        std::string("(trace (define-const v ((_ zero_extend 65536) #x01)))")}) {
+        std::string("(trace (define-const v ((_ zero_extend 65536) #x01)))"),
+        // The whole input must be one trace.
+        std::string("(trace) (assert junk"), std::string("(trace)(trace)")}) {
     smt::TermBuilder TB2;
     itl::TraceParser P(TB2);
     auto T = P.parseTrace(Bad);
     EXPECT_FALSE(T.has_value());
     EXPECT_FALSE(P.error().empty());
+  }
+}
+
+// The parser recurses once per paren level, so nesting is capped: a
+// forged store entry nested a million deep is a parse error, not a stack
+// overflow on a worker thread (std::thread's default stack).
+TEST(MalformedInputTest, DeeplyNestedTraceIsRefusedOnAThread) {
+  constexpr size_t Deep = 1000000;
+  std::string Terms = "(trace (assert ", Cases;
+  for (size_t I = 0; I < Deep; ++I) {
+    Terms += "(not ";
+    Cases += "(trace (cases ";
+  }
+  Terms += "true" + std::string(Deep, ')') + "))";
+  Cases += "(trace)" + std::string(2 * Deep, ')');
+  for (const std::string *Text : {&Terms, &Cases}) {
+    bool Parsed = true;
+    std::string Err;
+    std::thread Worker([&] {
+      smt::TermBuilder TB;
+      itl::TraceParser P(TB);
+      Parsed = P.parseTrace(*Text).has_value();
+      Err = P.error();
+    });
+    Worker.join();
+    EXPECT_FALSE(Parsed);
+    EXPECT_NE(Err.find("nesting deeper than"), std::string::npos) << Err;
   }
 }
 
