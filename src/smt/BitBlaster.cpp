@@ -2,6 +2,8 @@
 
 #include "smt/BitBlaster.h"
 
+#include <algorithm>
+
 using namespace islaris;
 using namespace islaris::smt;
 using sat::Lit;
@@ -13,64 +15,189 @@ BitBlaster::BitBlaster(sat::Solver &S) : S(S) {
 
 Lit BitBlaster::freshLit() { return Lit(S.newVar(), false); }
 
+std::pair<Lit, bool> BitBlaster::gate(GateOp Op, const Lit *Ins, size_t N) {
+  Key.assign(1, int32_t(Op));
+  for (size_t I = 0; I < N; ++I)
+    Key.push_back(Ins[I].index());
+  auto It = Gates.find(Key);
+  if (It != Gates.end())
+    return {It->second, false};
+  Lit R = freshLit();
+  Gates.emplace(Key, R);
+  return {R, true};
+}
+
+static bool byIndex(Lit A, Lit B) { return A.index() < B.index(); }
+
+/// Sorts up to three literals by index.
+static void sortSmall(Lit *L, unsigned N) {
+  auto Order = [&](unsigned I, unsigned J) {
+    if (byIndex(L[J], L[I]))
+      std::swap(L[I], L[J]);
+  };
+  if (N >= 2)
+    Order(0, 1);
+  if (N == 3) {
+    Order(1, 2);
+    Order(0, 1);
+  }
+}
+
 Lit BitBlaster::litAnd(Lit A, Lit B) {
-  if (A == constLit(false) || B == constLit(false))
+  if (A == constLit(false) || B == constLit(false) || A == ~B)
     return constLit(false);
-  if (A == constLit(true))
+  if (A == constLit(true) || A == B)
     return B;
   if (B == constLit(true))
     return A;
-  if (A == B)
-    return A;
-  if (A == ~B)
-    return constLit(false);
-  Lit C = freshLit();
-  S.addClause(~C, A);
-  S.addClause(~C, B);
-  S.addClause(C, ~A, ~B);
+  if (byIndex(B, A))
+    std::swap(A, B);
+  Lit In[2] = {A, B};
+  auto [C, Fresh] = gate(GateOp::And, In, 2);
+  if (Fresh) {
+    S.addClause(~C, A);
+    S.addClause(~C, B);
+    S.addClause(C, ~A, ~B);
+  }
   return C;
 }
 
 Lit BitBlaster::litOr(Lit A, Lit B) { return ~litAnd(~A, ~B); }
 
-Lit BitBlaster::litXor(Lit A, Lit B) {
-  if (A == constLit(false))
-    return B;
-  if (B == constLit(false))
-    return A;
-  if (A == constLit(true))
-    return ~B;
-  if (B == constLit(true))
-    return ~A;
-  if (A == B)
-    return constLit(false);
-  if (A == ~B)
+Lit BitBlaster::litAndN(Bits Ls) {
+  Ls.erase(std::remove(Ls.begin(), Ls.end(), constLit(true)), Ls.end());
+  std::sort(Ls.begin(), Ls.end(), byIndex);
+  Ls.erase(std::unique(Ls.begin(), Ls.end()), Ls.end());
+  // A literal and its complement differ only in the low bit of the index,
+  // so after sorting they are adjacent.
+  for (size_t I = 0; I < Ls.size(); ++I)
+    if (Ls[I] == constLit(false) || (I > 0 && Ls[I] == ~Ls[I - 1]))
+      return constLit(false);
+  if (Ls.empty())
     return constLit(true);
-  Lit C = freshLit();
-  S.addClause(~C, A, B);
-  S.addClause(~C, ~A, ~B);
-  S.addClause(C, ~A, B);
-  S.addClause(C, A, ~B);
+  if (Ls.size() == 1)
+    return Ls[0];
+  if (Ls.size() == 2)
+    return litAnd(Ls[0], Ls[1]);
+  auto [C, Fresh] = gate(GateOp::AndN, Ls.data(), Ls.size());
+  if (Fresh) {
+    Bits Long = {C};
+    for (Lit L : Ls) {
+      S.addClause(~C, L);
+      Long.push_back(~L);
+    }
+    S.addClause(std::move(Long));
+  }
   return C;
 }
 
+Lit BitBlaster::litXor(Lit A, Lit B) { return litXor3(A, B, constLit(false)); }
+
+Lit BitBlaster::litXor3(Lit A, Lit B, Lit C) {
+  // Strip every polarity, and every constant, into the output's parity.
+  bool Parity = false;
+  Lit Vs[3];
+  unsigned N = 0;
+  for (Lit L : {A, B, C}) {
+    Parity ^= L.negated();
+    Lit P = L.negated() ? ~L : L;
+    if (P == constLit(true))
+      Parity = !Parity;
+    else
+      Vs[N++] = P;
+  }
+  sortSmall(Vs, N);
+  // x ^ x cancels.
+  if (N >= 2 && Vs[0] == Vs[1]) {
+    Vs[0] = Vs[2];
+    N -= 2;
+  } else if (N == 3 && Vs[1] == Vs[2]) {
+    N = 1;
+  }
+  if (N == 0)
+    return constLit(Parity);
+  if (N == 1)
+    return Parity ? ~Vs[0] : Vs[0];
+  auto [R, Fresh] = gate(N == 2 ? GateOp::Xor : GateOp::Xor3, Vs, N);
+  if (Fresh && N == 2) {
+    S.addClause(~R, Vs[0], Vs[1]);
+    S.addClause(~R, ~Vs[0], ~Vs[1]);
+    S.addClause(R, ~Vs[0], Vs[1]);
+    S.addClause(R, Vs[0], ~Vs[1]);
+  } else if (Fresh) {
+    // One clause per input assignment, forcing R to its parity.
+    for (unsigned M = 0; M < 8; ++M) {
+      bool X = M & 1, Y = M & 2, Z = M & 4;
+      S.addClause({X ? ~Vs[0] : Vs[0], Y ? ~Vs[1] : Vs[1],
+                   Z ? ~Vs[2] : Vs[2], (X ^ Y ^ Z) ? R : ~R});
+    }
+  }
+  return Parity ? ~R : R;
+}
+
 Lit BitBlaster::litMux(Lit C, Lit T, Lit E) {
-  if (C == constLit(true))
+  if (C.negated()) {
+    C = ~C;
+    std::swap(T, E);
+  }
+  if (C == constLit(true) || T == E)
     return T;
-  if (C == constLit(false))
-    return E;
-  if (T == E)
-    return T;
-  Lit R = freshLit();
-  S.addClause(~C, ~T, R);
-  S.addClause(~C, T, ~R);
-  S.addClause(C, ~E, R);
-  S.addClause(C, E, ~R);
-  return R;
+  if (T == ~E)
+    return ~litXor(C, T);
+  if (T == C || T == constLit(true))
+    return litOr(C, E);
+  if (T == ~C || T == constLit(false))
+    return litAnd(~C, E);
+  if (E == C || E == constLit(false))
+    return litAnd(C, T);
+  if (E == ~C || E == constLit(true))
+    return litOr(~C, T);
+  // ite(c, ~t, ~e) == ~ite(c, t, e): key the positive then-branch.
+  bool Neg = T.negated();
+  if (Neg) {
+    T = ~T;
+    E = ~E;
+  }
+  Lit In[3] = {C, T, E};
+  auto [R, Fresh] = gate(GateOp::Mux, In, 3);
+  if (Fresh) {
+    S.addClause(~C, ~T, R);
+    S.addClause(~C, T, ~R);
+    S.addClause(C, ~E, R);
+    S.addClause(C, E, ~R);
+  }
+  return Neg ? ~R : R;
 }
 
 Lit BitBlaster::litMajority(Lit A, Lit B, Lit C) {
-  return litOr(litAnd(A, B), litOr(litAnd(A, C), litAnd(B, C)));
+  Lit In[3] = {A, B, C};
+  for (unsigned I = 0; I < 3; ++I) {
+    Lit X = In[(I + 1) % 3], Y = In[(I + 2) % 3];
+    if (In[I] == constLit(true))
+      return litOr(X, Y);
+    if (In[I] == constLit(false))
+      return litAnd(X, Y);
+    if (In[I] == X)
+      return X;
+    if (In[I] == ~X)
+      return Y;
+  }
+  // maj(~a, ~b, ~c) == ~maj(a, b, c): key at most one negated input.
+  bool Neg = A.negated() + B.negated() + C.negated() >= 2;
+  if (Neg)
+    for (Lit &L : In)
+      L = ~L;
+  sortSmall(In, 3);
+  auto [R, Fresh] = gate(GateOp::Maj, In, 3);
+  if (Fresh) {
+    // Any two true inputs force R; any two false inputs force ~R.
+    for (unsigned I = 0; I < 3; ++I) {
+      Lit X = In[I], Y = In[(I + 1) % 3];
+      S.addClause(~X, ~Y, R);
+      S.addClause(X, Y, ~R);
+    }
+  }
+  return Neg ? ~R : R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -83,8 +210,9 @@ BitBlaster::Bits BitBlaster::addBits(const Bits &A, const Bits &B,
   Bits Sum(A.size());
   Lit Carry = CarryIn;
   for (size_t I = 0; I < A.size(); ++I) {
-    Sum[I] = litXor(litXor(A[I], B[I]), Carry);
-    Carry = litMajority(A[I], B[I], Carry);
+    Sum[I] = litXor3(A[I], B[I], Carry);
+    if (I + 1 < A.size()) // the carry out of the top bit is unused
+      Carry = litMajority(A[I], B[I], Carry);
   }
   return Sum;
 }
@@ -146,14 +274,11 @@ BitBlaster::Bits BitBlaster::shiftBits(const Bits &A, const Bits &Amount,
 }
 
 Lit BitBlaster::ultBits(const Bits &A, const Bits &B) {
-  // MSB-first lexicographic comparison.
-  Lit Result = constLit(false);
-  for (size_t I = 0; I < A.size(); ++I) {
-    Lit Less = litAnd(~A[I], B[I]);
-    Lit EqBit = ~litXor(A[I], B[I]);
-    Result = litOr(Less, litAnd(EqBit, Result));
-  }
-  return Result;
+  // A <u B iff A - B borrows: the carry out of A + ~B + 1 is clear.
+  Lit Carry = constLit(true);
+  for (size_t I = 0; I < A.size(); ++I)
+    Carry = litMajority(A[I], ~B[I], Carry);
+  return ~Carry;
 }
 
 Lit BitBlaster::uleBits(const Bits &A, const Bits &B) {
@@ -169,10 +294,10 @@ Lit BitBlaster::sltBits(const Bits &A, const Bits &B) {
 }
 
 Lit BitBlaster::eqBits(const Bits &A, const Bits &B) {
-  Lit R = constLit(true);
+  Bits Same(A.size());
   for (size_t I = 0; I < A.size(); ++I)
-    R = litAnd(R, ~litXor(A[I], B[I]));
-  return R;
+    Same[I] = ~litXor(A[I], B[I]);
+  return litAndN(std::move(Same));
 }
 
 void BitBlaster::divRem(const Bits &N, const Bits &D, Bits &Quot, Bits &Rem) {

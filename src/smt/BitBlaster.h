@@ -19,6 +19,8 @@
 #include "smt/Term.h"
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace islaris::smt {
 
@@ -32,7 +34,11 @@ struct BlastStats {
 /// Translates terms into clauses of an underlying SAT solver.  Terms are
 /// hash-consed, so the per-instance caches stay valid for as long as the
 /// TermBuilder lives: a blaster shared across checks reuses every circuit
-/// it has ever built.
+/// it has ever built.  Below the terms, gates are shared too: each gate is
+/// keyed on its normalised inputs, so two equal gates, from different terms
+/// or different checks, are one variable.  The gate cache lives exactly as
+/// long as the blaster's sat::Solver, so a cached literal's defining clauses
+/// are always in that instance.
 class BitBlaster {
 public:
   explicit BitBlaster(sat::Solver &S);
@@ -49,15 +55,31 @@ public:
   const BlastStats &stats() const { return BStats; }
 
 private:
+  using Bits = std::vector<sat::Lit>;
+
   sat::Lit freshLit();
+
+  /// The gate kinds, the first word of a gate's key.
+  enum class GateOp : int32_t { And, AndN, Xor, Xor3, Mux, Maj };
+  /// The output of the gate keyed {Op, Ins[0..N)}: the cached literal, or
+  /// a fresh one, flagged true, that the caller defines with clauses.
+  std::pair<sat::Lit, bool> gate(GateOp Op, const sat::Lit *Ins, size_t N);
+
+  /// The gate constructors.  Each folds constants and equal or complementary
+  /// inputs, moves input polarities out where the function allows, and keys
+  /// what is left in a canonical order.
   sat::Lit litAnd(sat::Lit A, sat::Lit B);
   sat::Lit litOr(sat::Lit A, sat::Lit B);
+  /// The conjunction of \p Ls as one gate: n+1 clauses.
+  sat::Lit litAndN(Bits Ls);
   sat::Lit litXor(sat::Lit A, sat::Lit B);
+  /// A full adder's sum: one 8-clause gate.
+  sat::Lit litXor3(sat::Lit A, sat::Lit B, sat::Lit C);
   sat::Lit litMux(sat::Lit C, sat::Lit T, sat::Lit E);
+  /// A full adder's carry: one 6-clause gate.
   sat::Lit litMajority(sat::Lit A, sat::Lit B, sat::Lit C);
   sat::Lit constLit(bool B) const { return B ? TrueLit : ~TrueLit; }
 
-  using Bits = std::vector<sat::Lit>;
   Bits addBits(const Bits &A, const Bits &B, sat::Lit CarryIn);
   Bits negBits(const Bits &A);
   Bits mulBits(const Bits &A, const Bits &B);
@@ -78,6 +100,17 @@ private:
   BlastStats BStats;
   std::unordered_map<const Term *, Bits> BVCache;
   std::unordered_map<const Term *, sat::Lit> BoolCache;
+  /// Gate outputs by key: the GateOp, then the input literals' indices.
+  struct KeyHash {
+    size_t operator()(const std::vector<int32_t> &K) const {
+      uint64_t H = 0xcbf29ce484222325ull; // FNV-1a over the words
+      for (int32_t X : K)
+        H = (H ^ uint32_t(X)) * 0x100000001b3ull;
+      return size_t(H ^ (H >> 32));
+    }
+  };
+  std::unordered_map<std::vector<int32_t>, sat::Lit, KeyHash> Gates;
+  std::vector<int32_t> Key; ///< the probe gate() builds, reused
   /// Cached quotient/remainder pairs so bvudiv/bvurem over the same
   /// operands share one circuit.  Keyed by (dividend, divisor).
   struct PairHash {

@@ -2,6 +2,7 @@
 
 #include "SideCondShapes.h"
 #include "frontend/CaseStudies.h"
+#include "smt/BitBlaster.h"
 #include "smt/Decide.h"
 #include "smt/Evaluator.h"
 #include "smt/Rewriter.h"
@@ -703,6 +704,362 @@ TEST(SolverTest, IncrementalBlastingReusesCircuits) {
   // handful of new terms (the new equality) get translated.
   EXPECT_LT(S.stats().TermsBlasted - BlastedAfterFirst,
             BlastedAfterFirst);
+}
+
+//===----------------------------------------------------------------------===//
+// BitBlaster against the Evaluator.
+//===----------------------------------------------------------------------===//
+
+/// Drives a BitBlaster over its own sat::Solver, with no Rewriter in
+/// between.  Inputs are pinned by assumptions, so one blaster serves every
+/// check made through it and its gates are shared across them.  A check
+/// goes both ways: the output equal to the Evaluator's value is Sat (and
+/// reads back as that value), and the output different from it is Unsat.
+/// The "different" side is a miter built here from raw clauses, so it
+/// leans on none of the blaster's gates.
+class BlastOracle {
+public:
+  BlastOracle() : Blaster(Core) {}
+
+  sat::Solver &core() { return Core; }
+
+  /// The literals of \p T, LSB first; one literal for a boolean term.
+  std::vector<sat::Lit> bits(const Term *T) {
+    if (T->isBool())
+      return {Blaster.blastBool(T)};
+    return Blaster.blastBV(T);
+  }
+
+  /// Checks \p T under the assignment \p In of its variables \p Vars.
+  void check(const Term *T, const std::vector<const Term *> &Vars,
+             const Env &In) {
+    std::optional<Value> Want = Eval.evaluate(T, In);
+    ASSERT_TRUE(Want.has_value());
+    std::vector<sat::Lit> Pins;
+    for (const Term *V : Vars)
+      pin(bits(V), In.at(V->varId()), Pins);
+    std::string Where = T->toString() + " under" + describe(Vars, In) +
+                        " = " + Want->toString();
+
+    std::vector<sat::Lit> Equal = Pins;
+    pin(bits(T), *Want, Equal);
+    ASSERT_EQ(Core.solve(Equal), sat::SatResult::Sat) << Where;
+    EXPECT_EQ(Blaster.modelValue(T), *Want) << Where;
+
+    const Miter &M = miter(T);
+    std::vector<sat::Lit> Differ = Pins;
+    pin(M.Expect, *Want, Differ);
+    Differ.push_back(M.Differs);
+    EXPECT_EQ(Core.solve(Differ), sat::SatResult::Unsat) << Where;
+  }
+
+private:
+  /// Fresh literals Expect and Differs with Differs -> (bits(T) != Expect).
+  struct Miter {
+    std::vector<sat::Lit> Expect;
+    sat::Lit Differs;
+  };
+
+  static void pin(const std::vector<sat::Lit> &Ls, const Value &V,
+                  std::vector<sat::Lit> &Out) {
+    for (size_t I = 0; I < Ls.size(); ++I) {
+      bool B = V.isBool() ? V.asBool() : V.asBitVec().bit(unsigned(I));
+      Out.push_back(B ? Ls[I] : ~Ls[I]);
+    }
+  }
+
+  static std::string describe(const std::vector<const Term *> &Vars,
+                              const Env &In) {
+    std::string S;
+    for (const Term *V : Vars) {
+      S += ' ';
+      S += V->toString();
+      S += '=';
+      S += In.at(V->varId()).toString();
+    }
+    return S;
+  }
+
+  sat::Lit fresh() { return sat::Lit(Core.newVar(), false); }
+
+  const Miter &miter(const Term *T) {
+    auto It = Miters.find(T);
+    if (It != Miters.end())
+      return It->second;
+    Miter M;
+    M.Differs = fresh();
+    std::vector<sat::Lit> Any = {~M.Differs};
+    for (sat::Lit O : bits(T)) {
+      sat::Lit E = fresh(), X = fresh();
+      Core.addClause(~X, O, E); // X -> O != E
+      Core.addClause(~X, ~O, ~E);
+      M.Expect.push_back(E);
+      Any.push_back(X);
+    }
+    Core.addClause(Any);
+    return Miters.emplace(T, std::move(M)).first->second;
+  }
+
+  sat::Solver Core;
+  BitBlaster Blaster;
+  Evaluator Eval;
+  std::unordered_map<const Term *, Miter> Miters;
+};
+
+/// Inputs for a term over \p Vars: every assignment when the variables hold
+/// at most 9 bits together; otherwise every combination of the edge values
+/// 0, 1, all-ones, the sign bit and the sign bit minus 1, plus seeded random
+/// assignments (half of the values small, so shift amounts and divisors
+/// stay in range).
+std::vector<Env> blastInputs(const std::vector<const Term *> &Vars,
+                             std::mt19937_64 &Rng) {
+  auto widthOf = [](const Term *V) { return V->isBool() ? 1u : V->width(); };
+  unsigned Bits = 0;
+  for (const Term *V : Vars)
+    Bits += widthOf(V);
+  std::vector<Env> Out;
+  if (Bits <= 9) {
+    for (uint64_t A = 0; A < (uint64_t(1) << Bits); ++A) {
+      Env E;
+      unsigned Shift = 0;
+      for (const Term *V : Vars) {
+        uint64_t Part = A >> Shift;
+        E[V->varId()] = V->isBool() ? Value(bool(Part & 1))
+                                    : Value(BitVec(V->width(), Part));
+        Shift += widthOf(V);
+      }
+      Out.push_back(std::move(E));
+    }
+    return Out;
+  }
+  auto edges = [](const Term *V) {
+    if (V->isBool())
+      return std::vector<Value>{Value(false), Value(true)};
+    unsigned W = V->width();
+    BitVec Sign = BitVec(W, 1).shl(W - 1);
+    return std::vector<Value>{BitVec(W, 0), BitVec(W, 1), BitVec::ones(W),
+                              Sign, Sign.sub(BitVec(W, 1))};
+  };
+  Out.push_back(Env());
+  for (const Term *V : Vars) {
+    std::vector<Env> Next;
+    for (const Env &E : Out)
+      for (const Value &Edge : edges(V)) {
+        Next.push_back(E);
+        Next.back()[V->varId()] = Edge;
+      }
+    Out = std::move(Next);
+  }
+  for (int I = 0; I < 24; ++I) {
+    Env E;
+    for (const Term *V : Vars) {
+      if (V->isBool()) {
+        E[V->varId()] = Value(bool(Rng() & 1));
+        continue;
+      }
+      unsigned W = V->width();
+      BitVec R(W, Rng());
+      for (unsigned Lo = 64; Lo < W; Lo += 64)
+        R = R.bvor(BitVec(W, Rng()).shl(Lo));
+      if (Rng() & 1)
+        R = BitVec(W, Rng() % (2 * W));
+      E[V->varId()] = Value(R);
+    }
+    Out.push_back(std::move(E));
+  }
+  return Out;
+}
+
+void checkAll(BlastOracle &O, const std::vector<const Term *> &Terms,
+              std::mt19937_64 &Rng) {
+  for (const Term *T : Terms) {
+    std::vector<const Term *> Vars = collectVars(T);
+    std::sort(Vars.begin(), Vars.end(), [](const Term *A, const Term *B) {
+      return A->varId() < B->varId();
+    });
+    for (const Env &In : blastInputs(Vars, Rng)) {
+      O.check(T, Vars, In);
+      if (::testing::Test::HasFailure())
+        return;
+    }
+  }
+}
+
+/// The operands every width's terms are built from.
+struct BlastVars {
+  BlastVars(TermBuilder &TB, unsigned W)
+      : X(TB.freshVar(Sort::bitvec(W), "x")),
+        Y(TB.freshVar(Sort::bitvec(W), "y")),
+        B(TB.freshVar(Sort::boolean(), "b")),
+        P(TB.freshVar(Sort::boolean(), "p")),
+        Q(TB.freshVar(Sort::boolean(), "q")) {}
+  const Term *X, *Y, *B, *P, *Q;
+};
+
+class BlastDifferentialTest : public ::testing::TestWithParam<unsigned> {};
+
+// Every kind blastBool and blastNode translate, exhaustively at widths 1-4
+// and on edge and random values above.  Multiplication and division run at
+// 16 bits or less.
+TEST_P(BlastDifferentialTest, EveryKindAgreesWithTheEvaluator) {
+  unsigned W = GetParam();
+  std::mt19937_64 Rng(W * 7919 + 1);
+  TermBuilder TB;
+  BlastVars V(TB, W);
+  const Term *X = V.X, *Y = V.Y, *B = V.B, *P = V.P, *Q = V.Q;
+  std::vector<const Term *> Terms = {
+      TB.bvAdd(X, Y),
+      TB.bvSub(X, Y),
+      TB.bvNeg(X),
+      TB.bvAnd(X, Y),
+      TB.bvOr(X, Y),
+      TB.bvXor(X, Y),
+      TB.bvNot(X),
+      TB.bvShl(X, Y),
+      TB.bvLShr(X, Y),
+      TB.bvAShr(X, Y),
+      TB.concat(X, Y),
+      TB.zeroExtend(3, X),
+      TB.signExtend(3, X),
+      TB.extract(W - 1, W / 2, X),
+      TB.extract((W - 1) / 2, 0, Y),
+      TB.iteTerm(B, X, Y),
+      TB.bvAdd(X, TB.constBV(W, 0xa5a5a5a5a5a5a5a5ull)),
+      TB.eqTerm(X, Y),
+      TB.eqTerm(X, TB.constBV(W, 0x5a5a5a5a5a5a5a5aull)),
+      TB.bvUlt(X, Y),
+      TB.bvUle(X, Y),
+      TB.bvSlt(X, Y),
+      TB.bvSle(X, Y),
+      TB.notTerm(B),
+      TB.andTerm(B, P),
+      TB.orTerm(B, P),
+      TB.impliesTerm(B, P),
+      TB.iteTerm(B, P, Q),
+      TB.eqTerm(B, P),
+      TB.eqTerm(B, TB.trueTerm()),
+  };
+  if (W <= 16)
+    for (const Term *T : {TB.bvMul(X, Y), TB.bvUDiv(X, Y), TB.bvURem(X, Y),
+                          TB.bvSDiv(X, Y), TB.bvSRem(X, Y)})
+      Terms.push_back(T);
+  BlastOracle O;
+  checkAll(O, Terms, Rng);
+}
+
+/// \p X rebuilt as a term the builder does not fold back to \p X, with the
+/// same literals once blasted.
+const Term *sameBits(TermBuilder &TB, const Term *X) {
+  return TB.extract(X->width() - 1, 0, TB.concat(X, X));
+}
+
+// The shapes where a gate's normalisation can go wrong: repeated,
+// complementary and constant inputs, which TermBuilder leaves unfolded.
+TEST_P(BlastDifferentialTest, DegenerateShapesAgreeWithTheEvaluator) {
+  unsigned W = GetParam();
+  std::mt19937_64 Rng(W * 104729 + 5);
+  TermBuilder TB;
+  BlastVars V(TB, W);
+  const Term *X = V.X, *Y = V.Y, *B = V.B, *P = V.P, *Q = V.Q;
+  const Term *NotX = TB.bvNot(X), *X2 = sameBits(TB, X);
+  const Term *Zero = TB.constBV(W, 0), *One = TB.constBV(W, 1);
+  const Term *Ones = TB.constBV(BitVec::ones(W));
+  std::vector<const Term *> Terms = {
+      TB.bvAdd(X, NotX),
+      TB.bvSub(X, X2),
+      TB.bvAdd(X, X2),
+      TB.bvAdd(TB.bvAdd(X, X2), X),
+      TB.bvAdd(X, Zero),
+      TB.bvAdd(X, One),
+      TB.bvAdd(One, X),
+      TB.bvAdd(X, Ones),
+      TB.bvSub(X, One),
+      TB.bvSub(Zero, X),
+      TB.bvSub(X, NotX),
+      TB.bvAdd(X, TB.bvXor(X, Y)),
+      TB.bvUlt(X, X2),
+      TB.bvUle(X, X2),
+      TB.bvSlt(X, X2),
+      TB.bvSle(X, X2),
+      TB.bvUlt(X, NotX),
+      TB.bvSlt(NotX, X),
+      TB.bvUlt(X, Zero),
+      TB.bvUle(Ones, X),
+      TB.eqTerm(X, NotX),
+      TB.eqTerm(X, X2),
+      TB.eqTerm(X, TB.bvAnd(X, Y)),
+      TB.bvXor(X, X2),
+      TB.bvXor(X, NotX),
+      TB.bvAnd(X, NotX),
+      TB.bvOr(X, NotX),
+      TB.bvAnd(X, X2),
+      TB.bvShl(X, X),
+      TB.bvAShr(X, X),
+      TB.iteTerm(B, X, X2),
+      TB.iteTerm(B, X, NotX),
+      TB.iteTerm(B, NotX, TB.bvNot(Y)),
+      TB.iteTerm(TB.notTerm(B), X, Y),
+      TB.iteTerm(B, X, Zero),
+      TB.iteTerm(B, X, Ones),
+      TB.iteTerm(B, Zero, X),
+      TB.iteTerm(B, Ones, X),
+      TB.iteTerm(B, B, P),
+      TB.iteTerm(B, TB.notTerm(B), P),
+      TB.iteTerm(B, P, B),
+      TB.iteTerm(B, P, TB.notTerm(B)),
+      TB.iteTerm(B, P, TB.notTerm(P)),
+      TB.iteTerm(B, TB.trueTerm(), P),
+      TB.iteTerm(B, P, TB.falseTerm()),
+      TB.iteTerm(TB.notTerm(B), P, Q),
+      TB.andTerm(B, TB.notTerm(B)),
+      TB.orTerm(B, TB.notTerm(B)),
+      TB.eqTerm(B, TB.notTerm(B)),
+      TB.impliesTerm(B, B),
+  };
+  if (W <= 16)
+    for (const Term *T : {TB.bvMul(X, X2), TB.bvMul(X, Ones),
+                          TB.bvUDiv(X, X2), TB.bvSRem(X, X2)})
+      Terms.push_back(T);
+  BlastOracle O;
+  checkAll(O, Terms, Rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BlastDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u, 32u, 64u,
+                                           128u));
+
+// A second term whose circuit is gate-for-gate equal to an earlier one's
+// (commuted operands, a comparison written the other way round, a negation
+// written as a subtraction) reuses those gates: blasting it adds no
+// variable.  Each second term is then checked against the Evaluator.
+TEST(BlastSharingTest, EqualCircuitsAddNoVariables) {
+  std::mt19937_64 Rng(77);
+  TermBuilder TB;
+  BlastVars V(TB, 8);
+  const Term *X = V.X, *Y = V.Y, *B = V.B, *P = V.P, *Q = V.Q;
+  const std::pair<const Term *, const Term *> Pairs[] = {
+      {TB.bvAdd(X, Y), TB.bvAdd(Y, X)},
+      {TB.bvAnd(X, Y), TB.bvAnd(Y, X)},
+      {TB.bvOr(X, Y), TB.bvOr(Y, X)},
+      {TB.bvXor(X, Y), TB.bvXor(Y, X)},
+      {TB.bvNeg(X), TB.bvSub(TB.constBV(8, 0), X)},
+      {TB.bvUlt(X, Y), TB.notTerm(TB.bvUle(Y, X))},
+      {TB.bvSlt(X, Y), TB.notTerm(TB.bvSle(Y, X))},
+      {TB.eqTerm(X, Y), TB.eqTerm(Y, X)},
+      {TB.iteTerm(B, X, Y), TB.iteTerm(TB.notTerm(B), Y, X)},
+      {TB.andTerm(B, P), TB.andTerm(P, B)},
+      {TB.eqTerm(B, P), TB.eqTerm(P, B)},
+      {TB.iteTerm(B, P, Q), TB.iteTerm(TB.notTerm(B), Q, P)},
+  };
+  BlastOracle O;
+  for (auto [First, Second] : Pairs) {
+    O.bits(First);
+    int Before = O.core().numVars();
+    O.bits(Second);
+    EXPECT_EQ(O.core().numVars(), Before)
+        << Second->toString() << " after " << First->toString();
+    checkAll(O, {Second}, Rng);
+  }
 }
 
 //===----------------------------------------------------------------------===//
